@@ -158,6 +158,14 @@ int Mine(const Flags& flags, const ObsOptions& obs_opts) {
     std::fprintf(stderr, "mine: --in=<file.csv> is required\n");
     return 1;
   }
+  const int k = flags.GetInt("k", 50);
+  if (k < 1) {
+    std::fprintf(stderr,
+                 "mine: --k must be at least 1 (got %d)\n"
+                 "usage: trajpattern_cli --cmd=mine --in=F [--k=N ...]\n",
+                 k);
+    return 1;
+  }
   TrajectoryDataset data;
   CsvDiagnostic diag;
   if (!ReadTrajectoriesCsvFile(in, &data, &diag) || data.empty()) {
@@ -184,7 +192,7 @@ int Mine(const Flags& flags, const ObsOptions& obs_opts) {
 
   NmEngine engine(data, space);
   MinerOptions opt;
-  opt.k = flags.GetInt("k", 50);
+  opt.k = k;
   opt.min_length = static_cast<size_t>(flags.GetInt("min_len", 0));
   opt.max_pattern_length = static_cast<size_t>(flags.GetInt("max_len", 8));
   opt.max_wildcards = flags.GetInt("wildcards", 0);

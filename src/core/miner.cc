@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <optional>
@@ -15,8 +16,56 @@ namespace trajpattern {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+constexpr double kPosInf = std::numeric_limits<double>::infinity();
+
+size_t CountSpecified(std::span<const CellId> cells) {
+  return static_cast<size_t>(
+      std::count_if(cells.begin(), cells.end(),
+                    [](CellId c) { return c != kWildcardCell; }));
+}
+
+/// Calls `visit(cut, left_nm, right_nm)` for every cut 1 <= cut < |cells|,
+/// in ascending order, whose halves cells[0, cut) and cells[cut, m) are
+/// both in `scores`.  The halves are probed as sub-spans, so the walk
+/// allocates nothing.
+template <typename Visit>
+void ForEachMemoizedCut(std::span<const CellId> cells,
+                        const PatternScoreMap& scores, Visit&& visit) {
+  for (size_t cut = 1; cut < cells.size(); ++cut) {
+    const auto left = scores.find(cells.first(cut));
+    if (left == scores.end()) continue;
+    const auto right = scores.find(cells.subspan(cut));
+    if (right == scores.end()) continue;
+    visit(cut, left->second, right->second);
+  }
+}
 
 }  // namespace
+
+double SplitBound(std::span<const CellId> pattern,
+                  const PatternScoreMap& scores, size_t num_trajectories) {
+  const size_t specified = CountSpecified(pattern);
+  double bound = kPosInf;
+  ForEachMemoizedCut(pattern, scores, [&](size_t cut, double left,
+                                          double right) {
+    const size_t s_left = CountSpecified(pattern.first(cut));
+    const size_t s_right = specified - s_left;
+    // An all-wildcard half has no NM (see NmEngine::ValidateScorable).
+    if (s_left == 0 || s_right == 0) return;
+    const double mean = (static_cast<double>(s_left) * left +
+                         static_cast<double>(s_right) * right) /
+                        static_cast<double>(specified);
+    bound = std::min(bound, mean);
+  });
+  if (bound == kPosInf) return bound;
+  // Every log-probability is <= 0, so each sum behind an NM value has a
+  // relative rounding error of at most about (n + m)·eps/2; the slack
+  // covers the halves' errors, this mean's, and P's own several times.
+  const double slack =
+      4.0 * static_cast<double>(num_trajectories + pattern.size() + 4) *
+      std::numeric_limits<double>::epsilon();
+  return bound + slack * std::abs(bound);
+}
 
 void RebuildFrontier(const PatternScoreMap& scores, double omega,
                      PatternSet* high, std::vector<Pattern>* queue) {
@@ -29,9 +78,12 @@ void RebuildFrontier(const PatternScoreMap& scores, double omega,
   }
   queue->clear();
   for (const auto& [p, nm] : scores) {
-    const bool keep = high->count(p) > 0 || p.length() == 1 ||
-                      high->count(p.DropFirst()) > 0 ||
-                      high->count(p.DropLast()) > 0;
+    // Lemma 1: a low pattern stays while its length-(m-1) suffix or
+    // prefix is high; both are probed as sub-spans, without a copy.
+    const std::span<const CellId> cells = p.cells();
+    const bool keep = nm >= omega || cells.size() == 1 ||
+                      high->contains(cells.subspan(1)) ||
+                      high->contains(cells.first(cells.size() - 1));
     if (keep) queue->push_back(p);
   }
   std::sort(queue->begin(), queue->end());
@@ -76,7 +128,7 @@ std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
       beam ? 4 * options.max_candidates_per_iteration
            : std::numeric_limits<size_t>::max();
   std::vector<Pattern> candidates;
-  std::unordered_set<Pattern, PatternHash> cand_seen;
+  PatternSet cand_seen;
   // Wildcard joiners (§5): 0..d '*' positions between the two halves.
   std::vector<Pattern> joiners;
   joiners.emplace_back();  // plain concatenation
@@ -134,13 +186,10 @@ std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
     if (hit_candidate_cap != nullptr) *hit_candidate_cap = true;
     auto bound = [&](const Pattern& c) {
       double best = kNegInf;
-      for (size_t cut = 1; cut < c.length(); ++cut) {
-        auto l = scores.find(c.SubPattern(0, cut));
-        auto r = scores.find(c.SubPattern(cut, c.length() - cut));
-        if (l != scores.end() && r != scores.end()) {
-          best = std::max(best, std::min(l->second, r->second));
-        }
-      }
+      ForEachMemoizedCut(c.cells(), scores,
+                         [&](size_t, double left, double right) {
+                           best = std::max(best, std::min(left, right));
+                         });
       return best;
     };
     std::map<size_t, std::vector<std::pair<double, Pattern>>> buckets;
@@ -211,56 +260,83 @@ MinerCheckpoint MakeBaseCheckpoint(int completed_iterations, int k,
 
 TrajPatternMiner::TrajPatternMiner(const NmEngine* engine,
                                    const MinerOptions& options)
-    : engine_(engine), options_(options), top_k_(options.k) {
-  assert(options.k > 0);
-}
+    : engine_(engine), options_(options), top_k_(options.k) {}
 
-void TrajPatternMiner::ScoreBatch(const std::vector<Pattern>& patterns) {
+void TrajPatternMiner::ScoreBatch(std::vector<Pattern> patterns) {
   // Defensive re-filter against the memo: scoring a pattern twice would
-  // also offer it to the top-k twice.  Callers already dedupe, so this
-  // usually copies the whole list.
-  std::vector<Pattern> todo;
-  todo.reserve(patterns.size());
-  for (const Pattern& p : patterns) {
-    if (scores_.count(p) == 0) todo.push_back(p);
-  }
-  if (todo.empty()) return;
-  // ω-pruning threshold: the batch runs against the ω that held when it
-  // was staged.  A batch's own offers can only raise ω, so this is
-  // conservative (never abandons a candidate the final ω would keep) —
-  // and it is what makes the abandonment points, and hence the memoized
-  // bounds, independent of the worker count.
+  // also offer it to the top-k twice.  Callers already dedupe.
+  std::erase_if(patterns,
+                [&](const Pattern& p) { return scores_.contains(p); });
+  if (patterns.empty()) return;
   TP_TRACE_SPAN("miner/score_batch");
+  // The batch runs against the ω that held when it was staged.  A
+  // batch's own offers can only raise ω, so this is conservative (never
+  // skips or abandons a candidate the final ω would keep) — and it is
+  // what makes the skip decisions and abandonment points, and hence the
+  // memoized bounds, independent of the worker count.
+  const double omega = top_k_.Omega();
+  // Split bound (exact mode): a candidate whose memo-only bound is below
+  // ω can neither enter the top-k nor turn high under any later ω, so it
+  // memoizes the bound and is never warmed or scanned.  Every bound
+  // reads the memo as of batch entry.  Beam mode scans everything,
+  // because its min-max ranking reads memo values as scores.
+  std::vector<double> bounds(patterns.size(), kPosInf);
+  if (options_.max_candidates_per_iteration == 0 && omega > kNegInf) {
+    TP_TRACE_SPAN("miner/split_bound");
+    const size_t n = engine_->data().size();
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      bounds[i] = SplitBound(patterns[i].cells(), scores_, n);
+    }
+  }
+  const auto is_bounded = [&](size_t i) { return bounds[i] < omega; };
+  size_t bounded = 0;
+  for (size_t i = 0; i < patterns.size(); ++i) bounded += is_bounded(i);
+  std::vector<Pattern> scan;
+  scan.reserve(patterns.size() - bounded);
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    if (!is_bounded(i)) scan.push_back(std::move(patterns[i]));
+  }
+
   const double prune_below =
-      options_.omega_pruning ? top_k_.Omega() : NmEngine::kNoPruning;
+      options_.omega_pruning ? omega : NmEngine::kNoPruning;
   BatchScoreStats bstats;
   const std::vector<double> nms =
-      engine_->NmTotalBatch(todo, options_.num_threads, &bstats, prune_below,
+      engine_->NmTotalBatch(scan, options_.num_threads, &bstats, prune_below,
                             &options_.run);
   AccumulateBatch(bstats, &stats_);
   if (bstats.stop != StopReason::kNone) {
-    // Discard the whole batch: under a mid-batch stop `nms` holds a mix
-    // of real scores and unclaimed defaults, and feeding any of it to
-    // the memo would fork this run from its uninterrupted twin.  Memo
-    // and top-k stay exactly at the last completed batch, which is what
-    // keeps the best-so-far answer exact and the last checkpoint a
-    // bit-identical resume point.
+    // Discard the whole batch, skip decisions included: under a
+    // mid-batch stop `nms` holds a mix of real scores and unclaimed
+    // defaults, and feeding any of it to the memo would fork this run
+    // from its uninterrupted twin.  Memo and top-k stay exactly at the
+    // last completed batch, which is what keeps the best-so-far answer
+    // exact and the last checkpoint a bit-identical resume point.
     stats_.stop_reason = bstats.stop;
     stats_.aborted = true;
     return;
   }
-  TP_COUNTER_ADD("miner.candidates_evaluated", todo.size());
-  TP_COUNTER_ADD("miner.candidates_pruned", bstats.candidates_pruned);
+  TP_COUNTER_ADD("miner.candidates_evaluated", patterns.size());
+  TP_COUNTER_ADD("miner.candidates_pruned",
+                 bstats.candidates_pruned + bounded);
+  TP_COUNTER_ADD("miner.candidates_bounded", bounded);
   TP_COUNTER_ADD("miner.trajectories_skipped", bstats.trajectories_skipped);
-  // Serial epilogue in staged order: the memo, evaluation counter, and
-  // top-k offers land exactly as the serial one-at-a-time loop would.
-  // A pruned candidate's nms[i] is its partial-sum upper bound, < ω at
-  // offer time, so the top-k rejects it and the memo's rebuild/1-extension
-  // consumers classify it low — exactly as the exact score would.
-  for (size_t i = 0; i < todo.size(); ++i) {
-    scores_.emplace(todo[i], nms[i]);
-    ++stats_.candidates_evaluated;
-    if (Eligible(todo[i])) top_k_.Offer(todo[i], nms[i]);
+  stats_.candidates_evaluated += static_cast<int64_t>(patterns.size());
+  stats_.candidates_pruned += static_cast<int64_t>(bounded);
+  // Serial epilogue in staged order: the memo and top-k offers land
+  // exactly as the serial one-at-a-time loop would.  A bounded or
+  // ω-pruned candidate's memo value is an upper bound below ω: the
+  // top-k would reject it, and the rebuild/1-extension consumers
+  // classify it low — exactly as its exact score would be.
+  size_t next = 0;
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    if (is_bounded(i)) {
+      scores_.emplace(std::move(patterns[i]), bounds[i]);
+      continue;
+    }
+    const double nm = nms[next];
+    const auto it = scores_.emplace(std::move(scan[next]), nm).first;
+    ++next;
+    if (Eligible(it->first)) top_k_.Offer(it->first, nm);
   }
 }
 
@@ -271,9 +347,8 @@ MiningResult TrajPatternMiner::Mine(const MinerCheckpoint& resume) {
 }
 
 MinerCheckpoint TrajPatternMiner::MakeCheckpoint(
-    int completed_iterations,
-    const std::unordered_set<Pattern, PatternHash>& prev_high,
-    const std::unordered_set<Pattern, PatternHash>& prev_queue) const {
+    int completed_iterations, const PatternSet& prev_high,
+    const PatternSet& prev_queue) const {
   return MakeBaseCheckpoint(completed_iterations, options_.k, top_k_.Omega(),
                             scores_, prev_high, prev_queue,
                             stats_.candidates_evaluated,
@@ -325,13 +400,13 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   std::vector<Pattern> singulars;
   singulars.reserve(alphabet.size());
   for (CellId c : alphabet) singulars.emplace_back(c);
-  ScoreBatch(singulars);
+  ScoreBatch(std::move(singulars));
 
   // The high set H and the retained set Q.  Q is rebuilt from the global
   // score memo every round: a low pattern pruned in an earlier round must
   // re-enter Q as soon as its length-(m-1) prefix or suffix turns high,
   // otherwise Lemma 1's seed pool would be incomplete.
-  std::unordered_set<Pattern, PatternHash> high;
+  PatternSet high;
   std::vector<Pattern> queue;
   auto rebuild = [&]() {
     RebuildFrontier(scores_, top_k_.Omega(), &high, &queue);
@@ -342,8 +417,8 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   // The H and Q snapshots that the previous round's generation ran over;
   // see the frontier rule below.  These are the only pieces of mining
   // state not derivable from the memo, so a resume restores them.
-  std::unordered_set<Pattern, PatternHash> prev_high;
-  std::unordered_set<Pattern, PatternHash> prev_queue;
+  PatternSet prev_high;
+  PatternSet prev_queue;
   if (resume != nullptr) {
     prev_high.insert(resume->prev_high.begin(), resume->prev_high.end());
     prev_queue.insert(resume->prev_queue.begin(), resume->prev_queue.end());
@@ -413,13 +488,13 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
     TP_HISTOGRAM_OBSERVE("miner.iteration_candidates", candidates.size(),
                          {10, 100, 1000, 10000, 100000});
 
-    ScoreBatch(candidates);
+    ScoreBatch(std::move(candidates));
     // A stop mid-batch discarded the whole generation; the memo is still
     // exactly the last boundary's, so `last_cp` stays valid.
     if (stats_.aborted) break;
 
     // Re-threshold, relabel, prune (§4.1).
-    std::unordered_set<Pattern, PatternHash> high_old = std::move(high);
+    PatternSet high_old = std::move(high);
     rebuild();
 
     if (journal.active()) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -66,7 +67,8 @@ struct MinerCheckpoint {
 
 /// Knobs of the TrajPattern algorithm (§4, §5).
 struct MinerOptions {
-  /// Number of patterns to mine (the paper's k).
+  /// Number of patterns to mine (the paper's k).  k <= 0 asks for
+  /// nothing: the threshold ω is then +infinity and the answer is empty.
   int k = 100;
 
   /// Safety cap on growing iterations.  The paper iterates until the high
@@ -97,7 +99,9 @@ struct MinerOptions {
   /// Beam cap on candidates evaluated per iteration, ranked by the
   /// min-max bound min(NM(left), NM(right)) (0 = exact, no cap).  When the
   /// cap fires the mining is no longer guaranteed exact;
-  /// `MinerStats::hit_candidate_cap` reports it.
+  /// `MinerStats::hit_candidate_cap` reports it.  Beam mode also scans
+  /// every candidate instead of skipping those whose `SplitBound` is
+  /// below ω, because its ranking reads memo values as scores.
   size_t max_candidates_per_iteration = 0;
 
   /// §5 wildcards: maximum number of consecutive "don't care" positions
@@ -118,7 +122,8 @@ struct MinerOptions {
   /// any later ω' >= ω is unchanged (true NM <= bound < ω <= ω'), which
   /// preserves Lemma 1's 1-extension retention and the min-max beam
   /// bound (an upper bound stays admissible in min(left, right)).
-  /// `MinerStats::candidates_pruned` counts the abandons.
+  /// The abandons count in `MinerStats::candidates_pruned`, together
+  /// with the split-bound skips that exact mode makes either way.
   bool omega_pruning = false;
 
   /// Worker threads for candidate scoring: 0 = hardware concurrency,
@@ -185,6 +190,14 @@ struct MinerOptions {
   RunContext run;
 };
 
+/// The global score memo / frontier-set shapes shared by the single
+/// miner and the sharded miner (src/shard).  Both take transparent
+/// lookups, so a sub-pattern is probed as a `std::span<const CellId>`
+/// without building a `Pattern`.
+using PatternScoreMap =
+    std::unordered_map<Pattern, double, PatternHash, PatternEq>;
+using PatternSet = std::unordered_set<Pattern, PatternHash, PatternEq>;
+
 /// Counters reported alongside a mining result.  The shared work/timing
 /// fields (candidates generated/evaluated/pruned, warmup/scoring split)
 /// come from `MiningCounters`, the struct all three miners report
@@ -238,16 +251,19 @@ class TrajPatternMiner {
   MiningResult Run(const MinerCheckpoint* resume);
 
   /// The resumable state after `completed_iterations` grow iterations.
-  MinerCheckpoint MakeCheckpoint(
-      int completed_iterations,
-      const std::unordered_set<Pattern, PatternHash>& prev_high,
-      const std::unordered_set<Pattern, PatternHash>& prev_queue) const;
+  MinerCheckpoint MakeCheckpoint(int completed_iterations,
+                                 const PatternSet& prev_high,
+                                 const PatternSet& prev_queue) const;
 
-  /// Scores every unseen pattern in `patterns` through the engine's
-  /// batch API (parallel per `MinerOptions::num_threads`), then feeds
-  /// the memo and the top-k tracker serially in `patterns` order —
-  /// identical bookkeeping to one-at-a-time scoring.
-  void ScoreBatch(const std::vector<Pattern>& patterns);
+  /// Scores every unseen pattern in `patterns` and feeds the memo and
+  /// the top-k tracker serially in `patterns` order — identical
+  /// bookkeeping to one-at-a-time scoring.  In exact mode a candidate
+  /// whose `SplitBound` (read from the memo as of batch entry) is below
+  /// the batch's ω memoizes that bound and is neither scanned nor
+  /// offered; the rest go through the engine's batch API (parallel per
+  /// `MinerOptions::num_threads`).  Takes the list by value so the
+  /// patterns move into the memo without a copy.
+  void ScoreBatch(std::vector<Pattern> patterns);
 
   /// True iff `p` counts toward the answer set.
   bool Eligible(const Pattern& p) const {
@@ -256,17 +272,30 @@ class TrajPatternMiner {
 
   const NmEngine* engine_;
   MinerOptions options_;
-  /// Every pattern ever scored, with its NM (global memo).
-  std::unordered_map<Pattern, double, PatternHash> scores_;
+  /// Every pattern ever scored, with its NM or an upper bound on it
+  /// that lies below ω (global memo).
+  PatternScoreMap scores_;
   /// The best k eligible patterns seen; its Omega() is the threshold.
   TopKPatterns top_k_;
   MinerStats stats_;
 };
 
-/// The global score memo / frontier-set shapes shared by the single
-/// miner and the sharded miner (src/shard).
-using PatternScoreMap = std::unordered_map<Pattern, double, PatternHash>;
-using PatternSet = std::unordered_set<Pattern, PatternHash>;
+/// The split bound: an upper bound on NM(P) read from the score memo
+/// alone, a tightening of the min-max property (§4).  Every window of
+/// P = A·B is a window of A followed by one of B, so per trajectory, and
+/// summed over the dataset,
+///   NM(P) <= (s_A·NM(A) + s_B·NM(B)) / (s_A + s_B),
+/// where s counts specified (non-`*`) positions.  Returns the minimum of
+/// that weighted mean over the cuts of `pattern` whose two halves are
+/// both in `scores`, inflated by a rounding slack of
+/// 4·(n+m+4)·DBL_EPSILON·|bound| (n = `num_trajectories`, m = |P|), so
+/// it also bounds the value `NmEngine::NmTotal` computes in floating
+/// point and may itself be memoized and chained.  +infinity when no cut
+/// has both halves memoized.  Memo values may be exact scores or upper
+/// bounds (ω-pruned partial sums, earlier split bounds).  The full
+/// argument is in docs/ALGORITHM.md, "Split bound".
+double SplitBound(std::span<const CellId> pattern,
+                  const PatternScoreMap& scores, size_t num_trajectories);
 
 /// Recomputes the high set H and the retained queue Q from the global
 /// score memo under threshold `omega` (§4.1): a pattern is high iff its

@@ -12,13 +12,15 @@ namespace trajpattern {
 /// Bounded best-k tracker shared by the miners (TrajPattern, PB,
 /// match/Apriori): a min-heap of `ScoredPattern` keyed by
 /// `BetterScored`, exposing the running threshold omega (the k-th best
-/// score, -inf until k candidates have been offered).
+/// score, -inf until k candidates have been offered).  k <= 0 asks for
+/// nothing: omega is +inf and no candidate is kept.
 class TopKPatterns {
  public:
-  explicit TopKPatterns(int k) : k_(static_cast<size_t>(k)) {}
+  explicit TopKPatterns(int k) : k_(k > 0 ? static_cast<size_t>(k) : 0) {}
 
   /// Offers a candidate; keeps it iff it beats the current k-th best.
   void Offer(const Pattern& pattern, double score) {
+    if (k_ == 0) return;
     ScoredPattern sp{pattern, score};
     if (heap_.size() < k_) {
       heap_.push_back(std::move(sp));
@@ -31,8 +33,9 @@ class TopKPatterns {
   }
 
   /// The paper's omega: the k-th best score seen, or -inf while fewer
-  /// than k candidates were offered.
+  /// than k candidates were offered (+inf when k <= 0).
   double Omega() const {
+    if (k_ == 0) return std::numeric_limits<double>::infinity();
     return heap_.size() < k_ ? -std::numeric_limits<double>::infinity()
                              : heap_.front().nm;
   }

@@ -18,8 +18,12 @@ struct MiningCounters {
   int64_t candidates_generated = 0;
   /// Candidates actually scored against the dataset.
   int64_t candidates_evaluated = 0;
-  /// Candidates early-abandoned by ω-pruning (counted within
-  /// `candidates_evaluated`; 0 unless the miner enables pruning).
+  /// Candidates whose memo entry is an upper bound below ω rather than
+  /// an exact score (counted within `candidates_evaluated`).  Two kinds:
+  /// ω early-abandons (only when the miner enables pruning) and, in the
+  /// TrajPattern miner's exact mode, split-bound skips that were never
+  /// scanned (`SplitBound` in core/miner.h).  Checkpoint v2 carries the
+  /// sum, so the file format is unchanged.
   int64_t candidates_pruned = 0;
   /// Per-trajectory evaluations those abandons skipped (work saved).
   int64_t trajectories_skipped = 0;

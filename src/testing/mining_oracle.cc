@@ -202,9 +202,18 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
   const MiningSpace space = inst.Space();
   const MinerOptions base = inst.Options();
 
-  // --- Reference run: streaming kernel, serial, exact.
+  // --- Reference run: streaming kernel, serial, exact.  Its sink keeps
+  // the last boundary's checkpoint, whose memo oracle (g) audits.
+  MinerCheckpoint ref_final;
+  bool have_ref_final = false;
+  MinerOptions ref_opt = base;
+  ref_opt.checkpoint_sink = [&](const MinerCheckpoint& cp) {
+    ref_final = cp;
+    have_ref_final = true;
+    return true;
+  };
   NmEngine ref_engine(data, space);
-  const MiningResult ref = MineTrajPatterns(ref_engine, base);
+  const MiningResult ref = MineTrajPatterns(ref_engine, ref_opt);
   ++report.mining_runs;
 
   // --- Oracle (a), kernel identity on whole mining runs.
@@ -632,6 +641,31 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
                                         resumed.patterns, ref.patterns);
       if (!diff.empty()) {
         fail(diff);
+        return report;
+      }
+    }
+  }
+
+  // --- Oracle (g), memo bounds.  Every value the reference run
+  // memoized must be an upper bound on a fresh engine's exact NM, and a
+  // value that is not the exact score (a split bound, or an ω-pruned
+  // partial sum) must lie below the final ω.  That is the contract that
+  // lets a bound stand in for a scan without changing the top-k, the
+  // high/low frontier, or a resumed run.
+  if (have_ref_final) {
+    report.memo_bounds_checked = true;
+    NmEngine engine(data, space);
+    for (const ScoredPattern& sp : ref_final.scores) {
+      const double exact = engine.NmTotal(sp.pattern);
+      if (!(exact <= sp.nm)) {
+        fail("memo value below the exact NM on " + sp.pattern.ToString() +
+             ": memo=" + Hex(sp.nm) + " exact=" + Hex(exact));
+        return report;
+      }
+      if (!BitEq(exact, sp.nm) && !(sp.nm < ref_final.omega)) {
+        fail("memoized bound not below the final omega on " +
+             sp.pattern.ToString() + ": memo=" + Hex(sp.nm) +
+             " exact=" + Hex(exact) + " omega=" + Hex(ref_final.omega));
         return report;
       }
     }

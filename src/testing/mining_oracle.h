@@ -20,6 +20,9 @@ struct OracleReport {
   bool ingestion_checked = false;
   bool warm_order_checked = false;
   bool sharded_checked = false;
+  /// Oracle (g) audited the reference run's final memo (it needs at
+  /// least one completed grow iteration, i.e. one checkpoint).
+  bool memo_bounds_checked = false;
   /// Full miner executions performed.
   int mining_runs = 0;
 
@@ -28,8 +31,8 @@ struct OracleReport {
 
 /// The differential correctness harness of the scoring/checkpoint/
 /// validation stack.  One `Check` call cross-examines an instance with
-/// four oracle families, every one of which the production code promises
-/// to pass *bit-identically*:
+/// these oracle families, every one of which the production code
+/// promises to pass *bit-identically* (or, for (g), exactly):
 ///
 ///  (a) kernels: streaming vs the retained gather reference on mined
 ///      top-k, per-pattern NM/Match totals, and batch-vs-serial scoring;
@@ -52,6 +55,10 @@ struct OracleReport {
 ///      reference — same top-k with cross-shard ω exchange ON and OFF,
 ///      under a shuffled shard assignment (perturbed salt), and resumed
 ///      from a v3 checkpoint (reported via `sharded_checked`).
+///  (g) memo bounds: in the reference run's final memo (captured through
+///      its last checkpoint) every value is >= a fresh `NmTotal`, and
+///      every value that is not bit-equal to it lies below the final ω
+///      (reported via `memo_bounds_checked`).
 ///
 /// Ingestion-bearing instances additionally check the synchronizer's
 /// order-independence (a report stream is a *set* of fixes: raw order

@@ -1,8 +1,8 @@
 // Differential fuzz harness: the tier-1 slice of the campaign that
 // bench/fuzz_corpus runs at full width in CI.  Every seed here executes
-// the complete four-oracle pass (kernels + brute force, pruning,
-// checkpoint/resume, thread determinism); see docs/correctness.md for
-// the contracts.
+// the complete oracle pass (kernels + brute force, pruning,
+// checkpoint/resume, thread determinism, warm order, sharding, memo
+// bounds); see docs/correctness.md for the contracts.
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -146,6 +146,7 @@ TEST_P(DifferentialFuzzTest, OraclePassesOnSeed) {
   const FuzzInstance inst = GenerateInstance(GetParam());
   const OracleReport report = MiningOracle().Check(inst);
   EXPECT_TRUE(report.ok()) << report.divergence;
+  EXPECT_TRUE(report.memo_bounds_checked);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialFuzzTest,

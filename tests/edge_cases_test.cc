@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "baseline/brute_force.h"
 #include "baseline/match_apriori.h"
 #include "baseline/pb_miner.h"
@@ -7,6 +9,7 @@
 #include "core/nm_engine.h"
 #include "core/parameters.h"
 #include "core/pattern_group.h"
+#include "core/top_k.h"
 #include "prob/log_space.h"
 
 namespace trajpattern {
@@ -70,6 +73,31 @@ TEST(EdgeCaseTest, KLargerThanPatternSpace) {
   EXPECT_GT(result.patterns.size(), 0u);
   EXPECT_LE(result.patterns.size(), 1000u);
   EXPECT_FALSE(result.stats.hit_iteration_cap);
+}
+
+// k <= 0 asks for nothing: the tracker keeps nothing and its ω is +inf,
+// so every pattern is low and the run ends after one empty generation.
+TEST(EdgeCaseTest, NonPositiveKMinesNothing) {
+  TrajectoryDataset d;
+  Trajectory t("a");
+  t.Append(Point2(0.2, 0.2), 0.05);
+  t.Append(Point2(0.8, 0.8), 0.05);
+  t.Append(Point2(0.2, 0.8), 0.05);
+  d.Add(std::move(t));
+  for (const int k : {0, -3}) {
+    NmEngine engine(d, TinySpace());
+    MinerOptions opt;
+    opt.k = k;
+    opt.max_pattern_length = 3;
+    const MiningResult result = MineTrajPatterns(engine, opt);
+    EXPECT_TRUE(result.patterns.empty()) << "k=" << k;
+    EXPECT_FALSE(result.stats.aborted) << "k=" << k;
+
+    TopKPatterns top_k(k);
+    top_k.Offer(Pattern(CellId{0}), 0.0);
+    EXPECT_EQ(top_k.size(), 0u) << "k=" << k;
+    EXPECT_EQ(top_k.Omega(), std::numeric_limits<double>::infinity());
+  }
 }
 
 TEST(EdgeCaseTest, MinLengthBeyondTrajectoriesYieldsFloorScores) {

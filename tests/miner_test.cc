@@ -157,6 +157,48 @@ TEST(TrajPatternMinerTest, StatsAreConsistent) {
   }
 }
 
+// Exact mode skips the scan of every candidate whose split bound is
+// below ω: the skips count as pruned, no scan is abandoned part-way, the
+// decisions do not depend on the thread count, and the answer matches
+// brute force.  Beam mode scans every candidate it keeps.
+TEST(TrajPatternMinerTest, SplitBoundSkipsScansExactly) {
+  const UniformGeneratorOptions gopt{.num_objects = 6,
+                                     .num_snapshots = 10,
+                                     .sigma = 0.02,
+                                     .seed = 31};
+  const TrajectoryDataset d = GenerateUniformObjects(gopt);
+  const MiningSpace space = SmallSpace(4, 0.12);
+  MinerOptions opt;
+  opt.k = 5;
+  opt.max_pattern_length = 3;
+
+  NmEngine engine(d, space);
+  const MiningResult serial = MineTrajPatterns(engine, opt);
+  EXPECT_GT(serial.stats.candidates_pruned, 0);
+  EXPECT_EQ(serial.stats.trajectories_skipped, 0);
+  NmEngine brute_engine(d, space);
+  const auto brute = BruteForceTopK(brute_engine, opt.k, 3);
+  ASSERT_EQ(serial.patterns.size(), brute.size());
+  for (size_t i = 0; i < brute.size(); ++i) {
+    EXPECT_EQ(serial.patterns[i].pattern, brute[i].pattern) << "rank " << i;
+    EXPECT_EQ(serial.patterns[i].nm, brute[i].nm) << "rank " << i;
+  }
+
+  opt.num_threads = 4;
+  NmEngine threaded_engine(d, space);
+  const MiningResult threaded = MineTrajPatterns(threaded_engine, opt);
+  EXPECT_EQ(threaded.stats.candidates_pruned, serial.stats.candidates_pruned);
+  EXPECT_EQ(threaded.stats.candidates_evaluated,
+            serial.stats.candidates_evaluated);
+
+  opt.num_threads = 1;
+  opt.max_candidates_per_iteration = 1000000;
+  NmEngine beam_engine(d, space);
+  const MiningResult beam = MineTrajPatterns(beam_engine, opt);
+  EXPECT_EQ(beam.stats.candidates_pruned, 0);
+  EXPECT_FALSE(beam.stats.hit_candidate_cap);
+}
+
 TEST(TrajPatternMinerTest, DeterministicAcrossRuns) {
   const UniformGeneratorOptions gopt{.num_objects = 5,
                                      .num_snapshots = 10,

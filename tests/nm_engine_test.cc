@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/miner.h"
 #include "core/mining_space.h"
 #include "core/nm_engine.h"
 #include "datagen/uniform_generator.h"
@@ -195,19 +196,41 @@ class NmPropertyTest : public ::testing::TestWithParam<int> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NmPropertyTest, ::testing::Range(1, 9));
 
-// Property 1 of the paper: NM(P' . P'') <= max(NM(P'), NM(P'')).
+/// `GenerateUniformObjects` with trajectory i cut to 1 + 5i mod L
+/// snapshots (1, 6, 11, 1, ...), so a concatenation is too long for some
+/// trajectories that still host one of its halves.
+TrajectoryDataset RaggedObjects(const UniformGeneratorOptions& gopt) {
+  const TrajectoryDataset full = GenerateUniformObjects(gopt);
+  TrajectoryDataset out;
+  for (size_t i = 0; i < full.size(); ++i) {
+    Trajectory t(full[i].id());
+    const size_t keep = 1 + (5 * i) % full[i].size();
+    for (size_t s = 0; s < keep; ++s) t.Append(full[i][s]);
+    out.Add(std::move(t));
+  }
+  return out;
+}
+
+// Property 1 of the paper: NM(P' . P'') <= max(NM(P'), NM(P'')).  And
+// the split bound that tightens it: NM(P' . P'') is at most the
+// specified-count-weighted mean of the halves' NM, per trajectory (a
+// trajectory too short for P' . P'' scores LogFloor, which no mean of
+// the halves goes below) and over the dataset, where `SplitBound` reads
+// the halves from a memo and must hold in floating point with no
+// tolerance — also when a half's memo value is itself a split bound.
 TEST_P(NmPropertyTest, MinMaxPropertyHolds) {
   const int seed = GetParam();
   const UniformGeneratorOptions gopt{.num_objects = 8,
                                      .num_snapshots = 15,
                                      .seed = static_cast<uint64_t>(seed)};
-  const TrajectoryDataset d = GenerateUniformObjects(gopt);
+  const TrajectoryDataset d = RaggedObjects(gopt);
   const MiningSpace space = TestSpace(4, 0.12);
   NmEngine engine(d, space);
   const auto cells = engine.TouchedCells();
   ASSERT_GE(cells.size(), 2u);
 
   Rng rng(seed * 977);
+  int floor_cases = 0;
   for (int trial = 0; trial < 40; ++trial) {
     auto random_pattern = [&](int max_len) {
       const int len = rng.UniformInt(1, max_len);
@@ -219,12 +242,53 @@ TEST_P(NmPropertyTest, MinMaxPropertyHolds) {
     };
     const Pattern left = random_pattern(3);
     const Pattern right = random_pattern(3);
+    const Pattern cat = left.Concat(right);
     const double nm_left = engine.NmTotal(left);
     const double nm_right = engine.NmTotal(right);
-    const double nm_cat = engine.NmTotal(left.Concat(right));
+    const double nm_cat = engine.NmTotal(cat);
     EXPECT_LE(nm_cat, std::max(nm_left, nm_right) + 1e-9)
         << "left=" << left.ToString() << " right=" << right.ToString();
+
+    const double s_left = static_cast<double>(left.SpecifiedCount());
+    const double s_right = static_cast<double>(right.SpecifiedCount());
+    for (size_t i = 0; i < d.size(); ++i) {
+      if (d[i].size() < cat.length()) {
+        ++floor_cases;
+        EXPECT_EQ(engine.Nm(cat, i), LogFloor());
+      }
+      const double mean = (s_left * engine.Nm(left, i) +
+                           s_right * engine.Nm(right, i)) /
+                          (s_left + s_right);
+      EXPECT_LE(engine.Nm(cat, i), mean + 1e-9)
+          << "trajectory " << i << " left=" << left.ToString()
+          << " right=" << right.ToString();
+    }
+
+    const PatternScoreMap memo{{left, nm_left}, {right, nm_right}};
+    const double bound = SplitBound(cat.cells(), memo, d.size());
+    EXPECT_LE(nm_cat, bound)
+        << "left=" << left.ToString() << " right=" << right.ToString();
+    EXPECT_LE(bound, std::max(nm_left, nm_right) + 1e-9);
+
+    // Chained: the left half memoized as its own split bound, read from
+    // its exact sub-halves.
+    if (left.length() >= 2) {
+      PatternScoreMap sub;
+      for (size_t cut = 1; cut < left.length(); ++cut) {
+        for (const Pattern& half :
+             {left.SubPattern(0, cut),
+              left.SubPattern(cut, left.length() - cut)}) {
+          sub.emplace(half, engine.NmTotal(half));
+        }
+      }
+      const double left_bound = SplitBound(left.cells(), sub, d.size());
+      EXPECT_LE(nm_left, left_bound);
+      const PatternScoreMap chained{{left, left_bound}, {right, nm_right}};
+      EXPECT_LE(nm_cat, SplitBound(cat.cells(), chained, d.size()))
+          << "left=" << left.ToString() << " right=" << right.ToString();
+    }
   }
+  EXPECT_GT(floor_cases, 0);
 }
 
 // The Apriori property holds for match (but not for NM): a super-pattern

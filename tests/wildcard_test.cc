@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "core/miner.h"
@@ -102,8 +103,22 @@ TEST(WildcardNmTest, MinMaxHoldsAcrossWildcardJoin) {
         cells[rng.UniformInt(0, static_cast<int>(cells.size()) - 1)],
         cells[rng.UniformInt(0, static_cast<int>(cells.size()) - 1)]});
     const Pattern joined = left.Concat(Pattern(kWildcardCell)).Concat(right);
-    EXPECT_LE(engine.NmTotal(joined),
+    const double nm_joined = engine.NmTotal(joined);
+    EXPECT_LE(nm_joined,
               std::max(engine.NmTotal(left), engine.NmTotal(right)) + 1e-9);
+    // The split bound holds at every cut of (l, *, r1, r2), each of which
+    // has a starred half: (*, r1, r2), (l, *) and (l, *, r1).  Weights
+    // count specified positions only, so the star adds nothing.
+    for (size_t cut = 1; cut < joined.length(); ++cut) {
+      const Pattern a = joined.SubPattern(0, cut);
+      const Pattern b = joined.SubPattern(cut, joined.length() - cut);
+      const PatternScoreMap memo{{a, engine.NmTotal(a)},
+                                 {b, engine.NmTotal(b)}};
+      const double bound = SplitBound(joined.cells(), memo, d.size());
+      EXPECT_LE(nm_joined, bound)
+          << "joined=" << joined.ToString() << " cut=" << cut;
+      EXPECT_TRUE(std::isfinite(bound));  // both halves were found
+    }
   }
 }
 
