@@ -232,13 +232,10 @@ int Mine(const Flags& flags, const ObsOptions& obs_opts) {
     MinerCheckpoint resume;
     const Status s = ReadMinerCheckpointFile(ckpt_path, &resume);
     if (s.ok()) {
-      if (resume.k != opt.k) {
-        std::fprintf(stderr, "mine: checkpoint %s has k=%d, run has k=%d\n",
-                     ckpt_path.c_str(), resume.k, opt.k);
-        return 1;
-      }
-      std::printf("resuming from %s (iteration %d, %zu scored patterns)\n",
-                  ckpt_path.c_str(), resume.iteration, resume.scores.size());
+      std::printf("found checkpoint %s (iteration %d, k=%d, %zu scored "
+                  "patterns)\n",
+                  ckpt_path.c_str(), resume.iteration, resume.k,
+                  resume.scores.size());
     } else if (s.code() != StatusCode::kNotFound) {
       std::fprintf(stderr, "mine: cannot load checkpoint %s: %s\n",
                    ckpt_path.c_str(), s.ToString().c_str());

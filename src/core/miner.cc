@@ -29,21 +29,28 @@ size_t CountSpecified(std::span<const CellId> cells) {
 /// both in `scores`.  The halves are probed as sub-spans, so the walk
 /// allocates nothing.
 template <typename Visit>
-void ForEachMemoizedCut(std::span<const CellId> cells,
-                        const PatternScoreMap& scores, Visit&& visit) {
+void ForEachMemoizedCut(std::span<const CellId> cells, const ScoreMemo& scores,
+                        Visit&& visit) {
   for (size_t cut = 1; cut < cells.size(); ++cut) {
-    const auto left = scores.find(cells.first(cut));
-    if (left == scores.end()) continue;
-    const auto right = scores.find(cells.subspan(cut));
-    if (right == scores.end()) continue;
-    visit(cut, left->second, right->second);
+    const double* left = scores.find(cells.first(cut));
+    if (left == nullptr) continue;
+    const double* right = scores.find(cells.subspan(cut));
+    if (right == nullptr) continue;
+    visit(cut, *left, *right);
   }
+}
+
+/// True iff `cells` is memoized with a value reaching ω, i.e. is in H.
+bool IsHigh(const ScoreMemo& scores, std::span<const CellId> cells,
+            double omega) {
+  const double* nm = scores.find(cells);
+  return nm != nullptr && *nm >= omega;
 }
 
 }  // namespace
 
-double SplitBound(std::span<const CellId> pattern,
-                  const PatternScoreMap& scores, size_t num_trajectories) {
+double SplitBound(std::span<const CellId> pattern, const ScoreMemo& scores,
+                  size_t num_trajectories) {
   const size_t specified = CountSpecified(pattern);
   double bound = kPosInf;
   ForEachMemoizedCut(pattern, scores, [&](size_t cut, double left,
@@ -67,41 +74,67 @@ double SplitBound(std::span<const CellId> pattern,
   return bound + slack * std::abs(bound);
 }
 
-void RebuildFrontier(const PatternScoreMap& scores, double omega,
-                     PatternSet* high, std::vector<Pattern>* queue) {
+void RebuildFrontier(const ScoreMemo& scores, double omega, Frontier* out) {
   TP_TRACE_SPAN("miner/rebuild");
   TP_GAUGE_SET("miner.omega", omega);
   TP_TRACE_COUNTER("miner/omega", omega);
-  high->clear();
-  for (const auto& [p, nm] : scores) {
-    if (nm >= omega) high->insert(p);
-  }
-  queue->clear();
-  for (const auto& [p, nm] : scores) {
+  TP_GAUGE_SET("miner.memo_bytes", scores.bytes());
+  out->high.clear();
+  out->queue.clear();
+  for (const ScoreMemo::Id id : scores.SortedIds()) {
+    if (scores.nm(id) >= omega) {
+      out->high.push_back(id);
+      out->queue.push_back(id);
+      continue;
+    }
     // Lemma 1: a low pattern stays while its length-(m-1) suffix or
     // prefix is high; both are probed as sub-spans, without a copy.
-    const std::span<const CellId> cells = p.cells();
-    const bool keep = nm >= omega || cells.size() == 1 ||
-                      high->contains(cells.subspan(1)) ||
-                      high->contains(cells.first(cells.size() - 1));
-    if (keep) queue->push_back(p);
+    const std::span<const CellId> cells = scores.cells(id);
+    if (cells.size() == 1 || IsHigh(scores, cells.subspan(1), omega) ||
+        IsHigh(scores, cells.first(cells.size() - 1), omega)) {
+      out->queue.push_back(id);
+    }
   }
-  std::sort(queue->begin(), queue->end());
-  TP_GAUGE_SET("miner.queue_depth", queue->size());
-  TP_GAUGE_SET("miner.high_set_size", high->size());
-  TP_TRACE_COUNTER("miner/queue_depth", static_cast<double>(queue->size()));
+  TP_GAUGE_SET("miner.queue_depth", out->queue.size());
+  TP_GAUGE_SET("miner.high_set_size", out->high.size());
+  TP_TRACE_COUNTER("miner/queue_depth", static_cast<double>(out->queue.size()));
+}
+
+bool FrontierFromCheckpoint(const ScoreMemo& scores, const MinerCheckpoint& cp,
+                            Frontier* prev) {
+  auto to_ids = [&](const std::vector<Pattern>& patterns,
+                    std::vector<ScoreMemo::Id>* ids) {
+    ids->clear();
+    bool complete = true;
+    for (const Pattern& p : patterns) {
+      const ScoreMemo::Id id = scores.FindId(p.cells());
+      if (id == ScoreMemo::kNoId) {
+        complete = false;
+      } else {
+        ids->push_back(id);
+      }
+    }
+    std::sort(ids->begin(), ids->end(), [&](ScoreMemo::Id a, ScoreMemo::Id b) {
+      return scores.Less(a, b);
+    });
+    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+    return complete;
+  };
+  const bool high_complete = to_ids(cp.prev_high, &prev->high);
+  to_ids(cp.prev_queue, &prev->queue);
+  return high_complete;
 }
 
 std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
-                                        const PatternScoreMap& scores,
-                                        const PatternSet& high,
-                                        const std::vector<Pattern>& queue,
-                                        const PatternSet& prev_high,
-                                        const PatternSet& prev_queue,
+                                        const ScoreMemo& scores,
+                                        const Frontier& current,
+                                        const Frontier& prev,
                                         bool* hit_candidate_cap) {
+  using Id = ScoreMemo::Id;
   // Candidate generation: P in H extended with every P' in Q, both
   // orders.  Because one side is always high, every candidate respects
-  // the min-max seed rule (observation 3 of §4).
+  // the min-max seed rule (observation 3 of §4).  Exact mode walks both
+  // lists in place, in their ascending cell order.
   //
   // In beam mode the generation itself must stay bounded: with a
   // min-length constraint the threshold omega is -inf until k eligible
@@ -109,68 +142,72 @@ std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
   // We then walk both sets in NM-descending order (the most promising
   // combinations first) and stop once enough candidates are staged for
   // the beam to rank.
-  std::vector<Pattern> high_sorted(high.begin(), high.end());
-  std::vector<Pattern> queue_sorted = queue;
   const bool beam = options.max_candidates_per_iteration > 0;
+  std::vector<Id> high_by_nm;
+  std::vector<Id> queue_by_nm;
   if (beam) {
-    auto by_nm_desc = [&](const Pattern& a, const Pattern& b) {
-      const double na = scores.at(a);
-      const double nb = scores.at(b);
+    auto by_nm_desc = [&](Id a, Id b) {
+      const double na = scores.nm(a);
+      const double nb = scores.nm(b);
       if (na != nb) return na > nb;
-      return a < b;
+      return scores.Less(a, b);
     };
-    std::sort(high_sorted.begin(), high_sorted.end(), by_nm_desc);
-    std::sort(queue_sorted.begin(), queue_sorted.end(), by_nm_desc);
-  } else {
-    std::sort(high_sorted.begin(), high_sorted.end());
+    high_by_nm = current.high;
+    queue_by_nm = current.queue;
+    std::sort(high_by_nm.begin(), high_by_nm.end(), by_nm_desc);
+    std::sort(queue_by_nm.begin(), queue_by_nm.end(), by_nm_desc);
   }
+  const std::vector<Id>& high = beam ? high_by_nm : current.high;
+  const std::vector<Id>& queue = beam ? queue_by_nm : current.queue;
   const size_t generation_budget =
       beam ? 4 * options.max_candidates_per_iteration
            : std::numeric_limits<size_t>::max();
   std::vector<Pattern> candidates;
-  PatternSet cand_seen;
-  // Wildcard joiners (§5): 0..d '*' positions between the two halves.
-  std::vector<Pattern> joiners;
-  joiners.emplace_back();  // plain concatenation
-  for (int g = 1; g <= options.max_wildcards; ++g) {
-    joiners.emplace_back(std::vector<CellId>(g, kWildcardCell));
-  }
-  // Stage the two concatenation orders of a pair; the length test runs
-  // BEFORE any pattern is materialized — with a depth cap most pairs
-  // are over-length, and allocating just to discard dominated the
-  // whole mining run.
-  auto stage_pair = [&](const Pattern& a, const Pattern& join,
-                        const Pattern& b) {
+  // Candidates staged by this call, for the within-batch dedupe.
+  ScoreMemo staged_set;
+  std::vector<CellId> staged;
+  // Stage the two concatenation orders a·*^gap·b and b·*^gap·a of a pair
+  // (§5 wildcard joiners put 0..d '*' positions between the halves).
+  // Each is assembled in `staged` and probed by span; only a new one
+  // becomes a `Pattern`.  The length test runs first: with a depth cap
+  // most pairs are over-length.
+  auto stage_pair = [&](std::span<const CellId> a, size_t gap,
+                        std::span<const CellId> b) {
     if (options.max_pattern_length > 0 &&
-        a.length() + join.length() + b.length() >
-            options.max_pattern_length) {
+        a.size() + gap + b.size() > options.max_pattern_length) {
       return;
     }
-    for (Pattern cand : {a.Concat(join).Concat(b),
-                         b.Concat(join).Concat(a)}) {
-      if (scores.count(cand) > 0 || !cand_seen.insert(cand).second) {
+    for (const auto& [first, second] : {std::pair(a, b), std::pair(b, a)}) {
+      staged.assign(first.begin(), first.end());
+      staged.insert(staged.end(), gap, kWildcardCell);
+      staged.insert(staged.end(), second.begin(), second.end());
+      if (scores.contains(staged) || !staged_set.emplace(staged, 0.0)) {
         continue;
       }
-      candidates.push_back(std::move(cand));
+      candidates.emplace_back(staged);
     }
   };
   // Frontier rule: a pair whose halves were BOTH already in last
   // round's H and Q generated its candidates last round (exact mode
   // stages every pair, so this is lossless there; in beam mode it
   // avoids re-walking quadratically many known pairs every round).
-  const bool first_round = prev_high.empty() && prev_queue.empty();
-  std::vector<char> q_old(queue_sorted.size());
-  for (size_t j = 0; j < queue_sorted.size(); ++j) {
-    q_old[j] = prev_queue.count(queue_sorted[j]) > 0 ? 1 : 0;
-  }
-  for (const Pattern& p : high_sorted) {
+  // Every id in `prev` is a memo id, so membership is one flag each.
+  constexpr uint8_t kPrevHigh = 1;
+  constexpr uint8_t kPrevQueue = 2;
+  std::vector<uint8_t> in_prev(scores.size(), 0);
+  for (const Id id : prev.high) in_prev[id] |= kPrevHigh;
+  for (const Id id : prev.queue) in_prev[id] |= kPrevQueue;
+  for (const Id p : high) {
     if (candidates.size() >= generation_budget) break;
-    const bool p_old = !first_round && prev_high.count(p) > 0;
-    for (size_t j = 0; j < queue_sorted.size(); ++j) {
+    const bool p_old = (in_prev[p] & kPrevHigh) != 0;
+    const std::span<const CellId> p_cells = scores.cells(p);
+    for (const Id q : queue) {
       if (candidates.size() >= generation_budget) break;
-      if (p_old && q_old[j] != 0) continue;
-      const Pattern& q = queue_sorted[j];
-      for (const Pattern& join : joiners) stage_pair(p, join, q);
+      if (p_old && (in_prev[q] & kPrevQueue) != 0) continue;
+      const std::span<const CellId> q_cells = scores.cells(q);
+      for (int gap = 0; gap <= options.max_wildcards; ++gap) {
+        stage_pair(p_cells, static_cast<size_t>(gap), q_cells);
+      }
     }
   }
 
@@ -233,26 +270,25 @@ std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
 }
 
 MinerCheckpoint MakeBaseCheckpoint(int completed_iterations, int k,
-                                   double omega,
-                                   const PatternScoreMap& scores,
-                                   const PatternSet& prev_high,
-                                   const PatternSet& prev_queue,
+                                   double omega, const ScoreMemo& scores,
+                                   const Frontier& prev,
                                    int64_t candidates_evaluated,
                                    int64_t candidates_pruned) {
   MinerCheckpoint cp;
   cp.iteration = completed_iterations;
   cp.k = k;
   cp.omega = omega;
+  // Rows in sorted pattern order; the memo keeps that order
+  // incrementally, and the frontier lists are already in it.
   cp.scores.reserve(scores.size());
-  for (const auto& [p, nm] : scores) cp.scores.push_back({p, nm});
-  std::sort(cp.scores.begin(), cp.scores.end(),
-            [](const ScoredPattern& a, const ScoredPattern& b) {
-              return a.pattern < b.pattern;
-            });
-  cp.prev_high.assign(prev_high.begin(), prev_high.end());
-  std::sort(cp.prev_high.begin(), cp.prev_high.end());
-  cp.prev_queue.assign(prev_queue.begin(), prev_queue.end());
-  std::sort(cp.prev_queue.begin(), cp.prev_queue.end());
+  for (const ScoreMemo::Id id : scores.SortedIds()) {
+    cp.scores.push_back({scores.pattern(id), scores.nm(id)});
+  }
+  for (const auto& [ids, out] : {std::pair(&prev.high, &cp.prev_high),
+                                 std::pair(&prev.queue, &cp.prev_queue)}) {
+    out->reserve(ids->size());
+    for (const ScoreMemo::Id id : *ids) out->push_back(scores.pattern(id));
+  }
   cp.candidates_evaluated = candidates_evaluated;
   cp.candidates_pruned = candidates_pruned;
   return cp;
@@ -266,7 +302,7 @@ void TrajPatternMiner::ScoreBatch(std::vector<Pattern> patterns) {
   // Defensive re-filter against the memo: scoring a pattern twice would
   // also offer it to the top-k twice.  Callers already dedupe.
   std::erase_if(patterns,
-                [&](const Pattern& p) { return scores_.contains(p); });
+                [&](const Pattern& p) { return scores_.contains(p.cells()); });
   if (patterns.empty()) return;
   TP_TRACE_SPAN("miner/score_batch");
   // The batch runs against the ω that held when it was staged.  A
@@ -291,9 +327,11 @@ void TrajPatternMiner::ScoreBatch(std::vector<Pattern> patterns) {
   const auto is_bounded = [&](size_t i) { return bounds[i] < omega; };
   size_t bounded = 0;
   for (size_t i = 0; i < patterns.size(); ++i) bounded += is_bounded(i);
+  size_t batch_cells = 0;
   std::vector<Pattern> scan;
   scan.reserve(patterns.size() - bounded);
   for (size_t i = 0; i < patterns.size(); ++i) {
+    batch_cells += patterns[i].length();
     if (!is_bounded(i)) scan.push_back(std::move(patterns[i]));
   }
 
@@ -327,16 +365,18 @@ void TrajPatternMiner::ScoreBatch(std::vector<Pattern> patterns) {
   // ω-pruned candidate's memo value is an upper bound below ω: the
   // top-k would reject it, and the rebuild/1-extension consumers
   // classify it low — exactly as its exact score would be.
+  scores_.reserve(scores_.size() + patterns.size(),
+                  scores_.num_cells() + batch_cells);
   size_t next = 0;
   for (size_t i = 0; i < patterns.size(); ++i) {
     if (is_bounded(i)) {
-      scores_.emplace(std::move(patterns[i]), bounds[i]);
+      scores_.emplace(patterns[i].cells(), bounds[i]);
       continue;
     }
+    const Pattern& p = scan[next];
     const double nm = nms[next];
-    const auto it = scores_.emplace(std::move(scan[next]), nm).first;
     ++next;
-    if (Eligible(it->first)) top_k_.Offer(it->first, nm);
+    if (scores_.emplace(p.cells(), nm) && Eligible(p)) top_k_.Offer(p, nm);
   }
 }
 
@@ -346,12 +386,10 @@ MiningResult TrajPatternMiner::Mine(const MinerCheckpoint& resume) {
   return Run(&resume);
 }
 
-MinerCheckpoint TrajPatternMiner::MakeCheckpoint(
-    int completed_iterations, const PatternSet& prev_high,
-    const PatternSet& prev_queue) const {
+MinerCheckpoint TrajPatternMiner::MakeCheckpoint(int completed_iterations,
+                                                 const Frontier& prev) const {
   return MakeBaseCheckpoint(completed_iterations, options_.k, top_k_.Omega(),
-                            scores_, prev_high, prev_queue,
-                            stats_.candidates_evaluated,
+                            scores_, prev, stats_.candidates_evaluated,
                             stats_.candidates_pruned);
 }
 
@@ -373,9 +411,13 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
     // bit-exactly through the checkpoint, which is what makes a resumed
     // run's answer bit-identical to an uninterrupted one.
     assert(resume->k == options_.k);
+    size_t cells = 0;
+    for (const ScoredPattern& sp : resume->scores) cells += sp.pattern.length();
+    scores_.reserve(resume->scores.size(), cells);
     for (const ScoredPattern& sp : resume->scores) {
-      scores_.emplace(sp.pattern, sp.nm);
-      if (Eligible(sp.pattern)) top_k_.Offer(sp.pattern, sp.nm);
+      if (scores_.emplace(sp.pattern.cells(), sp.nm) && Eligible(sp.pattern)) {
+        top_k_.Offer(sp.pattern, sp.nm);
+      }
     }
     stats_.iterations = resume->iteration;
     stats_.candidates_evaluated = resume->candidates_evaluated;
@@ -406,43 +448,39 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   // score memo every round: a low pattern pruned in an earlier round must
   // re-enter Q as soon as its length-(m-1) prefix or suffix turns high,
   // otherwise Lemma 1's seed pool would be incomplete.
-  PatternSet high;
-  std::vector<Pattern> queue;
+  Frontier frontier;
   auto rebuild = [&]() {
-    RebuildFrontier(scores_, top_k_.Omega(), &high, &queue);
-    stats_.peak_queue_size = std::max(stats_.peak_queue_size, queue.size());
+    RebuildFrontier(scores_, top_k_.Omega(), &frontier);
+    stats_.peak_queue_size =
+        std::max(stats_.peak_queue_size, frontier.queue.size());
   };
   rebuild();
 
   // The H and Q snapshots that the previous round's generation ran over;
-  // see the frontier rule below.  These are the only pieces of mining
-  // state not derivable from the memo, so a resume restores them.
-  PatternSet prev_high;
-  PatternSet prev_queue;
-  if (resume != nullptr) {
-    prev_high.insert(resume->prev_high.begin(), resume->prev_high.end());
-    prev_queue.insert(resume->prev_queue.begin(), resume->prev_queue.end());
-  }
+  // see the frontier rule in `GenerateCandidates`.  These are the only
+  // pieces of mining state not derivable from the memo, so a resume
+  // restores them.
+  Frontier prev;
+  const bool prev_high_in_memo =
+      resume == nullptr || FrontierFromCheckpoint(scores_, *resume, &prev);
   const int start_iteration = resume != nullptr ? resume->iteration : 0;
 
-  // The sink's view of the run.  `last_cp` always holds the checkpoint
-  // of the newest completed boundary; `sink_has_latest` says whether the
-  // sink already received it.  Until the first in-loop boundary that is
-  // the start boundary (post-singulars, pre-iteration), which the sink
-  // has never seen — if a stop fires mid-iteration before any boundary
-  // delivery, it is emitted below so an aborted run always leaves a
-  // resumable checkpoint behind.  (A stop during the singular batch
-  // itself predates any resumable state; such a run resumes from
-  // scratch.)
+  // The sink's view of the run.  `last_cp` holds the start boundary
+  // (post-singulars, pre-iteration), which the sink has never seen, and
+  // `sink_has_latest` says whether the sink received any boundary since.
+  // If a stop fires before the first in-loop delivery, `last_cp` is
+  // emitted below so an aborted run always leaves a resumable
+  // checkpoint behind.  (A stop during the singular batch itself
+  // predates any resumable state; such a run resumes from scratch.)
   const bool has_sink = static_cast<bool>(options_.checkpoint_sink);
   std::optional<MinerCheckpoint> last_cp;
   bool sink_has_latest = false;
   if (has_sink && !stats_.aborted) {
-    last_cp = MakeCheckpoint(start_iteration, prev_high, prev_queue);
+    last_cp = MakeCheckpoint(start_iteration, prev);
   }
 
-  // `prev_high` is the H snapshot the checkpointed run's last generation
-  // ran over — i.e. the `high_old` of its convergence test.  If the
+  // `prev.high` is the H snapshot the checkpointed run's last generation
+  // ran over — i.e. the H its convergence test compared against.  If the
   // rebuilt H equals it, the original run stopped at exactly this
   // boundary; running another iteration here would stage pairs against
   // the since-expanded Q and evaluate candidates the uninterrupted run
@@ -450,7 +488,8 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   // would no longer be a faithful continuation).
   const bool resumed_after_convergence = resume != nullptr &&
                                          start_iteration > 0 &&
-                                         high == prev_high;
+                                         prev_high_in_memo &&
+                                         frontier.high == prev.high;
 
   // Journal baselines: ω-tightening and eviction events carry deltas
   // against these.
@@ -477,12 +516,9 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
     // Candidate generation (shared with the sharded miner — see
     // `GenerateCandidates`): H x Q in both orders under the frontier
     // rule, wildcard joiners, and the beam fallback.
-    std::vector<Pattern> candidates =
-        GenerateCandidates(options_, scores_, high, queue, prev_high,
-                           prev_queue, &stats_.hit_candidate_cap);
-    prev_high = high;
-    prev_queue.clear();
-    prev_queue.insert(queue.begin(), queue.end());
+    std::vector<Pattern> candidates = GenerateCandidates(
+        options_, scores_, frontier, prev, &stats_.hit_candidate_cap);
+    prev = frontier;
     stats_.candidates_generated += static_cast<int64_t>(candidates.size());
     TP_COUNTER_ADD("miner.candidates_generated", candidates.size());
     TP_HISTOGRAM_OBSERVE("miner.iteration_candidates", candidates.size(),
@@ -493,8 +529,8 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
     // exactly the last boundary's, so `last_cp` stays valid.
     if (stats_.aborted) break;
 
-    // Re-threshold, relabel, prune (§4.1).
-    PatternSet high_old = std::move(high);
+    // Re-threshold, relabel, prune (§4.1).  `prev.high` is this round's
+    // H before the rebuild.
     rebuild();
 
     if (journal.active()) {
@@ -523,19 +559,18 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
       ev.omega = top_k_.Omega();
       ev.candidates_evaluated = stats_.candidates_evaluated;
       ev.candidates_pruned = stats_.candidates_pruned;
-      ev.frontier_depth = static_cast<int64_t>(queue.size());
+      ev.frontier_depth = static_cast<int64_t>(frontier.queue.size());
       journal.Emit(ev);
     }
 
-    const bool converged = high == high_old;
+    const bool converged = frontier.high == prev.high;
     if (has_sink) {
       // The iteration boundary is the resumable point: the memo and the
       // frontier snapshots fully determine everything the next iteration
       // does.  A sink veto stops here; `Mine(checkpoint)` picks it up.
       TP_TRACE_SPAN("miner/checkpoint");
-      MinerCheckpoint cp = MakeCheckpoint(iter + 1, prev_high, prev_queue);
-      const bool keep_going = options_.checkpoint_sink(cp);
-      last_cp = std::move(cp);
+      const bool keep_going =
+          options_.checkpoint_sink(MakeCheckpoint(iter + 1, prev));
       sink_has_latest = true;
       if (journal.active()) {
         obs::JournalEvent ev;
@@ -578,6 +613,7 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   result.patterns = top_k_.Sorted();
   stats_.seconds = timer.Seconds();
   stats_.cells_cached = engine_->num_cached_cells();
+  stats_.memo_bytes = scores_.bytes();
   result.stats = stats_;
   if (journal.active()) {
     obs::JournalEvent ev;

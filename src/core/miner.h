@@ -5,12 +5,11 @@
 #include <functional>
 #include <limits>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/nm_engine.h"
 #include "core/pattern.h"
+#include "core/score_memo.h"
 #include "core/top_k.h"
 #include "stats/mining_counters.h"
 
@@ -48,7 +47,9 @@ struct MinerCheckpoint {
   /// Threshold ω at checkpoint time.  Redundant with `scores` (it is the
   /// k-th best eligible NM); stored for inspection and load-time checks.
   double omega = -std::numeric_limits<double>::infinity();
-  /// The global score memo: every pattern ever scored, with its exact NM.
+  /// The global score memo: every pattern ever scored, with its exact NM
+  /// or an upper bound on it below ω, once each (the miners emit the rows
+  /// in sorted pattern order; readers must not rely on it).
   /// Holds both the high and the low set; the split is re-derived from ω.
   std::vector<ScoredPattern> scores;
   /// High/queue snapshots the last generation step ran over (the
@@ -172,9 +173,11 @@ struct MinerOptions {
   /// (long runs checkpoint here; see `WriteMinerCheckpointFile`).  Return
   /// false to stop mining at this boundary: the result so far is returned
   /// with `MinerStats::aborted` set, and a later `Mine(checkpoint)` with
-  /// the same engine/options continues bit-identically.  Building the
-  /// checkpoint copies the score memo, so the hook costs O(|memo|) per
-  /// iteration; leave it empty when not needed.
+  /// the same engine/options continues bit-identically.  Each delivery
+  /// builds a `MinerCheckpoint` with one `Pattern` row per memo entry
+  /// (already in sorted order; see `ScoreMemo::SortedIds`), so the hook
+  /// costs O(|memo|) time and memory per iteration; leave it empty when
+  /// not needed.
   std::function<bool(const MinerCheckpoint&)> checkpoint_sink;
 
   /// Run control: cooperative cancellation, wall-clock deadline, and
@@ -190,13 +193,14 @@ struct MinerOptions {
   RunContext run;
 };
 
-/// The global score memo / frontier-set shapes shared by the single
-/// miner and the sharded miner (src/shard).  Both take transparent
-/// lookups, so a sub-pattern is probed as a `std::span<const CellId>`
-/// without building a `Pattern`.
-using PatternScoreMap =
-    std::unordered_map<Pattern, double, PatternHash, PatternEq>;
-using PatternSet = std::unordered_set<Pattern, PatternHash, PatternEq>;
+/// One round's high set H and retained queue Q (§4.1), shared by the
+/// single miner and the sharded miner (src/shard).  Both hold ids of the
+/// global `ScoreMemo`, in ascending cell order (`ScoreMemo::SortedIds`
+/// order), so two snapshots compare as sets with `==`.
+struct Frontier {
+  std::vector<ScoreMemo::Id> high;
+  std::vector<ScoreMemo::Id> queue;
+};
 
 /// Counters reported alongside a mining result.  The shared work/timing
 /// fields (candidates generated/evaluated/pruned, warmup/scoring split)
@@ -209,6 +213,9 @@ struct MinerStats : MiningCounters {
   double seconds = 0.0;
   /// Distinct cells with a cached column when mining finished.
   size_t cells_cached = 0;
+  /// Heap bytes of the score memo when mining finished (also the
+  /// `miner.memo_bytes` gauge, updated every round).
+  size_t memo_bytes = 0;
   bool hit_iteration_cap = false;
   bool hit_candidate_cap = false;
   // `aborted` and the typed `stop_reason` (sink veto, cancellation,
@@ -243,7 +250,8 @@ class TrajPatternMiner {
   /// Continues a run captured by `MinerOptions::checkpoint_sink`.  With
   /// the same data, space, and options as the original run, the final
   /// top-k is bit-identical to the uninterrupted one for any thread
-  /// count.  `resume.k` must match `MinerOptions::k`.
+  /// count.  `resume.k` must match `MinerOptions::k` (only asserted
+  /// here; `MiningSupervisor` refuses a mismatch with a typed status).
   MiningResult Mine(const MinerCheckpoint& resume);
 
  private:
@@ -252,8 +260,7 @@ class TrajPatternMiner {
 
   /// The resumable state after `completed_iterations` grow iterations.
   MinerCheckpoint MakeCheckpoint(int completed_iterations,
-                                 const PatternSet& prev_high,
-                                 const PatternSet& prev_queue) const;
+                                 const Frontier& prev) const;
 
   /// Scores every unseen pattern in `patterns` and feeds the memo and
   /// the top-k tracker serially in `patterns` order — identical
@@ -262,7 +269,7 @@ class TrajPatternMiner {
   /// the batch's ω memoizes that bound and is neither scanned nor
   /// offered; the rest go through the engine's batch API (parallel per
   /// `MinerOptions::num_threads`).  Takes the list by value so the
-  /// patterns move into the memo without a copy.
+  /// scanned patterns move into the scan list without a copy.
   void ScoreBatch(std::vector<Pattern> patterns);
 
   /// True iff `p` counts toward the answer set.
@@ -274,7 +281,7 @@ class TrajPatternMiner {
   MinerOptions options_;
   /// Every pattern ever scored, with its NM or an upper bound on it
   /// that lies below ω (global memo).
-  PatternScoreMap scores_;
+  ScoreMemo scores_;
   /// The best k eligible patterns seen; its Omega() is the threshold.
   TopKPatterns top_k_;
   MinerStats stats_;
@@ -294,44 +301,50 @@ class TrajPatternMiner {
 /// has both halves memoized.  Memo values may be exact scores or upper
 /// bounds (ω-pruned partial sums, earlier split bounds).  The full
 /// argument is in docs/ALGORITHM.md, "Split bound".
-double SplitBound(std::span<const CellId> pattern,
-                  const PatternScoreMap& scores, size_t num_trajectories);
+double SplitBound(std::span<const CellId> pattern, const ScoreMemo& scores,
+                  size_t num_trajectories);
 
 /// Recomputes the high set H and the retained queue Q from the global
 /// score memo under threshold `omega` (§4.1): a pattern is high iff its
 /// memoized NM (or pruned upper bound) reaches ω, and it is retained iff
 /// it is high, singular, or a 1-extension of a high pattern (Lemma 1).
-/// `queue` comes back sorted, so iteration order is deterministic.
+/// Walks the memo in `SortedIds` order, so both lists come back sorted
+/// and iteration order is deterministic; refills `*out` in place.
 /// Shared by both miners — the sharded run classifies against the
 /// *global* ω and therefore rebuilds the exact same frontier.
-void RebuildFrontier(const PatternScoreMap& scores, double omega,
-                     PatternSet* high, std::vector<Pattern>* queue);
+void RebuildFrontier(const ScoreMemo& scores, double omega, Frontier* out);
+
+/// The frontier snapshots a checkpoint carries, as ids of `scores` (the
+/// memo restored from the same checkpoint).  A snapshot pattern missing
+/// from the memo is dropped: generation only walks memo entries, so it
+/// cannot matter there.  Returns false iff a `prev_high` pattern was
+/// dropped, in which case the snapshot cannot equal any rebuilt H.
+bool FrontierFromCheckpoint(const ScoreMemo& scores, const MinerCheckpoint& cp,
+                            Frontier* prev);
 
 /// One iteration's candidate generation (§4 extension step, §5 wildcard
 /// joiners, beam fallback): every high pattern concatenated with every
 /// retained pattern in both orders, the frontier rule skipping pairs
-/// whose halves were both present last round, deduplicated against the
-/// memo and within the batch.  In beam mode
+/// whose halves were both in `prev` (last round's H and Q),
+/// deduplicated against the memo and within the batch.  Each
+/// concatenation is staged in one reusable cell buffer and probed by
+/// span; only a new candidate becomes a `Pattern`.  In beam mode
 /// (`options.max_candidates_per_iteration > 0`) the staged set is
 /// truncated to the best min-max bounds, round-robined across length
 /// strata; `*hit_candidate_cap` reports a truncation.  Deterministic:
 /// the output order is a pure function of the inputs.
 std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
-                                        const PatternScoreMap& scores,
-                                        const PatternSet& high,
-                                        const std::vector<Pattern>& queue,
-                                        const PatternSet& prev_high,
-                                        const PatternSet& prev_queue,
+                                        const ScoreMemo& scores,
+                                        const Frontier& current,
+                                        const Frontier& prev,
                                         bool* hit_candidate_cap);
 
-/// Assembles the version-agnostic core of a checkpoint (sorted memo +
-/// frontier snapshots + global counters); sharded callers append their
-/// `ShardSlice`s afterwards.
+/// Assembles the version-agnostic core of a checkpoint (the memo in
+/// sorted order, the `prev` frontier snapshots, global counters);
+/// sharded callers append their `ShardSlice`s afterwards.
 MinerCheckpoint MakeBaseCheckpoint(int completed_iterations, int k,
-                                   double omega,
-                                   const PatternScoreMap& scores,
-                                   const PatternSet& prev_high,
-                                   const PatternSet& prev_queue,
+                                   double omega, const ScoreMemo& scores,
+                                   const Frontier& prev,
                                    int64_t candidates_evaluated,
                                    int64_t candidates_pruned);
 

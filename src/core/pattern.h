@@ -1,7 +1,6 @@
 #ifndef TRAJPATTERN_CORE_PATTERN_H_
 #define TRAJPATTERN_CORE_PATTERN_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -77,12 +76,11 @@ class Pattern {
   std::vector<CellId> cells_;
 };
 
-/// FNV-1a over the cell ids; for unordered containers of patterns.
-/// Transparent: a `std::span<const CellId>` hashes exactly like the
-/// `Pattern` holding the same cells, so with `PatternEq` a container can
-/// be probed with a sub-pattern view without building a `Pattern`.
+/// FNV-1a over the cell ids; for hash tables of patterns.  A
+/// `std::span<const CellId>` hashes exactly like the `Pattern` holding
+/// the same cells, which is what lets `ScoreMemo` be probed with a
+/// sub-pattern view.
 struct PatternHash {
-  using is_transparent = void;
   size_t operator()(std::span<const CellId> cells) const {
     uint64_t h = 1469598103934665603ULL;
     for (CellId c : cells) {
@@ -92,24 +90,6 @@ struct PatternHash {
     return static_cast<size_t>(h);
   }
   size_t operator()(const Pattern& p) const { return (*this)(p.cells()); }
-};
-
-/// Equality companion of `PatternHash`: compares patterns and cell spans
-/// interchangeably (heterogeneous lookup).
-struct PatternEq {
-  using is_transparent = void;
-  bool operator()(std::span<const CellId> a, std::span<const CellId> b) const {
-    return std::ranges::equal(a, b);
-  }
-  bool operator()(const Pattern& a, const Pattern& b) const {
-    return a == b;
-  }
-  bool operator()(const Pattern& a, std::span<const CellId> b) const {
-    return (*this)(a.cells(), b);
-  }
-  bool operator()(std::span<const CellId> a, const Pattern& b) const {
-    return (*this)(a, b.cells());
-  }
 };
 
 /// A pattern together with its dataset-wide NM value; the miner's unit of

@@ -1,8 +1,11 @@
 #include "io/checkpoint.h"
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
@@ -12,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/score_memo.h"
 #include "obs/obs.h"
 
 namespace trajpattern {
@@ -21,10 +25,49 @@ constexpr const char* kMagicV1 = "trajpattern_checkpoint,v1";
 constexpr const char* kMagicV2 = "trajpattern_checkpoint,v2";
 constexpr const char* kMagicV3 = "trajpattern_checkpoint,v3";
 
-std::string HexDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
+/// Appends `v` as glibc's printf "%a" spells it: the sign, "0x", then
+/// the magnitude in std::to_chars hex form ("1.8p+1", "0p+0"), or
+/// "inf"/"nan".  Subnormals are the exception: to_chars normalizes them
+/// ("1p-1074"), printf keeps them unnormalized at the minimum exponent
+/// ("0.0000000000001p-1022"), so they are spelled from their bits.
+void AppendHexDouble(std::string* out, double v) {
+  if (std::signbit(v)) out->push_back('-');
+  const double mag = std::abs(v);
+  if (std::isinf(mag)) {
+    out->append("inf");
+    return;
+  }
+  if (std::isnan(mag)) {
+    out->append("nan");
+    return;
+  }
+  out->append("0x");
+  if (mag != 0.0 && mag < std::numeric_limits<double>::min()) {
+    // 52 fraction bits = 13 hex digits, trailing zeros dropped; the
+    // fraction of a subnormal is non-zero, so one digit always stays.
+    uint64_t fraction = std::bit_cast<uint64_t>(mag);
+    char digits[13];
+    for (int i = 12; i >= 0; --i, fraction >>= 4) {
+      digits[i] = "0123456789abcdef"[fraction & 0xf];
+    }
+    size_t n = sizeof(digits);
+    while (digits[n - 1] == '0') --n;
+    out->append("0.");
+    out->append(digits, n);
+    out->append("p-1022");
+    return;
+  }
+  char buf[32];
+  const auto res =
+      std::to_chars(buf, buf + sizeof(buf), mag, std::chars_format::hex);
+  out->append(buf, static_cast<size_t>(res.ptr - buf));
+}
+
+template <typename Int>
+void AppendInt(std::string* out, Int v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, static_cast<size_t>(res.ptr - buf));
 }
 
 bool ParseHexDouble(const std::string& s, double* v) {
@@ -50,13 +93,13 @@ bool ParseLong(const std::string& s, long* v) {
   }
 }
 
-void WriteCells(const Pattern& p, std::ostream& os) {
+void AppendCells(std::string* out, const Pattern& p) {
   for (size_t j = 0; j < p.length(); ++j) {
-    if (j > 0) os << ";";
+    if (j > 0) out->push_back(';');
     if (p[j] == kWildcardCell) {
-      os << "*";
+      out->push_back('*');
     } else {
-      os << p[j];
+      AppendInt(out, p[j]);
     }
   }
 }
@@ -114,41 +157,70 @@ class LineReader {
 Status WriteMinerCheckpoint(const MinerCheckpoint& cp, std::ostream& os) {
   TP_TRACE_SPAN("checkpoint/write");
   TP_COUNTER_INC("checkpoint.writes");
+  // Rows are formatted into one reused buffer and handed to the stream
+  // in chunks of about kFlushBytes: no per-field stream insertion, and
+  // memory stays bounded however large the memo grows.
+  constexpr size_t kFlushBytes = 1 << 16;
+  std::string buf;
+  buf.reserve(kFlushBytes + 4096);
+  auto flush = [&](bool force) {
+    if (force || buf.size() >= kFlushBytes) {
+      os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+      buf.clear();
+    }
+  };
+  auto header = [&](const char* key, int64_t value) {
+    buf.append(key);
+    buf.push_back(',');
+    AppendInt(&buf, value);
+    buf.push_back('\n');
+  };
   // v3 exists only to carry shard slices; unsharded checkpoints keep
   // writing v2 byte-for-byte, so older readers (and the committed v2
   // fixtures) stay valid.
   const bool v3 = !cp.shards.empty();
-  os << (v3 ? kMagicV3 : kMagicV2) << "\n";
-  os << "iteration," << cp.iteration << "\n";
-  os << "k," << cp.k << "\n";
-  os << "omega," << HexDouble(cp.omega) << "\n";
-  os << "candidates_evaluated," << cp.candidates_evaluated << "\n";
-  os << "candidates_pruned," << cp.candidates_pruned << "\n";
-  os << "scores," << cp.scores.size() << "\n";
+  buf.append(v3 ? kMagicV3 : kMagicV2);
+  buf.push_back('\n');
+  header("iteration", cp.iteration);
+  header("k", cp.k);
+  buf.append("omega,");
+  AppendHexDouble(&buf, cp.omega);
+  buf.push_back('\n');
+  header("candidates_evaluated", cp.candidates_evaluated);
+  header("candidates_pruned", cp.candidates_pruned);
+  header("scores", static_cast<int64_t>(cp.scores.size()));
   for (const ScoredPattern& sp : cp.scores) {
-    os << HexDouble(sp.nm) << ",";
-    WriteCells(sp.pattern, os);
-    os << "\n";
+    AppendHexDouble(&buf, sp.nm);
+    buf.push_back(',');
+    AppendCells(&buf, sp.pattern);
+    buf.push_back('\n');
+    flush(false);
   }
-  os << "prev_high," << cp.prev_high.size() << "\n";
-  for (const Pattern& p : cp.prev_high) {
-    WriteCells(p, os);
-    os << "\n";
-  }
-  os << "prev_queue," << cp.prev_queue.size() << "\n";
-  for (const Pattern& p : cp.prev_queue) {
-    WriteCells(p, os);
-    os << "\n";
-  }
-  if (v3) {
-    os << "shards," << cp.shards.size() << "\n";
-    for (const MinerCheckpoint::ShardSlice& s : cp.shards) {
-      os << s.shard_id << "," << HexDouble(s.omega) << ","
-         << s.candidates_evaluated << "," << s.candidates_pruned << ","
-         << s.trajectories_skipped << "\n";
+  for (const auto& [key, block] : {std::pair("prev_high", &cp.prev_high),
+                                   std::pair("prev_queue", &cp.prev_queue)}) {
+    header(key, static_cast<int64_t>(block->size()));
+    for (const Pattern& p : *block) {
+      AppendCells(&buf, p);
+      buf.push_back('\n');
+      flush(false);
     }
   }
-  os << "end\n";
+  if (v3) {
+    header("shards", static_cast<int64_t>(cp.shards.size()));
+    for (const MinerCheckpoint::ShardSlice& s : cp.shards) {
+      AppendInt(&buf, s.shard_id);
+      buf.push_back(',');
+      AppendHexDouble(&buf, s.omega);
+      for (const int64_t v : {s.candidates_evaluated, s.candidates_pruned,
+                              s.trajectories_skipped}) {
+        buf.push_back(',');
+        AppendInt(&buf, v);
+      }
+      buf.push_back('\n');
+    }
+  }
+  buf.append("end\n");
+  flush(true);
   if (!os) return Status::DataLoss("checkpoint stream write failed");
   return Status::Ok();
 }
@@ -227,6 +299,9 @@ Status ReadMinerCheckpoint(std::istream& is, MinerCheckpoint* cp) {
     return reader.Error("implausible scores count");
   }
   out.scores.reserve(std::min(static_cast<size_t>(count), kMaxReserve));
+  // Rows need not be sorted, but each pattern may appear once: resume
+  // would offer a repeated row to the top-k twice.
+  ScoreMemo seen;
   for (long i = 0; i < count; ++i) {
     if (!reader.Next(&line)) return reader.Error("truncated score block");
     const size_t comma = line.find(',');
@@ -236,6 +311,9 @@ Status ReadMinerCheckpoint(std::istream& is, MinerCheckpoint* cp) {
     if (!ParseHexDouble(line.substr(0, comma), &nm) ||
         !ParseCells(line.substr(comma + 1), &cells)) {
       return reader.Error("malformed score row");
+    }
+    if (!seen.emplace(cells, nm)) {
+      return reader.Error("repeated pattern in score block");
     }
     out.scores.push_back({Pattern(std::move(cells)), nm});
   }

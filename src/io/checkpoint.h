@@ -33,8 +33,9 @@ namespace trajpattern {
 /// see src/shard); unsharded checkpoints stay v2 byte-for-byte.  NM
 /// values are written as C99 hexfloats (`%a`), which round-trip IEEE
 /// doubles bit-exactly (including -inf) — the property the resumed-run
-/// bit-identity guarantee rests on.  Unknown versions and truncated
-/// files are rejected with a typed error, never half-loaded.
+/// bit-identity guarantee rests on.  Unknown versions, truncated files
+/// and a score block that lists a pattern twice are rejected with a
+/// typed error, never half-loaded; score rows need not be sorted.
 Status WriteMinerCheckpoint(const MinerCheckpoint& cp, std::ostream& os);
 Status ReadMinerCheckpoint(std::istream& is, MinerCheckpoint* cp);
 

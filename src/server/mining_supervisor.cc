@@ -84,12 +84,23 @@ SupervisorReport MiningSupervisor::Run() {
   // Crash recovery across process lifetimes: a checkpoint already on
   // disk is a previous (crashed or stopped) run of this path — resume
   // it.  kNotFound means a fresh start; anything else (truncated,
-  // corrupt, wrong version) is surfaced, never half-loaded or silently
-  // clobbered.
+  // corrupt, wrong version, another k) is surfaced, never half-loaded
+  // or silently clobbered.
   std::optional<MinerCheckpoint> resume;
   {
     MinerCheckpoint cp;
     const Status s = ReadMinerCheckpointFile(options_.checkpoint_path, &cp);
+    if (s.ok() && cp.k != options_.miner.k) {
+      // The memo of a smaller-k run holds split bounds that lie above
+      // the true NM but below that run's ω; a larger top-k would admit
+      // them as answers.  Refuse before mining: `Mine(resume)` only
+      // asserts this.
+      report.status = Status::FailedPrecondition(
+          "checkpoint " + options_.checkpoint_path + " has k=" +
+          std::to_string(cp.k) + ", run has k=" +
+          std::to_string(options_.miner.k));
+      return report;
+    }
     if (s.ok()) {
       resume = std::move(cp);
       report.resumed_from_checkpoint = true;

@@ -60,9 +60,12 @@ struct SupervisorOptions {
 struct SupervisorReport {
   MiningResult result;
   /// Ok unless the run ultimately failed: a crash loop past
-  /// `max_restarts` (kFailedPrecondition) or a checkpoint sink still
-  /// failing after every retry (kDataLoss).  The result then holds the
-  /// best-so-far answer of the last attempt.
+  /// `max_restarts` (kFailedPrecondition), a checkpoint sink still
+  /// failing after every retry (kDataLoss), or an unusable checkpoint on
+  /// disk — unreadable (its read error) or written with another k
+  /// (kFailedPrecondition).  The result then holds the best-so-far
+  /// answer of the last attempt; an unusable checkpoint is refused
+  /// before any mining and left untouched.
   Status status;
   /// True iff the run started by resuming `checkpoint_path`.
   bool resumed_from_checkpoint = false;

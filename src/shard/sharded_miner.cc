@@ -63,12 +63,10 @@ MiningResult ShardedMiner::Mine(const MinerCheckpoint& resume) {
 }
 
 MinerCheckpoint ShardedMiner::MakeShardedCheckpoint(
-    int completed_iterations, const PatternSet& prev_high,
-    const PatternSet& prev_queue) const {
+    int completed_iterations, const Frontier& prev) const {
   MinerCheckpoint cp = MakeBaseCheckpoint(
       completed_iterations, options_.k, coordinator_.global_omega(), scores_,
-      prev_high, prev_queue, stats_.candidates_evaluated,
-      stats_.candidates_pruned);
+      prev, stats_.candidates_evaluated, stats_.candidates_pruned);
   cp.shards.reserve(static_cast<size_t>(num_shards_));
   for (int s = 0; s < num_shards_; ++s) {
     MinerCheckpoint::ShardSlice slice;
@@ -89,7 +87,7 @@ bool ShardedMiner::ScorePartitioned(const std::vector<Pattern>& patterns) {
   std::vector<std::vector<Pattern>> parts(
       static_cast<size_t>(num_shards_));
   for (const Pattern& p : patterns) {
-    if (scores_.count(p) > 0) continue;
+    if (scores_.contains(p.cells())) continue;
     parts[ShardOf(p, options_.shard_salt, num_shards_)].push_back(p);
   }
   size_t max_part = 0;
@@ -171,7 +169,7 @@ bool ShardedMiner::ScorePartitioned(const std::vector<Pattern>& patterns) {
       if (chunk[s].empty()) continue;
       coordinator_.Merge(s, chunk[s], nms[s], threshold[s]);
       for (size_t i = 0; i < chunk[s].size(); ++i) {
-        scores_.emplace(chunk[s][i], nms[s][i]);
+        scores_.emplace(chunk[s][i].cells(), nms[s][i]);
       }
       const int64_t evaluated = static_cast<int64_t>(chunk[s].size());
       stats_.candidates_evaluated += evaluated;
@@ -214,7 +212,7 @@ MiningResult ShardedMiner::Run(const MinerCheckpoint* resume) {
     assert(resume->shards.empty() ||
            static_cast<int>(resume->shards.size()) == num_shards_);
     for (const ScoredPattern& sp : resume->scores) {
-      scores_.emplace(sp.pattern, sp.nm);
+      if (!scores_.emplace(sp.pattern.cells(), sp.nm)) continue;
       coordinator_.Seed(
           static_cast<int>(
               ShardOf(sp.pattern, options_.shard_salt, num_shards_)),
@@ -255,36 +253,34 @@ MiningResult ShardedMiner::Run(const MinerCheckpoint* resume) {
   // remaining singular rounds.
   ScorePartitioned(singulars);
 
-  PatternSet high;
-  std::vector<Pattern> queue;
+  Frontier frontier;
   auto rebuild = [&]() {
-    RebuildFrontier(scores_, coordinator_.global_omega(), &high, &queue);
-    stats_.peak_queue_size = std::max(stats_.peak_queue_size, queue.size());
+    RebuildFrontier(scores_, coordinator_.global_omega(), &frontier);
+    stats_.peak_queue_size =
+        std::max(stats_.peak_queue_size, frontier.queue.size());
   };
   rebuild();
 
-  PatternSet prev_high;
-  PatternSet prev_queue;
-  if (resume != nullptr) {
-    prev_high.insert(resume->prev_high.begin(), resume->prev_high.end());
-    prev_queue.insert(resume->prev_queue.begin(), resume->prev_queue.end());
-  }
+  Frontier prev;
+  const bool prev_high_in_memo =
+      resume == nullptr || FrontierFromCheckpoint(scores_, *resume, &prev);
   const int start_iteration = resume != nullptr ? resume->iteration : 0;
 
   // Sink protocol, identical to the unsharded miner: `last_cp` is the
-  // newest completed boundary, emitted on an abort that never reached a
-  // boundary delivery, so every aborted run past the singular batch
-  // leaves a resumable (now shard-sliced) checkpoint behind.
+  // start boundary, emitted on an abort that never reached a boundary
+  // delivery, so every aborted run past the singular batch leaves a
+  // resumable (now shard-sliced) checkpoint behind.
   const bool has_sink = static_cast<bool>(options_.checkpoint_sink);
   std::optional<MinerCheckpoint> last_cp;
   bool sink_has_latest = false;
   if (has_sink && !stats_.aborted) {
-    last_cp = MakeShardedCheckpoint(start_iteration, prev_high, prev_queue);
+    last_cp = MakeShardedCheckpoint(start_iteration, prev);
   }
 
   const bool resumed_after_convergence = resume != nullptr &&
                                          start_iteration > 0 &&
-                                         high == prev_high;
+                                         prev_high_in_memo &&
+                                         frontier.high == prev.high;
 
   // Eviction events carry per-round deltas against this baseline.
   int64_t journal_evicted = stats_.cells_evicted;
@@ -306,12 +302,9 @@ MiningResult ShardedMiner::Run(const MinerCheckpoint* resume) {
     // Generation runs on the coordinator against the *global* memo and
     // frontier — bit-identical inputs to the unsharded miner's, hence
     // bit-identical candidate sets (see `GenerateCandidates`).
-    std::vector<Pattern> candidates =
-        GenerateCandidates(options_, scores_, high, queue, prev_high,
-                           prev_queue, &stats_.hit_candidate_cap);
-    prev_high = high;
-    prev_queue.clear();
-    prev_queue.insert(queue.begin(), queue.end());
+    std::vector<Pattern> candidates = GenerateCandidates(
+        options_, scores_, frontier, prev, &stats_.hit_candidate_cap);
+    prev = frontier;
     stats_.candidates_generated += static_cast<int64_t>(candidates.size());
     TP_COUNTER_ADD("miner.candidates_generated", candidates.size());
     TP_HISTOGRAM_OBSERVE("miner.iteration_candidates", candidates.size(),
@@ -319,7 +312,6 @@ MiningResult ShardedMiner::Run(const MinerCheckpoint* resume) {
 
     if (!ScorePartitioned(candidates)) break;
 
-    PatternSet high_old = std::move(high);
     rebuild();
 
     if (journal.active()) {
@@ -339,17 +331,15 @@ MiningResult ShardedMiner::Run(const MinerCheckpoint* resume) {
       ev.omega = coordinator_.global_omega();
       ev.candidates_evaluated = stats_.candidates_evaluated;
       ev.candidates_pruned = stats_.candidates_pruned;
-      ev.frontier_depth = static_cast<int64_t>(queue.size());
+      ev.frontier_depth = static_cast<int64_t>(frontier.queue.size());
       journal.Emit(ev);
     }
 
-    const bool converged = high == high_old;
+    const bool converged = frontier.high == prev.high;
     if (has_sink) {
       TP_TRACE_SPAN("miner/checkpoint");
-      MinerCheckpoint cp =
-          MakeShardedCheckpoint(iter + 1, prev_high, prev_queue);
-      const bool keep_going = options_.checkpoint_sink(cp);
-      last_cp = std::move(cp);
+      const bool keep_going =
+          options_.checkpoint_sink(MakeShardedCheckpoint(iter + 1, prev));
       sink_has_latest = true;
       if (journal.active()) {
         obs::JournalEvent ev;
@@ -401,6 +391,7 @@ MiningResult ShardedMiner::Run(const MinerCheckpoint* resume) {
   result.patterns = coordinator_.global_top_k().Sorted();
   stats_.seconds = timer.Seconds();
   stats_.cells_cached = cells_cached;
+  stats_.memo_bytes = scores_.bytes();
   // Effective concurrency: `fanout` shard tasks, each scoring on
   // `shard_threads_` workers (AccumulateBatch reported the per-shard
   // figure; the fleet-wide report carries the product).

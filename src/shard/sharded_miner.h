@@ -94,8 +94,7 @@ class ShardedMiner {
   const NmEngine* engine_of(int s) const { return engines_[s]; }
 
   MinerCheckpoint MakeShardedCheckpoint(int completed_iterations,
-                                        const PatternSet& prev_high,
-                                        const PatternSet& prev_queue) const;
+                                        const Frontier& prev) const;
 
   MinerOptions options_;
   int num_shards_;
@@ -110,7 +109,7 @@ class ShardedMiner {
   std::unique_ptr<ThreadPool> pool_;
 
   ShardCoordinator coordinator_;
-  PatternScoreMap scores_;
+  ScoreMemo scores_;
   std::vector<MiningCounters> shard_counters_;
   std::vector<ShardReport> reports_;
   MinerStats stats_;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -20,6 +21,7 @@
 #include "geometry/grid.h"
 #include "io/checkpoint.h"
 #include "io/csv.h"
+#include "prob/rng.h"
 #include "server/fault_injector.h"
 #include "server/mining_supervisor.h"
 #include "trajectory/validate.h"
@@ -355,6 +357,87 @@ TEST(CheckpointIoTest, RoundTripsBitExactly) {
   EXPECT_EQ(loaded.prev_queue, cp.prev_queue);
 }
 
+// The exact v2 text, pinned: the writer formats numbers with
+// std::to_chars, and every byte must still match the "%a"/decimal
+// spelling of the files earlier builds wrote.
+TEST(CheckpointIoTest, WriterGoldenText) {
+  MinerCheckpoint cp;
+  cp.iteration = 3;
+  cp.k = 7;
+  cp.omega = -std::numeric_limits<double>::infinity();
+  cp.candidates_evaluated = 12345678901;
+  cp.candidates_pruned = 42;
+  cp.scores.push_back(
+      {Pattern(std::vector<CellId>{0, kWildcardCell, 2147483647}), -0.0});
+  cp.scores.push_back(
+      {Pattern(CellId{5}), std::numeric_limits<double>::denorm_min()});
+  cp.scores.push_back({Pattern(std::vector<CellId>{2147483647, 1}),
+                       -std::numeric_limits<double>::max()});
+  cp.scores.push_back({Pattern(std::vector<CellId>{9, 9}), -10.25});
+  cp.prev_high.push_back(Pattern(CellId{5}));
+  cp.prev_queue.push_back(Pattern(CellId{5}));
+  cp.prev_queue.push_back(Pattern(std::vector<CellId>{2147483647, 1}));
+  std::ostringstream os;
+  ASSERT_TRUE(WriteMinerCheckpoint(cp, os).ok());
+  EXPECT_EQ(os.str(),
+            "trajpattern_checkpoint,v2\n"
+            "iteration,3\n"
+            "k,7\n"
+            "omega,-inf\n"
+            "candidates_evaluated,12345678901\n"
+            "candidates_pruned,42\n"
+            "scores,4\n"
+            "-0x0p+0,0;*;2147483647\n"
+            "0x0.0000000000001p-1022,5\n"
+            "-0x1.fffffffffffffp+1023,2147483647;1\n"
+            "-0x1.48p+3,9;9\n"
+            "prev_high,1\n"
+            "5\n"
+            "prev_queue,2\n"
+            "5\n"
+            "2147483647;1\n"
+            "end\n");
+  MinerCheckpoint back;
+  std::istringstream in(os.str());
+  ASSERT_TRUE(ReadMinerCheckpoint(in, &back).ok());
+  ASSERT_EQ(back.scores.size(), cp.scores.size());
+  for (size_t i = 0; i < cp.scores.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&back.scores[i].nm, &cp.scores[i].nm,
+                          sizeof(double)),
+              0)
+        << i;
+  }
+}
+
+// Every finite double the writer emits is spelled exactly as
+// snprintf("%a") spells it.
+TEST(CheckpointIoTest, WriterMatchesPrintfHexfloatOnRandomBits) {
+  constexpr int kValues = 100000;
+  Rng rng(20061);
+  MinerCheckpoint cp;
+  cp.k = 1;
+  cp.scores.reserve(kValues);
+  while (static_cast<int>(cp.scores.size()) < kValues) {
+    const double v = std::bit_cast<double>(rng.engine()());
+    if (!std::isfinite(v)) continue;
+    cp.scores.push_back(
+        {Pattern(static_cast<CellId>(cp.scores.size())), v});
+  }
+  std::ostringstream os;
+  ASSERT_TRUE(WriteMinerCheckpoint(cp, os).ok());
+  std::istringstream lines(os.str());
+  std::string line;
+  while (std::getline(lines, line) && line.rfind("scores,", 0) != 0) {
+  }
+  for (const ScoredPattern& sp : cp.scores) {
+    ASSERT_TRUE(std::getline(lines, line));
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "%a,%d", sp.nm,
+                  sp.pattern[0]);
+    ASSERT_EQ(line, expected);
+  }
+}
+
 TEST(CheckpointIoTest, RejectsTruncatedAndForeignInput) {
   MinerCheckpoint cp;
   std::istringstream not_ours("hello,world\n");
@@ -568,6 +651,38 @@ TEST(CheckpointCorpusTest, NaNHexfloatsAreRejected) {
       EXPECT_EQ(ReadMinerCheckpoint(in, &cp).code(), StatusCode::kDataLoss)
           << nan_spelling;
     }
+  }
+}
+
+// A score block that lists a pattern twice would offer it to the
+// resumed top-k twice; the reader names the first repeated row.  Rows
+// need not be sorted (the sample's are not).
+TEST(CheckpointCorpusTest, RepeatedScoreRowsAreTypedWithLineDiagnostic) {
+  std::stringstream ss;
+  ASSERT_TRUE(WriteMinerCheckpoint(MakeSampleCheckpoint(), ss).ok());
+  for (const std::string& good : {ss.str(), SampleCheckpointAsV1()}) {
+    // Double the score block: "scores,3" + rows -> "scores,6" + rows x 2.
+    const size_t header = good.find("scores,3\n");
+    ASSERT_NE(header, std::string::npos);
+    const size_t rows_begin = header + std::string("scores,3\n").size();
+    const size_t rows_end = good.find("prev_high,");
+    ASSERT_NE(rows_end, std::string::npos);
+    const std::string rows = good.substr(rows_begin, rows_end - rows_begin);
+    std::string text = good;
+    text.replace(header, rows_end - header, "scores,6\n" + rows + rows);
+    // The first repeat is the line after the original block.
+    size_t repeat_line = 1;
+    for (size_t i = 0; i < rows_end; ++i) repeat_line += good[i] == '\n';
+    MinerCheckpoint cp;
+    cp.iteration = 99;  // canary: a failed read must not touch *cp
+    std::istringstream in(text);
+    const Status s = ReadMinerCheckpoint(in, &cp);
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss);
+    EXPECT_NE(s.ToString().find("checkpoint line " +
+                                std::to_string(repeat_line) + ":"),
+              std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(cp.iteration, 99);
   }
 }
 

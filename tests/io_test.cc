@@ -2,11 +2,10 @@
 
 #include <span>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/pattern.h"
+#include "core/score_memo.h"
 #include "io/ascii_art.h"
 #include "io/csv.h"
 #include "io/flags.h"
@@ -147,24 +146,21 @@ TEST(PatternTest, HashDistinguishesOrder) {
   EXPECT_EQ(h(a), h(Pattern(std::vector<CellId>{1, 2})));
 }
 
-// PatternHash/PatternEq are transparent: a sub-span of a pattern's
-// cells probes a container exactly like the Pattern holding them.
+// A sub-span of a pattern's cells hashes, and probes the score memo,
+// exactly like the Pattern holding them.
 TEST(PatternTest, SpanLookupMatchesPatternLookup) {
   const Pattern p(std::vector<CellId>{1, kWildcardCell, 3});
   const std::span<const CellId> cells = p.cells();
   PatternHash h;
   EXPECT_EQ(h(cells.subspan(1)), h(p.DropFirst()));
   EXPECT_EQ(h(cells.first(2)), h(p.DropLast()));
-  std::unordered_map<Pattern, double, PatternHash, PatternEq> memo;
-  memo.emplace(p.DropLast(), -1.5);
-  const auto hit = memo.find(cells.first(2));
-  ASSERT_NE(hit, memo.end());
-  EXPECT_EQ(hit->second, -1.5);
-  EXPECT_EQ(memo.find(cells.subspan(1)), memo.end());
-  EXPECT_EQ(memo.find(cells.first(1)), memo.end());
-  std::unordered_set<Pattern, PatternHash, PatternEq> set{p.DropFirst()};
-  EXPECT_TRUE(set.contains(cells.subspan(1)));
-  EXPECT_FALSE(set.contains(cells.subspan(2)));
+  ScoreMemo memo;
+  memo.emplace(p.DropLast().cells(), -1.5);
+  const double* hit = memo.find(cells.first(2));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, -1.5);
+  EXPECT_EQ(memo.find(cells.subspan(1)), nullptr);
+  EXPECT_EQ(memo.find(cells.first(1)), nullptr);
 }
 
 TEST(AsciiArtTest, DensityMarksOccupiedCells) {

@@ -199,6 +199,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NmPropertyTest, ::testing::Range(1, 9));
 /// `GenerateUniformObjects` with trajectory i cut to 1 + 5i mod L
 /// snapshots (1, 6, 11, 1, ...), so a concatenation is too long for some
 /// trajectories that still host one of its halves.
+/// A memo holding `entries`; a repeated pattern keeps its first value.
+ScoreMemo MemoOf(const std::vector<ScoredPattern>& entries) {
+  ScoreMemo memo;
+  for (const ScoredPattern& e : entries) memo.emplace(e.pattern.cells(), e.nm);
+  return memo;
+}
+
 TrajectoryDataset RaggedObjects(const UniformGeneratorOptions& gopt) {
   const TrajectoryDataset full = GenerateUniformObjects(gopt);
   TrajectoryDataset out;
@@ -264,7 +271,7 @@ TEST_P(NmPropertyTest, MinMaxPropertyHolds) {
           << " right=" << right.ToString();
     }
 
-    const PatternScoreMap memo{{left, nm_left}, {right, nm_right}};
+    const ScoreMemo memo = MemoOf({{left, nm_left}, {right, nm_right}});
     const double bound = SplitBound(cat.cells(), memo, d.size());
     EXPECT_LE(nm_cat, bound)
         << "left=" << left.ToString() << " right=" << right.ToString();
@@ -273,17 +280,18 @@ TEST_P(NmPropertyTest, MinMaxPropertyHolds) {
     // Chained: the left half memoized as its own split bound, read from
     // its exact sub-halves.
     if (left.length() >= 2) {
-      PatternScoreMap sub;
+      ScoreMemo sub;
       for (size_t cut = 1; cut < left.length(); ++cut) {
         for (const Pattern& half :
              {left.SubPattern(0, cut),
               left.SubPattern(cut, left.length() - cut)}) {
-          sub.emplace(half, engine.NmTotal(half));
+          sub.emplace(half.cells(), engine.NmTotal(half));
         }
       }
       const double left_bound = SplitBound(left.cells(), sub, d.size());
       EXPECT_LE(nm_left, left_bound);
-      const PatternScoreMap chained{{left, left_bound}, {right, nm_right}};
+      const ScoreMemo chained =
+          MemoOf({{left, left_bound}, {right, nm_right}});
       EXPECT_LE(nm_cat, SplitBound(cat.cells(), chained, d.size()))
           << "left=" << left.ToString() << " right=" << right.ToString();
     }

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -521,6 +522,50 @@ TEST(MiningSupervisorTest, ResumesFromExistingCheckpointFile) {
   ASSERT_TRUE(report.status.ok()) << report.status.ToString();
   EXPECT_TRUE(report.resumed_from_checkpoint);
   ExpectBitIdentical(report.result.patterns, full.patterns);
+  std::remove(path.c_str());
+}
+
+// A checkpoint written with another k must not be resumed: the
+// smaller run memoized split bounds below its own ω that a larger top-k
+// would admit.  The supervisor refuses before mining, typed, and leaves
+// the file as it was.
+TEST(MiningSupervisorTest, CheckpointWithAnotherKIsRefusedUntouched) {
+  const TrajectoryDataset data = MakeMiningData();
+  const MiningSpace space = MakeSpace();
+  const std::string path = TempCheckpointPath("tp_supervisor_other_k.ckpt");
+  {
+    MinerOptions small = MakeOptions();
+    small.k = 4;
+    small.checkpoint_sink = [&path](const MinerCheckpoint& cp) {
+      EXPECT_TRUE(WriteMinerCheckpointFile(cp, path).ok());
+      return cp.iteration < 1;
+    };
+    NmEngine engine(data, space);
+    ASSERT_TRUE(MineTrajPatterns(engine, small).stats.aborted);
+  }
+  auto read_file = [&path]() {
+    std::ifstream is(path);
+    std::stringstream ss;
+    ss << is.rdbuf();
+    return ss.str();
+  };
+  const std::string before = read_file();
+  ASSERT_FALSE(before.empty());
+
+  NmEngine engine(data, space);
+  SupervisorOptions sup;
+  sup.checkpoint_path = path;
+  sup.miner = MakeOptions();
+  sup.miner.k = 40;
+  MiningSupervisor supervisor(&engine, sup);
+  const SupervisorReport report = supervisor.Run();
+  EXPECT_EQ(report.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(report.status.ToString().find("k=4"), std::string::npos)
+      << report.status.ToString();
+  EXPECT_FALSE(report.resumed_from_checkpoint);
+  EXPECT_TRUE(report.result.patterns.empty());
+  EXPECT_EQ(report.sink_attempts, 0);
+  EXPECT_EQ(read_file(), before);
   std::remove(path.c_str());
 }
 

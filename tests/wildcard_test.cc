@@ -112,8 +112,9 @@ TEST(WildcardNmTest, MinMaxHoldsAcrossWildcardJoin) {
     for (size_t cut = 1; cut < joined.length(); ++cut) {
       const Pattern a = joined.SubPattern(0, cut);
       const Pattern b = joined.SubPattern(cut, joined.length() - cut);
-      const PatternScoreMap memo{{a, engine.NmTotal(a)},
-                                 {b, engine.NmTotal(b)}};
+      ScoreMemo memo;
+      memo.emplace(a.cells(), engine.NmTotal(a));
+      memo.emplace(b.cells(), engine.NmTotal(b));
       const double bound = SplitBound(joined.cells(), memo, d.size());
       EXPECT_LE(nm_joined, bound)
           << "joined=" << joined.ToString() << " cut=" << cut;
