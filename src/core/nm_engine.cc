@@ -31,6 +31,16 @@ inline double FusedMaxSum(const double* w, const double* t, size_t n) {
   return simd::FusedMaxSum(w, t, n);
 }
 
+/// Cache budget of one walk tile: the batch's distinct columns restricted
+/// to a tile fit in it.  One core's L2 on the 4-core x86-64 VM the walk
+/// was measured on, where 1-4 MiB scanned alike and 0.5 MiB was slower
+/// (per-tile costs); a constant, so the plan never depends on the host.
+constexpr size_t kTileBytes = size_t{2} << 20;
+
+/// Most candidates one walk slice holds, so that a large first-cell
+/// group still spreads over the lanes.
+constexpr size_t kSliceCandidates = 64;
+
 }  // namespace
 
 NmEngine::NmEngine(const TrajectoryDataset& data, const MiningSpace& space)
@@ -336,59 +346,6 @@ double NmEngine::NmTotalResolved(const Pattern& p, ScoreScratch* scratch,
   const auto& cols = scratch->cols;
   const size_t n = data_->size();
   const bool prune = prune_below > kNoPruning;
-
-  if (kernel_ == WindowKernel::kStreaming && !prune) {
-    // One pass over the whole flattened dataset: partial window sums for
-    // every global start g land in wsum[g]; starts whose window crosses
-    // a trajectory boundary hold cross-boundary garbage that the
-    // per-trajectory scan below simply never reads.  The last specified
-    // column is not accumulated — it is fused into the per-trajectory
-    // max scan, which preserves the ascending-j addition order (and so
-    // bit-identity with the gather kernel) while skipping one full
-    // store+reload pass over the dataset.
-    const size_t total_pts = flat_points_.size();
-    double* wsum = scratch->wsum.data();
-    size_t last = 0;
-    for (size_t j = m; j-- > 0;) {
-      if (cols[j] != nullptr) {
-        last = j;
-        break;
-      }
-    }
-    bool first = true;
-    if (total_pts >= m) {
-      const size_t nwin = total_pts - m + 1;
-      for (size_t j = 0; j < last; ++j) {
-        const double* src = cols[j];
-        if (src == nullptr) continue;
-        src += j;
-        if (first) {
-          std::memcpy(wsum, src, nwin * sizeof(double));
-          first = false;
-        } else {
-          simd::AddInto(wsum, src, nwin);
-        }
-      }
-    }
-    double total = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const size_t off = offsets_[i];
-      const size_t len = offsets_[i + 1] - off;
-      if (len < m) {
-        total += LogFloor();
-        continue;
-      }
-      const size_t nwin = len - m + 1;
-      const double* tail = cols[last] + off + last;
-      const double best = FusedMaxSum(first ? nullptr : wsum + off, tail, nwin);
-      total += best / spec;
-    }
-    return total;
-  }
-
-  // Trajectory-blocked path: the gather reference kernel, and the
-  // streaming kernel whenever ω-pruning is on (abandoning mid-dataset
-  // must skip whole trajectories to save work).
   double total = 0.0;
   for (size_t i = 0; i < n; ++i) {
     double best;
@@ -412,22 +369,40 @@ double NmEngine::NmTotalResolved(const Pattern& p, ScoreScratch* scratch,
   return total;
 }
 
-double NmEngine::NmTotalCached(const Pattern& p, ScoreScratch* scratch,
-                               double prune_below,
-                               int64_t* trajectories_skipped) const {
-  // Columns are resolved once per pattern (not once per trajectory) and
-  // the scratch is caller-owned, so the loop below does zero allocation.
-  ResolveColumns(p, /*cached_only=*/true, scratch);
-  return NmTotalResolved(p, scratch, prune_below, trajectories_skipped);
+double NmEngine::MatchTotalResolved(const Pattern& p,
+                                    ScoreScratch* scratch) const {
+  double total = 0.0;
+  for (size_t i = 0; i < data_->size(); ++i) {
+    double best;
+    if (BestWindowSumGather(scratch->cols, p.length(), i, &best)) {
+      total += std::exp(best);
+    }
+  }
+  return total;
+}
+
+double NmEngine::TotalOne(const Pattern& p, Measure measure) const {
+  ++num_pattern_evaluations_;
+  if (kernel_ == WindowKernel::kGather) {
+    ScoreScratch scratch;
+    ResolveColumns(p, /*cached_only=*/false, &scratch);
+    return measure == Measure::kNm
+               ? NmTotalResolved(p, &scratch, kNoPruning, nullptr)
+               : MatchTotalResolved(p, &scratch);
+  }
+  // Fill any missing columns while still serial, then walk the batch of
+  // one with the read-only code the batch path runs.
+  for (CellId c : p.cells()) {
+    if (c != kWildcardCell) EnsureColumn(c);
+  }
+  double out = 0.0;
+  Walk(std::span<const Pattern>(&p, 1), measure, nullptr, nullptr,
+       std::span<WalkScratch>(&walk_scratch_, 1), &out, nullptr);
+  return out;
 }
 
 double NmEngine::NmTotal(const Pattern& p) const {
-  ++num_pattern_evaluations_;
-  ScoreScratch scratch;
-  // Fill any missing columns while still serial, then run the read-only
-  // kernel shared with the batch path.
-  ResolveColumns(p, /*cached_only=*/false, &scratch);
-  return NmTotalResolved(p, &scratch, kNoPruning, nullptr);
+  return TotalOne(p, Measure::kNm);
 }
 
 double NmEngine::Match(const Pattern& p, size_t traj_index) const {
@@ -445,84 +420,231 @@ double NmEngine::Match(const Pattern& p, size_t traj_index) const {
   return std::exp(best);
 }
 
-double NmEngine::MatchTotalResolved(const Pattern& p,
-                                    ScoreScratch* scratch) const {
-  const size_t m = p.length();
-  if (m == 0) return 0.0;  // no window can exist
-  const auto& cols = scratch->cols;
-  const size_t n = data_->size();
+double NmEngine::MatchTotal(const Pattern& p) const {
+  return TotalOne(p, Measure::kMatch);
+}
 
-  if (kernel_ == WindowKernel::kStreaming) {
-    // Same fused position-major layout as the NM path, minus pruning.
-    const size_t total_pts = flat_points_.size();
-    double* wsum = scratch->wsum.data();
-    size_t last = m;  // last specified position, m if all-wildcard
+struct NmEngine::WalkPlan {
+  /// Batch indices of the walked candidates, sorted by cells (ties by
+  /// index), and per walk position k the candidate's column base
+  /// pointers (nullptr for a wildcard) at [col_begin[k], col_begin[k+1]).
+  std::vector<size_t> order;
+  std::vector<const double*> cols;
+  std::vector<size_t> col_begin;
+  /// Running dataset total per walk position.
+  std::vector<double> acc;
+  /// Tile t covers trajectories [tiles[t], tiles[t + 1]); its longest
+  /// trajectory has tile_max_len[t] snapshots.
+  std::vector<size_t> tiles;
+  std::vector<size_t> tile_max_len;
+  /// Walk-position ranges [first, second) the lanes claim: candidates
+  /// sharing their first cell, at most kSliceCandidates of them.
+  std::vector<std::pair<size_t, size_t>> slices;
+  /// Doubles per prefix level buffer: the largest tile's snapshot count.
+  size_t level_stride = 0;
+  size_t max_length = 0;
+};
+
+void NmEngine::PlanWalk(std::span<const Pattern> patterns, Measure measure,
+                        double* out, WalkPlan* plan) const {
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const Pattern& p = patterns[i];
+    if (measure == Measure::kNm && p.SpecifiedCount() == 0) {
+      out[i] = kNegInf;  // see ValidateScorable
+    } else if (p.empty()) {
+      out[i] = 0.0;  // Match: no window can exist
+    } else {
+      plan->order.push_back(i);
+    }
+  }
+  // Sorted by cells, candidates sharing a prefix are neighbors.
+  std::sort(plan->order.begin(), plan->order.end(), [&](size_t a, size_t b) {
+    const auto cmp = patterns[a].cells() <=> patterns[b].cells();
+    return cmp != 0 ? cmp < 0 : a < b;
+  });
+
+  // Resolve every column once, counting the distinct ones.
+  std::vector<char> seen(allocated_slots_, 0);
+  size_t distinct = 0;
+  plan->col_begin.reserve(plan->order.size() + 1);
+  for (const size_t i : plan->order) {
+    const Pattern& p = patterns[i];
+    plan->col_begin.push_back(plan->cols.size());
+    plan->max_length = std::max(plan->max_length, p.length());
+    for (const CellId c : p.cells()) {
+      if (c == kWildcardCell) {
+        plan->cols.push_back(nullptr);
+        continue;
+      }
+      const int32_t slot = cell_slot_[static_cast<size_t>(c)];
+      assert(slot >= 0);  // the walk only reads warm columns
+      plan->cols.push_back(ColumnBase(slot));
+      if (!seen[static_cast<size_t>(slot)]) {
+        seen[static_cast<size_t>(slot)] = 1;
+        ++distinct;
+      }
+    }
+  }
+  plan->col_begin.push_back(plan->cols.size());
+  plan->acc.assign(plan->order.size(), 0.0);
+
+  // Tiles of whole trajectories, each as long as keeps the distinct
+  // columns restricted to it within kTileBytes (one trajectory at least).
+  const size_t tile_points = std::max<size_t>(
+      1, kTileBytes / (std::max<size_t>(distinct, 1) * sizeof(double)));
+  const size_t n = data_->size();
+  plan->tiles.push_back(0);
+  size_t longest = 0;
+  for (size_t i = 0; i < n; ++i) {
+    longest = std::max(longest, offsets_[i + 1] - offsets_[i]);
+    const size_t begin = plan->tiles.back();
+    if (i + 1 == n || offsets_[i + 2] - offsets_[begin] > tile_points) {
+      plan->tiles.push_back(i + 1);
+      plan->tile_max_len.push_back(longest);
+      plan->level_stride =
+          std::max(plan->level_stride, offsets_[i + 1] - offsets_[begin]);
+      longest = 0;
+    }
+  }
+
+  // Slices: runs of one first cell, longest first so that the last slice
+  // a lane claims in a tile is a short one.
+  for (size_t k = 0; k < plan->order.size();) {
+    const CellId first = patterns[plan->order[k]][0];
+    size_t end = k + 1;
+    while (end < plan->order.size() && end - k < kSliceCandidates &&
+           patterns[plan->order[end]][0] == first) {
+      ++end;
+    }
+    plan->slices.emplace_back(k, end);
+    k = end;
+  }
+  std::stable_sort(plan->slices.begin(), plan->slices.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second - a.first > b.second - b.first;
+                   });
+}
+
+void NmEngine::WalkSlice(std::span<const Pattern> patterns, Measure measure,
+                         size_t slice, size_t tile, WalkPlan* plan,
+                         WalkScratch* ws) const {
+  const size_t ta = plan->tiles[tile];
+  const size_t te = plan->tiles[tile + 1];
+  const size_t p0 = offsets_[ta];
+  const size_t tile_points = offsets_[te] - p0;
+  const bool nm = measure == Measure::kNm;
+  // Stack positions [0, depth) hold the prefix sums of ws->cells.
+  size_t depth = 0;
+  for (size_t k = plan->slices[slice].first; k < plan->slices[slice].second;
+       ++k) {
+    const Pattern& p = patterns[plan->order[k]];
+    const size_t m = p.length();
+    const double* const* cols = plan->cols.data() + plan->col_begin[k];
+    size_t last = m;  // last specified position, m if none
     for (size_t j = m; j-- > 0;) {
-      if (cols[j] != nullptr) {
+      if (p[j] != kWildcardCell) {
         last = j;
         break;
       }
     }
-    if (last == m) {
-      // All-wildcard: every window sums to log 1, so each trajectory
-      // that can host a window contributes exp(0) == 1.
-      double total = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        if (offsets_[i + 1] - offsets_[i] >= m) total += 1.0;
+    // Window sums of positions [0, last): keep the longest prefix the
+    // stack already holds and fold the remaining positions in one at a
+    // time, in ascending j like the per-pattern kernels.  A pattern no
+    // trajectory of the tile can host needs no sums at all.
+    if (m <= plan->tile_max_len[tile]) {
+      size_t keep = 0;
+      while (keep < std::min(depth, last) && ws->cells[keep] == p[keep]) {
+        ws->reused += ws->computed[keep];
+        ++keep;
       }
-      return total;
-    }
-    bool first = true;
-    if (total_pts >= m) {
-      const size_t nwin = total_pts - m + 1;
-      for (size_t j = 0; j < last; ++j) {
-        const double* src = cols[j];
-        if (src == nullptr) continue;
-        src += j;
-        if (first) {
-          std::memcpy(wsum, src, nwin * sizeof(double));
-          first = false;
+      for (size_t j = keep; j < last; ++j) {
+        const double* below = j == 0 ? nullptr : ws->sums[j - 1];
+        ws->cells[j] = p[j];
+        ws->computed[j] = 0;
+        if (p[j] == kWildcardCell) {
+          ws->sums[j] = below;
+        } else if (below == nullptr) {
+          // The first specified column is its own prefix sum (0.0 + x ==
+          // x; columns never hold -0.0): read it in place.
+          ws->sums[j] = cols[j] + j + p0;
         } else {
-          simd::AddInto(wsum, src, nwin);
+          double* level = ws->levels.data() + j * plan->level_stride;
+          simd::AddTo(level, below, cols[j] + j + p0, tile_points - j);
+          ws->sums[j] = level;
+          ws->computed[j] = 1;
+          ++ws->built;
         }
       }
+      if (keep < last) depth = last;
     }
-    double total = 0.0;
-    for (size_t i = 0; i < n; ++i) {
+    const double* sums = last == 0 || last == m ? nullptr : ws->sums[last - 1];
+    const double spec = static_cast<double>(p.SpecifiedCount());
+    double total = plan->acc[k];
+    for (size_t i = ta; i < te; ++i) {
       const size_t off = offsets_[i];
       const size_t len = offsets_[i + 1] - off;
-      if (len < m) continue;  // too short: contributes 0
-      const size_t nwin = len - m + 1;
-      const double* tail = cols[last] + off + last;
-      const double best = FusedMaxSum(first ? nullptr : wsum + off, tail, nwin);
-      total += std::exp(best);
+      if (len < m) {
+        if (nm) total += LogFloor();
+      } else if (last == m) {
+        total += 1.0;  // all-wildcard Match: every window is exp(0)
+      } else {
+        // The last specified column is fused into the max scan.
+        const double best =
+            FusedMaxSum(sums == nullptr ? nullptr : sums + (off - p0),
+                        cols[last] + off + last, len - m + 1);
+        total += nm ? best / spec : std::exp(best);
+      }
     }
-    return total;
+    plan->acc[k] = total;
   }
-
-  double total = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double best;
-    if (BestWindowSumGather(cols, m, i, &best)) total += std::exp(best);
-  }
-  return total;
 }
 
-double NmEngine::MatchTotalCached(const Pattern& p, ScoreScratch* scratch,
-                                  double /*prune_below*/,
-                                  int64_t* /*trajectories_skipped*/) const {
-  // Match contributions are >= 0: a running partial sum is a *lower*
-  // bound on the total, so the ω-abandon argument does not transfer and
-  // `prune_below` is deliberately ignored here.
-  ResolveColumns(p, /*cached_only=*/true, scratch);
-  return MatchTotalResolved(p, scratch);
-}
-
-double NmEngine::MatchTotal(const Pattern& p) const {
-  ++num_pattern_evaluations_;
-  ScoreScratch scratch;
-  ResolveColumns(p, /*cached_only=*/false, &scratch);
-  return MatchTotalResolved(p, &scratch);
+void NmEngine::Walk(std::span<const Pattern> patterns, Measure measure,
+                    ThreadPool* pool, const RunContext* run,
+                    std::span<WalkScratch> scratch, double* out,
+                    BatchScoreStats* stats) const {
+  WalkPlan plan;
+  PlanWalk(patterns, measure, out, &plan);
+  for (WalkScratch& ws : scratch) {
+    const size_t level_doubles = plan.max_length * plan.level_stride;
+    if (ws.levels.size() < level_doubles) ws.levels.resize(level_doubles);
+    if (ws.sums.size() < plan.max_length) {
+      ws.sums.resize(plan.max_length);
+      ws.cells.resize(plan.max_length);
+      ws.computed.resize(plan.max_length);
+    }
+    ws.built = 0;
+    ws.reused = 0;
+  }
+  // Tile-major: every slice finishes a tile before any starts the next,
+  // so the tile's columns serve the whole batch from cache and each
+  // running total grows in ascending trajectory order.
+  const size_t num_tiles = plan.tiles.size() - 1;
+  for (size_t t = 0; t < num_tiles; ++t) {
+    ParallelFor(
+        pool, plan.slices.size(),
+        [&](size_t s, int worker) {
+          WalkSlice(patterns, measure, s, t, &plan,
+                    &scratch[static_cast<size_t>(worker)]);
+        },
+        run);
+    if (run != nullptr && run->StopRequested()) return;
+  }
+  for (size_t k = 0; k < plan.order.size(); ++k) {
+    out[plan.order[k]] = plan.acc[k];
+  }
+  int64_t built = 0, reused = 0;
+  for (const WalkScratch& ws : scratch) {
+    built += ws.built;
+    reused += ws.reused;
+  }
+  TP_COUNTER_ADD("nm.prefix_levels_built", built);
+  TP_COUNTER_ADD("nm.prefix_levels_reused", reused);
+  if (stats != nullptr) {
+    stats->tiles += static_cast<int>(num_tiles);
+    stats->prefix_levels_built += built;
+    stats->prefix_levels_reused += reused;
+  }
 }
 
 ThreadPool* NmEngine::PoolFor(int threads) const {
@@ -784,7 +906,7 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
 std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
                                          int num_threads,
                                          BatchScoreStats* stats,
-                                         double prune_below, KernelFn kernel,
+                                         double prune_below, Measure measure,
                                          const RunContext* run) const {
   const int threads = ResolveThreadCount(num_threads);
   BatchScoreStats out_stats;
@@ -848,9 +970,15 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
   }
   out_stats.chunks = static_cast<int>(chunks.size());
 
+  // The shared-prefix walk scores every chunk except under the
+  // trajectory-at-a-time kernels: the gather reference and NM
+  // early-abandon.
+  const bool walk =
+      kernel_ == WindowKernel::kStreaming && !(prune_below > kNoPruning);
   ThreadPool* pool = PoolFor(threads);
-  const int lanes = pool == nullptr ? 1 : pool->size();
-  std::vector<ScoreScratch> scratch(static_cast<size_t>(lanes));
+  const size_t lanes = pool == nullptr ? 1 : static_cast<size_t>(pool->size());
+  std::vector<WalkScratch> walk_scratch(walk ? lanes : 0);
+  std::vector<ScoreScratch> scratch(walk ? 0 : lanes);
   std::vector<int64_t> skipped(patterns.size(), 0);
   WallTimer timer;
   for (const auto& chunk : chunks) {
@@ -886,14 +1014,23 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
     timer.Reset();
     {
       TP_TRACE_SPAN("nm/scoring");
-      ParallelFor(
-          pool, ce - cb,
-          [&, cb](size_t i, int worker) {
-            out[cb + i] = (this->*kernel)(patterns[cb + i],
-                                          &scratch[static_cast<size_t>(worker)],
-                                          prune_below, &skipped[cb + i]);
-          },
-          run);
+      if (walk) {
+        Walk(std::span<const Pattern>(patterns).subspan(cb, ce - cb), measure,
+             pool, run, walk_scratch, out.data() + cb, &out_stats);
+      } else {
+        ParallelFor(
+            pool, ce - cb,
+            [&, cb](size_t i, int worker) {
+              const Pattern& p = patterns[cb + i];
+              ScoreScratch* s = &scratch[static_cast<size_t>(worker)];
+              ResolveColumns(p, /*cached_only=*/true, s);
+              out[cb + i] = measure == Measure::kNm
+                                ? NmTotalResolved(p, s, prune_below,
+                                                  &skipped[cb + i])
+                                : MatchTotalResolved(p, s);
+            },
+            run);
+      }
     }
     out_stats.scoring_seconds += timer.Seconds();
     num_pattern_evaluations_ += static_cast<int64_t>(ce - cb);
@@ -924,15 +1061,15 @@ std::vector<double> NmEngine::NmTotalBatch(const std::vector<Pattern>& patterns,
                                            BatchScoreStats* stats,
                                            double prune_below,
                                            const RunContext* run) const {
-  return ScoreBatch(patterns, num_threads, stats, prune_below,
-                    &NmEngine::NmTotalCached, run);
+  return ScoreBatch(patterns, num_threads, stats, prune_below, Measure::kNm,
+                    run);
 }
 
 std::vector<double> NmEngine::MatchTotalBatch(
     const std::vector<Pattern>& patterns, int num_threads,
     BatchScoreStats* stats, const RunContext* run) const {
   return ScoreBatch(patterns, num_threads, stats, kNoPruning,
-                    &NmEngine::MatchTotalCached, run);
+                    Measure::kMatch, run);
 }
 
 double NmEngine::NmTotalWithGaps(const Pattern& p, int max_gap) const {

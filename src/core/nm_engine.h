@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/run_context.h"
@@ -45,6 +46,16 @@ struct BatchScoreStats {
   /// Sub-batches the call was split into to fit the budget (1 == the
   /// whole batch ran as one chunk, the no-budget fast path).
   int chunks = 1;
+  /// Dataset tiles the shared-prefix walk cut its chunks into, summed
+  /// over chunks (0 when no chunk was walked: pruning or gather).
+  int tiles = 0;
+  /// Prefix window-sum levels the walk computed (one `simd::AddTo` pass
+  /// over a tile each) and levels it took over from the previous
+  /// candidate of its slice instead, both summed over tiles.  A level
+  /// folds one more specified column into a sum of at least one; the
+  /// first specified column is read in place and counts as neither.
+  int64_t prefix_levels_built = 0;
+  int64_t prefix_levels_reused = 0;
   /// Why the call stopped early (`kNone` == it completed).  When set,
   /// `out[i]` is only valid for items the call finished before the stop
   /// fired; callers normally discard the whole batch and fall back to
@@ -71,8 +82,9 @@ inline void AccumulateBatch(const BatchScoreStats& batch, MiningCounters* c) {
 /// strided-gather loop, kept as the bit-identity reference for tests and
 /// the window-kernel bench.  Both produce bit-identical scores.
 enum class WindowKernel {
-  /// Position-major: m sequential passes accumulating into a contiguous
-  /// `window_sum[]` scratch, then a per-trajectory max scan.
+  /// Position-major: contiguous passes accumulate window sums, then a
+  /// per-trajectory max scan.  Dataset totals share prefix sums across
+  /// the candidates of a batch (see the class comment).
   kStreaming,
   /// Window-major: per window, gather one value from each of the m
   /// columns (the pre-PR-3 kernel).
@@ -100,11 +112,19 @@ enum class WindowKernel {
 /// candidate set needs before any scoring worker starts — the warm-up
 /// itself fans distinct cells out over the pool into disjoint slabs and
 /// publishes the slot table serially (see `WarmCells`) — then fan the
-/// candidates out over the same pool; scoring workers only ever *read*
-/// the arena.
-/// Batch results use the same per-pattern reduction order as the serial
-/// path (trajectory 0, 1, ...), so they are bit-identical to it
-/// regardless of the worker count.
+/// scan out over the same pool; scoring workers only ever *read* the
+/// arena.
+///
+/// Dataset totals (`NmTotal`, `MatchTotal` and the batch entry points;
+/// one pattern is a batch of one) run the shared-prefix tiled walk: the
+/// candidates are sorted by cells, the dataset is cut into tiles of whole
+/// trajectories small enough that the batch's columns restricted to one
+/// tile stay in cache, and each tile's window sums are built once per
+/// distinct prefix and shared by every candidate extending it.  Every
+/// level is the same left fold of the same columns, and every total adds
+/// its per-trajectory terms in ascending trajectory order, so results are
+/// bit-identical to the per-pattern gather kernel regardless of the
+/// worker count, the batch composition or the memory budget.
 ///
 /// Invalid patterns: the NM measure divides by the specified-position
 /// count, so the empty pattern and all-wildcard patterns are undefined
@@ -316,12 +336,27 @@ class NmEngine {
     std::vector<double> fb;
   };
 
-  /// Result of scoring one pattern with optional pruning: the score (or
-  /// partial-sum bound) plus how many trajectory evaluations the
-  /// early-abandon skipped (0 == not pruned).
-  using KernelFn = double (NmEngine::*)(const Pattern&, ScoreScratch*,
-                                        double prune_below,
-                                        int64_t* trajectories_skipped) const;
+  /// Which dataset aggregate a scan computes.
+  enum class Measure { kNm, kMatch };
+
+  /// Per-lane state of the shared-prefix walk, reused across calls: the
+  /// tile-local prefix window-sum buffers (one per pattern position),
+  /// and per position the base pointer of that prefix's sums (nullptr
+  /// while no specified column has been folded in), the cell it was
+  /// built for, and whether it is a computed level.
+  struct WalkScratch {
+    std::vector<double> levels;
+    std::vector<const double*> sums;
+    std::vector<CellId> cells;
+    std::vector<char> computed;
+    int64_t built = 0;
+    int64_t reused = 0;
+  };
+
+  /// The work plan of one walk: candidate order, tiles and slices.  A
+  /// pure function of the candidate list and the dataset, never of the
+  /// worker count.
+  struct WalkPlan;
 
   /// Writes the log-prob column for `cell` into `out[0, TotalPoints())`,
   /// column-at-a-time through the batched prob entry points
@@ -385,31 +420,48 @@ class NmEngine {
                               size_t off, size_t len, double* wsum,
                               double* best) const;
 
-  /// The allocation-free reduction loops shared by the serial totals and
-  /// the batch workers; `scratch` must hold the pattern's resolved
-  /// columns.  When `prune_below` is above `kNoPruning`, the NM
-  /// reduction early-abandons per the `NmTotalBatch` contract and
-  /// reports skipped trajectories through `trajectories_skipped`.
+  /// Per-pattern, trajectory-at-a-time totals: the gather reference
+  /// kernel, and the NM early-abandon when `prune_below` is above
+  /// `kNoPruning` (it must skip whole trajectories to save work).
+  /// `scratch` must hold the pattern's resolved columns.  Skipped
+  /// trajectories are reported through `trajectories_skipped`.
   double NmTotalResolved(const Pattern& p, ScoreScratch* scratch,
                          double prune_below,
                          int64_t* trajectories_skipped) const;
   double MatchTotalResolved(const Pattern& p, ScoreScratch* scratch) const;
 
-  /// NmTotal over pre-warmed columns using caller-provided scratch; the
-  /// read-only kernel the batch workers run.
-  double NmTotalCached(const Pattern& p, ScoreScratch* scratch,
-                       double prune_below,
-                       int64_t* trajectories_skipped) const;
-  /// MatchTotal counterpart of `NmTotalCached` (ignores `prune_below`).
-  double MatchTotalCached(const Pattern& p, ScoreScratch* scratch,
-                          double prune_below,
-                          int64_t* trajectories_skipped) const;
+  /// `NmTotal`/`MatchTotal`: warms the pattern's columns, then scores it
+  /// as a walk of one (or through the gather kernel when selected).
+  double TotalOne(const Pattern& p, Measure measure) const;
 
-  /// Shared fan-out of the two batch entry points; `kernel` is one of
-  /// the *Cached scorers.
+  /// Shared-prefix tiled walk of `patterns`, whose columns must all be
+  /// resident: out[i] gets pattern i's dataset total.  The lanes of
+  /// `pool` claim slices one tile at a time; a stop from `run` between
+  /// tiles returns with `out` unwritten (the caller reports the stop and
+  /// discards the batch).  `scratch` holds one entry per lane.  Adds its
+  /// tile and prefix-level counts to `stats` when non-null.
+  void Walk(std::span<const Pattern> patterns, Measure measure,
+            ThreadPool* pool, const RunContext* run,
+            std::span<WalkScratch> scratch, double* out,
+            BatchScoreStats* stats) const;
+
+  /// Builds the walk plan of `patterns` and parks the scores that need
+  /// no scan (-infinity for an unscorable NM pattern, 0 for an empty
+  /// Match pattern) in `out`.
+  void PlanWalk(std::span<const Pattern> patterns, Measure measure,
+                double* out, WalkPlan* plan) const;
+
+  /// Walks slice `slice` of `plan` over tile `tile`, adding each
+  /// candidate's per-trajectory terms to its running total in
+  /// `plan->acc`.
+  void WalkSlice(std::span<const Pattern> patterns, Measure measure,
+                 size_t slice, size_t tile, WalkPlan* plan,
+                 WalkScratch* scratch) const;
+
+  /// Shared fan-out of the two batch entry points.
   std::vector<double> ScoreBatch(const std::vector<Pattern>& patterns,
                                  int num_threads, BatchScoreStats* stats,
-                                 double prune_below, KernelFn kernel,
+                                 double prune_below, Measure measure,
                                  const RunContext* run) const;
 
   /// Reads `cell`'s spilled column from the attached store into `out`
@@ -497,6 +549,8 @@ class NmEngine {
   /// Column scratch of the serial lazy-warming paths (`EnsureColumn`);
   /// parallel warm-up workers use per-worker instances instead.
   mutable ColumnScratch column_scratch_;
+  /// Walk scratch of the serial totals (`NmTotal`, `MatchTotal`).
+  mutable WalkScratch walk_scratch_;
 };
 
 /// Joint log probability that the window starting at `begin` in `points`

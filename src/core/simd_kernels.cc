@@ -90,6 +90,23 @@ __attribute__((target("avx2"))) void AddIntoAvx2(double* dst,
   for (; k < n; ++k) dst[k] += src[k];
 }
 
+/// AVX2 three-operand add; per-element IEEE adds like `AddIntoAvx2`.
+__attribute__((target("avx2"))) void AddToAvx2(double* dst, const double* a,
+                                               const double* b, size_t n) {
+  size_t k = 0;
+  for (; k + 8 <= n; k += 8) {
+    _mm256_storeu_pd(
+        dst + k, _mm256_add_pd(_mm256_loadu_pd(a + k), _mm256_loadu_pd(b + k)));
+    _mm256_storeu_pd(dst + k + 4, _mm256_add_pd(_mm256_loadu_pd(a + k + 4),
+                                                _mm256_loadu_pd(b + k + 4)));
+  }
+  for (; k + 4 <= n; k += 4) {
+    _mm256_storeu_pd(
+        dst + k, _mm256_add_pd(_mm256_loadu_pd(a + k), _mm256_loadu_pd(b + k)));
+  }
+  for (; k < n; ++k) dst[k] = a[k] + b[k];
+}
+
 bool CpuHasAvx2() {
 #if defined(__GNUC__) || defined(__clang__)
   return __builtin_cpu_supports("avx2");
@@ -156,6 +173,10 @@ void AddIntoPortable(double* dst, const double* src, size_t n) {
   for (size_t k = 0; k < n; ++k) dst[k] += src[k];
 }
 
+void AddToPortable(double* dst, const double* a, const double* b, size_t n) {
+  for (size_t k = 0; k < n; ++k) dst[k] = a[k] + b[k];
+}
+
 double FusedMaxSum(const double* w, const double* t, size_t n) {
 #if TRAJPATTERN_SIMD_AVX2
   if (ActiveLevel() == Level::kAvx2) return FusedMaxSumAvx2(w, t, n);
@@ -168,6 +189,13 @@ void AddInto(double* dst, const double* src, size_t n) {
   if (ActiveLevel() == Level::kAvx2) return AddIntoAvx2(dst, src, n);
 #endif
   AddIntoPortable(dst, src, n);
+}
+
+void AddTo(double* dst, const double* a, const double* b, size_t n) {
+#if TRAJPATTERN_SIMD_AVX2
+  if (ActiveLevel() == Level::kAvx2) return AddToAvx2(dst, a, b, n);
+#endif
+  AddToPortable(dst, a, b, n);
 }
 
 }  // namespace trajpattern::simd

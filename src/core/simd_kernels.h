@@ -37,11 +37,18 @@ double FusedMaxSum(const double* w, const double* t, size_t n);
 /// bit-identical.
 void AddInto(double* dst, const double* src, size_t n);
 
+/// dst[k] = a[k] + b[k] for k in [0, n): builds one prefix window-sum
+/// level from the level below it (`a`) and a shifted column (`b`).  The
+/// same per-element IEEE add as `AddInto`, so a level is bit-identical to
+/// the in-place fold; no FMA.  `dst` must not overlap `a` or `b`.
+void AddTo(double* dst, const double* a, const double* b, size_t n);
+
 /// Reference implementations, always compiled, dispatch-independent.
 /// The identity tests (and the portable-only CI leg) compare the
 /// dispatched kernels against these bit for bit.
 double FusedMaxSumPortable(const double* w, const double* t, size_t n);
 void AddIntoPortable(double* dst, const double* src, size_t n);
+void AddToPortable(double* dst, const double* a, const double* b, size_t n);
 
 }  // namespace trajpattern::simd
 

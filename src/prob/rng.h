@@ -27,9 +27,14 @@ class Rng {
     return std::uniform_int_distribution<int>(lo, hi)(engine_);
   }
 
-  /// Normal sample with the given mean and standard deviation.
+  /// Normal sample with the given mean and standard deviation (>= 0).
+  /// Scales a standard normal draw, as libstdc++'s
+  /// `normal_distribution` does internally (`z * stddev + mean`), so
+  /// sigma > 0 samples are unchanged and sigma == 0, outside that
+  /// distribution's precondition, returns `mean` after the same draws.
   double Normal(double mean, double sigma) {
-    return std::normal_distribution<double>(mean, sigma)(engine_);
+    const double z = std::normal_distribution<double>(0.0, 1.0)(engine_);
+    return z * sigma + mean;
   }
 
   /// Lognormal sample (of the underlying normal's mu/sigma).

@@ -128,6 +128,21 @@ std::vector<Pattern> SamplePatterns(const FuzzInstance& inst,
   // them, but the engine must still score them consistently).
   out.emplace_back(std::vector<CellId>{cell(), kWildcardCell});
   out.emplace_back(std::vector<CellId>{kWildcardCell, cell()});
+  // Prefix-sharing family for the batch walk, drawn after everything
+  // above so the earlier samples stay put: a 2-3 cell stem with four
+  // tails, a duplicate, the stem itself (a strict prefix of its tails)
+  // and the stem with an interior wildcard.
+  std::vector<CellId> stem = {cell(), cell()};
+  if (rng.Bernoulli(0.5)) stem.push_back(cell());
+  for (int i = 0; i < 4; ++i) {
+    std::vector<CellId> tail = stem;
+    tail.push_back(cell());
+    out.emplace_back(std::move(tail));
+  }
+  out.push_back(out.back());
+  out.emplace_back(stem);
+  out.emplace_back(std::vector<CellId>{stem[0], kWildcardCell, stem[1],
+                                       cell()});
   return out;
 }
 
@@ -230,77 +245,67 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
     }
   }
 
-  // --- Oracle (a), kernel identity per pattern and batch-vs-serial.
+  // --- Oracle (a), kernel identity per pattern and per batch: the
+  // streaming engine's totals — one pattern and whole batches at 1 and N
+  // threads, all through the shared-prefix walk — against the
+  // trajectory-at-a-time gather kernel.
   const std::vector<CellId> alphabet = ref_engine.TouchedCells();
   {
+    NmEngine gather(data, space);
+    gather.set_window_kernel(WindowKernel::kGather);
     NmEngine engine(data, space);
     const std::vector<Pattern> samples = SamplePatterns(inst, alphabet);
-    std::vector<double> nm_stream(samples.size()), match_stream(samples.size());
+    std::vector<double> nm_gather(samples.size()),
+        match_gather(samples.size());
     for (size_t i = 0; i < samples.size(); ++i) {
-      nm_stream[i] = engine.NmTotal(samples[i]);
-      match_stream[i] = engine.MatchTotal(samples[i]);
-    }
-    engine.set_window_kernel(WindowKernel::kGather);
-    for (size_t i = 0; i < samples.size(); ++i) {
+      nm_gather[i] = gather.NmTotal(samples[i]);
+      match_gather[i] = gather.MatchTotal(samples[i]);
       const double nm = engine.NmTotal(samples[i]);
       const double match = engine.MatchTotal(samples[i]);
-      if (!BitEq(nm, nm_stream[i])) {
+      if (!BitEq(nm, nm_gather[i])) {
         fail("NmTotal kernel mismatch on " + samples[i].ToString() + ": " +
-             Hex(nm) + " (gather) vs " + Hex(nm_stream[i]) + " (streaming)");
+             Hex(nm_gather[i]) + " (gather) vs " + Hex(nm) + " (streaming)");
         return report;
       }
-      if (!BitEq(match, match_stream[i])) {
+      if (!BitEq(match, match_gather[i])) {
         fail("MatchTotal kernel mismatch on " + samples[i].ToString() + ": " +
-             Hex(match) + " vs " + Hex(match_stream[i]));
+             Hex(match_gather[i]) + " vs " + Hex(match));
         return report;
       }
     }
-    engine.set_window_kernel(WindowKernel::kStreaming);
     // Scorable samples only: the batch API is specified for patterns
     // that pass ValidateScorable.
     std::vector<Pattern> scorable;
-    for (const Pattern& p : samples) {
-      if (NmEngine::ValidateScorable(p).ok()) scorable.push_back(p);
-    }
-    const std::vector<double> serial = engine.NmTotalBatch(scorable, 1);
-    const std::vector<double> parallel =
-        engine.NmTotalBatch(scorable, inst.num_threads);
-    const std::vector<double> match1 = engine.MatchTotalBatch(scorable, 1);
-    const std::vector<double> matchN =
-        engine.MatchTotalBatch(scorable, inst.num_threads);
-    // Map scorable back to sample indices for the serial comparison.
-    size_t si = 0;
+    std::vector<double> nm_want, match_want;
     for (size_t i = 0; i < samples.size(); ++i) {
       if (!NmEngine::ValidateScorable(samples[i]).ok()) continue;
-      if (!BitEq(serial[si], nm_stream[i])) {
-        fail("NmTotalBatch(1) vs NmTotal mismatch on " +
-             samples[i].ToString() + ": " + Hex(serial[si]) + " vs " +
-             Hex(nm_stream[i]));
-        return report;
-      }
-      if (!BitEq(match1[si], match_stream[i])) {
-        fail("MatchTotalBatch(1) vs MatchTotal mismatch on " +
-             samples[i].ToString());
-        return report;
-      }
-      ++si;
+      scorable.push_back(samples[i]);
+      nm_want.push_back(nm_gather[i]);
+      match_want.push_back(match_gather[i]);
     }
-    for (size_t i = 0; i < scorable.size(); ++i) {
-      if (!BitEq(serial[i], parallel[i])) {
-        fail("NmTotalBatch thread divergence on " + scorable[i].ToString() +
-             ": " + Hex(serial[i]) + " (1 thread) vs " + Hex(parallel[i]) +
-             " (" + std::to_string(inst.num_threads) + " threads)");
-        return report;
-      }
-      if (!BitEq(match1[i], matchN[i])) {
-        fail("MatchTotalBatch thread divergence on " + scorable[i].ToString());
-        return report;
+    for (const int threads : {1, inst.num_threads}) {
+      const std::vector<double> nm = engine.NmTotalBatch(scorable, threads);
+      const std::vector<double> match =
+          engine.MatchTotalBatch(scorable, threads);
+      for (size_t i = 0; i < scorable.size(); ++i) {
+        if (!BitEq(nm[i], nm_want[i])) {
+          fail("NmTotalBatch(" + std::to_string(threads) +
+               " threads) vs gather mismatch on " + scorable[i].ToString() +
+               ": " + Hex(nm[i]) + " vs " + Hex(nm_want[i]));
+          return report;
+        }
+        if (!BitEq(match[i], match_want[i])) {
+          fail("MatchTotalBatch(" + std::to_string(threads) +
+               " threads) vs gather mismatch on " + scorable[i].ToString() +
+               ": " + Hex(match[i]) + " vs " + Hex(match_want[i]));
+          return report;
+        }
       }
     }
 
     // --- Oracle (b), batch pruning contract against the exact values.
     if (!scorable.empty()) {
-      std::vector<double> exact = serial;
+      const std::vector<double>& exact = nm_want;
       std::vector<double> sorted = exact;
       std::sort(sorted.begin(), sorted.end());
       // Thresholds at, just below, and just above an exact value probe

@@ -35,9 +35,11 @@ struct OracleReport {
 /// promises to pass *bit-identically* (or, for (g), exactly):
 ///
 ///  (a) kernels: streaming vs the retained gather reference on mined
-///      top-k, per-pattern NM/Match totals, and batch-vs-serial scoring;
-///      plus `BruteForceTopK` as ground truth when the pattern space is
-///      small enough to enumerate (reported via `brute_force_checked`).
+///      top-k, per-pattern NM/Match totals, and NM/Match batches at 1
+///      and N threads (the shared-prefix walk) against per-pattern
+///      gather totals; plus `BruteForceTopK` as ground truth when the
+///      pattern space is small enough to enumerate (reported via
+///      `brute_force_checked`).
 ///  (b) pruning: ω-aware early-abandon mining vs exact mining (same
 ///      top-k), and the `NmTotalBatch(prune_below)` contract — a pruned
 ///      value is an upper bound on the exact NM and lies below the

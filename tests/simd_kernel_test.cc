@@ -110,5 +110,23 @@ TEST(SimdKernelTest, AddIntoIsPlainIeeeAddition) {
   }
 }
 
+TEST(SimdKernelTest, AddToMatchesPortableOnUnalignedOddLengths) {
+  // Offsetting each operand by one double puts every vector load and
+  // store off a 32-byte boundary, and odd lengths always leave a scalar
+  // tail after the 8- and 4-wide loops.
+  for (size_t n = 1; n <= 41; n += 2) {
+    const std::vector<double> a = ColumnData(n + 1, 6000 + n);
+    const std::vector<double> b = ColumnData(n + 1, 7000 + n);
+    std::vector<double> got(n + 1), want(n + 1);
+    simd::AddTo(got.data() + 1, a.data() + 1, b.data() + 1, n);
+    simd::AddToPortable(want.data() + 1, a.data() + 1, b.data() + 1, n);
+    for (size_t k = 1; k <= n; ++k) {
+      EXPECT_TRUE(BitEq(got[k], want[k])) << "n=" << n << " k=" << k;
+      EXPECT_TRUE(BitEq(got[k], a[k] + b[k])) << "n=" << n << " k=" << k;
+    }
+    EXPECT_EQ(got[0], 0.0) << "wrote before dst, n=" << n;
+  }
+}
+
 }  // namespace
 }  // namespace trajpattern

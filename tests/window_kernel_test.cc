@@ -9,8 +9,10 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/run_context.h"
 #include "core/miner.h"
 #include "core/mining_space.h"
 #include "core/nm_engine.h"
@@ -134,6 +136,170 @@ TEST(WindowKernelTest, BatchMatchesSerialAcrossKernelsAndThreads) {
   // Serial per-pattern calls agree with the batch too.
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_TRUE(BitEqual(engine.NmTotal(batch[i]), streaming_1t[i]));
+  }
+}
+
+/// Ragged trajectories over the unit square for the shared-prefix walk:
+/// every tenth is shorter than the longest patterns (so the log floor is
+/// reached), and there are enough snapshots that a batch touching every
+/// cell of a 10x10 grid walks them in several tiles.
+TrajectoryDataset WalkData(uint64_t seed) {
+  Rng rng(seed);
+  TrajectoryDataset d;
+  for (int i = 0; i < 120; ++i) {
+    Trajectory t("w" + std::to_string(i));
+    const int len =
+        i % 10 == 0 ? rng.UniformInt(1, 4) : rng.UniformInt(60, 110);
+    for (int s = 0; s < len; ++s) {
+      t.Append(Point2(rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)), 0.05);
+    }
+    d.Add(std::move(t));
+  }
+  return d;
+}
+
+/// A prefix-heavy batch in shuffled order: every word of length 1-5 over
+/// three cells and of length 1-3 over four, stems with interior, leading
+/// and trailing wildcards, exact duplicates, a strict-prefix pair, an
+/// all-wildcard pattern, and a singular of every touched cell (which
+/// widens the batch's column set, and so shortens its tiles).
+std::vector<Pattern> PrefixHeavyBatch(const NmEngine& engine, uint64_t seed) {
+  const std::vector<CellId> touched = engine.TouchedCells();
+  EXPECT_GE(touched.size(), 40u);
+  const CellId a = touched[3], b = touched[11], c = touched[17];
+  const CellId e = touched[29], w = kWildcardCell;
+  std::vector<Pattern> batch;
+  std::vector<std::vector<CellId>> words = {{}};
+  for (size_t len = 1; len <= 5; ++len) {
+    std::vector<std::vector<CellId>> longer;
+    for (const auto& word : words) {
+      if (word.size() + 1 != len) continue;
+      for (const CellId x : {a, b, c, e}) {
+        if (x == e && len > 3) continue;
+        longer.push_back(word);
+        longer.back().push_back(x);
+      }
+    }
+    for (const auto& word : longer) batch.emplace_back(word);
+    words = std::move(longer);
+  }
+  for (const std::vector<CellId>& cells : std::vector<std::vector<CellId>>{
+           {a, w, b},
+           {a, w, b, c},
+           {a, w, w, c, e},
+           {w, a, b},
+           {w, w, c},
+           {a, b, w},
+           {c, w, w},
+           {w, w},
+           {a, b, c},
+           {a, w, b},
+           {e, a},
+           {e, a, b, c, e}}) {
+    batch.emplace_back(cells);
+  }
+  for (const CellId x : touched) batch.emplace_back(x);
+  Rng rng(seed);
+  for (size_t i = batch.size(); i > 1; --i) {
+    std::swap(batch[i - 1], batch[static_cast<size_t>(rng.UniformInt(
+                                0, static_cast<int>(i) - 1))]);
+  }
+  return batch;
+}
+
+TEST(WindowKernelTest, SharedPrefixWalkMatchesGatherBitwise) {
+  const MiningSpace space(Grid::UnitSquare(10), 0.1);
+  const TrajectoryDataset d = WalkData(5);
+  NmEngine gather(d, space);
+  gather.set_window_kernel(WindowKernel::kGather);
+  NmEngine engine(d, space);
+  const std::vector<Pattern> batch = PrefixHeavyBatch(engine, 23);
+  std::vector<double> nm_want(batch.size()), match_want(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    nm_want[i] = gather.NmTotal(batch[i]);
+    match_want[i] = gather.MatchTotal(batch[i]);
+  }
+  const auto expect_want = [&](const std::vector<double>& nm,
+                               const std::vector<double>& match,
+                               const std::string& what) {
+    ASSERT_EQ(nm.size(), batch.size());
+    ASSERT_EQ(match.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_TRUE(BitEqual(nm[i], nm_want[i]))
+          << what << " NM " << batch[i].ToString();
+      EXPECT_TRUE(BitEqual(match[i], match_want[i]))
+          << what << " Match " << batch[i].ToString();
+    }
+  };
+
+  for (const int threads : {1, 4}) {
+    BatchScoreStats nm_stats, match_stats;
+    const std::vector<double> nm = engine.NmTotalBatch(batch, threads,
+                                                       &nm_stats);
+    const std::vector<double> match =
+        engine.MatchTotalBatch(batch, threads, &match_stats);
+    expect_want(nm, match, std::to_string(threads) + " threads");
+    EXPECT_EQ(nm_stats.chunks, 1);
+    EXPECT_GE(nm_stats.tiles, 3);
+    EXPECT_EQ(match_stats.tiles, nm_stats.tiles);
+    EXPECT_GT(nm_stats.prefix_levels_reused, 0);
+  }
+
+  // A 40-column budget splits the batch into chunks that each plan and
+  // walk on their own.
+  RunContext run;
+  run.memory_budget_bytes = 40 * engine.column_bytes();
+  NmEngine budgeted(d, space);
+  for (const int threads : {1, 4}) {
+    BatchScoreStats nm_stats, match_stats;
+    const std::vector<double> nm = budgeted.NmTotalBatch(
+        batch, threads, &nm_stats, NmEngine::kNoPruning, &run);
+    const std::vector<double> match =
+        budgeted.MatchTotalBatch(batch, threads, &match_stats, &run);
+    ASSERT_EQ(nm_stats.stop, StopReason::kNone);
+    ASSERT_EQ(match_stats.stop, StopReason::kNone);
+    EXPECT_GE(nm_stats.chunks, 2);
+    expect_want(nm, match, "budgeted, " + std::to_string(threads) + " threads");
+  }
+
+  // One pattern is a walk of one.
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_TRUE(BitEqual(engine.NmTotal(batch[i]), nm_want[i]))
+        << batch[i].ToString();
+    EXPECT_TRUE(BitEqual(engine.MatchTotal(batch[i]), match_want[i]))
+        << batch[i].ToString();
+  }
+}
+
+TEST(WindowKernelTest, PrefixLevelCountsAreHandCountedAndThreadInvariant) {
+  const MiningSpace space(Grid::UnitSquare(6), 0.17);
+  const TrajectoryDataset d = UniformData(8, 10, 3);
+  NmEngine engine(d, space);
+  const std::vector<CellId> cells = engine.TouchedCells();
+  ASSERT_GE(cells.size(), 4u);
+  const CellId a = cells[0], b = cells[1], c = cells[2], e = cells[3];
+  const CellId w = kWildcardCell;
+  // Walk order (cells ascending, the wildcard first) and slices:
+  //   a*bc  builds a+*+b                          built 1
+  //   abc   keeps a, builds a+b                   built 2
+  //   abcd  reuses a+b, builds a+b+c              built 3, reused 1
+  //   abd   reuses a+b                            reused 2
+  //   ac    needs only a, read from its column
+  //   bcd   new slice: builds b+c                 built 4
+  const std::vector<Pattern> batch = {
+      Pattern(std::vector<CellId>{a, b, c}),
+      Pattern(std::vector<CellId>{a, b, e}),
+      Pattern(std::vector<CellId>{a, b, c, e}),
+      Pattern(std::vector<CellId>{a, c}),
+      Pattern(std::vector<CellId>{b, c, e}),
+      Pattern(std::vector<CellId>{a, w, b, c}),
+  };
+  for (const int threads : {1, 4}) {
+    BatchScoreStats stats;
+    engine.NmTotalBatch(batch, threads, &stats);
+    EXPECT_EQ(stats.tiles, 1) << threads << " threads";
+    EXPECT_EQ(stats.prefix_levels_built, 4) << threads << " threads";
+    EXPECT_EQ(stats.prefix_levels_reused, 2) << threads << " threads";
   }
 }
 
