@@ -1,15 +1,12 @@
 // Measures what the observability layer costs on the mining hot path and
-// proves it never changes answers.  Three paired-off/on legs, each gated
+// proves it never changes answers.  Two paired-off/on legs, each gated
 // at --max_overhead_pct (default 2%):
 //
-//   trace              Chrome-trace capture on vs off (counters/gauges
-//                      still live either way — their relaxed atomics are
-//                      the always-on cost of an obs-enabled build)
-//   introspect         run journal streaming to JSONL + live status
-//                      server (/runz et al.) vs neither
-//   introspect_sharded the same toggle on the sharded mining path
-//                      (4 shards), where the coordinator additionally
-//                      journals per-merge ω tightenings
+//   trace       Chrome-trace capture on vs off (counters/gauges still
+//               live either way — their relaxed atomics are the
+//               always-on cost of an obs-enabled build)
+//   introspect  run journal streaming to JSONL + live status server
+//               (/runz et al.) vs neither
 //
 // Every rep's top-k must be bit-identical to its leg's reference.  The
 // remaining comparison — obs-enabled vs. compiled-out — needs two build
@@ -135,7 +132,6 @@ int main(int argc, char** argv) {
   if (!flags.Has("s") && !flags.Has("scale")) cfg.num_trajectories = 120;
   const int reps = std::max(1, flags.GetInt("reps", 15));
   const double max_overhead_pct = flags.GetDouble("max_overhead_pct", 2.0);
-  const int num_shards = std::max(2, flags.GetInt("shards", 4));
   const std::string json_path =
       flags.GetString("json", tb::DefaultJsonPath("BENCH_obs_overhead.json"));
   const std::string journal_path =
@@ -163,8 +159,8 @@ int main(int argc, char** argv) {
       });
   PrintLeg("trace", trace_leg, max_overhead_pct);
 
-  // Legs 2 and 3: live introspection — journal streaming to JSONL with a
-  // status server accepting connections.  The server runs for the whole
+  // Leg 2: live introspection — journal streaming to JSONL with a status
+  // server accepting connections.  The server runs for the whole
   // leg (its accept thread is parked in accept(); presence is the cost
   // being measured); the journal file toggles per run.  Server startup
   // enables the journal's in-memory run tracking for the remainder of
@@ -187,13 +183,6 @@ int main(int argc, char** argv) {
       MeasureLeg(engine, opt, reps, max_overhead_pct, journal_toggle);
   PrintLeg("introspect", introspect_leg, max_overhead_pct);
 
-  MinerOptions sharded_opt = opt;
-  sharded_opt.num_shards = num_shards;
-  sharded_opt.omega_pruning = true;
-  const LegResult sharded_leg =
-      MeasureLeg(engine, sharded_opt, reps, max_overhead_pct, journal_toggle);
-  PrintLeg("introspect_sharded", sharded_leg, max_overhead_pct);
-
   // Liveness sanity outside the measured region: the handlers the server
   // was routing all leg must answer.
   const bool server_ok =
@@ -203,12 +192,10 @@ int main(int argc, char** argv) {
   server.Stop();
   if (!server_ok) std::fprintf(stderr, "status server liveness FAILED\n");
 
-  const bool within_budget = trace_leg.within_budget &&
-                             introspect_leg.within_budget &&
-                             sharded_leg.within_budget;
-  const bool identical = trace_leg.topk_identical &&
-                         introspect_leg.topk_identical &&
-                         sharded_leg.topk_identical;
+  const bool within_budget =
+      trace_leg.within_budget && introspect_leg.within_budget;
+  const bool identical =
+      trace_leg.topk_identical && introspect_leg.topk_identical;
 
   tb::JsonWriter w;
   w.BeginObject();
@@ -219,16 +206,9 @@ int main(int argc, char** argv) {
   w.Key("grid_cells").Int(cfg.grid_side * cfg.grid_side);
   w.Key("k").Int(cfg.k);
   w.Key("reps").Int(reps);
-  w.Key("shards").Int(num_shards);
   w.EndObject();
   WriteLeg(&w, "trace", trace_leg);
   WriteLeg(&w, "introspect", introspect_leg);
-  WriteLeg(&w, "introspect_sharded", sharded_leg);
-  // Back-compat aliases for the original single-leg schema.
-  w.Key("trace_off_seconds").Double(trace_leg.base_seconds);
-  w.Key("trace_on_seconds").Double(trace_leg.on_seconds);
-  w.Key("overhead_pct").Double(trace_leg.overhead_pct, 3);
-  w.Key("min_overhead_pct").Double(trace_leg.min_overhead_pct, 3);
   w.Key("max_overhead_pct").Double(max_overhead_pct, 3);
   w.Key("within_budget").Bool(within_budget);
   w.Key("topk_identical").Bool(identical);

@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -75,23 +74,6 @@ void BM_SimdFusedMaxSum(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdFusedMaxSum)->Arg(2400)->Arg(19200);
 
-void BM_SimdAddInto(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(17);
-  std::vector<double> dst(n), src(n);
-  for (size_t i = 0; i < n; ++i) {
-    dst[i] = -rng.Uniform(0.0, 30.0);
-    src[i] = -rng.Uniform(0.0, 30.0);
-  }
-  for (auto _ : state) {
-    simd::AddInto(dst.data(), src.data(), n);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-  state.SetLabel(simd::ActiveLevelName());
-}
-BENCHMARK(BM_SimdAddInto)->Arg(2400)->Arg(19200);
-
 void BM_GridCellOf(benchmark::State& state) {
   const Grid grid = Grid::UnitSquare(32);
   double x = 0.0;
@@ -153,9 +135,9 @@ void BM_NmTotalBatch(benchmark::State& state) {
 BENCHMARK(BM_NmTotalBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-/// Shared fixture of the window-kernel shoot-out benchmarks: a Fig.
-/// 4-scale ZebraNet workload plus a mining-iteration-shaped candidate
-/// batch (singulars, pairs, and triples over the touched alphabet).
+/// Fixture of the window-scan benchmark: a Fig. 4-scale ZebraNet
+/// workload plus a mining-iteration-shaped candidate batch (singulars,
+/// pairs, and triples over the touched alphabet).
 struct WindowKernelFixture {
   WindowKernelFixture() {
     ZebraNetGeneratorOptions opt;
@@ -187,35 +169,19 @@ struct WindowKernelFixture {
       }
       if (batch.size() >= 1024) break;
     }
-    // Warm every column and derive the ω a full top-10 would impose.
-    std::vector<double> scores = engine->NmTotalBatch(batch, 1);
-    std::sort(scores.begin(), scores.end(), std::greater<double>());
-    omega = scores[std::min<size_t>(10, scores.size()) - 1];
+    engine->NmTotalBatch(batch, 1);  // warm every column
   }
 
   TrajectoryDataset data;
   std::unique_ptr<MiningSpace> space;
   std::unique_ptr<NmEngine> engine;
   std::vector<Pattern> batch;
-  double omega = 0.0;
 };
 
 WindowKernelFixture& SharedWindowKernelFixture() {
   static WindowKernelFixture fixture;
   return fixture;
 }
-
-void BM_WindowKernelGather(benchmark::State& state) {
-  auto& fx = SharedWindowKernelFixture();
-  fx.engine->set_window_kernel(WindowKernel::kGather);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.engine->NmTotalBatch(fx.batch, 1));
-  }
-  fx.engine->set_window_kernel(WindowKernel::kStreaming);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.batch.size()));
-}
-BENCHMARK(BM_WindowKernelGather)->Unit(benchmark::kMillisecond);
 
 void BM_WindowKernelStreaming(benchmark::State& state) {
   auto& fx = SharedWindowKernelFixture();
@@ -226,17 +192,6 @@ void BM_WindowKernelStreaming(benchmark::State& state) {
                           static_cast<int64_t>(fx.batch.size()));
 }
 BENCHMARK(BM_WindowKernelStreaming)->Unit(benchmark::kMillisecond);
-
-void BM_WindowKernelStreamingPruned(benchmark::State& state) {
-  auto& fx = SharedWindowKernelFixture();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fx.engine->NmTotalBatch(fx.batch, 1, nullptr, fx.omega));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.batch.size()));
-}
-BENCHMARK(BM_WindowKernelStreamingPruned)->Unit(benchmark::kMillisecond);
 
 void BM_ZebraNetGenerate(benchmark::State& state) {
   ZebraNetGeneratorOptions opt;

@@ -13,8 +13,6 @@
 //   trajpattern_cli --cmd=mine --in=/tmp/z.csv --deadline_ms=5000
 //                   --memory_budget_mb=64 --checkpoint=/tmp/mine.ckpt
 //                   --checkpoint_retries=5   (one line)
-//   trajpattern_cli --cmd=mine --in=/tmp/z.csv --shards=4
-//                   --omega_exchange=1 --k=50   (sharded, one line)
 //   trajpattern_cli --cmd=score --in=/tmp/z.csv --patterns=/tmp/patterns.csv
 
 #include <algorithm>
@@ -199,15 +197,6 @@ int Mine(const Flags& flags, const ObsOptions& obs_opts) {
   opt.max_candidates_per_iteration =
       static_cast<size_t>(flags.GetInt("beam", 10000));
 
-  // Sharded mining: --shards=N partitions candidate scoring across N
-  // in-process shards (0 = the classic single miner), each with its own
-  // column arena and warm-up; --omega_exchange=0 turns off the
-  // coordinator's cross-shard ω broadcast (shards then prune on their
-  // local top-k only).  The answer is bit-identical either way; sharded
-  // runs enable ω pruning because the exchange is what makes it pay.
-  opt.num_shards = flags.GetInt("shards", 0);
-  opt.omega_exchange = flags.GetBool("omega_exchange", true);
-  if (opt.num_shards > 0) opt.omega_pruning = true;
   opt.num_threads = flags.GetInt("threads", 0);
 
   // Run control: --deadline_ms bounds wall-clock, --memory_budget_mb
@@ -382,7 +371,7 @@ int main(int argc, char** argv) {
       "--seed ...]\n"
       "  mine:     --in=F [--k --min_len --max_len --wildcards --grid "
       "--delta --gamma --beam --out=F]\n"
-      "            [--shards=N --omega_exchange=0|1 --threads=N]\n"
+      "            [--threads=N]\n"
       "            [--faults=drop:0.05,corrupt:0.01,... --fault_seed "
       "--repair=0|1 --max_jump --sigma_growth --checkpoint=F]\n"
       "  score:    --in=F --patterns=F [--grid --delta]\n"

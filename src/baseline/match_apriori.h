@@ -48,9 +48,7 @@ struct MatchMinerOptions {
 };
 
 /// Counters for a match mining run.  Shared work/timing fields come from
-/// `MiningCounters`; `candidates_pruned`/`trajectories_skipped` stay 0
-/// here — match contributions are >= 0, so a partial sum is a lower
-/// bound and supports no ω-abandon.
+/// `MiningCounters`; `candidates_pruned` stays 0 here.
 struct MatchMinerStats : MiningCounters {
   int levels = 0;
   bool hit_frontier_cap = false;

@@ -34,12 +34,6 @@ PbMiningResult MinePbPatterns(const NmEngine& engine,
   // Breadth-first prefix growth; BFS keeps all same-length prefixes live
   // together, matching the projection-based picture ("a large set of
   // prefixes need to be maintained").
-  // One wave of candidates through the batch API, with optional ω-aware
-  // early-abandon against the threshold as of the wave's start (a wave's
-  // own offers only raise ω, so the stale read is conservative).  Pruned
-  // candidates carry their partial-sum upper bound, which the offer
-  // below correctly rejects (bound < ω) and the extensibility bound
-  // scales admissibly.
   // Unified abort bookkeeping: every early stop — run-control stop
   // surfaced by the engine, or the prefix cap — reports through the same
   // stop_reason/aborted fields the core miner uses.
@@ -50,11 +44,9 @@ PbMiningResult MinePbPatterns(const NmEngine& engine,
   StopReason wave_stop = StopReason::kNone;
   auto score_wave = [&](const std::vector<Pattern>& wave) {
     TP_TRACE_SPAN("pb/score_wave");
-    const double prune_below =
-        options.omega_pruning ? top_k.Omega() : NmEngine::kNoPruning;
     BatchScoreStats bstats;
-    const std::vector<double> nms = engine.NmTotalBatch(
-        wave, options.num_threads, &bstats, prune_below, &options.run);
+    const std::vector<double> nms =
+        engine.NmTotalBatch(wave, options.num_threads, &bstats, &options.run);
     AccumulateBatch(bstats, &stats);
     wave_stop = bstats.stop;
     if (wave_stop != StopReason::kNone) {
@@ -64,7 +56,6 @@ PbMiningResult MinePbPatterns(const NmEngine& engine,
     }
     stats.candidates_generated += static_cast<int64_t>(wave.size());
     TP_COUNTER_ADD("pb.candidates_evaluated", wave.size());
-    TP_COUNTER_ADD("pb.candidates_pruned", bstats.candidates_pruned);
     return nms;
   };
 

@@ -30,14 +30,6 @@ struct PbMinerOptions {
   /// Each expanded prefix's alphabet of extensions is scored as one
   /// `NmEngine::NmTotalBatch`; results are identical for any value.
   int num_threads = 1;
-  /// ω-aware early-abandon (off by default): score waves with
-  /// `prune_below` = the running k-th-best threshold.  A pruned
-  /// extension's stored NM is its partial-sum upper bound, which keeps
-  /// the run exact: the top-k rejects it (bound < ω, and ω only grows),
-  /// and the extensibility bound (c/max_length) * NM scales an upper
-  /// bound into an upper bound, so no prefix that exact PB would expand
-  /// is ever cut — some useless ones may survive longer, never fewer.
-  bool omega_pruning = false;
   /// Run control (cancellation/deadline/memory budget), polled per wave
   /// and by scoring workers mid-wave; see common/run_context.h.  On a
   /// stop the in-flight wave is discarded and the run returns its exact

@@ -13,6 +13,15 @@
 #include "stats/timer.h"
 
 namespace trajpattern {
+
+/// One round's high set H and retained queue Q (§4.1).  Both hold ids of
+/// the `ScoreMemo`, in ascending cell order (`ScoreMemo::SortedIds`
+/// order), so two snapshots compare as sets with `==`.
+struct Frontier {
+  std::vector<ScoreMemo::Id> high;
+  std::vector<ScoreMemo::Id> queue;
+};
+
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
@@ -74,6 +83,14 @@ double SplitBound(std::span<const CellId> pattern, const ScoreMemo& scores,
   return bound + slack * std::abs(bound);
 }
 
+namespace {
+
+/// Recomputes the high set H and the retained queue Q from the score
+/// memo under threshold `omega` (§4.1): a pattern is high iff its
+/// memoized NM (or upper bound) reaches ω, and it is retained iff it is
+/// high, singular, or a 1-extension of a high pattern (Lemma 1).  Walks
+/// the memo in `SortedIds` order, so both lists come back sorted and
+/// iteration order is deterministic; refills `*out` in place.
 void RebuildFrontier(const ScoreMemo& scores, double omega, Frontier* out) {
   TP_TRACE_SPAN("miner/rebuild");
   TP_GAUGE_SET("miner.omega", omega);
@@ -100,6 +117,11 @@ void RebuildFrontier(const ScoreMemo& scores, double omega, Frontier* out) {
   TP_TRACE_COUNTER("miner/queue_depth", static_cast<double>(out->queue.size()));
 }
 
+/// The frontier snapshots a checkpoint carries, as ids of `scores` (the
+/// memo restored from the same checkpoint).  A snapshot pattern missing
+/// from the memo is dropped: generation only walks memo entries, so it
+/// cannot matter there.  Returns false iff a `prev_high` pattern was
+/// dropped, in which case the snapshot cannot equal any rebuilt H.
 bool FrontierFromCheckpoint(const ScoreMemo& scores, const MinerCheckpoint& cp,
                             Frontier* prev) {
   auto to_ids = [&](const std::vector<Pattern>& patterns,
@@ -125,6 +147,17 @@ bool FrontierFromCheckpoint(const ScoreMemo& scores, const MinerCheckpoint& cp,
   return high_complete;
 }
 
+/// One iteration's candidate generation (§4 extension step, §5 wildcard
+/// joiners, beam fallback): every high pattern concatenated with every
+/// retained pattern in both orders, the frontier rule skipping pairs
+/// whose halves were both in `prev` (last round's H and Q),
+/// deduplicated against the memo and within the batch.  Each
+/// concatenation is staged in one reusable cell buffer and probed by
+/// span; only a new candidate becomes a `Pattern`.  In beam mode
+/// (`options.max_candidates_per_iteration > 0`) the staged set is
+/// truncated to the best min-max bounds, round-robined across length
+/// strata; `*hit_candidate_cap` reports a truncation.  Deterministic:
+/// the output order is a pure function of the inputs.
 std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
                                         const ScoreMemo& scores,
                                         const Frontier& current,
@@ -269,30 +302,7 @@ std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
   return candidates;
 }
 
-MinerCheckpoint MakeBaseCheckpoint(int completed_iterations, int k,
-                                   double omega, const ScoreMemo& scores,
-                                   const Frontier& prev,
-                                   int64_t candidates_evaluated,
-                                   int64_t candidates_pruned) {
-  MinerCheckpoint cp;
-  cp.iteration = completed_iterations;
-  cp.k = k;
-  cp.omega = omega;
-  // Rows in sorted pattern order; the memo keeps that order
-  // incrementally, and the frontier lists are already in it.
-  cp.scores.reserve(scores.size());
-  for (const ScoreMemo::Id id : scores.SortedIds()) {
-    cp.scores.push_back({scores.pattern(id), scores.nm(id)});
-  }
-  for (const auto& [ids, out] : {std::pair(&prev.high, &cp.prev_high),
-                                 std::pair(&prev.queue, &cp.prev_queue)}) {
-    out->reserve(ids->size());
-    for (const ScoreMemo::Id id : *ids) out->push_back(scores.pattern(id));
-  }
-  cp.candidates_evaluated = candidates_evaluated;
-  cp.candidates_pruned = candidates_pruned;
-  return cp;
-}
+}  // namespace
 
 TrajPatternMiner::TrajPatternMiner(const NmEngine* engine,
                                    const MinerOptions& options)
@@ -307,9 +317,9 @@ void TrajPatternMiner::ScoreBatch(std::vector<Pattern> patterns) {
   TP_TRACE_SPAN("miner/score_batch");
   // The batch runs against the ω that held when it was staged.  A
   // batch's own offers can only raise ω, so this is conservative (never
-  // skips or abandons a candidate the final ω would keep) — and it is
-  // what makes the skip decisions and abandonment points, and hence the
-  // memoized bounds, independent of the worker count.
+  // skips a candidate the final ω would keep) — and it is what makes the
+  // skip decisions, and hence the memoized bounds, independent of the
+  // worker count.
   const double omega = top_k_.Omega();
   // Split bound (exact mode): a candidate whose memo-only bound is below
   // ω can neither enter the top-k nor turn high under any later ω, so it
@@ -335,12 +345,9 @@ void TrajPatternMiner::ScoreBatch(std::vector<Pattern> patterns) {
     if (!is_bounded(i)) scan.push_back(std::move(patterns[i]));
   }
 
-  const double prune_below =
-      options_.omega_pruning ? omega : NmEngine::kNoPruning;
   BatchScoreStats bstats;
-  const std::vector<double> nms =
-      engine_->NmTotalBatch(scan, options_.num_threads, &bstats, prune_below,
-                            &options_.run);
+  const std::vector<double> nms = engine_->NmTotalBatch(
+      scan, options_.num_threads, &bstats, &options_.run);
   AccumulateBatch(bstats, &stats_);
   if (bstats.stop != StopReason::kNone) {
     // Discard the whole batch, skip decisions included: under a
@@ -354,17 +361,14 @@ void TrajPatternMiner::ScoreBatch(std::vector<Pattern> patterns) {
     return;
   }
   TP_COUNTER_ADD("miner.candidates_evaluated", patterns.size());
-  TP_COUNTER_ADD("miner.candidates_pruned",
-                 bstats.candidates_pruned + bounded);
-  TP_COUNTER_ADD("miner.candidates_bounded", bounded);
-  TP_COUNTER_ADD("miner.trajectories_skipped", bstats.trajectories_skipped);
+  TP_COUNTER_ADD("miner.candidates_pruned", bounded);
   stats_.candidates_evaluated += static_cast<int64_t>(patterns.size());
   stats_.candidates_pruned += static_cast<int64_t>(bounded);
   // Serial epilogue in staged order: the memo and top-k offers land
-  // exactly as the serial one-at-a-time loop would.  A bounded or
-  // ω-pruned candidate's memo value is an upper bound below ω: the
-  // top-k would reject it, and the rebuild/1-extension consumers
-  // classify it low — exactly as its exact score would be.
+  // exactly as the serial one-at-a-time loop would.  A bounded
+  // candidate's memo value is an upper bound below ω: the top-k would
+  // reject it, and the rebuild/1-extension consumers classify it low —
+  // exactly as its exact score would be.
   scores_.reserve(scores_.size() + patterns.size(),
                   scores_.num_cells() + batch_cells);
   size_t next = 0;
@@ -388,9 +392,24 @@ MiningResult TrajPatternMiner::Mine(const MinerCheckpoint& resume) {
 
 MinerCheckpoint TrajPatternMiner::MakeCheckpoint(int completed_iterations,
                                                  const Frontier& prev) const {
-  return MakeBaseCheckpoint(completed_iterations, options_.k, top_k_.Omega(),
-                            scores_, prev, stats_.candidates_evaluated,
-                            stats_.candidates_pruned);
+  MinerCheckpoint cp;
+  cp.iteration = completed_iterations;
+  cp.k = options_.k;
+  cp.omega = top_k_.Omega();
+  // Rows in sorted pattern order; the memo keeps that order
+  // incrementally, and the frontier lists are already in it.
+  cp.scores.reserve(scores_.size());
+  for (const ScoreMemo::Id id : scores_.SortedIds()) {
+    cp.scores.push_back({scores_.pattern(id), scores_.nm(id)});
+  }
+  for (const auto& [ids, out] : {std::pair(&prev.high, &cp.prev_high),
+                                 std::pair(&prev.queue, &cp.prev_queue)}) {
+    out->reserve(ids->size());
+    for (const ScoreMemo::Id id : *ids) out->push_back(scores_.pattern(id));
+  }
+  cp.candidates_evaluated = stats_.candidates_evaluated;
+  cp.candidates_pruned = stats_.candidates_pruned;
+  return cp;
 }
 
 MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
@@ -401,8 +420,7 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   // Events fire only at iteration boundaries, so this costs nothing on
   // the scoring hot path and never perturbs the top-k.
   obs::RunJournal& journal = obs::RunJournal::Global();
-  const int64_t jrun =
-      journal.BeginRun(options_.k, /*num_shards=*/0, resume != nullptr);
+  const int64_t jrun = journal.BeginRun(options_.k, resume != nullptr);
 
   if (resume != nullptr) {
     // Restore the score memo and re-derive the top-k/ω from it (the k
@@ -513,9 +531,9 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
     TP_COUNTER_INC("miner.iterations");
     ++stats_.iterations;
 
-    // Candidate generation (shared with the sharded miner — see
-    // `GenerateCandidates`): H x Q in both orders under the frontier
-    // rule, wildcard joiners, and the beam fallback.
+    // Candidate generation (see `GenerateCandidates`): H x Q in both
+    // orders under the frontier rule, wildcard joiners, and the beam
+    // fallback.
     std::vector<Pattern> candidates = GenerateCandidates(
         options_, scores_, frontier, prev, &stats_.hit_candidate_cap);
     prev = frontier;
@@ -632,11 +650,6 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
 MiningResult MineTrajPatterns(const NmEngine& engine,
                               const MinerOptions& options,
                               const MinerCheckpoint* resume) {
-  if (options.num_shards > 0) {
-    // The sharded path (src/shard) produces the bit-identical top-k via
-    // N candidate-partitioned shards and a merging coordinator.
-    return MineShardedDispatch(engine, options, resume);
-  }
   TrajPatternMiner miner(&engine, options);
   return resume != nullptr ? miner.Mine(*resume) : miner.Mine();
 }

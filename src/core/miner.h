@@ -23,22 +23,6 @@ namespace trajpattern {
 /// candidate generation ran over) and are therefore stored explicitly.
 /// Serialized by `WriteMinerCheckpoint` / `ReadMinerCheckpoint` (src/io).
 struct MinerCheckpoint {
-  /// Per-shard slice of a sharded run's resumable state (empty for the
-  /// unsharded miner).  The shard-local top-k heaps themselves are
-  /// re-derived on resume from the global score memo plus the stable
-  /// candidate->shard hash, so a slice only carries the shard's
-  /// inspection ω and its cumulative work counters — what a resumed run
-  /// needs to keep reporting whole-run per-shard statistics.
-  struct ShardSlice {
-    int shard_id = 0;
-    /// Shard-local ω (the shard's own top-k threshold) at checkpoint
-    /// time; informational (re-derived from the memo on resume).
-    double omega = -std::numeric_limits<double>::infinity();
-    int64_t candidates_evaluated = 0;
-    int64_t candidates_pruned = 0;
-    int64_t trajectories_skipped = 0;
-  };
-
   /// Completed grow iterations — the current length level: after level n
   /// the longest candidates generated have ~2^n positions.
   int iteration = 0;
@@ -61,9 +45,6 @@ struct MinerCheckpoint {
   /// post-resume slice.  Absent from v1 checkpoint files (read as 0).
   int64_t candidates_evaluated = 0;
   int64_t candidates_pruned = 0;
-  /// Sharded runs: one slice per shard, in shard-id order (empty for
-  /// unsharded runs; serialized as checkpoint format v3 when present).
-  std::vector<ShardSlice> shards;
 };
 
 /// Knobs of the TrajPattern algorithm (§4, §5).
@@ -113,61 +94,12 @@ struct MinerOptions {
   /// specified-position count so stars cannot inflate a score.
   int max_wildcards = 0;
 
-  /// ω-aware early-abandon (off by default): score candidate batches
-  /// with `NmEngine::NmTotalBatch(prune_below = ω)`, the current
-  /// `TopKPatterns::Omega()`.  A candidate whose running partial sum
-  /// falls below ω is abandoned; the memo then stores that partial sum —
-  /// an upper bound on its exact NM that is itself < ω.  This keeps the
-  /// mined top-k identical to exact mining: ω only grows, so a pruned
-  /// pattern can never (re)enter the top-k, and its high/low label under
-  /// any later ω' >= ω is unchanged (true NM <= bound < ω <= ω'), which
-  /// preserves Lemma 1's 1-extension retention and the min-max beam
-  /// bound (an upper bound stays admissible in min(left, right)).
-  /// The abandons count in `MinerStats::candidates_pruned`, together
-  /// with the split-bound skips that exact mode makes either way.
-  bool omega_pruning = false;
-
   /// Worker threads for candidate scoring: 0 = hardware concurrency,
   /// 1 = exact inline-serial execution (no pool).  Every iteration's
   /// candidate set goes through `NmEngine::NmTotalBatch`, which is
   /// bit-identical to serial scoring for any thread count, so this knob
   /// changes wall-clock only — never the mined answer.
   int num_threads = 1;
-
-  /// In-process mining shards (0 = the classic single-miner path,
-  /// untouched).  With N >= 1, `MineTrajPatterns` routes to the sharded
-  /// miner (src/shard): candidates are partitioned across N shards by a
-  /// stable content hash, each shard owns its own column arena, warm-up,
-  /// and streaming scoring, and a coordinator merges the per-shard
-  /// results into one global top-k after every scoring round.  Every
-  /// candidate is scored whole by exactly one shard, so the global top-k
-  /// is bit-identical to the unsharded run at any shard count.  The run
-  /// context fans out: cancellation/deadline are shared, and a memory
-  /// budget is split evenly across the shard arenas.
-  int num_shards = 0;
-
-  /// Cross-shard ω exchange (sharded runs only).  ON: the coordinator
-  /// broadcasts the merged *global* ω back to every shard, so
-  /// `NmTotalBatch(prune_below = ω_global)` early-abandons across the
-  /// whole cluster; OFF: each shard prunes with its own local top-k ω
-  /// only.  The global ω is always >= any shard-local ω, so exchange
-  /// prunes at least as much — and the same monotone-upper-bound
-  /// argument as `omega_pruning` keeps the answer exact either way.
-  /// Takes effect only when `omega_pruning` is also on.
-  bool omega_exchange = true;
-
-  /// Salt mixed into the candidate->shard hash.  Changing it reshuffles
-  /// the shard assignment (the fuzz oracle uses this to prove the answer
-  /// does not depend on who scores what); the mined top-k is invariant.
-  uint64_t shard_salt = 0;
-
-  /// Sharded runs score each iteration's candidates in rounds of at most
-  /// this many candidates per shard; the coordinator merges heaps and
-  /// re-tightens ω between rounds, which is what lets the exchange prune
-  /// *within* an iteration (including the initial singular batch, which
-  /// the unsharded miner always scores unpruned).  Smaller rounds
-  /// exchange more often at more merge overhead.
-  size_t shard_round_size = 256;
 
   /// Called after every grow iteration with the resumable mining state
   /// (long runs checkpoint here; see `WriteMinerCheckpointFile`).  Return
@@ -193,14 +125,8 @@ struct MinerOptions {
   RunContext run;
 };
 
-/// One round's high set H and retained queue Q (§4.1), shared by the
-/// single miner and the sharded miner (src/shard).  Both hold ids of the
-/// global `ScoreMemo`, in ascending cell order (`ScoreMemo::SortedIds`
-/// order), so two snapshots compare as sets with `==`.
-struct Frontier {
-  std::vector<ScoreMemo::Id> high;
-  std::vector<ScoreMemo::Id> queue;
-};
+/// One round's high set H and retained queue Q (§4.1); see miner.cc.
+struct Frontier;
 
 /// Counters reported alongside a mining result.  The shared work/timing
 /// fields (candidates generated/evaluated/pruned, warmup/scoring split)
@@ -299,66 +225,13 @@ class TrajPatternMiner {
 /// it also bounds the value `NmEngine::NmTotal` computes in floating
 /// point and may itself be memoized and chained.  +infinity when no cut
 /// has both halves memoized.  Memo values may be exact scores or upper
-/// bounds (ω-pruned partial sums, earlier split bounds).  The full
-/// argument is in docs/ALGORITHM.md, "Split bound".
+/// bounds (earlier split bounds).  The full argument is in
+/// docs/ALGORITHM.md, "Split bound".
 double SplitBound(std::span<const CellId> pattern, const ScoreMemo& scores,
                   size_t num_trajectories);
 
-/// Recomputes the high set H and the retained queue Q from the global
-/// score memo under threshold `omega` (§4.1): a pattern is high iff its
-/// memoized NM (or pruned upper bound) reaches ω, and it is retained iff
-/// it is high, singular, or a 1-extension of a high pattern (Lemma 1).
-/// Walks the memo in `SortedIds` order, so both lists come back sorted
-/// and iteration order is deterministic; refills `*out` in place.
-/// Shared by both miners — the sharded run classifies against the
-/// *global* ω and therefore rebuilds the exact same frontier.
-void RebuildFrontier(const ScoreMemo& scores, double omega, Frontier* out);
-
-/// The frontier snapshots a checkpoint carries, as ids of `scores` (the
-/// memo restored from the same checkpoint).  A snapshot pattern missing
-/// from the memo is dropped: generation only walks memo entries, so it
-/// cannot matter there.  Returns false iff a `prev_high` pattern was
-/// dropped, in which case the snapshot cannot equal any rebuilt H.
-bool FrontierFromCheckpoint(const ScoreMemo& scores, const MinerCheckpoint& cp,
-                            Frontier* prev);
-
-/// One iteration's candidate generation (§4 extension step, §5 wildcard
-/// joiners, beam fallback): every high pattern concatenated with every
-/// retained pattern in both orders, the frontier rule skipping pairs
-/// whose halves were both in `prev` (last round's H and Q),
-/// deduplicated against the memo and within the batch.  Each
-/// concatenation is staged in one reusable cell buffer and probed by
-/// span; only a new candidate becomes a `Pattern`.  In beam mode
-/// (`options.max_candidates_per_iteration > 0`) the staged set is
-/// truncated to the best min-max bounds, round-robined across length
-/// strata; `*hit_candidate_cap` reports a truncation.  Deterministic:
-/// the output order is a pure function of the inputs.
-std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
-                                        const ScoreMemo& scores,
-                                        const Frontier& current,
-                                        const Frontier& prev,
-                                        bool* hit_candidate_cap);
-
-/// Assembles the version-agnostic core of a checkpoint (the memo in
-/// sorted order, the `prev` frontier snapshots, global counters);
-/// sharded callers append their `ShardSlice`s afterwards.
-MinerCheckpoint MakeBaseCheckpoint(int completed_iterations, int k,
-                                   double omega, const ScoreMemo& scores,
-                                   const Frontier& prev,
-                                   int64_t candidates_evaluated,
-                                   int64_t candidates_pruned);
-
-/// The sharded mining path (`MinerOptions::num_shards >= 1`), defined in
-/// src/shard/sharded_miner.cc; `MineTrajPatterns` routes here so every
-/// caller — CLI, supervisor, benches — gains sharding through one knob.
-MiningResult MineShardedDispatch(const NmEngine& engine,
-                                 const MinerOptions& options,
-                                 const MinerCheckpoint* resume);
-
 /// Convenience wrapper: builds an engine-backed miner and runs it; pass a
-/// `resume` checkpoint to continue an earlier (aborted) run.  With
-/// `options.num_shards >= 1` the run is executed by the sharded miner
-/// (bit-identical answer; see src/shard).
+/// `resume` checkpoint to continue an earlier (aborted) run.
 MiningResult MineTrajPatterns(const NmEngine& engine,
                               const MinerOptions& options,
                               const MinerCheckpoint* resume = nullptr);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <new>
 #include <unordered_set>
 #include <utility>
@@ -24,12 +23,6 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 /// (a dedup marker that never survives a WarmCells call).
 constexpr int32_t kNoSlot = -1;
 constexpr int32_t kStagedSlot = -2;
-
-/// The fused last-column max scan; dispatched to AVX2 when available,
-/// bit-identical at every level (see simd_kernels.h).
-inline double FusedMaxSum(const double* w, const double* t, size_t n) {
-  return simd::FusedMaxSum(w, t, n);
-}
 
 /// Cache budget of one walk tile: the batch's distinct columns restricted
 /// to a tile fit in it.  One core's L2 on the 4-core x86-64 VM the walk
@@ -230,166 +223,24 @@ int32_t NmEngine::EnsureColumn(CellId cell) const {
   return slot;
 }
 
-void NmEngine::ResolveColumns(const Pattern& p, bool cached_only,
-                              ScoreScratch* scratch) const {
-  const size_t m = p.length();
-  auto& cols = scratch->cols;
-  if (cols.size() < m) cols.resize(m);
-  if (scratch->wsum.size() < flat_points_.size()) {
-    scratch->wsum.resize(flat_points_.size());
+void NmEngine::ResolveColumns(const Pattern& p,
+                              std::vector<const double*>* cols) const {
+  // Materialize every missing column BEFORE taking any base pointer:
+  // arena growth reallocates, which would dangle a sibling position
+  // resolved earlier in the same pattern.
+  for (const CellId c : p.cells()) {
+    if (c != kWildcardCell) EnsureColumn(c);
   }
-  if (!cached_only) {
-    // Materialize every missing column BEFORE taking any base pointer:
-    // arena growth reallocates, which would dangle a sibling position
-    // resolved earlier in the same pattern.
-    for (size_t j = 0; j < m; ++j) {
-      if (p[j] != kWildcardCell) EnsureColumn(p[j]);
-    }
+  cols->clear();
+  for (const CellId c : p.cells()) {
+    cols->push_back(c == kWildcardCell
+                        ? nullptr
+                        : ColumnBase(cell_slot_[static_cast<size_t>(c)]));
   }
-  for (size_t j = 0; j < m; ++j) {
-    if (p[j] == kWildcardCell) {
-      cols[j] = nullptr;
-      continue;
-    }
-    assert(space_.grid.IsValid(p[j]));
-    // Batch workers land here with cached_only; the warm-up contract
-    // guarantees a materialized slot, which keeps this lookup read-only
-    // and therefore race-free.
-    const int32_t slot = cell_slot_[static_cast<size_t>(p[j])];
-    assert(slot >= 0);
-    cols[j] = ColumnBase(slot);
-  }
-}
-
-bool NmEngine::BestWindowSumGather(const std::vector<const double*>& cols,
-                                   size_t m, size_t traj_index,
-                                   double* best) const {
-  const size_t off = offsets_[traj_index];
-  const size_t len = offsets_[traj_index + 1] - off;
-  if (len < m || m == 0) return false;
-  double best_sum = kNegInf;
-  for (size_t k = 0; k + m <= len; ++k) {
-    double sum = 0.0;
-    for (size_t j = 0; j < m; ++j) {
-      if (cols[j] != nullptr) sum += cols[j][off + k + j];
-    }
-    if (sum > best_sum) best_sum = sum;
-  }
-  *best = best_sum;
-  return true;
-}
-
-bool NmEngine::BestWindowSumStreaming(const std::vector<const double*>& cols,
-                                      size_t m, size_t off, size_t len,
-                                      double* wsum, double* best) const {
-  if (len < m || m == 0) return false;
-  const size_t nwin = len - m + 1;
-  // Position-major accumulation: one contiguous pass per specified
-  // position, in ascending j — the same per-window addition order as the
-  // gather kernel, hence bit-identical sums.  The first specified pass
-  // initializes instead of adding (0.0 + x == x; columns are logs of
-  // probabilities and can never hold -0.0), and the last one is fused
-  // into the max scan so its sums are never stored at all.
-  size_t last = m;  // index of the last specified position, m if none
-  for (size_t j = m; j-- > 0;) {
-    if (cols[j] != nullptr) {
-      last = j;
-      break;
-    }
-  }
-  if (last == m) {  // all-wildcard window: every sum is 0
-    *best = 0.0;
-    return true;
-  }
-  bool first = true;
-  for (size_t j = 0; j < last; ++j) {
-    const double* src = cols[j];
-    if (src == nullptr) continue;
-    src += off + j;
-    if (first) {
-      std::memcpy(wsum, src, nwin * sizeof(double));
-      first = false;
-    } else {
-      simd::AddInto(wsum, src, nwin);
-    }
-  }
-  const double* tail = cols[last] + off + last;
-  // `first` still set: a single specified position scans its column
-  // directly, no accumulator needed.
-  *best = FusedMaxSum(first ? nullptr : wsum, tail, nwin);
-  return true;
-}
-
-double NmEngine::Nm(const Pattern& p, size_t traj_index) const {
-  if (p.SpecifiedCount() == 0) return kNegInf;  // see ValidateScorable
-  ScoreScratch scratch;
-  ResolveColumns(p, /*cached_only=*/false, &scratch);
-  const size_t off = offsets_[traj_index];
-  const size_t len = offsets_[traj_index + 1] - off;
-  double best;
-  const bool ok =
-      kernel_ == WindowKernel::kGather
-          ? BestWindowSumGather(scratch.cols, p.length(), traj_index, &best)
-          : BestWindowSumStreaming(scratch.cols, p.length(), off, len,
-                                   scratch.wsum.data(), &best);
-  if (!ok) return LogFloor();
-  return best / static_cast<double>(p.SpecifiedCount());
-}
-
-double NmEngine::NmTotalResolved(const Pattern& p, ScoreScratch* scratch,
-                                 double prune_below,
-                                 int64_t* trajectories_skipped) const {
-  const size_t m = p.length();
-  const size_t specified = p.SpecifiedCount();
-  if (specified == 0) return kNegInf;  // see ValidateScorable
-  const double spec = static_cast<double>(specified);
-  const auto& cols = scratch->cols;
-  const size_t n = data_->size();
-  const bool prune = prune_below > kNoPruning;
-  double total = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double best;
-    const bool ok =
-        kernel_ == WindowKernel::kGather
-            ? BestWindowSumGather(cols, m, i, &best)
-            : BestWindowSumStreaming(cols, m, offsets_[i],
-                                     offsets_[i + 1] - offsets_[i],
-                                     scratch->wsum.data(), &best);
-    total += ok ? best / spec : LogFloor();
-    // Every contribution is <= 0, so `total` is a monotone
-    // non-increasing upper bound on the final sum: once it is below the
-    // threshold the pattern can never climb back above it.
-    if (prune && total < prune_below && i + 1 < n) {
-      if (trajectories_skipped != nullptr) {
-        *trajectories_skipped += static_cast<int64_t>(n - i - 1);
-      }
-      return total;  // partial-sum upper bound, itself < prune_below
-    }
-  }
-  return total;
-}
-
-double NmEngine::MatchTotalResolved(const Pattern& p,
-                                    ScoreScratch* scratch) const {
-  double total = 0.0;
-  for (size_t i = 0; i < data_->size(); ++i) {
-    double best;
-    if (BestWindowSumGather(scratch->cols, p.length(), i, &best)) {
-      total += std::exp(best);
-    }
-  }
-  return total;
 }
 
 double NmEngine::TotalOne(const Pattern& p, Measure measure) const {
   ++num_pattern_evaluations_;
-  if (kernel_ == WindowKernel::kGather) {
-    ScoreScratch scratch;
-    ResolveColumns(p, /*cached_only=*/false, &scratch);
-    return measure == Measure::kNm
-               ? NmTotalResolved(p, &scratch, kNoPruning, nullptr)
-               : MatchTotalResolved(p, &scratch);
-  }
   // Fill any missing columns while still serial, then walk the batch of
   // one with the read-only code the batch path runs.
   for (CellId c : p.cells()) {
@@ -403,21 +254,6 @@ double NmEngine::TotalOne(const Pattern& p, Measure measure) const {
 
 double NmEngine::NmTotal(const Pattern& p) const {
   return TotalOne(p, Measure::kNm);
-}
-
-double NmEngine::Match(const Pattern& p, size_t traj_index) const {
-  ScoreScratch scratch;
-  ResolveColumns(p, /*cached_only=*/false, &scratch);
-  const size_t off = offsets_[traj_index];
-  const size_t len = offsets_[traj_index + 1] - off;
-  double best;
-  const bool ok =
-      kernel_ == WindowKernel::kGather
-          ? BestWindowSumGather(scratch.cols, p.length(), traj_index, &best)
-          : BestWindowSumStreaming(scratch.cols, p.length(), off, len,
-                                   scratch.wsum.data(), &best);
-  if (!ok) return 0.0;
-  return std::exp(best);
 }
 
 double NmEngine::MatchTotal(const Pattern& p) const {
@@ -549,7 +385,7 @@ void NmEngine::WalkSlice(std::span<const Pattern> patterns, Measure measure,
     }
     // Window sums of positions [0, last): keep the longest prefix the
     // stack already holds and fold the remaining positions in one at a
-    // time, in ascending j like the per-pattern kernels.  A pattern no
+    // time, in ascending j like a window-major sum.  A pattern no
     // trajectory of the tile can host needs no sums at all.
     if (m <= plan->tile_max_len[tile]) {
       size_t keep = 0;
@@ -590,8 +426,8 @@ void NmEngine::WalkSlice(std::span<const Pattern> patterns, Measure measure,
       } else {
         // The last specified column is fused into the max scan.
         const double best =
-            FusedMaxSum(sums == nullptr ? nullptr : sums + (off - p0),
-                        cols[last] + off + last, len - m + 1);
+            simd::FusedMaxSum(sums == nullptr ? nullptr : sums + (off - p0),
+                              cols[last] + off + last, len - m + 1);
         total += nm ? best / spec : std::exp(best);
       }
     }
@@ -906,7 +742,7 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
 std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
                                          int num_threads,
                                          BatchScoreStats* stats,
-                                         double prune_below, Measure measure,
+                                         Measure measure,
                                          const RunContext* run) const {
   const int threads = ResolveThreadCount(num_threads);
   BatchScoreStats out_stats;
@@ -970,16 +806,9 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
   }
   out_stats.chunks = static_cast<int>(chunks.size());
 
-  // The shared-prefix walk scores every chunk except under the
-  // trajectory-at-a-time kernels: the gather reference and NM
-  // early-abandon.
-  const bool walk =
-      kernel_ == WindowKernel::kStreaming && !(prune_below > kNoPruning);
   ThreadPool* pool = PoolFor(threads);
   const size_t lanes = pool == nullptr ? 1 : static_cast<size_t>(pool->size());
-  std::vector<WalkScratch> walk_scratch(walk ? lanes : 0);
-  std::vector<ScoreScratch> scratch(walk ? 0 : lanes);
-  std::vector<int64_t> skipped(patterns.size(), 0);
+  std::vector<WalkScratch> walk_scratch(lanes);
   WallTimer timer;
   for (const auto& chunk : chunks) {
     const size_t cb = chunk.first;
@@ -1014,23 +843,8 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
     timer.Reset();
     {
       TP_TRACE_SPAN("nm/scoring");
-      if (walk) {
-        Walk(std::span<const Pattern>(patterns).subspan(cb, ce - cb), measure,
-             pool, run, walk_scratch, out.data() + cb, &out_stats);
-      } else {
-        ParallelFor(
-            pool, ce - cb,
-            [&, cb](size_t i, int worker) {
-              const Pattern& p = patterns[cb + i];
-              ScoreScratch* s = &scratch[static_cast<size_t>(worker)];
-              ResolveColumns(p, /*cached_only=*/true, s);
-              out[cb + i] = measure == Measure::kNm
-                                ? NmTotalResolved(p, s, prune_below,
-                                                  &skipped[cb + i])
-                                : MatchTotalResolved(p, s);
-            },
-            run);
-      }
+      Walk(std::span<const Pattern>(patterns).subspan(cb, ce - cb), measure,
+           pool, run, walk_scratch, out.data() + cb, &out_stats);
     }
     out_stats.scoring_seconds += timer.Seconds();
     num_pattern_evaluations_ += static_cast<int64_t>(ce - cb);
@@ -1043,15 +857,7 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
     }
   }
   TP_COUNTER_ADD("nm.cells_warmed", out_stats.cells_warmed);
-  for (int64_t s : skipped) {
-    if (s > 0) {
-      ++out_stats.candidates_pruned;
-      out_stats.trajectories_skipped += s;
-    }
-  }
   TP_COUNTER_ADD("nm.candidates_scored", patterns.size());
-  TP_COUNTER_ADD("nm.candidates_pruned", out_stats.candidates_pruned);
-  TP_COUNTER_ADD("nm.trajectories_skipped", out_stats.trajectories_skipped);
   if (stats != nullptr) *stats = out_stats;
   return out;
 }
@@ -1059,17 +865,14 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
 std::vector<double> NmEngine::NmTotalBatch(const std::vector<Pattern>& patterns,
                                            int num_threads,
                                            BatchScoreStats* stats,
-                                           double prune_below,
                                            const RunContext* run) const {
-  return ScoreBatch(patterns, num_threads, stats, prune_below, Measure::kNm,
-                    run);
+  return ScoreBatch(patterns, num_threads, stats, Measure::kNm, run);
 }
 
 std::vector<double> NmEngine::MatchTotalBatch(
     const std::vector<Pattern>& patterns, int num_threads,
     BatchScoreStats* stats, const RunContext* run) const {
-  return ScoreBatch(patterns, num_threads, stats, kNoPruning,
-                    Measure::kMatch, run);
+  return ScoreBatch(patterns, num_threads, stats, Measure::kMatch, run);
 }
 
 double NmEngine::NmTotalWithGaps(const Pattern& p, int max_gap) const {
@@ -1077,9 +880,8 @@ double NmEngine::NmTotalWithGaps(const Pattern& p, int max_gap) const {
   ++num_pattern_evaluations_;
   const size_t m = p.length();
   if (p.SpecifiedCount() == 0) return kNegInf;  // see ValidateScorable
-  ScoreScratch scratch;
-  ResolveColumns(p, /*cached_only=*/false, &scratch);
-  const auto& cols = scratch.cols;
+  std::vector<const double*> cols;
+  ResolveColumns(p, &cols);
   double total = 0.0;
   for (size_t i = 0; i < data_->size(); ++i) {
     const size_t off = offsets_[i];

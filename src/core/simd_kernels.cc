@@ -70,27 +70,10 @@ __attribute__((target("avx2"))) double FusedMaxSumAvx2(const double* w,
   return best;
 }
 
-/// AVX2 element-wise accumulate; per-element IEEE adds, so identical to
-/// the portable loop by construction.  Unaligned loads/stores: the
-/// window_sum scratch and the column slabs are offset by trajectory
-/// starts and pattern positions, so 32-byte alignment cannot be assumed.
-__attribute__((target("avx2"))) void AddIntoAvx2(double* dst,
-                                                 const double* src, size_t n) {
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    _mm256_storeu_pd(
-        dst + k, _mm256_add_pd(_mm256_loadu_pd(dst + k), _mm256_loadu_pd(src + k)));
-    _mm256_storeu_pd(dst + k + 4, _mm256_add_pd(_mm256_loadu_pd(dst + k + 4),
-                                                _mm256_loadu_pd(src + k + 4)));
-  }
-  for (; k + 4 <= n; k += 4) {
-    _mm256_storeu_pd(
-        dst + k, _mm256_add_pd(_mm256_loadu_pd(dst + k), _mm256_loadu_pd(src + k)));
-  }
-  for (; k < n; ++k) dst[k] += src[k];
-}
-
-/// AVX2 three-operand add; per-element IEEE adds like `AddIntoAvx2`.
+/// AVX2 three-operand add; per-element IEEE adds, so identical to the
+/// portable loop by construction.  Unaligned loads/stores: the prefix
+/// levels and the column slabs are offset by tile starts and pattern
+/// positions, so 32-byte alignment cannot be assumed.
 __attribute__((target("avx2"))) void AddToAvx2(double* dst, const double* a,
                                                const double* b, size_t n) {
   size_t k = 0;
@@ -167,13 +150,9 @@ double FusedMaxSumPortable(const double* w, const double* t, size_t n) {
   return std::max(std::max(b0, b1), std::max(b2, b3));
 }
 
-void AddIntoPortable(double* dst, const double* src, size_t n) {
-  // Dense, dependence-free accumulation: -O3's vectorizer handles this
-  // loop on every ISA, which is the whole portable fallback policy.
-  for (size_t k = 0; k < n; ++k) dst[k] += src[k];
-}
-
 void AddToPortable(double* dst, const double* a, const double* b, size_t n) {
+  // Dense, dependence-free addition: -O3's vectorizer handles this loop
+  // on every ISA, which is the whole portable fallback policy.
   for (size_t k = 0; k < n; ++k) dst[k] = a[k] + b[k];
 }
 
@@ -182,13 +161,6 @@ double FusedMaxSum(const double* w, const double* t, size_t n) {
   if (ActiveLevel() == Level::kAvx2) return FusedMaxSumAvx2(w, t, n);
 #endif
   return FusedMaxSumPortable(w, t, n);
-}
-
-void AddInto(double* dst, const double* src, size_t n) {
-#if TRAJPATTERN_SIMD_AVX2
-  if (ActiveLevel() == Level::kAvx2) return AddIntoAvx2(dst, src, n);
-#endif
-  AddIntoPortable(dst, src, n);
 }
 
 void AddTo(double* dst, const double* a, const double* b, size_t n) {

@@ -27,27 +27,21 @@ const char* ActiveLevelName();
 
 /// max over k in [0, n) of w[k] + t[k], or of t[k] alone when `w` is
 /// null; -infinity for n == 0.  The fused last-column max scan of the
-/// streaming window kernel.  Inputs must be finite (they are sums of
+/// shared-prefix walk.  Inputs must be finite (they are sums of
 /// log-probabilities, floored at LogFloor()); no NaN and no -0.0 can
 /// appear, which is what licenses the vector reassociation.
 double FusedMaxSum(const double* w, const double* t, size_t n);
 
-/// dst[k] += src[k] for k in [0, n): the position-major window_sum
-/// accumulation pass.  Element-wise, so vectorization is trivially
-/// bit-identical.
-void AddInto(double* dst, const double* src, size_t n);
-
 /// dst[k] = a[k] + b[k] for k in [0, n): builds one prefix window-sum
-/// level from the level below it (`a`) and a shifted column (`b`).  The
-/// same per-element IEEE add as `AddInto`, so a level is bit-identical to
-/// the in-place fold; no FMA.  `dst` must not overlap `a` or `b`.
+/// level from the level below it (`a`) and a shifted column (`b`).
+/// Element-wise IEEE adds, so vectorization is trivially bit-identical;
+/// no FMA.  `dst` must not overlap `a` or `b`.
 void AddTo(double* dst, const double* a, const double* b, size_t n);
 
 /// Reference implementations, always compiled, dispatch-independent.
 /// The identity tests (and the portable-only CI leg) compare the
 /// dispatched kernels against these bit for bit.
 double FusedMaxSumPortable(const double* w, const double* t, size_t n);
-void AddIntoPortable(double* dst, const double* src, size_t n);
 void AddToPortable(double* dst, const double* a, const double* b, size_t n);
 
 }  // namespace trajpattern::simd

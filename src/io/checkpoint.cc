@@ -175,11 +175,7 @@ Status WriteMinerCheckpoint(const MinerCheckpoint& cp, std::ostream& os) {
     AppendInt(&buf, value);
     buf.push_back('\n');
   };
-  // v3 exists only to carry shard slices; unsharded checkpoints keep
-  // writing v2 byte-for-byte, so older readers (and the committed v2
-  // fixtures) stay valid.
-  const bool v3 = !cp.shards.empty();
-  buf.append(v3 ? kMagicV3 : kMagicV2);
+  buf.append(kMagicV2);
   buf.push_back('\n');
   header("iteration", cp.iteration);
   header("k", cp.k);
@@ -205,20 +201,6 @@ Status WriteMinerCheckpoint(const MinerCheckpoint& cp, std::ostream& os) {
       flush(false);
     }
   }
-  if (v3) {
-    header("shards", static_cast<int64_t>(cp.shards.size()));
-    for (const MinerCheckpoint::ShardSlice& s : cp.shards) {
-      AppendInt(&buf, s.shard_id);
-      buf.push_back(',');
-      AppendHexDouble(&buf, s.omega);
-      for (const int64_t v : {s.candidates_evaluated, s.candidates_pruned,
-                              s.trajectories_skipped}) {
-        buf.push_back(',');
-        AppendInt(&buf, v);
-      }
-      buf.push_back('\n');
-    }
-  }
   buf.append("end\n");
   flush(true);
   if (!os) return Status::DataLoss("checkpoint stream write failed");
@@ -233,13 +215,19 @@ Status ReadMinerCheckpoint(std::istream& is, MinerCheckpoint* cp) {
   MinerCheckpoint out;
   LineReader reader(is);
   std::string line;
-  if (!reader.Next(&line) ||
-      (line != kMagicV1 && line != kMagicV2 && line != kMagicV3)) {
+  const bool have_header = reader.Next(&line);
+  if (have_header && line == kMagicV3) {
+    // v3 files hold sharded runs, which nothing here can resume: say
+    // so rather than report a bad header.
+    return Status::FailedPrecondition(
+        "checkpoint format v3 (a sharded run) is no longer supported; "
+        "v1 and v2 are");
+  }
+  if (!have_header || (line != kMagicV1 && line != kMagicV2)) {
     return Status::DataLoss(
         "not a trajpattern checkpoint (bad or missing header)");
   }
-  const bool v3 = line == kMagicV3;
-  const bool v2 = line == kMagicV2 || v3;
+  const bool v2 = line == kMagicV2;
   // Fixed "key,count-or-value" headers followed by their payload blocks.
   auto expect_keyed_long = [&](const std::string& key, long* value) {
     if (!reader.Next(&line)) return reader.Error("truncated before " + key);
@@ -332,42 +320,6 @@ Status ReadMinerCheckpoint(std::istream& is, MinerCheckpoint* cp) {
       std::vector<CellId> cells;
       if (!ParseCells(line, &cells)) return reader.Error("malformed " + key + " row");
       block->emplace_back(std::move(cells));
-    }
-  }
-
-  // v3 appends the sharded-run slices: one
-  // "shard_id,omega,evaluated,pruned,skipped" row per shard.
-  if (v3) {
-    s = expect_keyed_long("shards", &count);
-    if (!s.ok()) return s;
-    // Shard counts are small by construction (in-process shards on one
-    // machine); anything large is corruption.
-    constexpr long kMaxShards = 65536;
-    if (count < 0 || count > kMaxShards) {
-      return reader.Error("implausible shards count");
-    }
-    out.shards.reserve(static_cast<size_t>(count));
-    for (long i = 0; i < count; ++i) {
-      if (!reader.Next(&line)) return reader.Error("truncated shards block");
-      std::vector<std::string> fields;
-      std::string field;
-      std::istringstream fs(line);
-      while (std::getline(fs, field, ',')) fields.push_back(field);
-      MinerCheckpoint::ShardSlice slice;
-      long shard_id, evaluated, pruned, skipped;
-      if (fields.size() != 5 || !ParseLong(fields[0], &shard_id) ||
-          !ParseHexDouble(fields[1], &slice.omega) ||
-          !ParseLong(fields[2], &evaluated) ||
-          !ParseLong(fields[3], &pruned) ||
-          !ParseLong(fields[4], &skipped) || shard_id < 0 ||
-          evaluated < 0 || pruned < 0 || skipped < 0) {
-        return reader.Error("malformed shard slice row");
-      }
-      slice.shard_id = static_cast<int>(shard_id);
-      slice.candidates_evaluated = evaluated;
-      slice.candidates_pruned = pruned;
-      slice.trajectories_skipped = skipped;
-      out.shards.push_back(slice);
     }
   }
 

@@ -23,19 +23,17 @@ namespace trajpattern {
 ///   <cells>                                                x count
 ///   prev_queue,<count>
 ///   <cells>                                                x count
-///   shards,<count>                                          (v3 only)
-///   <shard_id>,<hexfloat omega>,<evaluated>,<pruned>,<skipped> x count
 ///   end
 ///
-/// The reader accepts v1 files (written before the cumulative work
-/// counters existed; counters load as 0), v2, and v3.  The writer emits
-/// v3 only when the checkpoint carries shard slices (a sharded run —
-/// see src/shard); unsharded checkpoints stay v2 byte-for-byte.  NM
-/// values are written as C99 hexfloats (`%a`), which round-trip IEEE
-/// doubles bit-exactly (including -inf) — the property the resumed-run
-/// bit-identity guarantee rests on.  Unknown versions, truncated files
-/// and a score block that lists a pattern twice are rejected with a
-/// typed error, never half-loaded; score rows need not be sorted.
+/// The writer emits v2.  The reader accepts v1 files (written before the
+/// cumulative work counters existed; counters load as 0) and v2.  A v3
+/// file (written by the removed sharded miner) is refused with
+/// kFailedPrecondition, naming v3.  NM values are written as C99
+/// hexfloats (`%a`), which round-trip IEEE doubles bit-exactly
+/// (including -inf) — the property the resumed-run bit-identity
+/// guarantee rests on.  Other unknown versions, truncated files and a
+/// score block that lists a pattern twice are rejected with kDataLoss,
+/// never half-loaded; score rows need not be sorted.
 Status WriteMinerCheckpoint(const MinerCheckpoint& cp, std::ostream& os);
 Status ReadMinerCheckpoint(std::istream& is, MinerCheckpoint* cp);
 

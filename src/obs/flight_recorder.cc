@@ -1,6 +1,10 @@
 #include "obs/flight_recorder.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -31,6 +35,24 @@ void AppendEscaped(const std::string& s, std::string* out) {
     }
   }
   out->push_back('"');
+}
+
+/// Creates `path` exclusively (O_EXCL) and writes `body` to it.  Returns
+/// 1 on success, 0 when the name is taken, -1 on any other failure (a
+/// failed write removes the partial file).
+int CreateAndWrite(const std::string& path, const std::string& body) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+  if (fd < 0) return errno == EEXIST ? 0 : -1;
+  size_t done = 0;
+  while (done < body.size()) {
+    const ssize_t n = ::write(fd, body.data() + done, body.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    done += static_cast<size_t>(n);
+  }
+  const bool ok = ::close(fd) == 0 && done == body.size();
+  if (!ok) ::unlink(path.c_str());
+  return ok ? 1 : -1;
 }
 
 }  // namespace
@@ -106,16 +128,18 @@ std::string WriteFlightRecord(const std::string& dir,
           std::chrono::system_clock::now().time_since_epoch())
           .count();
   const std::string stem = dir + "/flight_" + std::to_string(wall_ms);
-  // Same-millisecond dumps (a restart loop) get a _<n> suffix rather
-  // than overwriting the earlier post-mortem.
-  std::string path = stem + ".json";
-  for (int n = 1; n < 100; ++n) {
-    std::FILE* probe = std::fopen(path.c_str(), "r");
-    if (probe == nullptr) break;
-    std::fclose(probe);
-    path = stem + "_" + std::to_string(n) + ".json";
+  // Same-millisecond dumps (a restart loop, or another process dumping
+  // into the same directory) get a _<n> suffix.  The name is claimed by
+  // an exclusive create, so two writers can never share one file.
+  std::string path;
+  for (int n = 0; n < 100 && path.empty(); ++n) {
+    const std::string candidate =
+        n == 0 ? stem + ".json" : stem + "_" + std::to_string(n) + ".json";
+    const int created = CreateAndWrite(candidate, body);
+    if (created < 0) return "";
+    if (created > 0) path = candidate;
   }
-  if (!WriteFileAtomicish(path, body)) return "";
+  if (path.empty()) return "";  // every suffix of this millisecond taken
   MetricsRegistry::Global().GetCounter("obs.flight_dumps")->Increment();
   JournalEvent e;
   e.type = JournalEventType::kFlightDump;

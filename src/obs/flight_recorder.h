@@ -26,10 +26,13 @@ std::string FlightRecordJson(const std::string& trigger,
                              const std::string& detail,
                              const FlightRecordOptions& opts = {});
 
-/// Writes `FlightRecordJson` to `dir/flight_<unix_ms>[_<n>].json` (the
-/// `_<n>` suffix disambiguates same-millisecond dumps), bumps the
-/// `obs.flight_dumps` counter, and journals a kFlightDump event naming
-/// the artifact.  Returns the path, or "" on I/O failure.
+/// Writes `FlightRecordJson` to a new file `dir/flight_<unix_ms>.json`,
+/// or `dir/flight_<unix_ms>_<n>.json` (n = 1..99) when that name is
+/// taken, bumps the `obs.flight_dumps` counter, and journals a
+/// kFlightDump event naming the artifact.  Names are claimed with an
+/// exclusive create, so concurrent dumps from threads or processes never
+/// share a file and never overwrite an earlier record.  Returns the path,
+/// or "" on I/O failure or when every name of the millisecond is taken.
 std::string WriteFlightRecord(const std::string& dir,
                               const std::string& trigger,
                               const std::string& detail,

@@ -71,7 +71,6 @@ void AppendRunSnapshotJson(const RunSnapshot& s, std::string* out) {
   *out += "{\"run_id\": " + Int64(s.run_id);
   AppendField("active", s.active ? "true" : "false", out);
   AppendField("k", Int64(s.k), out);
-  AppendField("num_shards", Int64(s.num_shards), out);
   AppendField("resumed", s.resumed ? "true" : "false", out);
   AppendField("iteration", Int64(s.iteration), out);
   AppendField("omega", Num(s.omega), out);
@@ -137,7 +136,7 @@ RunJournal::RunState* RunJournal::FindRun(int64_t run_id) {
   return nullptr;
 }
 
-int64_t RunJournal::BeginRun(int k, int num_shards, bool resumed) {
+int64_t RunJournal::BeginRun(int k, bool resumed) {
   if (!active()) return 0;
   int64_t id;
   {
@@ -160,7 +159,6 @@ int64_t RunJournal::BeginRun(int k, int num_shards, bool resumed) {
     state.snap.run_id = id;
     state.snap.active = true;
     state.snap.k = k;
-    state.snap.num_shards = num_shards;
     state.snap.resumed = resumed;
     state.started = std::chrono::steady_clock::now();
     runs_.push_back(std::move(state));
@@ -169,7 +167,6 @@ int64_t RunJournal::BeginRun(int k, int num_shards, bool resumed) {
   e.type = JournalEventType::kRunStarted;
   e.run_id = id;
   e.k = k;
-  e.num_shards = num_shards;
   if (resumed) e.detail = "resumed";
   Emit(e);
   return id;
@@ -197,9 +194,7 @@ std::string RunJournal::FormatLine(const JournalEvent& e, uint64_t seq,
   if (e.cells_evicted >= 0) {
     AppendField("evicted", Int64(e.cells_evicted), &line);
   }
-  if (e.shard >= 0) AppendField("shard", Int64(e.shard), &line);
   if (e.k >= 0) AppendField("k", Int64(e.k), &line);
-  if (e.num_shards >= 0) AppendField("shards", Int64(e.num_shards), &line);
   if (e.stop_reason != nullptr) {
     std::string quoted;
     AppendEscaped(e.stop_reason, &quoted);

@@ -17,19 +17,15 @@
 namespace trajpattern::obs {
 
 /// What happened at a mining-run boundary.  One vocabulary for the
-/// miner, the sharded coordinator, and the supervisor, so a journal
-/// replay reconstructs any run's ω-convergence time series without
-/// knowing which execution path produced it.
+/// miner and the supervisor, so a journal replay reconstructs any run's
+/// ω-convergence time series.
 enum class JournalEventType {
-  /// A mining run began (fields: run_id, k, num_shards, detail notes a
-  /// resume).
+  /// A mining run began (fields: run_id, k, detail notes a resume).
   kRunStarted,
-  /// A grow-iteration (or sharded merge-round) boundary committed:
-  /// iteration, ω, cumulative evaluated/pruned, frontier depth.
+  /// A grow-iteration boundary committed: iteration, ω, cumulative
+  /// evaluated/pruned, frontier depth.
   kRoundCommitted,
-  /// The threshold ω strictly increased (sharded runs emit this from
-  /// the coordinator as merges land, so mid-iteration tightening is
-  /// visible too).
+  /// The threshold ω strictly increased.
   kOmegaTightened,
   /// A checkpoint was delivered to the sink at this boundary.
   kCheckpointWritten,
@@ -57,10 +53,7 @@ struct JournalEvent {
   int64_t candidates_pruned = -1;
   int64_t frontier_depth = -1;
   int64_t cells_evicted = -1;
-  /// Which shard's merge produced the event (-1 = run-global).
-  int shard = -1;
   int k = -1;
-  int num_shards = -1;
   /// `StopReasonName` string for kRunStopped (nullptr = absent).
   const char* stop_reason = nullptr;
   /// Free-form context (exception text, artifact path); JSON-escaped.
@@ -73,7 +66,6 @@ struct RunSnapshot {
   int64_t run_id = 0;
   bool active = false;
   int k = 0;
-  int num_shards = 0;
   bool resumed = false;
   int iteration = 0;
   double omega = -std::numeric_limits<double>::infinity();
@@ -154,7 +146,7 @@ class RunJournal {
   /// Registers a run and emits its kRunStarted event.  Returns the run
   /// id to stamp into subsequent events — 0 when the journal is inactive
   /// (emissions are then no-ops, so callers never branch).
-  int64_t BeginRun(int k, int num_shards, bool resumed);
+  int64_t BeginRun(int k, bool resumed);
 
   /// Appends one event: sequence number and timestamp are assigned here,
   /// the line lands in the file (if open) and the tail ring, and the run

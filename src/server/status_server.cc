@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -21,17 +20,9 @@ namespace trajpattern {
 namespace {
 
 using obs::MetricsRegistry;
-using obs::MetricsSnapshot;
 using obs::RunJournal;
 using obs::RunSnapshot;
 using obs::TraceRecorder;
-
-std::string Num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 std::string HttpResponse(int code, const char* reason,
                          const char* content_type, const std::string& body) {
@@ -43,48 +34,6 @@ std::string HttpResponse(int code, const char* reason,
   return out;
 }
 
-/// Pulls the `shard.*` metric family out of a registry snapshot: the
-/// exchanged global ω, each shard's last local ω (the PR 8 gauges), and
-/// the merge-latency histogram — the "which shard is lagging" view.
-void AppendShardsJson(const MetricsSnapshot& snap, std::string* out) {
-  *out += "{\"global_omega\": ";
-  auto global = snap.gauges.find("shard.global_omega");
-  *out += global == snap.gauges.end() ? "null" : Num(global->second);
-
-  *out += ", \"merge_latency_ms\": ";
-  auto hist = snap.histograms.find("shard.merge_latency_ms");
-  if (hist == snap.histograms.end() || hist->second.count == 0) {
-    *out += "null";
-  } else {
-    *out += "{\"count\": " + std::to_string(hist->second.count) +
-            ", \"sum\": " + Num(hist->second.sum) +
-            ", \"mean\": " + Num(hist->second.sum / hist->second.count) + "}";
-  }
-
-  *out += ", \"per_shard\": [";
-  bool first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    // "shard.<s>.omega" with a purely numeric <s>.
-    if (name.rfind("shard.", 0) != 0) continue;
-    const size_t dot = name.find('.', 6);
-    if (dot == std::string::npos || name.substr(dot) != ".omega") continue;
-    const std::string id = name.substr(6, dot - 6);
-    if (id.empty() ||
-        id.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    if (!first) *out += ", ";
-    first = false;
-    *out += "{\"shard\": " + id + ", \"omega\": " + Num(value);
-    auto pruned = snap.counters.find("shard." + id + ".candidates_pruned");
-    if (pruned != snap.counters.end()) {
-      *out += ", \"candidates_pruned\": " + std::to_string(pruned->second);
-    }
-    *out += "}";
-  }
-  *out += "]}";
-}
-
 }  // namespace
 
 std::string StatusServer::RunzJson() {
@@ -94,8 +43,7 @@ std::string StatusServer::RunzJson() {
     if (i != 0) out += ",\n";
     obs::AppendRunSnapshotJson(runs[i], &out);
   }
-  out += "\n],\n\"shards\": ";
-  AppendShardsJson(MetricsRegistry::Global().Snapshot(), &out);
+  out += "\n]";
   // The storage registry is always on (it does not depend on
   // TRAJPATTERN_OBS), so /runz shows buffer-pool behavior even in
   // obs-off builds.

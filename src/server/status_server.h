@@ -26,8 +26,7 @@ struct StatusServerOptions {
 ///   /metrics  - Prometheus text exposition of the global registry
 ///   /runz     - JSON of the journal's run table (per-run ω, iteration,
 ///               candidates evaluated/pruned, frontier depth, checkpoint
-///               age, StopReason) plus per-shard ω and merge-latency lag
-///               from the shard gauges
+///               age, StopReason) plus the storage registry
 ///   /tracez   - Chrome trace_event JSON dump of the TraceRecorder
 ///
 /// One accept thread handles requests serially; every handler reads
@@ -56,7 +55,8 @@ class StatusServer {
   /// for tests so handlers are coverable without sockets.
   static std::string HandlePath(const std::string& path);
 
-  /// The `/runz` document: {"runs": [...], "shards": {...}}.
+  /// The `/runz` document: {"runs": [...], "storage": {...},
+  /// "journal_events": N}.
   static std::string RunzJson();
 
  private:

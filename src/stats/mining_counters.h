@@ -19,14 +19,11 @@ struct MiningCounters {
   /// Candidates actually scored against the dataset.
   int64_t candidates_evaluated = 0;
   /// Candidates whose memo entry is an upper bound below ω rather than
-  /// an exact score (counted within `candidates_evaluated`).  Two kinds:
-  /// ω early-abandons (only when the miner enables pruning) and, in the
-  /// TrajPattern miner's exact mode, split-bound skips that were never
-  /// scanned (`SplitBound` in core/miner.h).  Checkpoint v2 carries the
-  /// sum, so the file format is unchanged.
+  /// an exact score (counted within `candidates_evaluated`): the
+  /// TrajPattern miner's exact-mode split-bound skips, which are never
+  /// scanned (`SplitBound` in core/miner.h).  0 for the baselines.
+  /// Checkpoint v2 carries it.
   int64_t candidates_pruned = 0;
-  /// Per-trajectory evaluations those abandons skipped (work saved).
-  int64_t trajectories_skipped = 0;
   /// Engine arena columns shed (LRU) to honor a memory budget (0 unless
   /// the run carried one; see `RunContext::memory_budget_bytes`).
   int64_t cells_evicted = 0;

@@ -227,14 +227,6 @@ FuzzInstance GenerateInstance(uint64_t seed) {
     inst.max_pattern_length = 2;
     if (inst.min_length > 2) inst.min_length = 2;
   }
-  // Sharded axis, drawn LAST so every pre-sharding seed keeps the exact
-  // field values (and repro bytes) it always had for the rest of the
-  // instance.  Half the instances exercise the sharded oracle leg.
-  if (rng.Bernoulli(0.5)) {
-    const int choices[] = {2, 3, 5};
-    inst.num_shards = choices[rng.UniformInt(0, 2)];
-    inst.shard_salt = rng.Bernoulli(0.5) ? 0u : seed * 0x9e3779b97f4a7c15ULL;
-  }
   return inst;
 }
 
@@ -251,11 +243,6 @@ void WriteInstance(const FuzzInstance& inst, std::ostream& os) {
   os << "max_wildcards," << inst.max_wildcards << "\n";
   os << "num_threads," << inst.num_threads << "\n";
   os << "kill_iteration," << inst.kill_iteration << "\n";
-  // Optional line: absent for unsharded instances so every repro written
-  // before the sharded axis existed round-trips byte-identically.
-  if (inst.num_shards != 0) {
-    os << "shards," << inst.num_shards << "," << inst.shard_salt << "\n";
-  }
   os << "sync," << Hex(inst.sync_interval) << "," << inst.sync_snapshots << ","
      << Hex(inst.sync_base_sigma) << "," << Hex(inst.sync_sigma_growth)
      << "\n";
@@ -363,24 +350,7 @@ Status ParseInstance(std::istream& is, FuzzInstance* inst) {
     return error("bad kill_iteration");
   }
   out.kill_iteration = static_cast<int>(v1l);
-  // Optional `shards` line between kill_iteration and sync (written only
-  // for sharded instances); read the next line manually so either key
-  // can follow.
-  if (!(s = next("shards or sync")).ok()) return s;
-  f = SplitFields(line);
-  if (!f.empty() && f[0] == "shards") {
-    if (f.size() != 3) return error("expected 'shards' with 2 fields");
-    if (!ParseLong(f[1], &v1l) || v1l < 1 || v1l > 4096) {
-      return error("bad shard count");
-    }
-    out.num_shards = static_cast<int>(v1l);
-    if (!ParseU64(f[2], &out.shard_salt)) return error("bad shard salt");
-    if (!(s = next("sync")).ok()) return s;
-    f = SplitFields(line);
-  }
-  if (f.empty() || f[0] != "sync" || f.size() != 5) {
-    return error("expected 'sync' with 4 fields");
-  }
+  if (!(s = keyed("sync", 4, &f)).ok()) return s;
   if (!ParseHex(f[1], &out.sync_interval) || !ParseLong(f[2], &v1l) ||
       v1l < 0 || v1l > 100000 || !ParseHex(f[3], &out.sync_base_sigma) ||
       !ParseHex(f[4], &out.sync_sigma_growth)) {

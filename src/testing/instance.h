@@ -62,17 +62,10 @@ struct FuzzInstance {
   /// Checkpoint oracle: abort after this many completed grow iterations
   /// (1-based; the run may converge earlier, which is also exercised).
   int kill_iteration = 1;
-  /// Sharded-mining oracle: shard count for the N-shard-vs-single-shard
-  /// bit-identity leg (0 disables the leg; serialized as an optional
-  /// `shards` line so pre-sharding repro files stay byte-identical).
-  int num_shards = 0;
-  /// Salt for the candidate->shard hash; the oracle also re-runs with a
-  /// perturbed salt to prove the answer is assignment-invariant.
-  uint64_t shard_salt = 0;
 
   MiningSpace Space() const;
-  /// The reference miner configuration: exact (no beam), serial, no
-  /// pruning.  The oracles toggle one knob at a time off this base.
+  /// The reference miner configuration: exact (no beam), serial.  The
+  /// oracles toggle one knob at a time off this base.
   MinerOptions Options() const;
   Synchronizer::Options SyncOptions() const;
 };

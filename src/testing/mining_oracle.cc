@@ -10,6 +10,7 @@
 #include "baseline/brute_force.h"
 #include "io/checkpoint.h"
 #include "prob/rng.h"
+#include "testing/reference_scorer.h"
 #include "trajectory/validate.h"
 
 namespace trajpattern {
@@ -58,7 +59,6 @@ std::string RenderCheckpointV1(const MinerCheckpoint& cp) {
   std::ostringstream v1;
   std::string line;
   size_t line_no = 0;
-  bool in_shards_block = false;
   while (std::getline(in, line)) {
     ++line_no;
     if (line_no == 1) {
@@ -69,10 +69,6 @@ std::string RenderCheckpointV1(const MinerCheckpoint& cp) {
         line.rfind("candidates_pruned,", 0) == 0) {
       continue;  // the fields v1 predates
     }
-    // The v3 `shards` block (header + per-shard rows) sits immediately
-    // before `end`; v1 predates all of it.
-    if (line.rfind("shards,", 0) == 0) in_shards_block = true;
-    if (in_shards_block && line != "end") continue;
     v1 << line << "\n";
   }
   return v1.str();
@@ -101,7 +97,7 @@ std::vector<LocationReport> CanonicalReports(
 
 /// Deterministic probe patterns for the kernel-identity leg: singulars,
 /// repeats, wildcard-sandwiched pairs, plus the degenerate empty and
-/// all-wildcard patterns both kernels must reject identically.
+/// all-wildcard patterns the engine and the reference must score alike.
 std::vector<Pattern> SamplePatterns(const FuzzInstance& inst,
                                     const std::vector<CellId>& alphabet) {
   std::vector<Pattern> out;
@@ -217,8 +213,8 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
   const MiningSpace space = inst.Space();
   const MinerOptions base = inst.Options();
 
-  // --- Reference run: streaming kernel, serial, exact.  Its sink keeps
-  // the last boundary's checkpoint, whose memo oracle (g) audits.
+  // --- Reference run: serial, exact.  Its sink keeps the last
+  // boundary's checkpoint, whose memo oracle (g) audits.
   MinerCheckpoint ref_final;
   bool have_ref_final = false;
   MinerOptions ref_opt = base;
@@ -231,111 +227,61 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
   const MiningResult ref = MineTrajPatterns(ref_engine, ref_opt);
   ++report.mining_runs;
 
-  // --- Oracle (a), kernel identity on whole mining runs.
-  {
-    NmEngine gather_engine(data, space);
-    gather_engine.set_window_kernel(WindowKernel::kGather);
-    const MiningResult gather = MineTrajPatterns(gather_engine, base);
-    ++report.mining_runs;
-    const std::string diff =
-        DiffTopK("gather vs streaming top-k", gather.patterns, ref.patterns);
-    if (!diff.empty()) {
-      fail(diff);
-      return report;
-    }
-  }
-
   // --- Oracle (a), kernel identity per pattern and per batch: the
-  // streaming engine's totals — one pattern and whole batches at 1 and N
-  // threads, all through the shared-prefix walk — against the
-  // trajectory-at-a-time gather kernel.
+  // engine's totals — one pattern and whole batches at 1 and N threads,
+  // all through the shared-prefix walk — against the point-at-a-time
+  // reference scorer.
+  ReferenceScorer reference(data, space);
   const std::vector<CellId> alphabet = ref_engine.TouchedCells();
   {
-    NmEngine gather(data, space);
-    gather.set_window_kernel(WindowKernel::kGather);
     NmEngine engine(data, space);
     const std::vector<Pattern> samples = SamplePatterns(inst, alphabet);
-    std::vector<double> nm_gather(samples.size()),
-        match_gather(samples.size());
+    std::vector<double> nm_want(samples.size()), match_want(samples.size());
     for (size_t i = 0; i < samples.size(); ++i) {
-      nm_gather[i] = gather.NmTotal(samples[i]);
-      match_gather[i] = gather.MatchTotal(samples[i]);
+      nm_want[i] = reference.NmTotal(samples[i]);
+      match_want[i] = reference.MatchTotal(samples[i]);
       const double nm = engine.NmTotal(samples[i]);
       const double match = engine.MatchTotal(samples[i]);
-      if (!BitEq(nm, nm_gather[i])) {
-        fail("NmTotal kernel mismatch on " + samples[i].ToString() + ": " +
-             Hex(nm_gather[i]) + " (gather) vs " + Hex(nm) + " (streaming)");
+      if (!BitEq(nm, nm_want[i])) {
+        fail("NmTotal mismatch on " + samples[i].ToString() + ": " +
+             Hex(nm_want[i]) + " (reference) vs " + Hex(nm) + " (engine)");
         return report;
       }
-      if (!BitEq(match, match_gather[i])) {
-        fail("MatchTotal kernel mismatch on " + samples[i].ToString() + ": " +
-             Hex(match_gather[i]) + " vs " + Hex(match));
+      if (!BitEq(match, match_want[i])) {
+        fail("MatchTotal mismatch on " + samples[i].ToString() + ": " +
+             Hex(match_want[i]) + " (reference) vs " + Hex(match) +
+             " (engine)");
         return report;
       }
     }
     // Scorable samples only: the batch API is specified for patterns
     // that pass ValidateScorable.
     std::vector<Pattern> scorable;
-    std::vector<double> nm_want, match_want;
+    std::vector<double> scorable_nm, scorable_match;
     for (size_t i = 0; i < samples.size(); ++i) {
       if (!NmEngine::ValidateScorable(samples[i]).ok()) continue;
       scorable.push_back(samples[i]);
-      nm_want.push_back(nm_gather[i]);
-      match_want.push_back(match_gather[i]);
+      scorable_nm.push_back(nm_want[i]);
+      scorable_match.push_back(match_want[i]);
     }
     for (const int threads : {1, inst.num_threads}) {
       const std::vector<double> nm = engine.NmTotalBatch(scorable, threads);
       const std::vector<double> match =
           engine.MatchTotalBatch(scorable, threads);
       for (size_t i = 0; i < scorable.size(); ++i) {
-        if (!BitEq(nm[i], nm_want[i])) {
+        if (!BitEq(nm[i], scorable_nm[i])) {
           fail("NmTotalBatch(" + std::to_string(threads) +
-               " threads) vs gather mismatch on " + scorable[i].ToString() +
-               ": " + Hex(nm[i]) + " vs " + Hex(nm_want[i]));
+               " threads) vs reference mismatch on " +
+               scorable[i].ToString() + ": " + Hex(nm[i]) + " vs " +
+               Hex(scorable_nm[i]));
           return report;
         }
-        if (!BitEq(match[i], match_want[i])) {
+        if (!BitEq(match[i], scorable_match[i])) {
           fail("MatchTotalBatch(" + std::to_string(threads) +
-               " threads) vs gather mismatch on " + scorable[i].ToString() +
-               ": " + Hex(match[i]) + " vs " + Hex(match_want[i]));
+               " threads) vs reference mismatch on " +
+               scorable[i].ToString() + ": " + Hex(match[i]) + " vs " +
+               Hex(scorable_match[i]));
           return report;
-        }
-      }
-    }
-
-    // --- Oracle (b), batch pruning contract against the exact values.
-    if (!scorable.empty()) {
-      const std::vector<double>& exact = nm_want;
-      std::vector<double> sorted = exact;
-      std::sort(sorted.begin(), sorted.end());
-      // Thresholds at, just below, and just above an exact value probe
-      // the prune_below-equals-partial-sum boundary.
-      const double mid = sorted[sorted.size() / 2];
-      for (const double threshold :
-           {mid, std::nextafter(mid, -1e308), std::nextafter(mid, 1e308)}) {
-        const std::vector<double> pruned1 =
-            engine.NmTotalBatch(scorable, 1, nullptr, threshold);
-        const std::vector<double> prunedN = engine.NmTotalBatch(
-            scorable, inst.num_threads, nullptr, threshold);
-        for (size_t i = 0; i < scorable.size(); ++i) {
-          if (!BitEq(pruned1[i], prunedN[i])) {
-            fail("pruned batch thread divergence on " +
-                 scorable[i].ToString() + " at threshold " + Hex(threshold));
-            return report;
-          }
-          if (BitEq(pruned1[i], exact[i])) continue;  // not abandoned
-          if (!(pruned1[i] < threshold) || !(pruned1[i] >= exact[i])) {
-            fail("pruned value violates bound contract on " +
-                 scorable[i].ToString() + ": pruned=" + Hex(pruned1[i]) +
-                 " exact=" + Hex(exact[i]) + " threshold=" + Hex(threshold));
-            return report;
-          }
-          if (exact[i] >= threshold) {
-            fail("candidate with exact NM above threshold was abandoned: " +
-                 scorable[i].ToString() + " exact=" + Hex(exact[i]) +
-                 " threshold=" + Hex(threshold));
-            return report;
-          }
         }
       }
     }
@@ -369,24 +315,7 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
     }
   }
 
-  // --- Oracle (b), ω-pruned mining vs exact mining.
-  MiningResult pruned_serial;
-  {
-    MinerOptions opt = base;
-    opt.omega_pruning = true;
-    NmEngine engine(data, space);
-    pruned_serial = MineTrajPatterns(engine, opt);
-    ++report.mining_runs;
-    const std::string diff =
-        DiffTopK("omega-pruned vs exact top-k", pruned_serial.patterns,
-                 ref.patterns);
-    if (!diff.empty()) {
-      fail(diff);
-      return report;
-    }
-  }
-
-  // --- Oracle (d), thread-count determinism (pruned and unpruned).
+  // --- Oracle (d), thread-count determinism.
   {
     MinerOptions opt = base;
     opt.num_threads = inst.num_threads;
@@ -401,24 +330,11 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
              std::to_string(threaded.stats.candidates_evaluated) + " vs " +
              std::to_string(ref.stats.candidates_evaluated);
     }
-    if (!diff.empty()) {
-      fail(diff);
-      return report;
-    }
-
-    MinerOptions popt = base;
-    popt.num_threads = inst.num_threads;
-    popt.omega_pruning = true;
-    NmEngine pengine(data, space);
-    const MiningResult pthreaded = MineTrajPatterns(pengine, popt);
-    ++report.mining_runs;
-    diff = DiffTopK("N-thread pruned vs serial top-k", pthreaded.patterns,
-                    ref.patterns);
-    if (diff.empty() && pthreaded.stats.candidates_pruned !=
-                            pruned_serial.stats.candidates_pruned) {
+    if (diff.empty() && threaded.stats.candidates_pruned !=
+                            ref.stats.candidates_pruned) {
       diff = "N-thread candidates_pruned " +
-             std::to_string(pthreaded.stats.candidates_pruned) + " vs " +
-             std::to_string(pruned_serial.stats.candidates_pruned);
+             std::to_string(threaded.stats.candidates_pruned) + " vs " +
+             std::to_string(ref.stats.candidates_pruned);
     }
     if (!diff.empty()) {
       fail(diff);
@@ -566,102 +482,17 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
     }
   }
 
-  // --- Oracle (f), sharded mining vs the single-miner reference.  Every
-  // candidate is scored whole by exactly one shard, so the global top-k
-  // must be bit-identical for any shard count, any shard assignment
-  // (salt), and with the cross-shard ω exchange on or off.  The small
-  // round size on the exchange-on variant forces mid-iteration merges so
-  // the broadcast path actually runs.
-  if (inst.num_shards >= 2) {
-    report.sharded_checked = true;
-    struct Variant {
-      const char* what;
-      uint64_t salt;
-      bool exchange;
-      size_t round_size;
-    };
-    const Variant variants[] = {
-        {"sharded exchange-on", inst.shard_salt, true, 4},
-        {"sharded exchange-off", inst.shard_salt, false, 256},
-        {"sharded shuffled-salt", inst.shard_salt ^ 0x5bd1e9955bd1e995ULL,
-         true, 256},
-    };
-    for (const Variant& v : variants) {
-      MinerOptions opt = base;
-      opt.num_shards = inst.num_shards;
-      opt.shard_salt = v.salt;
-      opt.omega_pruning = true;
-      opt.omega_exchange = v.exchange;
-      opt.shard_round_size = v.round_size;
-      opt.num_threads = inst.num_threads;
-      NmEngine engine(data, space);
-      const MiningResult sharded = MineTrajPatterns(engine, opt);
-      ++report.mining_runs;
-      const std::string diff =
-          DiffTopK(std::string(v.what) + " vs single-miner top-k",
-                   sharded.patterns, ref.patterns);
-      if (!diff.empty()) {
-        fail(diff);
-        return report;
-      }
-    }
-
-    // Sharded kill-and-resume through the v3 wire format: capture at the
-    // instance's kill iteration, round-trip the checkpoint (shard slices
-    // included), resume sharded, and demand the uninterrupted answer.
-    MinerCheckpoint captured;
-    bool have_checkpoint = false;
-    MinerOptions opt = base;
-    opt.num_shards = inst.num_shards;
-    opt.shard_salt = inst.shard_salt;
-    opt.omega_pruning = true;
-    int calls = 0;
-    opt.checkpoint_sink = [&](const MinerCheckpoint& cp) {
-      captured = cp;
-      have_checkpoint = true;
-      return ++calls < inst.kill_iteration;
-    };
-    NmEngine engine(data, space);
-    (void)MineTrajPatterns(engine, opt);
-    ++report.mining_runs;
-    if (have_checkpoint) {
-      std::ostringstream os;
-      Status s = WriteMinerCheckpoint(captured, os);
-      if (!s.ok()) {
-        fail("sharded checkpoint write failed: " + s.ToString());
-        return report;
-      }
-      std::istringstream is(os.str());
-      MinerCheckpoint loaded;
-      s = ReadMinerCheckpoint(is, &loaded);
-      if (!s.ok()) {
-        fail("sharded checkpoint reload failed: " + s.ToString());
-        return report;
-      }
-      opt.checkpoint_sink = nullptr;
-      NmEngine resume_engine(data, space);
-      const MiningResult resumed = MineTrajPatterns(resume_engine, opt, &loaded);
-      ++report.mining_runs;
-      const std::string diff = DiffTopK("sharded v3 resume vs single-miner",
-                                        resumed.patterns, ref.patterns);
-      if (!diff.empty()) {
-        fail(diff);
-        return report;
-      }
-    }
-  }
-
   // --- Oracle (g), memo bounds.  Every value the reference run
-  // memoized must be an upper bound on a fresh engine's exact NM, and a
-  // value that is not the exact score (a split bound, or an ω-pruned
-  // partial sum) must lie below the final ω.  That is the contract that
-  // lets a bound stand in for a scan without changing the top-k, the
-  // high/low frontier, or a resumed run.
+  // memoized must be an upper bound on the reference scorer's exact NM,
+  // and a value that is not the exact score (a split bound) must lie
+  // below the final ω.  That is the contract that lets a bound stand in
+  // for a scan without changing the top-k, the high/low frontier, or a
+  // resumed run; and since every scanned value must be bit-equal to the
+  // reference, it also checks every score the run memoized.
   if (have_ref_final) {
     report.memo_bounds_checked = true;
-    NmEngine engine(data, space);
     for (const ScoredPattern& sp : ref_final.scores) {
-      const double exact = engine.NmTotal(sp.pattern);
+      const double exact = reference.NmTotal(sp.pattern);
       if (!(exact <= sp.nm)) {
         fail("memo value below the exact NM on " + sp.pattern.ToString() +
              ": memo=" + Hex(sp.nm) + " exact=" + Hex(exact));

@@ -19,7 +19,6 @@ struct OracleReport {
   bool brute_force_checked = false;
   bool ingestion_checked = false;
   bool warm_order_checked = false;
-  bool sharded_checked = false;
   /// Oracle (g) audited the reference run's final memo (it needs at
   /// least one completed grow iteration, i.e. one checkpoint).
   bool memo_bounds_checked = false;
@@ -34,33 +33,27 @@ struct OracleReport {
 /// these oracle families, every one of which the production code
 /// promises to pass *bit-identically* (or, for (g), exactly):
 ///
-///  (a) kernels: streaming vs the retained gather reference on mined
-///      top-k, per-pattern NM/Match totals, and NM/Match batches at 1
-///      and N threads (the shared-prefix walk) against per-pattern
-///      gather totals; plus `BruteForceTopK` as ground truth when the
-///      pattern space is small enough to enumerate (reported via
-///      `brute_force_checked`).
-///  (b) pruning: ω-aware early-abandon mining vs exact mining (same
-///      top-k), and the `NmTotalBatch(prune_below)` contract — a pruned
-///      value is an upper bound on the exact NM and lies below the
-///      threshold; an unpruned value is bit-equal to the exact one.
+///  (a) kernels: per-pattern NM/Match totals and NM/Match batches at 1
+///      and N threads (the shared-prefix walk) against the point-at-a-
+///      time `ReferenceScorer`; plus `BruteForceTopK` as ground truth
+///      when the pattern space is small enough to enumerate (reported
+///      via `brute_force_checked`).
 ///  (c) resume: kill-at-iteration checkpoint (v1 and v2 wire formats)
 ///      then resume vs the uninterrupted run — same top-k, and work
 ///      counters that neither double-count nor vanish.
-///  (d) threads: 1 worker vs the instance's N workers, pruned and
-///      unpruned — same top-k, same counters.
+///  (d) threads: 1 worker vs the instance's N workers — same top-k,
+///      same counters.
 ///  (e) warm order: engines whose column cache was warmed in shuffled
 ///      orders and on different thread counts score bit-identically to
 ///      one warmed in canonical order on one thread, and re-warming the
 ///      resident set materializes nothing (the incremental contract).
-///  (f) sharding: N-shard runs (src/shard) vs the single-miner
-///      reference — same top-k with cross-shard ω exchange ON and OFF,
-///      under a shuffled shard assignment (perturbed salt), and resumed
-///      from a v3 checkpoint (reported via `sharded_checked`).
 ///  (g) memo bounds: in the reference run's final memo (captured through
-///      its last checkpoint) every value is >= a fresh `NmTotal`, and
-///      every value that is not bit-equal to it lies below the final ω
-///      (reported via `memo_bounds_checked`).
+///      its last checkpoint) every value is >= the `ReferenceScorer`'s
+///      NM, and every value that is not bit-equal to it lies below the
+///      final ω (reported via `memo_bounds_checked`).  Every exact score
+///      the run memoized is thereby checked against the reference too.
+///
+/// Legs (b) and (f) are retired; the remaining legs keep their letters.
 ///
 /// Ingestion-bearing instances additionally check the synchronizer's
 /// order-independence (a report stream is a *set* of fixes: raw order

@@ -118,25 +118,6 @@ FuzzInstance Shrinker::Shrink(const FuzzInstance& inst,
       c.sync_snapshots = best.sync_snapshots / 2;
       if (accept(c)) progress = true;
     }
-    // Sharded axis: try dropping sharding entirely (a divergence that
-    // survives with num_shards=0 is not a sharding bug), then step the
-    // shard count down and zero the salt.
-    if (best.num_shards != 0) {
-      FuzzInstance c = best;
-      c.num_shards = 0;
-      c.shard_salt = 0;
-      if (accept(c)) progress = true;
-    }
-    if (best.num_shards > 2) {
-      FuzzInstance c = best;
-      c.num_shards = 2;
-      if (accept(c)) progress = true;
-    }
-    if (best.num_shards != 0 && best.shard_salt != 0) {
-      FuzzInstance c = best;
-      c.shard_salt = 0;
-      if (accept(c)) progress = true;
-    }
 
     // 6. Shrink the grid.  Cell IDs in `data` are implied by geometry,
     // not stored, so resizing the grid is always structurally valid.

@@ -1,8 +1,8 @@
 // Differential fuzz harness: the tier-1 slice of the campaign that
 // bench/fuzz_corpus runs at full width in CI.  Every seed here executes
-// the complete oracle pass (kernels + brute force, pruning,
-// checkpoint/resume, thread determinism, warm order, sharding, memo
-// bounds); see docs/correctness.md for the contracts.
+// the complete oracle pass (engine vs reference scorer + brute force,
+// checkpoint/resume, thread determinism, warm order, memo bounds); see
+// docs/correctness.md for the contracts.
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -73,56 +73,23 @@ TEST(InstanceTest, ParserRejectsMalformedInput) {
   }
 }
 
-TEST(InstanceTest, ShardedAxisRoundTripsAndStaysOptional) {
-  FuzzInstance inst = GenerateInstance(3);
-  inst.num_shards = 3;
-  inst.shard_salt = 0xdeadbeefULL;
-  const std::string text = Render(inst);
-  EXPECT_NE(text.find("shards,3,3735928559\n"), std::string::npos);
-  std::istringstream is(text);
-  FuzzInstance parsed;
-  ASSERT_TRUE(ParseInstance(is, &parsed).ok());
-  EXPECT_EQ(parsed.num_shards, 3);
-  EXPECT_EQ(parsed.shard_salt, 0xdeadbeefULL);
-  EXPECT_EQ(Render(parsed), text);
-  // Unsharded instances carry no shards line at all, so every repro
-  // written before the sharded axis existed parses (and re-renders)
-  // unchanged.
-  inst.num_shards = 0;
-  inst.shard_salt = 0;
-  const std::string unsharded = Render(inst);
-  EXPECT_EQ(unsharded.find("shards,"), std::string::npos);
-  std::istringstream is2(unsharded);
-  FuzzInstance parsed2;
-  ASSERT_TRUE(ParseInstance(is2, &parsed2).ok());
-  EXPECT_EQ(parsed2.num_shards, 0);
-  EXPECT_EQ(Render(parsed2), unsharded);
-}
-
+// Instances have no sharded axis: a `shards` line before `sync`, well
+// formed or not, is rejected.  (RegressionReplayTest parses the
+// committed repros, which carry none.)
 TEST(InstanceTest, ParserRejectsBadShardsLine) {
-  FuzzInstance inst = GenerateInstance(3);
-  inst.num_shards = 2;
-  const std::string good = Render(inst);
-  const size_t pos = good.find("shards,2,");
+  const std::string good = Render(GenerateInstance(3));
+  const size_t pos = good.find("sync,");
   ASSERT_NE(pos, std::string::npos);
-  const struct {
-    const char* name;
-    const char* replacement;
-  } cases[] = {
-      {"zero shards", "shards,0,0"},
-      {"negative shards", "shards,-2,0"},
-      {"huge shards", "shards,99999,0"},
-      {"bad salt", "shards,2,banana"},
-      {"missing salt", "shards,2"},
-  };
-  for (const auto& c : cases) {
+  for (const char* line :
+       {"shards,2,0", "shards,3,3735928559", "shards,0,0", "shards,-2,0",
+        "shards,99999,0", "shards,2,banana", "shards,2"}) {
     std::string text = good;
-    text.replace(pos, good.find('\n', pos) - pos, c.replacement);
+    text.insert(pos, std::string(line) + "\n");
     std::istringstream is(text);
     FuzzInstance out;
     const Status s = ParseInstance(is, &out);
-    EXPECT_FALSE(s.ok()) << c.name;
-    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << c.name;
+    EXPECT_FALSE(s.ok()) << line;
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << line;
   }
 }
 
@@ -185,30 +152,6 @@ TEST(ShrinkerTest, ShrunkInstanceStillFailsTheSameOracle) {
   EXPECT_EQ(shrunk.data.TotalPoints(), 0u);
   EXPECT_TRUE(shrunk.report_streams.empty());
   EXPECT_EQ(shrunk.max_pattern_length, 1u);
-}
-
-TEST(ShrinkerTest, DropsShardingWhenTheDivergenceIsNotAShardingBug) {
-  FuzzInstance inst = GenerateInstance(5);
-  inst.num_shards = 5;
-  inst.shard_salt = 0x1234;
-  // Predicate ignores sharding entirely, so the shrinker must zero it.
-  const auto predicate = [](const FuzzInstance& c) { return c.k >= 1; };
-  const FuzzInstance shrunk = Shrinker().Shrink(inst, predicate);
-  EXPECT_EQ(shrunk.num_shards, 0);
-  EXPECT_EQ(shrunk.shard_salt, 0u);
-}
-
-TEST(ShrinkerTest, KeepsShardingWhenTheDivergenceNeedsIt) {
-  FuzzInstance inst = GenerateInstance(5);
-  inst.num_shards = 5;
-  inst.shard_salt = 0x1234;
-  const auto predicate = [](const FuzzInstance& c) {
-    return c.num_shards >= 2;
-  };
-  const FuzzInstance shrunk = Shrinker().Shrink(inst, predicate);
-  // Stepped down to the smallest shard count that still fails, salt zeroed.
-  EXPECT_EQ(shrunk.num_shards, 2);
-  EXPECT_EQ(shrunk.shard_salt, 0u);
 }
 
 }  // namespace

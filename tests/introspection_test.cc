@@ -1,10 +1,10 @@
 // The live-introspection layer end to end: the run journal's JSONL
 // contract (valid lines, monotonic sequence numbers, replayable ω
 // convergence), the status server's four endpoints over real sockets,
-// /runz reflecting a live sharded run mid-flight, the crash flight
-// recorder's kill-at-boundary sweep (every non-clean StopReason leaves a
-// valid post-mortem), and — the overriding contract — introspection
-// never changes mining answers.
+// /runz reflecting a live run mid-flight, the crash flight recorder's
+// kill-at-boundary sweep (every non-clean StopReason leaves a valid
+// post-mortem) and race-free dump names, and — the overriding contract —
+// introspection never changes mining answers.
 //
 // The journal and server are process-wide singletons, so these tests are
 // written to tolerate state left by earlier tests in this binary (run
@@ -25,8 +25,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -173,7 +175,7 @@ TEST(RunJournalTest, InactiveByDefaultCostsNothingAndTracksNothing) {
   // is a no-op.
   RunJournal& j = RunJournal::Global();
   ASSERT_FALSE(j.active());
-  EXPECT_EQ(j.BeginRun(5, 0, false), 0);
+  EXPECT_EQ(j.BeginRun(5, false), 0);
   JournalEvent ev;
   ev.type = JournalEventType::kRoundCommitted;
   j.Emit(ev);
@@ -258,40 +260,6 @@ TEST(RunJournalTest, ReplayReconstructsMonotoneOmegaConvergence) {
   EXPECT_EQ(rounds, result.stats.iterations);
   // The final journal ω is the answer's kth score (the run's threshold).
   EXPECT_GT(rounds, 1);
-  std::remove(path.c_str());
-}
-
-TEST(RunJournalTest, ShardedRunJournalsPerShardTightenings) {
-  const std::string path = TempPath("tp_journal_sharded.jsonl");
-  RunJournal& j = RunJournal::Global();
-  ASSERT_TRUE(j.Open(path));
-
-  const TrajectoryDataset data = MakeDeepMiningData();
-  NmEngine engine(data, MakeSpace());
-  MinerOptions opt = MakeDeepOptions();
-  opt.num_shards = 2;
-  opt.omega_pruning = true;
-  const MiningResult result = MineTrajPatterns(engine, opt);
-  ASSERT_FALSE(result.stats.aborted);
-  j.Close();
-
-  std::string text;
-  ASSERT_TRUE(test::ReadFileToString(path, &text));
-  const std::vector<std::string> lines = SplitLines(text);
-  // The run advertises its shard count at start...
-  EXPECT_NE(lines.front().find("\"shards\": 2"), std::string::npos)
-      << lines.front();
-  // ...and the coordinator journals at least one per-shard ω tightening
-  // (a 2-shard planted-pattern run always tightens from -inf).
-  int tightenings_with_shard = 0;
-  for (const std::string& line : lines) {
-    if (HasEvent(line, "omega_tightened") &&
-        !std::isnan(NumField(line, "shard"))) {
-      ++tightenings_with_shard;
-    }
-    EXPECT_TRUE(test::IsValidJson(line)) << line;
-  }
-  EXPECT_GT(tightenings_with_shard, 0);
   std::remove(path.c_str());
 }
 
@@ -391,15 +359,9 @@ TEST(IntrospectionIdentityTest, JournalAndServerNeverChangeAnswers) {
   const TrajectoryDataset data = MakeDeepMiningData();
   const MiningSpace space = MakeSpace();
   const MinerOptions base = MakeDeepOptions();
-  MinerOptions sharded = base;
-  sharded.num_shards = 2;
-  sharded.omega_pruning = true;
 
   NmEngine baseline_engine(data, space);
   const MiningResult baseline = MineTrajPatterns(baseline_engine, base);
-  NmEngine sharded_baseline_engine(data, space);
-  const MiningResult sharded_baseline =
-      MineTrajPatterns(sharded_baseline_engine, sharded);
 
   // Full introspection on: journal streaming, live tracking, status
   // server answering between runs.
@@ -412,15 +374,11 @@ TEST(IntrospectionIdentityTest, JournalAndServerNeverChangeAnswers) {
   const MiningResult observed = MineTrajPatterns(observed_engine, base);
   EXPECT_NE(HttpGet(server.port(), "/runz").find("200 OK"),
             std::string::npos);
-  NmEngine observed_sharded_engine(data, space);
-  const MiningResult observed_sharded =
-      MineTrajPatterns(observed_sharded_engine, sharded);
 
   server.Stop();
   RunJournal::Global().Close();
 
   ExpectBitIdentical(observed.patterns, baseline.patterns);
-  ExpectBitIdentical(observed_sharded.patterns, sharded_baseline.patterns);
   std::remove(path.c_str());
 }
 
@@ -446,7 +404,7 @@ TEST(StatusServerTest, ServesAllEndpointsOverRealSockets) {
   EXPECT_NE(runz.find("application/json"), std::string::npos);
   EXPECT_TRUE(test::IsValidJson(HttpBody(runz))) << HttpBody(runz);
   EXPECT_NE(HttpBody(runz).find("\"runs\""), std::string::npos);
-  EXPECT_NE(HttpBody(runz).find("\"shards\""), std::string::npos);
+  EXPECT_NE(HttpBody(runz).find("\"journal_events\""), std::string::npos);
 
   const std::string metrics = HttpGet(server.port(), "/metrics");
   EXPECT_NE(metrics.find("200 OK"), std::string::npos);
@@ -487,13 +445,13 @@ TEST(StatusServerTest, HandlersAreCoverableWithoutSockets) {
   EXPECT_TRUE(test::IsValidJson(json)) << json;  // -inf ω must not leak
 }
 
-TEST(StatusServerTest, RunzReflectsLiveShardedRunMidFlight) {
+TEST(StatusServerTest, RunzReflectsLiveRunMidFlight) {
   RunJournal::Global().EnableLiveTracking();
   StatusServer server;
   ASSERT_TRUE(server.Start({}).ok());
 
-  // Park a sharded run at its first checkpoint boundary, then inspect it
-  // from outside while it is provably mid-flight.
+  // Park a run at its first checkpoint boundary, then inspect it from
+  // outside while it is provably mid-flight.
   std::mutex mu;
   std::condition_variable cv;
   bool parked = false;
@@ -501,8 +459,6 @@ TEST(StatusServerTest, RunzReflectsLiveShardedRunMidFlight) {
   const TrajectoryDataset data = MakeDeepMiningData();
   NmEngine engine(data, MakeSpace());
   MinerOptions opt = MakeDeepOptions();
-  opt.num_shards = 2;
-  opt.omega_pruning = true;
   opt.checkpoint_sink = [&](const MinerCheckpoint&) {
     std::unique_lock<std::mutex> lock(mu);
     parked = true;
@@ -530,17 +486,11 @@ TEST(StatusServerTest, RunzReflectsLiveShardedRunMidFlight) {
 
   ASSERT_TRUE(test::IsValidJson(live)) << live;
   EXPECT_NE(live.find("\"active\": true"), std::string::npos) << live;
-  EXPECT_NE(live.find("\"num_shards\": 2"), std::string::npos) << live;
+  EXPECT_NE(live.find("\"k\": 10"), std::string::npos) << live;
+  EXPECT_NE(live.find("\"iteration\": 1"), std::string::npos) << live;
   EXPECT_NE(live.find("\"omega\""), std::string::npos);
   EXPECT_NE(live.find("\"frontier_depth\""), std::string::npos);
   EXPECT_NE(live.find("\"checkpoint_age_ms\""), std::string::npos);
-#if TRAJPATTERN_OBS_ENABLED
-  // The shards section is registry-derived: per-shard ω gauges plus the
-  // coordinator's merge-latency histogram.
-  EXPECT_NE(live.find("\"global_omega\""), std::string::npos) << live;
-  EXPECT_NE(live.find("\"per_shard\""), std::string::npos);
-  EXPECT_NE(live.find("\"merge_latency_ms\""), std::string::npos);
-#endif
   ASSERT_FALSE(result.stats.aborted);
 
   // After release, the same run shows up finished with a clean stop.
@@ -564,6 +514,44 @@ TEST(FlightRecorderTest, WriteToMissingDirectoryFailsCleanly) {
   EXPECT_EQ(obs::WriteFlightRecord(::testing::TempDir() + "/no_such_dir_xyz",
                                    "t", "d"),
             "");
+}
+
+// Dumps that land in one directory in the same millisecond — from
+// threads here, from separate processes under a parallel test run —
+// each claim their own file and keep their own trigger.
+TEST(FlightRecorderTest, ConcurrentDumpsGetDistinctFiles) {
+  const std::string dir = ::testing::TempDir() + "/tp_flight_concurrent";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  constexpr int kWriters = 8;
+  std::vector<std::string> paths(kWriters);
+  std::atomic<int> waiting{kWriters};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) {
+      }
+      paths[static_cast<size_t>(t)] =
+          obs::WriteFlightRecord(dir, "writer_" + std::to_string(t), "race");
+    });
+  }
+  for (std::thread& w : writers) w.join();
+
+  std::set<std::string> distinct;
+  for (int t = 0; t < kWriters; ++t) {
+    const std::string& path = paths[static_cast<size_t>(t)];
+    ASSERT_FALSE(path.empty()) << "writer " << t;
+    distinct.insert(path);
+    std::string json;
+    ASSERT_TRUE(test::ReadFileToString(path, &json)) << path;
+    EXPECT_TRUE(test::IsValidJson(json)) << path;
+    EXPECT_NE(json.find("\"trigger\": \"writer_" + std::to_string(t) + "\""),
+              std::string::npos)
+        << path;
+  }
+  EXPECT_EQ(distinct.size(), static_cast<size_t>(kWriters));
+  std::filesystem::remove_all(dir);
 }
 
 // The kill-at-boundary sweep: every way a run can die non-cleanly under

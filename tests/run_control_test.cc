@@ -569,6 +569,52 @@ TEST(MiningSupervisorTest, CheckpointWithAnotherKIsRefusedUntouched) {
   std::remove(path.c_str());
 }
 
+// A v3 checkpoint holds a sharded run, which cannot be resumed: the
+// supervisor refuses it before mining with the reader's typed status,
+// which names v3, and leaves the file byte-identical.
+TEST(MiningSupervisorTest, V3CheckpointIsRefusedUntouched) {
+  const std::string path = TempCheckpointPath("tp_supervisor_v3.ckpt");
+  const std::string v3 =
+      "trajpattern_checkpoint,v3\n"
+      "iteration,1\n"
+      "k,10\n"
+      "omega,-0x1.9p+3\n"
+      "candidates_evaluated,12\n"
+      "candidates_pruned,3\n"
+      "scores,1\n"
+      "-0x1.ap+3,7\n"
+      "prev_high,0\n"
+      "prev_queue,0\n"
+      "shards,2\n"
+      "0,-0x1.9p+3,6,1,0\n"
+      "1,-0x1.ap+3,6,2,0\n"
+      "end\n";
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << v3;
+    ASSERT_TRUE(os.good());
+  }
+
+  const TrajectoryDataset data = MakeMiningData();
+  NmEngine engine(data, MakeSpace());
+  SupervisorOptions sup;
+  sup.checkpoint_path = path;
+  sup.miner = MakeOptions();
+  MiningSupervisor supervisor(&engine, sup);
+  const SupervisorReport report = supervisor.Run();
+  EXPECT_EQ(report.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(report.status.ToString().find("v3"), std::string::npos)
+      << report.status.ToString();
+  EXPECT_FALSE(report.resumed_from_checkpoint);
+  EXPECT_TRUE(report.result.patterns.empty());
+  EXPECT_EQ(report.sink_attempts, 0);
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream after;
+  after << is.rdbuf();
+  EXPECT_EQ(after.str(), v3);
+  std::remove(path.c_str());
+}
+
 TEST(MiningSupervisorTest, CorruptCheckpointFileSurfacesTypedError) {
   const TrajectoryDataset data = MakeMiningData();
   const std::string path = TempCheckpointPath("tp_supervisor_corrupt.ckpt");

@@ -86,30 +86,6 @@ TEST(SimdKernelTest, FusedMaxSumMatchesNaiveScanOnLargeInput) {
   EXPECT_TRUE(BitEq(simd::FusedMaxSumPortable(w.data(), t.data(), n), naive));
 }
 
-TEST(SimdKernelTest, AddIntoMatchesPortableOnEveryTailLength) {
-  for (size_t n = 0; n <= 40; ++n) {
-    const std::vector<double> src = ColumnData(n, 4000 + n);
-    std::vector<double> a = ColumnData(n, 5000 + n);
-    std::vector<double> b = a;
-    simd::AddInto(a.data(), src.data(), n);
-    simd::AddIntoPortable(b.data(), src.data(), n);
-    for (size_t k = 0; k < n; ++k) {
-      EXPECT_TRUE(BitEq(a[k], b[k])) << "n=" << n << " k=" << k;
-    }
-  }
-}
-
-TEST(SimdKernelTest, AddIntoIsPlainIeeeAddition) {
-  const size_t n = 1037;
-  const std::vector<double> src = ColumnData(n, 77);
-  std::vector<double> dst = ColumnData(n, 78);
-  const std::vector<double> before = dst;
-  simd::AddInto(dst.data(), src.data(), n);
-  for (size_t k = 0; k < n; ++k) {
-    EXPECT_TRUE(BitEq(dst[k], before[k] + src[k])) << "k=" << k;
-  }
-}
-
 TEST(SimdKernelTest, AddToMatchesPortableOnUnalignedOddLengths) {
   // Offsetting each operand by one double puts every vector load and
   // store off a 32-byte boundary, and odd lengths always leave a scalar

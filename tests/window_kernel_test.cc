@@ -1,6 +1,7 @@
-// Tests of the PR-3 window-scoring kernel work: streaming-vs-gather
-// bit-identity, the ω-aware early-abandon contract, all-wildcard
-// rejection, arena warm-up edge cases, and checkpoint v1/v2 compat.
+// Tests of the window scan: the engine's totals (the shared-prefix walk)
+// against the point-at-a-time gather reference of src/testing, bit for
+// bit under both indifference models; all-wildcard rejection; arena
+// warm-up edge cases; and checkpoint v1/v2 compat and v3 refusal.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "io/checkpoint.h"
 #include "prob/log_space.h"
 #include "prob/rng.h"
+#include "testing/reference_scorer.h"
 
 namespace trajpattern {
 namespace {
@@ -87,55 +89,71 @@ std::vector<Pattern> MixedPatterns(const NmEngine& engine) {
 }
 
 TEST(WindowKernelTest, StreamingMatchesGatherBitwise) {
-  for (uint64_t seed : {1u, 7u, 42u}) {
-    const MiningSpace space(Grid::UnitSquare(6), 0.17);
-    const TrajectoryDataset d = UniformData(12, 9, seed);
-    NmEngine engine(d, space);
-    for (const Pattern& p : MixedPatterns(engine)) {
-      engine.set_window_kernel(WindowKernel::kGather);
-      const double nm_gather = engine.NmTotal(p);
-      const double match_gather = engine.MatchTotal(p);
-      engine.set_window_kernel(WindowKernel::kStreaming);
-      EXPECT_TRUE(BitEqual(engine.NmTotal(p), nm_gather))
-          << "seed " << seed << " len " << p.length();
-      EXPECT_TRUE(BitEqual(engine.MatchTotal(p), match_gather))
-          << "seed " << seed << " len " << p.length();
+  for (const IndifferenceModel model :
+       {IndifferenceModel::kRectangular, IndifferenceModel::kRadial}) {
+    for (uint64_t seed : {1u, 7u, 42u}) {
+      const MiningSpace space(Grid::UnitSquare(6), 0.17, model);
+      const TrajectoryDataset d = UniformData(12, 9, seed);
+      NmEngine engine(d, space);
+      ReferenceScorer reference(d, space);
+      for (const Pattern& p : MixedPatterns(engine)) {
+        EXPECT_TRUE(BitEqual(engine.NmTotal(p), reference.NmTotal(p)))
+            << "seed " << seed << " len " << p.length();
+        EXPECT_TRUE(BitEqual(engine.MatchTotal(p), reference.MatchTotal(p)))
+            << "seed " << seed << " len " << p.length();
+      }
     }
   }
 }
 
 TEST(WindowKernelTest, StreamingMatchesGatherOnRaggedTrajectories) {
   const MiningSpace space(Grid::UnitSquare(5), 0.2);
-  const TrajectoryDataset d = RaggedData(3);
-  NmEngine engine(d, space);
-  for (const Pattern& p : MixedPatterns(engine)) {
-    engine.set_window_kernel(WindowKernel::kGather);
-    const double nm_gather = engine.NmTotal(p);
-    engine.set_window_kernel(WindowKernel::kStreaming);
-    EXPECT_TRUE(BitEqual(engine.NmTotal(p), nm_gather)) << p.length();
+  // The second dataset adds a trajectory pinned far outside every cell,
+  // whose columns sit at the log floor.
+  TrajectoryDataset with_far = RaggedData(3);
+  Trajectory far("far");
+  for (int s = 0; s < 6; ++s) far.Append(Point2(1e3 + s, 1e3), 1e-9);
+  with_far.Add(std::move(far));
+  for (const TrajectoryDataset& d : {RaggedData(3), with_far}) {
+    NmEngine engine(d, space);
+    ReferenceScorer reference(d, space);
+    const std::vector<Pattern> batch = MixedPatterns(engine);
+    const std::vector<double> batch_1t = engine.NmTotalBatch(batch, 1);
+    const std::vector<double> batch_8t = engine.NmTotalBatch(batch, 8);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const double want = reference.NmTotal(batch[i]);
+      EXPECT_TRUE(BitEqual(engine.NmTotal(batch[i]), want))
+          << d.size() << " trajectories, len " << batch[i].length();
+      EXPECT_TRUE(BitEqual(batch_1t[i], want)) << batch[i].ToString();
+      EXPECT_TRUE(BitEqual(batch_8t[i], want)) << batch[i].ToString();
+    }
   }
 }
 
 TEST(WindowKernelTest, BatchMatchesSerialAcrossKernelsAndThreads) {
-  const MiningSpace space(Grid::UnitSquare(6), 0.17);
-  const TrajectoryDataset d = UniformData(20, 12, 11);
-  NmEngine engine(d, space);
-  const std::vector<Pattern> batch = MixedPatterns(engine);
-
-  engine.set_window_kernel(WindowKernel::kGather);
-  const std::vector<double> gather_1t = engine.NmTotalBatch(batch, 1);
-  const std::vector<double> gather_8t = engine.NmTotalBatch(batch, 8);
-  engine.set_window_kernel(WindowKernel::kStreaming);
-  const std::vector<double> streaming_1t = engine.NmTotalBatch(batch, 1);
-  const std::vector<double> streaming_8t = engine.NmTotalBatch(batch, 8);
-
-  EXPECT_TRUE(BitEqual(gather_1t, gather_8t));
-  EXPECT_TRUE(BitEqual(gather_1t, streaming_1t));
-  EXPECT_TRUE(BitEqual(gather_1t, streaming_8t));
-
-  // Serial per-pattern calls agree with the batch too.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_TRUE(BitEqual(engine.NmTotal(batch[i]), streaming_1t[i]));
+  for (const IndifferenceModel model :
+       {IndifferenceModel::kRectangular, IndifferenceModel::kRadial}) {
+    const MiningSpace space(Grid::UnitSquare(6), 0.17, model);
+    const TrajectoryDataset d = UniformData(20, 12, 11);
+    NmEngine engine(d, space);
+    ReferenceScorer reference(d, space);
+    const std::vector<Pattern> batch = MixedPatterns(engine);
+    std::vector<double> nm_want(batch.size()), match_want(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      nm_want[i] = reference.NmTotal(batch[i]);
+      match_want[i] = reference.MatchTotal(batch[i]);
+    }
+    for (const int threads : {1, 8}) {
+      EXPECT_TRUE(BitEqual(engine.NmTotalBatch(batch, threads), nm_want))
+          << threads << " threads";
+      EXPECT_TRUE(BitEqual(engine.MatchTotalBatch(batch, threads), match_want))
+          << threads << " threads";
+    }
+    // Serial per-pattern calls agree with the batch too.
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_TRUE(BitEqual(engine.NmTotal(batch[i]), nm_want[i]));
+      EXPECT_TRUE(BitEqual(engine.MatchTotal(batch[i]), match_want[i]));
+    }
   }
 }
 
@@ -210,14 +228,13 @@ std::vector<Pattern> PrefixHeavyBatch(const NmEngine& engine, uint64_t seed) {
 TEST(WindowKernelTest, SharedPrefixWalkMatchesGatherBitwise) {
   const MiningSpace space(Grid::UnitSquare(10), 0.1);
   const TrajectoryDataset d = WalkData(5);
-  NmEngine gather(d, space);
-  gather.set_window_kernel(WindowKernel::kGather);
+  ReferenceScorer reference(d, space);
   NmEngine engine(d, space);
   const std::vector<Pattern> batch = PrefixHeavyBatch(engine, 23);
   std::vector<double> nm_want(batch.size()), match_want(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    nm_want[i] = gather.NmTotal(batch[i]);
-    match_want[i] = gather.MatchTotal(batch[i]);
+    nm_want[i] = reference.NmTotal(batch[i]);
+    match_want[i] = reference.MatchTotal(batch[i]);
   }
   const auto expect_want = [&](const std::vector<double>& nm,
                                const std::vector<double>& match,
@@ -252,8 +269,8 @@ TEST(WindowKernelTest, SharedPrefixWalkMatchesGatherBitwise) {
   NmEngine budgeted(d, space);
   for (const int threads : {1, 4}) {
     BatchScoreStats nm_stats, match_stats;
-    const std::vector<double> nm = budgeted.NmTotalBatch(
-        batch, threads, &nm_stats, NmEngine::kNoPruning, &run);
+    const std::vector<double> nm =
+        budgeted.NmTotalBatch(batch, threads, &nm_stats, &run);
     const std::vector<double> match =
         budgeted.MatchTotalBatch(batch, threads, &match_stats, &run);
     ASSERT_EQ(nm_stats.stop, StopReason::kNone);
@@ -303,167 +320,6 @@ TEST(WindowKernelTest, PrefixLevelCountsAreHandCountedAndThreadInvariant) {
   }
 }
 
-TEST(WindowKernelTest, NoPruningDefaultLeavesStatsZero) {
-  const MiningSpace space(Grid::UnitSquare(6), 0.17);
-  const TrajectoryDataset d = UniformData(10, 8, 5);
-  NmEngine engine(d, space);
-  BatchScoreStats stats;
-  engine.NmTotalBatch(MixedPatterns(engine), 1, &stats);
-  EXPECT_EQ(stats.candidates_pruned, 0u);
-  EXPECT_EQ(stats.trajectories_skipped, 0);
-}
-
-TEST(WindowKernelTest, PrunedScoresAreUpperBoundsBelowOmega) {
-  const MiningSpace space(Grid::UnitSquare(8), 0.125);
-  const TrajectoryDataset d = UniformData(40, 10, 9);
-  NmEngine engine(d, space);
-  std::vector<Pattern> batch;
-  for (CellId c : engine.TouchedCells()) batch.push_back(Pattern(c));
-  ASSERT_GE(batch.size(), 8u);
-
-  const std::vector<double> exact = engine.NmTotalBatch(batch, 1);
-  std::vector<double> sorted = exact;
-  std::sort(sorted.begin(), sorted.end(), std::greater<double>());
-  const double omega = sorted[4];  // a top-5 threshold
-
-  BatchScoreStats stats;
-  const std::vector<double> pruned =
-      engine.NmTotalBatch(batch, 1, &stats, omega);
-  ASSERT_EQ(pruned.size(), exact.size());
-
-  EXPECT_GT(stats.candidates_pruned, 0u);
-  EXPECT_GT(stats.trajectories_skipped, 0);
-  size_t divergent = 0;
-  for (size_t i = 0; i < exact.size(); ++i) {
-    if (BitEqual(pruned[i], exact[i])) continue;
-    ++divergent;
-    // An abandoned scan returns a partial sum: an upper bound on the
-    // exact NM that is itself below the threshold.
-    EXPECT_GE(pruned[i], exact[i]);
-    EXPECT_LT(pruned[i], omega);
-  }
-  // Every divergent score comes from an abandon; the reverse need not
-  // hold (a skipped trajectory can contribute an exact 0.0 when its best
-  // window probability rounds to 1, leaving the partial sum equal to the
-  // exact total).
-  EXPECT_LE(divergent, stats.candidates_pruned);
-  // Anything at or above ω must come back exact (top-k preservation).
-  for (size_t i = 0; i < exact.size(); ++i) {
-    if (exact[i] >= omega) {
-      EXPECT_TRUE(BitEqual(pruned[i], exact[i]));
-    }
-  }
-
-  // Pruned batches are thread-count invariant like unpruned ones.
-  BatchScoreStats stats8;
-  const std::vector<double> pruned8 =
-      engine.NmTotalBatch(batch, 8, &stats8, omega);
-  EXPECT_TRUE(BitEqual(pruned, pruned8));
-  EXPECT_EQ(stats.candidates_pruned, stats8.candidates_pruned);
-  EXPECT_EQ(stats.trajectories_skipped, stats8.trajectories_skipped);
-}
-
-TEST(WindowKernelTest, PruningThresholdExactlyAtAScoreKeepsItExact) {
-  // The abandon test is strict (< threshold): a candidate whose exact NM
-  // *equals* the threshold is still a legitimate top-k member and must
-  // come back bit-exact, including when the running partial sum lands on
-  // the threshold mid-scan.  Probed at ω = an exact score and one ulp to
-  // either side, wildcard-bearing patterns included.
-  const MiningSpace space(Grid::UnitSquare(6), 0.17);
-  const TrajectoryDataset d = UniformData(25, 10, 21);
-  NmEngine engine(d, space);
-  const std::vector<Pattern> batch = MixedPatterns(engine);
-  const std::vector<double> exact = engine.NmTotalBatch(batch, 1);
-
-  std::vector<double> finite;
-  for (double v : exact) {
-    if (std::isfinite(v)) finite.push_back(v);
-  }
-  ASSERT_GE(finite.size(), 2u);
-  std::sort(finite.begin(), finite.end(), std::greater<double>());
-  const double mid = finite[finite.size() / 2];
-
-  for (const double omega :
-       {mid, std::nextafter(mid, kNegInf),
-        std::nextafter(mid, std::numeric_limits<double>::infinity())}) {
-    BatchScoreStats stats;
-    const std::vector<double> pruned =
-        engine.NmTotalBatch(batch, 1, &stats, omega);
-    ASSERT_EQ(pruned.size(), exact.size());
-    for (size_t i = 0; i < exact.size(); ++i) {
-      if (exact[i] >= omega) {
-        EXPECT_TRUE(BitEqual(pruned[i], exact[i]))
-            << "pattern " << i << " at/above omega came back inexact";
-      } else if (!BitEqual(pruned[i], exact[i])) {
-        EXPECT_GE(pruned[i], exact[i]);
-        EXPECT_LT(pruned[i], omega);
-      }
-    }
-  }
-}
-
-TEST(WindowKernelTest, PruningHandlesNegInfScoresAndColumns) {
-  // A trajectory pinned far outside a pattern's cells yields -inf window
-  // probabilities; the 4-accumulator max scan and the abandon test must
-  // treat those columns as "contributes nothing", not poison neighbors.
-  TrajectoryDataset d = RaggedData(3);
-  Trajectory far("far");
-  for (int s = 0; s < 6; ++s) {
-    far.Append(Point2(1e3 + s, 1e3), 1e-9);  // hopeless for any unit cell
-  }
-  d.Add(std::move(far));
-  const MiningSpace space(Grid::UnitSquare(5), 0.2);
-  NmEngine engine(d, space);
-  const std::vector<Pattern> batch = MixedPatterns(engine);
-  const std::vector<double> exact = engine.NmTotalBatch(batch, 1);
-  // Any threshold, including -inf itself (nothing compares below it, so
-  // nothing may be abandoned) must preserve the contract.
-  for (const double omega : {kNegInf, -1e12, exact[0]}) {
-    BatchScoreStats stats;
-    const std::vector<double> pruned =
-        engine.NmTotalBatch(batch, 1, &stats, omega);
-    const std::vector<double> pruned8 =
-        engine.NmTotalBatch(batch, 8, nullptr, omega);
-    EXPECT_TRUE(BitEqual(pruned, pruned8));
-    for (size_t i = 0; i < exact.size(); ++i) {
-      if (!BitEqual(pruned[i], exact[i])) {
-        EXPECT_GE(pruned[i], exact[i]);
-        EXPECT_LT(pruned[i], omega);
-      }
-    }
-    if (BitEqual(omega, kNegInf)) {
-      EXPECT_TRUE(BitEqual(pruned, exact));
-    }
-  }
-}
-
-TEST(WindowKernelTest, MinerOmegaPruningPreservesTopK) {
-  const MiningSpace space(Grid::UnitSquare(6), 0.17);
-  const TrajectoryDataset d = UniformData(30, 12, 21);
-
-  MinerOptions opt;
-  opt.k = 5;
-  opt.max_pattern_length = 3;
-
-  NmEngine exact_engine(d, space);
-  const MiningResult exact = MineTrajPatterns(exact_engine, opt);
-  // Exact mode skips candidates by split bound (counted as pruned) but
-  // never abandons a scan part-way.
-  EXPECT_EQ(exact.stats.trajectories_skipped, 0);
-
-  opt.omega_pruning = true;
-  NmEngine pruned_engine(d, space);
-  const MiningResult pruned = MineTrajPatterns(pruned_engine, opt);
-
-  ASSERT_EQ(exact.patterns.size(), pruned.patterns.size());
-  for (size_t i = 0; i < exact.patterns.size(); ++i) {
-    EXPECT_EQ(exact.patterns[i].pattern, pruned.patterns[i].pattern);
-    EXPECT_TRUE(BitEqual(exact.patterns[i].nm, pruned.patterns[i].nm));
-  }
-  EXPECT_GT(pruned.stats.candidates_pruned, 0);
-  EXPECT_GT(pruned.stats.trajectories_skipped, 0);
-}
-
 TEST(WindowKernelTest, AllWildcardPatternsAreRejected) {
   const MiningSpace space(Grid::UnitSquare(4), 0.25);
   const TrajectoryDataset d = UniformData(4, 5, 13);
@@ -481,18 +337,18 @@ TEST(WindowKernelTest, AllWildcardPatternsAreRejected) {
           .ok());
 
   // The NM entry points reject by value (-inf: unreachable by any real
-  // pattern) rather than dividing by the zero specified-count.
-  for (WindowKernel k : {WindowKernel::kStreaming, WindowKernel::kGather}) {
-    engine.set_window_kernel(k);
-    EXPECT_EQ(engine.NmTotal(stars), kNegInf);
-    EXPECT_EQ(engine.Nm(stars, 0), kNegInf);
-    const std::vector<double> batch =
-        engine.NmTotalBatch({Pattern(CellId{0}), stars});
-    ASSERT_EQ(batch.size(), 2u);
-    EXPECT_GT(batch[0], kNegInf);
-    EXPECT_EQ(batch[1], kNegInf);
-  }
+  // pattern) rather than dividing by the zero specified-count, and so
+  // does the reference.
+  EXPECT_EQ(engine.NmTotal(stars), kNegInf);
+  const std::vector<double> batch =
+      engine.NmTotalBatch({Pattern(CellId{0}), stars});
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_GT(batch[0], kNegInf);
+  EXPECT_EQ(batch[1], kNegInf);
   EXPECT_EQ(engine.NmTotalWithGaps(stars, 2), kNegInf);
+  ReferenceScorer reference(d, space);
+  EXPECT_EQ(reference.NmTotal(stars), kNegInf);
+  EXPECT_EQ(reference.Nm(stars, 0), kNegInf);
 
   // Match does not normalize: the all-wildcard pattern stays defined and
   // scores 1 per trajectory long enough to host a window.
@@ -697,8 +553,14 @@ TEST(WindowKernelTest, CheckpointReaderAcceptsV1WithZeroCounters) {
   ASSERT_EQ(cp.prev_high.size(), 1u);
   EXPECT_EQ(cp.prev_queue.size(), 0u);
 
-  std::stringstream bad("trajpattern_checkpoint,v3\nend\n");
-  EXPECT_FALSE(ReadMinerCheckpoint(bad, &cp).ok());
+  // A v3 file (sharded runs) is refused with its own typed status, not
+  // the bad-header one; an unknown version is corruption.
+  std::stringstream v3("trajpattern_checkpoint,v3\nend\n");
+  const Status s3 = ReadMinerCheckpoint(v3, &cp);
+  EXPECT_EQ(s3.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(s3.ToString().find("v3"), std::string::npos) << s3.ToString();
+  std::stringstream bad("trajpattern_checkpoint,v9\nend\n");
+  EXPECT_EQ(ReadMinerCheckpoint(bad, &cp).code(), StatusCode::kDataLoss);
 }
 
 }  // namespace
