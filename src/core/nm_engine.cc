@@ -3,9 +3,15 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <new>
 #include <unordered_set>
 #include <utility>
+
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#endif
 
 #include "core/simd_kernels.h"
 #include "obs/obs.h"
@@ -34,7 +40,30 @@ constexpr size_t kTileBytes = size_t{2} << 20;
 /// group still spreads over the lanes.
 constexpr size_t kSliceCandidates = 64;
 
+/// Alignment of the arena and the factor buffers: one x86-64 huge page.
+constexpr size_t kHugePage = size_t{2} << 20;
+
 }  // namespace
+
+void NmEngine::FreeDoubles::operator()(double* p) const noexcept {
+  ::operator delete(p, std::align_val_t{kHugePage});
+}
+
+NmEngine::DoubleBuffer NmEngine::AllocateDoubles(size_t count) {
+  if (count == 0) return DoubleBuffer();
+  if (count > SIZE_MAX / sizeof(double)) throw std::bad_alloc();
+  const size_t bytes = count * sizeof(double);
+  DoubleBuffer buf(static_cast<double*>(
+      ::operator new(bytes, std::align_val_t{kHugePage})));
+#ifdef MADV_HUGEPAGE
+  // Advice only, so a failure changes nothing.  Limited to the buffer's
+  // whole huge pages: the tail stays in small pages, and no byte outside
+  // the buffer is advised.
+  const size_t whole = bytes & ~(kHugePage - 1);
+  if (whole > 0) madvise(buf.get(), whole, MADV_HUGEPAGE);
+#endif
+  return buf;
+}
 
 NmEngine::NmEngine(const TrajectoryDataset& data, const MiningSpace& space)
     : data_(&data), space_(space) {
@@ -152,9 +181,16 @@ bool NmEngine::GrowArena(size_t new_alloc) const {
     return false;
   }
   try {
-    arena_.resize(new_alloc * stride_);
+    DoubleBuffer grown = AllocateDoubles(new_alloc * stride_);
     slot_cell_.resize(new_alloc, kWildcardCell);
     slot_last_use_.resize(new_alloc, 0);
+    // Free slabs hold no column, and may never have been written.
+    for (size_t s = 0; s < allocated_slots_ && stride_ > 0; ++s) {
+      if (slot_cell_[s] == kWildcardCell) continue;
+      std::memcpy(grown.get() + s * stride_, arena_.get() + s * stride_,
+                  column_bytes());
+    }
+    arena_ = std::move(grown);
   } catch (const std::bad_alloc&) {
     return false;
   }
@@ -212,7 +248,7 @@ int32_t NmEngine::EnsureColumn(CellId cell) const {
     if (!GrowArena(allocated_slots_ + 1)) throw std::bad_alloc();
     slot = static_cast<int32_t>(allocated_slots_ - 1);
   }
-  double* out = arena_.data() + static_cast<size_t>(slot) * stride_;
+  double* out = ColumnBase(slot);
   if (column_store_ == nullptr || !FaultColumnIn(cell, out)) {
     ComputeColumnInto(cell, out, &column_scratch_);
   }
@@ -519,8 +555,8 @@ void NmEngine::WarmRectangularFactored(const std::vector<CellId>& missing,
   // index and center.y purely from the row index, so every cell sharing
   // a grid column shares these doubles bit-for-bit — this is where the
   // erfc-bound cost collapses from O(cells) to O(cols + rows) passes.
-  std::vector<double> fx(cols.size() * stride_);
-  std::vector<double> fy(rows.size() * stride_);
+  const DoubleBuffer fx = AllocateDoubles(cols.size() * stride_);
+  const DoubleBuffer fy = AllocateDoubles(rows.size() * stride_);
   // Under run control a factor pass can be skipped mid-batch; a cell's
   // column is complete only if its grid-column factor, grid-row factor,
   // AND product pass all ran, so factor completion is tracked too.
@@ -532,12 +568,12 @@ void NmEngine::WarmRectangularFactored(const std::vector<CellId>& missing,
         if (i < cols.size()) {
           const double cx = grid.CenterOf(grid.At(cols[i], 0)).x;
           NormalIntervalProbBatch(px_.data(), sigma_.data(), cx - delta,
-                                  cx + delta, fx.data() + i * stride_, stride_);
+                                  cx + delta, fx.get() + i * stride_, stride_);
         } else {
           const size_t r = i - cols.size();
           const double cy = grid.CenterOf(grid.At(0, rows[r])).y;
           NormalIntervalProbBatch(py_.data(), sigma_.data(), cy - delta,
-                                  cy + delta, fy.data() + r * stride_, stride_);
+                                  cy + delta, fy.get() + r * stride_, stride_);
         }
         if (run != nullptr) part_done[i] = 1;
       },
@@ -557,10 +593,9 @@ void NmEngine::WarmRectangularFactored(const std::vector<CellId>& missing,
             (!part_done[ci] || !part_done[cols.size() + ri])) {
           return;  // a factor was skipped by the stop: leave the cell cold
         }
-        const double* px = fx.data() + ci * stride_;
-        const double* py = fy.data() + ri * stride_;
-        double* out =
-            arena_.data() + static_cast<size_t>(slots[i]) * stride_;
+        const double* px = fx.get() + ci * stride_;
+        const double* py = fy.get() + ri * stride_;
+        double* out = ColumnBase(slots[i]);
         for (size_t g = 0; g < stride_; ++g) out[g] = SafeLog(px[g] * py[g]);
         if (done != nullptr) (*done)[i] = 1;
       },
@@ -621,7 +656,7 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
 
   // Slot assignment: free-listed slabs first, then the arena is grown
   // once, serially, so the workers below write into disjoint
-  // pre-existing slabs and `arena_.data()` never moves while they run;
+  // pre-existing slabs and `arena_` never moves while they run;
   // slot assignment also stays on the calling thread — a single ordered
   // publish after the fills — so the slot table never needs a lock,
   // readers never see a torn update, and the cell->slot assignment is a
@@ -650,9 +685,7 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
   size_t num_faulted = 0;
   if (column_store_ != nullptr) {
     for (size_t i = 0; i < missing.size(); ++i) {
-      if (FaultColumnIn(missing[i], arena_.data() +
-                                        static_cast<size_t>(slots[i]) *
-                                            stride_)) {
+      if (FaultColumnIn(missing[i], ColumnBase(slots[i]))) {
         faulted[i] = 1;
         ++num_faulted;
       }
@@ -680,9 +713,7 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
       ParallelFor(
           pool, fcells.size(),
           [&](size_t i, int worker) {
-            ComputeColumnInto(fcells[i],
-                              arena_.data() +
-                                  static_cast<size_t>(fslots[i]) * stride_,
+            ComputeColumnInto(fcells[i], ColumnBase(fslots[i]),
                               &scratch[static_cast<size_t>(worker)]);
             if (run != nullptr) (*fdone)[i] = 1;
           },
@@ -921,15 +952,34 @@ double NmEngine::NmTotalWithGaps(const Pattern& p, int max_gap) const {
 }
 
 std::vector<CellId> NmEngine::TouchedCells(double radius_sigmas) const {
-  std::unordered_set<CellId> seen;
-  for (const auto& pt : flat_points_) {
-    const double r = radius_sigmas * pt.sigma + space_.delta +
-                     0.5 * std::max(space_.grid.cell_width(),
-                                    space_.grid.cell_height());
-    for (CellId c : space_.grid.CellsWithin(pt.mean, r)) seen.insert(c);
+  const Grid& grid = space_.grid;
+  const double half_cell =
+      0.5 * std::max(grid.cell_width(), grid.cell_height());
+  // The union of every point's `CellsWithin` list, without building the
+  // lists: a cell is tested against points' discs only until one holds
+  // it, and later points skip it.
+  std::vector<char> marked(static_cast<size_t>(grid.num_cells()), 0);
+  size_t num_marked = 0;
+  for (const TrajectoryPoint& pt : flat_points_) {
+    const double r = radius_sigmas * pt.sigma + space_.delta + half_cell;
+    const double r2 = r * r;
+    const Grid::CellRange range = grid.BoundingCells(pt.mean, r);
+    for (int row = range.row_lo; row <= range.row_hi; ++row) {
+      for (int col = range.col_lo; col <= range.col_hi; ++col) {
+        const CellId id = grid.At(col, row);
+        char& mark = marked[static_cast<size_t>(id)];
+        if (!mark && SquaredDistance(grid.CenterOf(id), pt.mean) <= r2) {
+          mark = 1;
+          ++num_marked;
+        }
+      }
+    }
   }
-  std::vector<CellId> out(seen.begin(), seen.end());
-  std::sort(out.begin(), out.end());
+  std::vector<CellId> out;
+  out.reserve(num_marked);
+  for (CellId c = 0; c < grid.num_cells(); ++c) {
+    if (marked[static_cast<size_t>(c)]) out.push_back(c);
+  }
   return out;
 }
 

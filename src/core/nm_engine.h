@@ -270,6 +270,19 @@ class NmEngine {
   size_t columns_faulted() const { return columns_faulted_; }
 
  private:
+  /// Frees a `DoubleBuffer`.
+  struct FreeDoubles {
+    void operator()(double* p) const noexcept;
+  };
+  /// Owning buffer of doubles that is never zero-filled: its pages are
+  /// first touched by whoever first writes them.
+  using DoubleBuffer = std::unique_ptr<double[], FreeDoubles>;
+
+  /// `count` uninitialized doubles aligned to 2 MiB, the length not
+  /// rounded up, with `MADV_HUGEPAGE` advised on the whole huge pages
+  /// where the platform defines it.  Throws `std::bad_alloc`.
+  static DoubleBuffer AllocateDoubles(size_t count);
+
   /// Scratch of one column materialization (per warm-up worker): the 1-D
   /// probability factors of the rectangular model, or the center
   /// distances of the radial one.
@@ -335,8 +348,8 @@ class NmEngine {
   int32_t EnsureColumn(CellId cell) const;
 
   /// Base pointer of the column in `slot`.
-  const double* ColumnBase(int32_t slot) const {
-    return arena_.data() + static_cast<size_t>(slot) * stride_;
+  double* ColumnBase(int32_t slot) const {
+    return arena_.get() + static_cast<size_t>(slot) * stride_;
   }
 
   /// Resolves each position of `p` to its column base pointer in
@@ -396,8 +409,9 @@ class NmEngine {
   size_t EvictLruSlots(size_t count, uint64_t protect_tick) const;
 
   /// Grows the arena to hold `new_alloc` slots (plus the slot-side
-  /// bookkeeping).  Returns false — leaving the arena untouched — on
-  /// `std::bad_alloc` or when the alloc fault hook injects a failure.
+  /// bookkeeping), copying the resident slabs into the new buffer.
+  /// Returns false — leaving the arena untouched — on `std::bad_alloc` or
+  /// when the alloc fault hook injects a failure.
   bool GrowArena(size_t new_alloc) const;
 
   /// The lazily built pool reused by batch calls; grown when a call asks
@@ -415,11 +429,13 @@ class NmEngine {
   /// dense inputs the batched prob evaluations stream over.
   std::vector<double> px_, py_, sigma_;
 
-  /// Column arena: slot s holds the column of one cell in
-  /// [s*stride_, (s+1)*stride_), stride_ == flat_points_.size().
-  /// Warm-up appends slabs (reusing free-listed ones first); batch
-  /// workers only read.
-  mutable std::vector<double> arena_;
+  /// Column arena of `allocated_slots_ * stride_` doubles: slot s holds
+  /// the column of one cell in [s*stride_, (s+1)*stride_), stride_ ==
+  /// flat_points_.size().  Warm-up appends slabs (reusing free-listed
+  /// ones first); batch workers only read.  Only resident slabs are ever
+  /// read: a slab is fully written before it is published, and a free
+  /// one holds no column.
+  mutable DoubleBuffer arena_;
   /// Dense CellId -> arena slot map (-1 == not materialized), sized to
   /// the grid; replaces the hash probe of the old unordered_map cache.
   mutable std::vector<int32_t> cell_slot_;

@@ -50,22 +50,22 @@ double Grid::CenterDistance(CellId a, CellId b) const {
   return Distance(CenterOf(a), CenterOf(b));
 }
 
+Grid::CellRange Grid::BoundingCells(const Point2& p, double radius) const {
+  // A huge radius (a knows-nothing sigma) pushes these coordinates far
+  // past the int range, so the same pre-cast clamping as CellOf applies.
+  return CellRange{
+      ClampedCellIndex((p.x - radius - box_.min().x) / cell_w_, nx_),
+      ClampedCellIndex((p.x + radius - box_.min().x) / cell_w_, nx_),
+      ClampedCellIndex((p.y - radius - box_.min().y) / cell_h_, ny_),
+      ClampedCellIndex((p.y + radius - box_.min().y) / cell_h_, ny_)};
+}
+
 std::vector<CellId> Grid::CellsWithin(const Point2& p, double radius) const {
   std::vector<CellId> out;
-  // Restrict the scan to the bounding square of the disc.  A huge
-  // radius (a knows-nothing sigma) pushes these coordinates far past
-  // the int range, so the same pre-cast clamping as CellOf applies.
-  const int col_lo =
-      ClampedCellIndex((p.x - radius - box_.min().x) / cell_w_, nx_);
-  const int col_hi =
-      ClampedCellIndex((p.x + radius - box_.min().x) / cell_w_, nx_);
-  const int row_lo =
-      ClampedCellIndex((p.y - radius - box_.min().y) / cell_h_, ny_);
-  const int row_hi =
-      ClampedCellIndex((p.y + radius - box_.min().y) / cell_h_, ny_);
+  const CellRange range = BoundingCells(p, radius);
   const double r2 = radius * radius;
-  for (int row = row_lo; row <= row_hi; ++row) {
-    for (int col = col_lo; col <= col_hi; ++col) {
+  for (int row = range.row_lo; row <= range.row_hi; ++row) {
+    for (int col = range.col_lo; col <= range.col_hi; ++col) {
       const CellId id = At(col, row);
       if (SquaredDistance(CenterOf(id), p) <= r2) out.push_back(id);
     }

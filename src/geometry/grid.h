@@ -70,6 +70,19 @@ class Grid {
   /// pattern-assisted prediction and by the wildcard NM bound.
   std::vector<CellId> CellsWithin(const Point2& p, double radius) const;
 
+  /// Inclusive column and row bounds of a block of cells.
+  struct CellRange {
+    int col_lo;
+    int col_hi;
+    int row_lo;
+    int row_hi;
+  };
+
+  /// The cells of the bounding square of the disc of `radius` around
+  /// `p`, clamped to the grid: every cell whose center is within `radius`
+  /// of `p` lies in it.  `CellsWithin` filters exactly this block.
+  CellRange BoundingCells(const Point2& p, double radius) const;
+
  private:
   BoundingBox box_;
   int nx_;

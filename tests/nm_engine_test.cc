@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <vector>
 
 #include "core/miner.h"
 #include "core/mining_space.h"
 #include "core/nm_engine.h"
+#include "datagen/bus_generator.h"
 #include "datagen/uniform_generator.h"
+#include "datagen/zebranet_generator.h"
 #include "prob/log_space.h"
 #include "prob/rng.h"
 #include "testing/reference_scorer.h"
+#include "trajectory/transform.h"
 
 namespace trajpattern {
 namespace {
@@ -157,6 +161,100 @@ TEST(NmEngineTest, TouchedCellsCoverSnapshotMeans) {
       EXPECT_TRUE(std::binary_search(cells.begin(), cells.end(), c));
     }
   }
+}
+
+// A Fig. 4-shaped ZebraNet set: a 10x10 grid, delta one cell.
+TrajectoryDataset ZebraData() {
+  ZebraNetGeneratorOptions opt;
+  opt.num_zebras = 60;
+  opt.num_groups = 6;
+  opt.num_snapshots = 20;
+  opt.sigma = 0.006;
+  opt.seed = 3;
+  return GenerateZebraNet(opt);
+}
+
+MiningSpace ZebraSpace() {
+  const Grid grid = Grid::UnitSquare(10);
+  return MiningSpace(grid, grid.cell_width());
+}
+
+// §6.1 bus velocities on a 24x24 grid over their bounding box, delta half
+// a cell: sigma spans about two cells, so few entries are floored.
+TrajectoryDataset VelocityData() {
+  BusGeneratorOptions opt;
+  opt.num_routes = 2;
+  opt.buses_per_route = 3;
+  opt.num_days = 2;
+  opt.num_snapshots = 40;
+  opt.waypoint_pool = 14;
+  opt.seed = 5;
+  return ToVelocityTrajectories(GenerateBusTraces(opt));
+}
+
+MiningSpace VelocitySpace(const TrajectoryDataset& d) {
+  const Grid grid(d.MeanBoundingBox(0.005), 24, 24);
+  return MiningSpace(grid,
+                     0.5 * std::max(grid.cell_width(), grid.cell_height()));
+}
+
+// What `TouchedCells` computes, by its definition: the sorted union of
+// every point's `Grid::CellsWithin` list at radius
+// radius_sigmas * sigma + delta + half a cell.
+std::vector<CellId> TouchedCellsByDefinition(const TrajectoryDataset& d,
+                                             const MiningSpace& space,
+                                             double radius_sigmas) {
+  std::set<CellId> seen;
+  for (const auto& t : d) {
+    for (const auto& pt : t) {
+      const double r = radius_sigmas * pt.sigma + space.delta +
+                       0.5 * std::max(space.grid.cell_width(),
+                                      space.grid.cell_height());
+      for (CellId c : space.grid.CellsWithin(pt.mean, r)) seen.insert(c);
+    }
+  }
+  return std::vector<CellId>(seen.begin(), seen.end());
+}
+
+TEST(NmEngineTest, TouchedCellsIsTheUnionOfCellsWithin) {
+  const TrajectoryDataset zebra = ZebraData();
+  const TrajectoryDataset velocity = VelocityData();
+  const struct {
+    const TrajectoryDataset* data;
+    MiningSpace space;
+  } cases[] = {{&zebra, ZebraSpace()}, {&velocity, VelocitySpace(velocity)}};
+  for (const auto& c : cases) {
+    NmEngine engine(*c.data, c.space);
+    for (const double radius_sigmas : {0.0, 1.0, 3.0}) {
+      const std::vector<CellId> expected =
+          TouchedCellsByDefinition(*c.data, c.space, radius_sigmas);
+      ASSERT_FALSE(expected.empty());
+      EXPECT_EQ(engine.TouchedCells(radius_sigmas), expected)
+          << "radius_sigmas=" << radius_sigmas;
+    }
+  }
+}
+
+TEST(NmEngineTest, TouchedCellsClampsPointsOutsideTheGridAndHugeSigmas) {
+  const MiningSpace space = TestSpace(8, 0.02);
+  // Points beyond each side of the unit square, one inside.
+  const TrajectoryDataset outside = OneTrajectory(
+      {{-0.3, 0.5}, {1.4, 1.2}, {0.5, -2.0}, {0.55, 0.45}}, 0.01);
+  NmEngine outside_engine(outside, space);
+  const std::vector<CellId> expected =
+      TouchedCellsByDefinition(outside, space, 3.0);
+  EXPECT_EQ(outside_engine.TouchedCells(3.0), expected);
+  EXPECT_LT(expected.size(), static_cast<size_t>(space.grid.num_cells()));
+
+  // A knows-nothing sigma: every cell is within reach.
+  const TrajectoryDataset wide = OneTrajectory({{0.5, 0.5}, {-5.0, 9.0}}, 1e6);
+  NmEngine wide_engine(wide, space);
+  std::vector<CellId> all(static_cast<size_t>(space.grid.num_cells()));
+  for (CellId c = 0; c < space.grid.num_cells(); ++c) {
+    all[static_cast<size_t>(c)] = c;
+  }
+  EXPECT_EQ(TouchedCellsByDefinition(wide, space, 3.0), all);
+  EXPECT_EQ(wide_engine.TouchedCells(3.0), all);
 }
 
 TEST(NmEngineTest, CountersTrackWork) {
