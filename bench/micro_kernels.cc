@@ -41,7 +41,7 @@ void BM_ProbWithinDeltaRadial(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbWithinDeltaRadial);
 
-void BM_NormalIntervalProbBatch(benchmark::State& state) {
+void BM_LogNormalIntervalProbBatch(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(11);
   std::vector<double> means(n), sigmas(n), out(n);
@@ -50,13 +50,13 @@ void BM_NormalIntervalProbBatch(benchmark::State& state) {
     sigmas[i] = rng.Uniform(0.001, 0.02);
   }
   for (auto _ : state) {
-    NormalIntervalProbBatch(means.data(), sigmas.data(), 0.30, 0.34,
-                            out.data(), n);
+    LogNormalIntervalProbBatch(means.data(), sigmas.data(), 0.30, 0.34,
+                               out.data(), n);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_NormalIntervalProbBatch)->Arg(2400)->Arg(19200);
+BENCHMARK(BM_LogNormalIntervalProbBatch)->Arg(2400)->Arg(19200);
 
 void BM_SimdFusedMaxSum(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -22,12 +22,20 @@ struct MiningSpace {
               IndifferenceModel model_in = IndifferenceModel::kRectangular)
       : grid(grid_in), delta(delta_in), model(model_in) {}
 
-  /// log Prob(l, sigma, center(cell), delta), floored per `SafeLog`.
-  /// Wildcard positions match anything: log 1 = 0.
+  /// log Prob(l, sigma, center(cell), delta), floored.  Under the
+  /// rectangular model it is the sum of the two per-axis log factors,
+  /// floored once more (`AddLogFactors`); under the radial model it is
+  /// `SafeLog` of the disc probability.  Wildcard positions match
+  /// anything: log 1 = 0.
   double LogProb(const TrajectoryPoint& pt, CellId cell) const {
     if (cell == kWildcardCell) return 0.0;
-    return SafeLog(
-        ProbWithinDelta(pt.mean, pt.sigma, grid.CenterOf(cell), delta, model));
+    const Point2 c = grid.CenterOf(cell);
+    if (model == IndifferenceModel::kRectangular) {
+      return AddLogFactors(
+          LogNormalIntervalProb(pt.mean.x, pt.sigma, c.x - delta, c.x + delta),
+          LogNormalIntervalProb(pt.mean.y, pt.sigma, c.y - delta, c.y + delta));
+    }
+    return SafeLog(ProbWithinDelta(pt.mean, pt.sigma, c, delta, model));
   }
 };
 

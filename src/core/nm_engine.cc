@@ -148,19 +148,21 @@ void NmEngine::ComputeColumnInto(CellId cell, double* out,
   const size_t n = stride_;
   const Point2 center = space_.grid.CenterOf(cell);
   if (space_.model == IndifferenceModel::kRectangular) {
-    // Prob factors into independent x and y interval probabilities; each
-    // batched pass streams the SoA coordinate arrays.  The factors are
-    // the same doubles ProbWithinDelta multiplies, in the same order, so
-    // the column is bit-identical to the point-at-a-time path.
+    // The log probability is the sum of independent x and y log factors;
+    // each batched pass streams the SoA coordinate arrays.  The factors
+    // and their sum are the ones MiningSpace::LogProb computes, so the
+    // column is bit-identical to the point-at-a-time path.
     auto& fa = scratch->fa;
     auto& fb = scratch->fb;
     if (fa.size() < n) fa.resize(n);
     if (fb.size() < n) fb.resize(n);
-    NormalIntervalProbBatch(px_.data(), sigma_.data(), center.x - space_.delta,
-                            center.x + space_.delta, fa.data(), n);
-    NormalIntervalProbBatch(py_.data(), sigma_.data(), center.y - space_.delta,
-                            center.y + space_.delta, fb.data(), n);
-    for (size_t g = 0; g < n; ++g) out[g] = SafeLog(fa[g] * fb[g]);
+    LogNormalIntervalProbBatch(px_.data(), sigma_.data(),
+                               center.x - space_.delta,
+                               center.x + space_.delta, fa.data(), n);
+    LogNormalIntervalProbBatch(py_.data(), sigma_.data(),
+                               center.y - space_.delta,
+                               center.y + space_.delta, fb.data(), n);
+    for (size_t g = 0; g < n; ++g) out[g] = AddLogFactors(fa[g], fb[g]);
     return;
   }
   // Radial model: one cheap distance pass, then the batched Rice-CDF
@@ -550,11 +552,12 @@ void NmEngine::WarmRectangularFactored(const std::vector<CellId>& missing,
       rows.push_back(row);
     }
   }
-  // Phase 1: one batched 1-D interval-probability pass per distinct grid
+  // Phase 1: one batched 1-D log-factor pass per distinct grid
   // column/row.  `CenterOf` derives center.x purely from the column
   // index and center.y purely from the row index, so every cell sharing
   // a grid column shares these doubles bit-for-bit — this is where the
-  // erfc-bound cost collapses from O(cells) to O(cols + rows) passes.
+  // erfc- and log-bound cost collapses from O(cells) to O(cols + rows)
+  // passes.
   const DoubleBuffer fx = AllocateDoubles(cols.size() * stride_);
   const DoubleBuffer fy = AllocateDoubles(rows.size() * stride_);
   // Under run control a factor pass can be skipped mid-batch; a cell's
@@ -567,20 +570,23 @@ void NmEngine::WarmRectangularFactored(const std::vector<CellId>& missing,
       [&](size_t i, int) {
         if (i < cols.size()) {
           const double cx = grid.CenterOf(grid.At(cols[i], 0)).x;
-          NormalIntervalProbBatch(px_.data(), sigma_.data(), cx - delta,
-                                  cx + delta, fx.get() + i * stride_, stride_);
+          LogNormalIntervalProbBatch(px_.data(), sigma_.data(), cx - delta,
+                                     cx + delta, fx.get() + i * stride_,
+                                     stride_);
         } else {
           const size_t r = i - cols.size();
           const double cy = grid.CenterOf(grid.At(0, rows[r])).y;
-          NormalIntervalProbBatch(py_.data(), sigma_.data(), cy - delta,
-                                  cy + delta, fy.get() + r * stride_, stride_);
+          LogNormalIntervalProbBatch(py_.data(), sigma_.data(), cy - delta,
+                                     cy + delta, fy.get() + r * stride_,
+                                     stride_);
         }
         if (run != nullptr) part_done[i] = 1;
       },
       run);
-  // Phase 2: per-cell product + log into the cell's own slab.  Multiplies
-  // the exact same doubles `ProbWithinDelta` would, so the columns are
-  // bit-identical to the unfactored path for any thread count and order.
+  // Phase 2: one add-and-max pass per cell into the cell's own slab.  It
+  // adds the exact same factors `MiningSpace::LogProb` would, so the
+  // columns are bit-identical to the unfactored path for any thread count
+  // and order.
   ParallelFor(
       pool, missing.size(),
       [&](size_t i, int) {
@@ -596,7 +602,9 @@ void NmEngine::WarmRectangularFactored(const std::vector<CellId>& missing,
         const double* px = fx.get() + ci * stride_;
         const double* py = fy.get() + ri * stride_;
         double* out = ColumnBase(slots[i]);
-        for (size_t g = 0; g < stride_; ++g) out[g] = SafeLog(px[g] * py[g]);
+        for (size_t g = 0; g < stride_; ++g) {
+          out[g] = AddLogFactors(px[g], py[g]);
+        }
         if (done != nullptr) (*done)[i] = 1;
       },
       run);

@@ -230,6 +230,15 @@ class NmEngine {
   int64_t num_pattern_evaluations() const { return num_pattern_evaluations_; }
   /// Number of distinct cells with a cached log-prob column.
   size_t num_cached_cells() const { return num_slots_; }
+  /// The cached log-prob column of `cell`, one entry per snapshot in
+  /// trajectory order; empty when the cell is not cached.  Valid until the
+  /// next call that warms or evicts a column.
+  std::span<const double> ResidentColumn(CellId cell) const {
+    if (!space_.grid.IsValid(cell)) return {};
+    const int32_t slot = cell_slot_[static_cast<size_t>(cell)];
+    if (slot < 0) return {};
+    return {ColumnBase(slot), stride_};
+  }
 
   /// Bytes of one cell column (the arena's allocation granularity).
   size_t column_bytes() const { return stride_ * sizeof(double); }
@@ -315,7 +324,7 @@ class NmEngine {
 
   /// Writes the log-prob column for `cell` into `out[0, TotalPoints())`,
   /// column-at-a-time through the batched prob entry points
-  /// (`NormalIntervalProbBatch` / `RadialWithinProbBatch`) instead of
+  /// (`LogNormalIntervalProbBatch` / `RadialWithinProbBatch`) instead of
   /// point-at-a-time.  `scratch` is caller-owned so parallel warm-up
   /// workers each bring their own.
   void ComputeColumnInto(CellId cell, double* out,
@@ -323,15 +332,15 @@ class NmEngine {
 
   /// Fills the slabs [base, base + missing.size()) of the pre-grown
   /// arena with the columns of `missing` under the rectangular model,
-  /// factored: the column of cell (cx, cy) is SafeLog(Px * Py) where Px
-  /// depends only on the grid column and Py only on the grid row, so the
-  /// 1-D interval probabilities (the erfc-bound part) are computed once
-  /// per distinct grid column/row in the batch and shared by every cell
-  /// in it.  Factor passes and per-cell product+log passes each fan out
-  /// over `pool`; each output depends only on its own inputs, so the
-  /// result is bit-identical at any thread count — and to the unfactored
-  /// `ComputeColumnInto` path, whose per-point products multiply the
-  /// exact same doubles.
+  /// factored: the column of cell (cx, cy) is AddLogFactors(log Px,
+  /// log Py) where Px depends only on the grid column and Py only on the
+  /// grid row, so the floored 1-D log factors (the erfc- and log-bound
+  /// part) are computed once per distinct grid column/row in the batch
+  /// and shared by every cell in it.  Factor passes and per-cell
+  /// add-and-max passes each fan out over `pool`; each output depends
+  /// only on its own inputs, so the result is bit-identical at any thread
+  /// count — and to the unfactored `ComputeColumnInto` path, which adds
+  /// the exact same doubles.
   /// `slots[i]` is the (pre-reserved, possibly non-contiguous) arena
   /// slot for `missing[i]`.  With a non-null `run`, both fan-outs poll
   /// it and `done[i]` records whether cell i's column was fully

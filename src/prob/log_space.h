@@ -1,6 +1,7 @@
 #ifndef TRAJPATTERN_PROB_LOG_SPACE_H_
 #define TRAJPATTERN_PROB_LOG_SPACE_H_
 
+#include <algorithm>
 #include <cmath>
 
 namespace trajpattern {
@@ -21,6 +22,15 @@ inline double SafeLog(double p) {
 
 /// Lowest representable log-probability, log(kProbFloor).
 inline double LogFloor() { return std::log(kProbFloor); }
+
+/// The floored log of a product of two probabilities, from the floored
+/// logs of its factors: max(log_px + log_py, LogFloor()).  For factors in
+/// [LogFloor(), 0] the result is in [LogFloor(), 0] and never -0.0.  It
+/// equals SafeLog(px * py) wherever either factor is floored, and within
+/// a few ulps elsewhere.
+inline double AddLogFactors(double log_px, double log_py) {
+  return std::max(log_px + log_py, LogFloor());
+}
 
 }  // namespace trajpattern
 

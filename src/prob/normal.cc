@@ -4,10 +4,20 @@
 #include <cassert>
 #include <cmath>
 
+#include "prob/log_space.h"
+
 namespace trajpattern {
 namespace {
 
 constexpr double kSqrt2 = 1.4142135623730951;
+
+/// Distance from the mean, in sigmas, beyond which an interval's
+/// probability is certainly below kProbFloor.  Above the mean, 0.5 *
+/// erfc(-z / sqrt 2) is exactly 1.0 for every z > 8.3, so both CDF terms
+/// are 1.0 and the difference is exactly 0.  Below it, the larger term is
+/// 0.5 * erfc(38 / sqrt 2) < 2.9e-316.  At 37 sigma the tail is still
+/// 5.7e-300, above the floor.
+constexpr double kFloorSigmas = 38.0;
 
 // Integrand of the Rice CDF in the numerically stable scaled form:
 //   f(r) = (r / sigma^2) * exp(-(r - nu)^2 / (2 sigma^2)) * I0e(r nu / s^2)
@@ -32,6 +42,20 @@ inline double NormalIntervalProbImpl(double mean, double sigma, double a,
   return std::clamp(p, 0.0, 1.0);
 }
 
+/// The one per-element body behind `LogNormalIntervalProb` and its batch
+/// form, for the same reason as `NormalIntervalProbImpl`.  The two
+/// early returns give the value SafeLog would: see kFloorSigmas.  A NaN
+/// mean fails both tests and takes the full path.
+inline double LogNormalIntervalProbImpl(double mean, double sigma, double a,
+                                        double b) {
+  if (sigma > 0.0 && ((a - mean) / sigma > kFloorSigmas ||
+                      (b - mean) / sigma < -kFloorSigmas)) {
+    return LogFloor();
+  }
+  const double p = NormalIntervalProbImpl(mean, sigma, a, b);
+  return p < kProbFloor ? LogFloor() : std::log(p);
+}
+
 }  // namespace
 
 double StdNormalCdf(double z) { return 0.5 * std::erfc(-z / kSqrt2); }
@@ -41,14 +65,19 @@ double NormalIntervalProb(double mean, double sigma, double a, double b) {
   return NormalIntervalProbImpl(mean, sigma, a, b);
 }
 
-void NormalIntervalProbBatch(const double* means, const double* sigmas,
-                             double a, double b, double* out, size_t n) {
+double LogNormalIntervalProb(double mean, double sigma, double a, double b) {
   assert(a <= b);
-  // erfc dominates and is a scalar libm call, so the win here is the
-  // hoisted interval, the dropped per-point call overhead, and giving
+  return LogNormalIntervalProbImpl(mean, sigma, a, b);
+}
+
+void LogNormalIntervalProbBatch(const double* means, const double* sigmas,
+                                double a, double b, double* out, size_t n) {
+  assert(a <= b);
+  // erfc and log dominate and are scalar libm calls, so the win here is
+  // the hoisted interval, the dropped per-point call overhead, and giving
   // the compiler one dense loop to schedule — not data-level SIMD.
   for (size_t i = 0; i < n; ++i) {
-    out[i] = NormalIntervalProbImpl(means[i], sigmas[i], a, b);
+    out[i] = LogNormalIntervalProbImpl(means[i], sigmas[i], a, b);
   }
 }
 

@@ -14,14 +14,24 @@ double StdNormalCdf(double z);
 /// sigma == 0 (point mass at `mean`).
 double NormalIntervalProb(double mean, double sigma, double a, double b);
 
-/// Batched `NormalIntervalProb` over one shared interval: out[i] =
-/// NormalIntervalProb(means[i], sigmas[i], a, b) for i in [0, n),
+/// log P(a <= X <= b) for X ~ N(mean, sigma^2), floored: exactly
+/// SafeLog(NormalIntervalProb(mean, sigma, a, b)), but the floor is
+/// returned without evaluating what cannot change it.  An interval more
+/// than 38 sigma from the mean skips erfc: its probability is exactly 0
+/// above the mean and at most 2.9e-316 below it, both under kProbFloor.
+/// A probability under kProbFloor skips the log.  This is the factor of
+/// the rectangular model's log probability (see `AddLogFactors`).
+double LogNormalIntervalProb(double mean, double sigma, double a, double b);
+
+/// Batched `LogNormalIntervalProb` over one shared interval: out[i] =
+/// LogNormalIntervalProb(means[i], sigmas[i], a, b) for i in [0, n),
 /// bit-identical to the scalar calls (both run the same per-element
 /// arithmetic).  This is the column-at-a-time entry point the NmEngine
-/// warm-up uses: one call evaluates a whole cell column, hoisting the
-/// interval bounds and the per-call overhead out of the dataset loop.
-void NormalIntervalProbBatch(const double* means, const double* sigmas,
-                             double a, double b, double* out, size_t n);
+/// warm-up uses: one call evaluates a whole grid column's or row's
+/// factors, hoisting the interval bounds and the per-call overhead out of
+/// the dataset loop.
+void LogNormalIntervalProbBatch(const double* means, const double* sigmas,
+                                double a, double b, double* out, size_t n);
 
 /// Exponentially scaled modified Bessel function I0(x) * exp(-|x|).
 /// Needed by the radial indifference model; stable for all x >= 0.
@@ -56,7 +66,7 @@ double RadialWithinProb(double center_distance, double sigma, double delta);
 /// Batched `RadialWithinProb` over one shared delta: out[i] =
 /// RadialWithinProb(center_distances[i], sigmas[i], delta), bit-identical
 /// to the scalar calls.  Column-at-a-time counterpart of
-/// `NormalIntervalProbBatch` for the radial indifference model.
+/// `LogNormalIntervalProbBatch` for the radial indifference model.
 void RadialWithinProbBatch(const double* center_distances,
                            const double* sigmas, double delta, double* out,
                            size_t n);

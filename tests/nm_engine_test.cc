@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -255,6 +256,62 @@ TEST(NmEngineTest, TouchedCellsClampsPointsOutsideTheGridAndHugeSigmas) {
   }
   EXPECT_EQ(TouchedCellsByDefinition(wide, space, 3.0), all);
   EXPECT_EQ(wide_engine.TouchedCells(3.0), all);
+}
+
+// Every column entry is finite, in [LogFloor(), 0] and never -0.0: the
+// walk reads a first column in place as its own prefix sum, and the AVX2
+// kernels reassociate max, which both rely on.  Each entry is also the
+// bits of MiningSpace::LogProb, whether the factored batch warm-up or the
+// serial per-cell path built it.
+TEST(NmEngineTest, ColumnEntriesLieInTheFlooredLogDomain) {
+  const TrajectoryDataset zebra = ZebraData();
+  const TrajectoryDataset velocity = VelocityData();
+  const struct {
+    const TrajectoryDataset* data;
+    MiningSpace space;
+  } cases[] = {{&zebra, ZebraSpace()}, {&velocity, VelocitySpace(velocity)}};
+  size_t total_floored = 0;
+  for (const auto& c : cases) {
+    std::vector<const TrajectoryPoint*> points;
+    for (const auto& t : *c.data) {
+      for (const auto& pt : t) points.push_back(&pt);
+    }
+    std::vector<CellId> cells(static_cast<size_t>(c.space.grid.num_cells()));
+    for (CellId cell = 0; cell < c.space.grid.num_cells(); ++cell) {
+      cells[static_cast<size_t>(cell)] = cell;
+    }
+    NmEngine batch(*c.data, c.space);
+    ASSERT_EQ(batch.WarmCells(cells, 2), cells.size());
+    NmEngine serial(*c.data, c.space);
+    size_t floored = 0;
+    size_t entries = 0;
+    for (const CellId cell : cells) {
+      serial.NmTotalWithGaps(Pattern(cell), 0);  // warms one column
+      const std::span<const double> col = batch.ResidentColumn(cell);
+      const std::span<const double> lazy = serial.ResidentColumn(cell);
+      ASSERT_EQ(col.size(), points.size());
+      ASSERT_EQ(lazy.size(), points.size());
+      for (size_t g = 0; g < col.size(); ++g) {
+        const double e = col[g];
+        ASSERT_GE(e, LogFloor()) << "cell " << cell << " entry " << g;
+        ASSERT_LE(e, 0.0) << "cell " << cell << " entry " << g;
+        ASSERT_FALSE(e == 0.0 && std::signbit(e))
+            << "cell " << cell << " entry " << g;
+        const double want = c.space.LogProb(*points[g], cell);
+        ASSERT_EQ(std::memcmp(&e, &want, sizeof(double)), 0)
+            << "cell " << cell << " entry " << g;
+        ASSERT_EQ(std::memcmp(&lazy[g], &want, sizeof(double)), 0)
+            << "cell " << cell << " entry " << g;
+        floored += e == LogFloor();
+        ++entries;
+      }
+    }
+    // Both the floored and the unfloored side of the domain are covered
+    // (the velocity grid spans only ~11 sigma, so it floors little).
+    total_floored += floored;
+    EXPECT_LT(floored, entries);
+  }
+  EXPECT_GT(total_floored, 0u);
 }
 
 TEST(NmEngineTest, CountersTrackWork) {

@@ -107,15 +107,63 @@ TEST(NormalIntervalProbBatchTest, BitIdenticalToScalarCalls) {
     sigmas[i] = i % 7 == 0 ? 0.0 : rng.Uniform(0.001, 0.05);
   }
   const double a = 0.30, b = 0.34;
-  NormalIntervalProbBatch(means.data(), sigmas.data(), a, b, out.data(), n);
+  LogNormalIntervalProbBatch(means.data(), sigmas.data(), a, b, out.data(),
+                             n);
   for (size_t i = 0; i < n; ++i) {
-    const double scalar = NormalIntervalProb(means[i], sigmas[i], a, b);
+    const double scalar = LogNormalIntervalProb(means[i], sigmas[i], a, b);
     EXPECT_EQ(std::memcmp(&out[i], &scalar, sizeof(double)), 0) << "i=" << i;
   }
 }
 
 TEST(NormalIntervalProbBatchTest, EmptyIsANoOp) {
-  NormalIntervalProbBatch(nullptr, nullptr, 0.0, 1.0, nullptr, 0);
+  LogNormalIntervalProbBatch(nullptr, nullptr, 0.0, 1.0, nullptr, 0);
+}
+
+// The log form skips erfc beyond 38 sigma and log below kProbFloor; both
+// early returns must give exactly what SafeLog of the probability gives.
+TEST(LogNormalIntervalProbTest, FloorShortcutsMatchSafeLogOfProb) {
+  const auto expect_same = [](double mean, double sigma, double a, double b) {
+    const double got = LogNormalIntervalProb(mean, sigma, a, b);
+    const double want = SafeLog(NormalIntervalProb(mean, sigma, a, b));
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got));
+      return;
+    }
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+        << "mean=" << mean << " sigma=" << sigma << " [" << a << ", " << b
+        << "]: got " << got << ", want " << want;
+  };
+  const double mean = 0.3;
+  const double sigma = 0.01;
+  // Intervals starting k sigma above the mean and ending k sigma below
+  // it, on both sides of the 38 sigma cut.
+  for (const double k :
+       {30.0, 37.0, 37.9, 37.999999, 38.0, 38.000001, 38.1, 39.0, 1e6}) {
+    expect_same(mean, sigma, mean + k * sigma, mean + (k + 2.0) * sigma);
+    expect_same(mean, sigma, mean - (k + 2.0) * sigma, mean - k * sigma);
+  }
+  // Intervals reaching across +38 and -38 sigma.
+  expect_same(mean, sigma, mean + 37.5 * sigma, mean + 38.5 * sigma);
+  expect_same(mean, sigma, mean - 38.5 * sigma, mean - 37.5 * sigma);
+  // sigma = 0 is an indicator: log 1 = +0.0 inside, the floor outside.
+  expect_same(0.5, 0.0, 0.4, 0.6);
+  expect_same(0.5, 0.0, 0.6, 0.7);
+  // A NaN mean fails both shortcut tests and stays NaN.
+  expect_same(std::nan(""), sigma, 0.2, 0.4);
+  EXPECT_TRUE(std::isnan(LogNormalIntervalProb(std::nan(""), sigma, 0.2, 0.4)));
+
+  Rng rng(38);
+  for (int i = 0; i < 20000; ++i) {
+    const double s = rng.Uniform(1e-4, 0.05);
+    const double m = rng.Uniform(-1.0, 2.0);
+    const double k = rng.Uniform(36.0, 60.0);
+    const double width = rng.Uniform(0.0, 5.0) * s;
+    if (i % 2 == 0) {
+      expect_same(m, s, m + k * s, m + k * s + width);
+    } else {
+      expect_same(m, s, m - k * s - width, m - k * s);
+    }
+  }
 }
 
 TEST(RadialWithinProbBatchTest, BitIdenticalToScalarCalls) {
@@ -184,6 +232,15 @@ TEST(LogSpaceTest, SafeLogClampsAtFloor) {
   EXPECT_DOUBLE_EQ(SafeLog(-1.0), LogFloor());
   EXPECT_LT(LogFloor(), -600.0);
   EXPECT_TRUE(std::isfinite(LogFloor()));
+}
+
+TEST(LogSpaceTest, AddLogFactorsFloorsTheSum) {
+  EXPECT_EQ(AddLogFactors(-1.0, -2.0), -3.0);
+  EXPECT_EQ(AddLogFactors(LogFloor(), -1.0), LogFloor());
+  EXPECT_EQ(AddLogFactors(LogFloor(), LogFloor()), LogFloor());
+  const double one = AddLogFactors(0.0, 0.0);
+  EXPECT_EQ(one, 0.0);
+  EXPECT_FALSE(std::signbit(one));
 }
 
 TEST(RngTest, DeterministicWithSameSeed) {
