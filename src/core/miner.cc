@@ -429,6 +429,7 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
     // bit-exactly through the checkpoint, which is what makes a resumed
     // run's answer bit-identical to an uninterrupted one.
     assert(resume->k == options_.k);
+    assert(!CheckpointCellOutsideGrid(*resume, engine_->space().grid));
     size_t cells = 0;
     for (const ScoredPattern& sp : resume->scores) cells += sp.pattern.length();
     scores_.reserve(resume->scores.size(), cells);
@@ -645,6 +646,25 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
     journal.Emit(ev);
   }
   return result;
+}
+
+std::optional<CellId> CheckpointCellOutsideGrid(const MinerCheckpoint& cp,
+                                                const Grid& grid) {
+  const auto outside = [&grid](const Pattern& p) -> std::optional<CellId> {
+    for (const CellId c : p.cells()) {
+      if (c != kWildcardCell && !grid.IsValid(c)) return c;
+    }
+    return std::nullopt;
+  };
+  for (const ScoredPattern& sp : cp.scores) {
+    if (const std::optional<CellId> c = outside(sp.pattern)) return c;
+  }
+  for (const std::vector<Pattern>* list : {&cp.prev_high, &cp.prev_queue}) {
+    for (const Pattern& p : *list) {
+      if (const std::optional<CellId> c = outside(p)) return c;
+    }
+  }
+  return std::nullopt;
 }
 
 MiningResult MineTrajPatterns(const NmEngine& engine,

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -176,8 +177,10 @@ class TrajPatternMiner {
   /// Continues a run captured by `MinerOptions::checkpoint_sink`.  With
   /// the same data, space, and options as the original run, the final
   /// top-k is bit-identical to the uninterrupted one for any thread
-  /// count.  `resume.k` must match `MinerOptions::k` (only asserted
-  /// here; `MiningSupervisor` refuses a mismatch with a typed status).
+  /// count.  `resume.k` must match `MinerOptions::k`, and every cell
+  /// of `resume` must be a wildcard or a cell of the engine's grid (both
+  /// only asserted here; `MiningSupervisor` refuses either with a typed
+  /// status).
   MiningResult Mine(const MinerCheckpoint& resume);
 
  private:
@@ -229,6 +232,13 @@ class TrajPatternMiner {
 /// docs/ALGORITHM.md, "Split bound".
 double SplitBound(std::span<const CellId> pattern, const ScoreMemo& scores,
                   size_t num_trajectories);
+
+/// The first cell of `cp` — in its scores, then prev_high, then
+/// prev_queue — that is neither a wildcard nor a cell of `grid`;
+/// nullopt when every cell is one of them.  Such a checkpoint was
+/// written on another grid and cannot be resumed on this one.
+std::optional<CellId> CheckpointCellOutsideGrid(const MinerCheckpoint& cp,
+                                                const Grid& grid);
 
 /// Convenience wrapper: builds an engine-backed miner and runs it; pass a
 /// `resume` checkpoint to continue an earlier (aborted) run.

@@ -84,8 +84,8 @@ SupervisorReport MiningSupervisor::Run() {
   // Crash recovery across process lifetimes: a checkpoint already on
   // disk is a previous (crashed or stopped) run of this path — resume
   // it.  kNotFound means a fresh start; anything else (truncated,
-  // corrupt, wrong version, another k) is surfaced, never half-loaded
-  // or silently clobbered.
+  // corrupt, wrong version, another k, another grid) is surfaced, never
+  // half-loaded or silently clobbered.
   std::optional<MinerCheckpoint> resume;
   {
     MinerCheckpoint cp;
@@ -100,6 +100,19 @@ SupervisorReport MiningSupervisor::Run() {
           std::to_string(cp.k) + ", run has k=" +
           std::to_string(options_.miner.k));
       return report;
+    }
+    if (s.ok()) {
+      // A cell past the engine's grid would index past its column slot
+      // table.  The reader cannot tell: it does not know the grid.
+      const Grid& grid = engine_->space().grid;
+      if (const std::optional<CellId> cell =
+              CheckpointCellOutsideGrid(cp, grid)) {
+        report.status = Status::FailedPrecondition(
+            "checkpoint " + options_.checkpoint_path + " holds cell " +
+            std::to_string(*cell) + ", outside the engine's grid of " +
+            std::to_string(grid.num_cells()) + " cells");
+        return report;
+      }
     }
     if (s.ok()) {
       resume = std::move(cp);

@@ -62,8 +62,8 @@ struct SupervisorReport {
   /// Ok unless the run ultimately failed: a crash loop past
   /// `max_restarts` (kFailedPrecondition), a checkpoint sink still
   /// failing after every retry (kDataLoss), or an unusable checkpoint on
-  /// disk — unreadable (its read error) or written with another k
-  /// (kFailedPrecondition).  The result then holds the best-so-far
+  /// disk — unreadable (its read error), written with another k, or
+  /// holding a cell outside the engine's grid (kFailedPrecondition).  The result then holds the best-so-far
   /// answer of the last attempt; an unusable checkpoint is refused
   /// before any mining and left untouched.
   Status status;

@@ -615,6 +615,57 @@ TEST(MiningSupervisorTest, V3CheckpointIsRefusedUntouched) {
   std::remove(path.c_str());
 }
 
+// A checkpoint holding a cell the engine's grid lacks (one written with a
+// larger grid) must not be resumed: warm-up would index past the column
+// slot table.  Whichever block holds the cell, the supervisor refuses the
+// file before mining, typed, naming the cell and the grid size, and leaves
+// it byte-identical.
+TEST(MiningSupervisorTest, CheckpointWithCellOutsideTheGridIsRefusedUntouched) {
+  const std::string path = TempCheckpointPath("tp_supervisor_other_grid.ckpt");
+  const TrajectoryDataset data = MakeMiningData();
+  NmEngine engine(data, MakeSpace());  // 8x8: cells 0-63
+  const char* const blocks[] = {"scores", "prev_high", "prev_queue"};
+  for (int block = 0; block < 3; ++block) {
+    const std::string text =
+        std::string("trajpattern_checkpoint,v2\n"
+                    "iteration,1\n"
+                    "k,10\n"
+                    "omega,-0x1.9p+3\n"
+                    "candidates_evaluated,12\n"
+                    "candidates_pruned,3\n"
+                    "scores,2\n"
+                    "-0x1.ap+3,7\n"
+                    "-0x1.bp+3,") +
+        (block == 0 ? "7;100" : "7;8") + "\nprev_high,1\n" +
+        (block == 1 ? "100;*" : "7") + "\nprev_queue,1\n" +
+        (block == 2 ? "*;100" : "7;8") + "\nend\n";
+    {
+      std::ofstream os(path, std::ios::binary);
+      os << text;
+      ASSERT_TRUE(os.good());
+    }
+    SupervisorOptions sup;
+    sup.checkpoint_path = path;
+    sup.miner = MakeOptions();
+    MiningSupervisor supervisor(&engine, sup);
+    const SupervisorReport report = supervisor.Run();
+    EXPECT_EQ(report.status.code(), StatusCode::kFailedPrecondition)
+        << blocks[block];
+    EXPECT_NE(report.status.ToString().find("cell 100"), std::string::npos)
+        << report.status.ToString();
+    EXPECT_NE(report.status.ToString().find("64 cells"), std::string::npos)
+        << report.status.ToString();
+    EXPECT_FALSE(report.resumed_from_checkpoint);
+    EXPECT_TRUE(report.result.patterns.empty());
+    EXPECT_EQ(report.sink_attempts, 0);
+    std::ifstream is(path, std::ios::binary);
+    std::stringstream after;
+    after << is.rdbuf();
+    EXPECT_EQ(after.str(), text) << blocks[block];
+  }
+  std::remove(path.c_str());
+}
+
 TEST(MiningSupervisorTest, CorruptCheckpointFileSurfacesTypedError) {
   const TrajectoryDataset data = MakeMiningData();
   const std::string path = TempCheckpointPath("tp_supervisor_corrupt.ckpt");
