@@ -72,15 +72,19 @@ inline void AccumulateBatch(const BatchScoreStats& batch, MiningCounters* c) {
 /// normalized-match (Eq. 3/4) measures and their dataset aggregates.
 ///
 /// The inner quantity is logp[t][s][c] = log Prob(l_{t,s}, sigma_{t,s},
-/// center(c), delta).  The engine caches one flat column per cell the
-/// first time the cell is scored, so the cost of evaluating many candidate
-/// patterns over the same few hundred live cells amortizes to array
-/// lookups.  Columns live in one contiguous arena (`arena_`), one slab of
+/// center(c), delta), as `MiningSpace::LogProb` defines it: under the
+/// rectangular model max(log Px + log Py, LogFloor()) of two floored
+/// per-axis log factors, so every entry lies in [LogFloor(), 0] and is
+/// never -0.0.  The engine caches one flat column per cell the first time
+/// the cell is scored, so the cost of evaluating many candidate patterns
+/// over the same few hundred live cells amortizes to array lookups.
+/// Columns live in one contiguous arena (`arena_`), one slab of
 /// `TotalPoints()` doubles per cell, found through a dense
 /// CellId-indexed slot table — resolving a pattern position is a single
-/// indexed load, not a hash probe.  Trajectories shorter than the
-/// pattern contribute the log floor to NM sums and 0 to match sums (they
-/// cannot host a window).
+/// indexed load, not a hash probe.  The arena is never zero-filled: the
+/// parallel warm-up is the first touch of its pages.  Trajectories
+/// shorter than the pattern contribute the log floor to NM sums and 0 to
+/// match sums (they cannot host a window).
 ///
 /// Threading contract: the per-pattern entry points (`NmTotal`,
 /// `MatchTotal`, `NmTotalWithGaps`) lazily fill the arena and therefore
@@ -198,8 +202,8 @@ class NmEngine {
   /// deduplicated against the resident set (so per-batch calls warm only
   /// the delta), the arena is grown once, distinct columns are filled on
   /// distinct `num_threads` workers — each into its own pre-reserved
-  /// slab, under the rectangular model via x/y-factored batched interval
-  /// probabilities — and a single serial, ordered publish step installs
+  /// slab, under the rectangular model from x/y-factored batched log
+  /// factors — and a single serial, ordered publish step installs
   /// the new slots into the dense CellId->slot table.  Column contents
   /// depend only on (cell, dataset, space), so results are bit-identical
   /// for any thread count and any warm order.  Returns the number of
@@ -279,17 +283,22 @@ class NmEngine {
   size_t columns_faulted() const { return columns_faulted_; }
 
  private:
-  /// Frees a `DoubleBuffer`.
+  /// Frees a `DoubleBuffer`: unmaps the `mapped` bytes at it, or, when
+  /// `mapped` is 0, returns it to `operator delete`.
   struct FreeDoubles {
+    size_t mapped;
     void operator()(double* p) const noexcept;
   };
   /// Owning buffer of doubles that is never zero-filled: its pages are
   /// first touched by whoever first writes them.
   using DoubleBuffer = std::unique_ptr<double[], FreeDoubles>;
 
-  /// `count` uninitialized doubles aligned to 2 MiB, the length not
-  /// rounded up, with `MADV_HUGEPAGE` advised on the whole huge pages
-  /// where the platform defines it.  Throws `std::bad_alloc`.
+  /// `count` uninitialized doubles, the length not rounded up.  Where the
+  /// platform has `MADV_HUGEPAGE`, a buffer of at least one huge page
+  /// (2 MiB) is a private mapping aligned to one, with the advice on its
+  /// whole huge pages; it ends with the mapping, so it never outlives the
+  /// buffer on heap memory.  A smaller buffer, which cannot hold a whole
+  /// huge page, comes from `operator new`.  Throws `std::bad_alloc`.
   static DoubleBuffer AllocateDoubles(size_t count);
 
   /// Scratch of one column materialization (per warm-up worker): the 1-D
