@@ -101,18 +101,17 @@ SupervisorReport MiningSupervisor::Run() {
           std::to_string(options_.miner.k));
       return report;
     }
-    if (s.ok()) {
-      // A cell past the engine's grid would index past its column slot
-      // table.  The reader cannot tell: it does not know the grid.
-      const Grid& grid = engine_->space().grid;
-      if (const std::optional<CellId> cell =
-              CheckpointCellOutsideGrid(cp, grid)) {
-        report.status = Status::FailedPrecondition(
-            "checkpoint " + options_.checkpoint_path + " holds cell " +
-            std::to_string(*cell) + ", outside the engine's grid of " +
-            std::to_string(grid.num_cells()) + " cells");
-        return report;
-      }
+    // A cell past the engine's grid would index past its column slot
+    // table.  The reader cannot tell: it does not know the grid.
+    const Grid& grid = engine_->space().grid;
+    const std::optional<CellId> outside =
+        s.ok() ? CheckpointCellOutsideGrid(cp, grid) : std::nullopt;
+    if (outside) {
+      report.status = Status::FailedPrecondition(
+          "checkpoint " + options_.checkpoint_path + " holds cell " +
+          std::to_string(*outside) + ", outside the engine's grid of " +
+          std::to_string(grid.num_cells()) + " cells");
+      return report;
     }
     if (s.ok()) {
       resume = std::move(cp);

@@ -63,9 +63,10 @@ struct SupervisorReport {
   /// `max_restarts` (kFailedPrecondition), a checkpoint sink still
   /// failing after every retry (kDataLoss), or an unusable checkpoint on
   /// disk — unreadable (its read error), written with another k, or
-  /// holding a cell outside the engine's grid (kFailedPrecondition).  The result then holds the best-so-far
-  /// answer of the last attempt; an unusable checkpoint is refused
-  /// before any mining and left untouched.
+  /// holding a cell outside the engine's grid (kFailedPrecondition).
+  /// The result then holds the best-so-far answer of the last attempt;
+  /// an unusable checkpoint is refused before any mining and left
+  /// untouched.
   Status status;
   /// True iff the run started by resuming `checkpoint_path`.
   bool resumed_from_checkpoint = false;

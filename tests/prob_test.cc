@@ -150,7 +150,6 @@ TEST(LogNormalIntervalProbTest, FloorShortcutsMatchSafeLogOfProb) {
   expect_same(0.5, 0.0, 0.6, 0.7);
   // A NaN mean fails both shortcut tests and stays NaN.
   expect_same(std::nan(""), sigma, 0.2, 0.4);
-  EXPECT_TRUE(std::isnan(LogNormalIntervalProb(std::nan(""), sigma, 0.2, 0.4)));
 
   Rng rng(38);
   for (int i = 0; i < 20000; ++i) {
