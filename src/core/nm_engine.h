@@ -296,8 +296,8 @@ class NmEngine {
   /// `count` uninitialized doubles, the length not rounded up.  Where the
   /// platform has `MADV_HUGEPAGE`, a buffer of at least one huge page
   /// (2 MiB) is a private mapping aligned to one, with the advice on its
-  /// whole huge pages; it ends with the mapping, so it never outlives the
-  /// buffer on heap memory.  A smaller buffer, which cannot hold a whole
+  /// whole huge pages; unmapping the buffer ends the advice, so it never
+  /// lingers on heap memory.  A smaller buffer, which cannot hold a whole
   /// huge page, comes from `operator new`.  Throws `std::bad_alloc`.
   static DoubleBuffer AllocateDoubles(size_t count);
 
