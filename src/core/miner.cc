@@ -15,8 +15,10 @@
 namespace trajpattern {
 
 /// One round's high set H and retained queue Q (§4.1).  Both hold ids of
-/// the `ScoreMemo`, in ascending cell order (`ScoreMemo::SortedIds`
-/// order), so two snapshots compare as sets with `==`.
+/// the `ScoreMemo` in ascending order, i.e. in insertion order, so two
+/// snapshots of one memo compare as sets with `==`.  Exact mining never
+/// depends on the order within a list: the candidate set, the scores, ω
+/// and the top-k are the same for any walk order.
 struct Frontier {
   std::vector<ScoreMemo::Id> high;
   std::vector<ScoreMemo::Id> queue;
@@ -89,8 +91,8 @@ namespace {
 /// memo under threshold `omega` (§4.1): a pattern is high iff its
 /// memoized NM (or upper bound) reaches ω, and it is retained iff it is
 /// high, singular, or a 1-extension of a high pattern (Lemma 1).  Walks
-/// the memo in `SortedIds` order, so both lists come back sorted and
-/// iteration order is deterministic; refills `*out` in place.
+/// the memo in id order, so both lists come back as ascending ids;
+/// refills `*out` in place.
 void RebuildFrontier(const ScoreMemo& scores, double omega, Frontier* out) {
   TP_TRACE_SPAN("miner/rebuild");
   TP_GAUGE_SET("miner.omega", omega);
@@ -98,7 +100,7 @@ void RebuildFrontier(const ScoreMemo& scores, double omega, Frontier* out) {
   TP_GAUGE_SET("miner.memo_bytes", scores.bytes());
   out->high.clear();
   out->queue.clear();
-  for (const ScoreMemo::Id id : scores.SortedIds()) {
+  for (ScoreMemo::Id id = 0; id < scores.size(); ++id) {
     if (scores.nm(id) >= omega) {
       out->high.push_back(id);
       out->queue.push_back(id);
@@ -117,11 +119,12 @@ void RebuildFrontier(const ScoreMemo& scores, double omega, Frontier* out) {
   TP_TRACE_COUNTER("miner/queue_depth", static_cast<double>(out->queue.size()));
 }
 
-/// The frontier snapshots a checkpoint carries, as ids of `scores` (the
-/// memo restored from the same checkpoint).  A snapshot pattern missing
-/// from the memo is dropped: generation only walks memo entries, so it
-/// cannot matter there.  Returns false iff a `prev_high` pattern was
-/// dropped, in which case the snapshot cannot equal any rebuilt H.
+/// The frontier snapshots a checkpoint carries, as ascending ids of
+/// `scores` (the memo restored from the same checkpoint), whatever the
+/// order of its rows.  A snapshot pattern missing from the memo is
+/// dropped: generation only walks memo entries, so it cannot matter
+/// there.  Returns false iff a `prev_high` pattern was dropped, in which
+/// case the snapshot cannot equal any rebuilt H.
 bool FrontierFromCheckpoint(const ScoreMemo& scores, const MinerCheckpoint& cp,
                             Frontier* prev) {
   auto to_ids = [&](const std::vector<Pattern>& patterns,
@@ -136,9 +139,7 @@ bool FrontierFromCheckpoint(const ScoreMemo& scores, const MinerCheckpoint& cp,
         ids->push_back(id);
       }
     }
-    std::sort(ids->begin(), ids->end(), [&](ScoreMemo::Id a, ScoreMemo::Id b) {
-      return scores.Less(a, b);
-    });
+    std::sort(ids->begin(), ids->end());
     ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
     return complete;
   };
@@ -157,7 +158,9 @@ bool FrontierFromCheckpoint(const ScoreMemo& scores, const MinerCheckpoint& cp,
 /// (`options.max_candidates_per_iteration > 0`) the staged set is
 /// truncated to the best min-max bounds, round-robined across length
 /// strata; `*hit_candidate_cap` reports a truncation.  Deterministic:
-/// the output order is a pure function of the inputs.
+/// the output order is a pure function of the inputs.  In exact mode it
+/// follows the frontier's id order, so only the order, never the set,
+/// depends on the memo's insertion order.
 std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
                                         const ScoreMemo& scores,
                                         const Frontier& current,
@@ -167,7 +170,7 @@ std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
   // Candidate generation: P in H extended with every P' in Q, both
   // orders.  Because one side is always high, every candidate respects
   // the min-max seed rule (observation 3 of §4).  Exact mode walks both
-  // lists in place, in their ascending cell order.
+  // lists in place, in their id order.
   //
   // In beam mode the generation itself must stay bounded: with a
   // min-length constraint the threshold omega is -inf until k eligible
@@ -309,10 +312,6 @@ TrajPatternMiner::TrajPatternMiner(const NmEngine* engine,
     : engine_(engine), options_(options), top_k_(options.k) {}
 
 void TrajPatternMiner::ScoreBatch(std::vector<Pattern> patterns) {
-  // Defensive re-filter against the memo: scoring a pattern twice would
-  // also offer it to the top-k twice.  Callers already dedupe.
-  std::erase_if(patterns,
-                [&](const Pattern& p) { return scores_.contains(p.cells()); });
   if (patterns.empty()) return;
   TP_TRACE_SPAN("miner/score_batch");
   // The batch runs against the ω that held when it was staged.  A
@@ -396,10 +395,10 @@ MinerCheckpoint TrajPatternMiner::MakeCheckpoint(int completed_iterations,
   cp.iteration = completed_iterations;
   cp.k = options_.k;
   cp.omega = top_k_.Omega();
-  // Rows in sorted pattern order; the memo keeps that order
-  // incrementally, and the frontier lists are already in it.
+  // Rows in memo (insertion) order, so a resumed run restores the same
+  // ids; the frontier lists are already ascending ids.
   cp.scores.reserve(scores_.size());
-  for (const ScoreMemo::Id id : scores_.SortedIds()) {
+  for (ScoreMemo::Id id = 0; id < scores_.size(); ++id) {
     cp.scores.push_back({scores_.pattern(id), scores_.nm(id)});
   }
   for (const auto& [ids, out] : {std::pair(&prev.high, &cp.prev_high),
@@ -445,7 +444,8 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
 
   // Step 1: singular patterns form the initial Q (§4: "the grid centers
   // serve as the singular patterns").  On resume every singular is
-  // already in the memo and `ScoreBatch` skips the whole batch.
+  // normally in the memo already, and the batch holds only those that
+  // are not.
   std::vector<CellId> alphabet;
   if (options_.restrict_to_touched_cells) {
     alphabet = engine_->TouchedCells(options_.touched_radius_sigmas);
@@ -460,7 +460,9 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   // singulars across the workers.
   std::vector<Pattern> singulars;
   singulars.reserve(alphabet.size());
-  for (CellId c : alphabet) singulars.emplace_back(c);
+  for (const CellId c : alphabet) {
+    if (!scores_.contains(std::span(&c, 1))) singulars.emplace_back(c);
+  }
   ScoreBatch(std::move(singulars));
 
   // The high set H and the retained set Q.  Q is rebuilt from the global

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 #include <stdexcept>
 
 namespace trajpattern {
@@ -82,24 +81,12 @@ void ScoreMemo::Rehash(size_t capacity) {
   }
 }
 
-const std::vector<ScoreMemo::Id>& ScoreMemo::SortedIds() const {
-  const size_t old = sorted_.size();
-  if (old == size()) return sorted_;
-  sorted_.resize(size());
-  const auto mid = sorted_.begin() + static_cast<std::ptrdiff_t>(old);
-  std::iota(mid, sorted_.end(), static_cast<Id>(old));
-  const auto less = [this](Id a, Id b) { return Less(a, b); };
-  std::sort(mid, sorted_.end(), less);
-  std::inplace_merge(sorted_.begin(), mid, sorted_.end(), less);
-  return sorted_;
-}
-
 size_t ScoreMemo::bytes() const {
   return cells_.capacity() * sizeof(CellId) +
          offsets_.capacity() * sizeof(uint64_t) +
          nms_.capacity() * sizeof(double) +
          hashes_.capacity() * sizeof(uint64_t) +
-         (slots_.capacity() + sorted_.capacity()) * sizeof(Id);
+         slots_.capacity() * sizeof(Id);
 }
 
 }  // namespace trajpattern

@@ -17,10 +17,11 @@ namespace trajpattern {
 /// open-addressing, linear-probe table of entry ids (load <= 1/2) serves
 /// lookups by cell span, so probing a sub-pattern or a staged
 /// concatenation builds no `Pattern`.  Ids run in insertion order and
-/// stay valid for the memo's lifetime.
+/// stay valid for the memo's lifetime; the miner walks the memo, and
+/// writes its checkpoint rows, in that order.
 ///
-/// Not thread-safe, `SortedIds` included: the miners touch the memo only
-/// from their serial batch epilogue and boundary code.
+/// Not thread-safe: the miners touch the memo only from their serial
+/// batch epilogue and boundary code.
 class ScoreMemo {
  public:
   using Id = uint32_t;
@@ -55,7 +56,7 @@ class ScoreMemo {
   }
 
   /// True iff entry `a`'s cells sort lexicographically before `b`'s: the
-  /// order of `Pattern`'s operator<.
+  /// order of `Pattern`'s operator<.  Beam mode breaks NM ties with it.
   bool Less(Id a, Id b) const;
 
   /// Pre-sizes the memo to hold `entries` entries with `total_cells`
@@ -63,12 +64,7 @@ class ScoreMemo {
   /// amortized O(1) per entry.
   void reserve(size_t entries, size_t total_cells);
 
-  /// Every id in `Less` order.  Kept incrementally, which the
-  /// append-only contract makes valid: a call sorts only the ids added
-  /// since the previous one and merges them in.
-  const std::vector<Id>& SortedIds() const;
-
-  /// Heap bytes held (capacities, index and sorted view included).
+  /// Heap bytes held (capacities and index included).
   size_t bytes() const;
 
  private:
@@ -94,7 +90,6 @@ class ScoreMemo {
   std::vector<Id> slots_;
   /// 64 - log2(slots_.size()); see `Home`.
   int shift_ = 64;
-  mutable std::vector<Id> sorted_;
 };
 
 }  // namespace trajpattern
