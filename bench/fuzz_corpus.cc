@@ -82,11 +82,12 @@ int main(int argc, char** argv) {
       }
       const trajpattern::OracleReport report = oracle.Check(inst);
       if (report.ok()) {
-        std::printf("PASS %s (%d mining runs%s%s%s)\n", path.c_str(),
+        std::printf("PASS %s (%d mining runs%s%s%s%s)\n", path.c_str(),
                     report.mining_runs,
                     report.brute_force_checked ? ", brute-force" : "",
                     report.ingestion_checked ? ", ingestion" : "",
-                    report.memo_bounds_checked ? ", memo-bounds" : "");
+                    report.memo_bounds_checked ? ", memo-bounds" : "",
+                    report.frontier_checked ? ", frontier" : "");
       } else {
         std::fprintf(stderr, "FAIL %s: %s\n", path.c_str(),
                      report.divergence.c_str());
@@ -98,7 +99,7 @@ int main(int argc, char** argv) {
 
   const double t0 = NowSeconds();
   uint64_t checked = 0, brute = 0, ingestion = 0, warm_order = 0,
-           memo_bounds = 0;
+           memo_bounds = 0, frontier = 0;
   for (uint64_t seed = seed_start; seed < seed_start + seed_count; ++seed) {
     if (time_budget_s > 0.0 && NowSeconds() - t0 > time_budget_s) {
       std::printf("time budget reached after %llu seeds\n",
@@ -113,6 +114,7 @@ int main(int argc, char** argv) {
     if (report.ingestion_checked) ++ingestion;
     if (report.warm_order_checked) ++warm_order;
     if (report.memo_bounds_checked) ++memo_bounds;
+    if (report.frontier_checked) ++frontier;
     if (!report.ok()) {
       std::fprintf(stderr, "DIVERGENCE at seed %llu: %s\n",
                    static_cast<unsigned long long>(seed),
@@ -138,11 +140,12 @@ int main(int argc, char** argv) {
   std::printf(
       "OK: %llu seeds, 0 divergences (%llu brute-force-checked, %llu "
       "ingestion-bearing, %llu warm-order-checked, "
-      "%llu memo-bounds-checked, %.1fs)\n",
+      "%llu memo-bounds-checked, %llu frontier-checked, %.1fs)\n",
       static_cast<unsigned long long>(checked),
       static_cast<unsigned long long>(brute),
       static_cast<unsigned long long>(ingestion),
       static_cast<unsigned long long>(warm_order),
-      static_cast<unsigned long long>(memo_bounds), NowSeconds() - t0);
+      static_cast<unsigned long long>(memo_bounds),
+      static_cast<unsigned long long>(frontier), NowSeconds() - t0);
   return 0;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -45,6 +46,22 @@ std::string DiffTopK(const std::string& what,
       return what + ": rank " + std::to_string(i) + " " +
              DescribeScored(got[i]) + " vs " + DescribeScored(want[i]);
     }
+  }
+  return "";
+}
+
+/// "" when `got` holds exactly the patterns of `want`, once each;
+/// otherwise names one pattern that is on one side only.
+std::string DiffPatternSet(const std::string& what,
+                           const std::vector<Pattern>& got,
+                           const std::set<Pattern>& want) {
+  const std::set<Pattern> got_set(got.begin(), got.end());
+  if (got_set.size() != got.size()) return what + " lists a pattern twice";
+  for (const Pattern& p : want) {
+    if (!got_set.contains(p)) return what + " misses " + p.ToString();
+  }
+  for (const Pattern& p : got_set) {
+    if (!want.contains(p)) return what + " has extra " + p.ToString();
   }
   return "";
 }
@@ -213,19 +230,40 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
   const MiningSpace space = inst.Space();
   const MinerOptions base = inst.Options();
 
-  // --- Reference run: serial, exact.  Its sink keeps the last
-  // boundary's checkpoint, whose memo oracle (g) audits.
-  MinerCheckpoint ref_final;
-  bool have_ref_final = false;
+  // --- Reference run: serial, exact.  Its sink keeps every boundary's
+  // checkpoint: oracle (h) checks the frontier across consecutive ones,
+  // and oracle (g) audits the last one's memo.
+  std::vector<MinerCheckpoint> ref_checkpoints;
   MinerOptions ref_opt = base;
   ref_opt.checkpoint_sink = [&](const MinerCheckpoint& cp) {
-    ref_final = cp;
-    have_ref_final = true;
+    ref_checkpoints.push_back(cp);
     return true;
   };
   NmEngine ref_engine(data, space);
   const MiningResult ref = MineTrajPatterns(ref_engine, ref_opt);
   ++report.mining_runs;
+
+  // --- Oracle (h), frontier.  The checkpoint at boundary i + 1 carries
+  // the H and Q that round i + 1's generation ran over, which the miner
+  // rebuilt from the memo and ω of boundary i.
+  report.frontier_checked = ref_checkpoints.size() >= 2;
+  for (size_t i = 1; i < ref_checkpoints.size(); ++i) {
+    const MinerCheckpoint& earlier = ref_checkpoints[i - 1];
+    const MinerCheckpoint& later = ref_checkpoints[i];
+    const ReferenceFrontier want =
+        RebuildReferenceFrontier(earlier.scores, earlier.omega);
+    const std::string where = "frontier after boundary " +
+                              std::to_string(earlier.iteration) + " (omega " +
+                              Hex(earlier.omega) + "): ";
+    std::string diff = DiffPatternSet(where + "H", later.prev_high, want.high);
+    if (diff.empty()) {
+      diff = DiffPatternSet(where + "Q", later.prev_queue, want.queue);
+    }
+    if (!diff.empty()) {
+      fail(diff);
+      return report;
+    }
+  }
 
   // --- Oracle (a), kernel identity per pattern and per batch: the
   // engine's totals — one pattern and whole batches at 1 and N threads,
@@ -489,8 +527,9 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
   // for a scan without changing the top-k, the high/low frontier, or a
   // resumed run; and since every scanned value must be bit-equal to the
   // reference, it also checks every score the run memoized.
-  if (have_ref_final) {
+  if (!ref_checkpoints.empty()) {
     report.memo_bounds_checked = true;
+    const MinerCheckpoint& ref_final = ref_checkpoints.back();
     for (const ScoredPattern& sp : ref_final.scores) {
       const double exact = reference.NmTotal(sp.pattern);
       if (!(exact <= sp.nm)) {

@@ -22,6 +22,9 @@ struct OracleReport {
   /// Oracle (g) audited the reference run's final memo (it needs at
   /// least one completed grow iteration, i.e. one checkpoint).
   bool memo_bounds_checked = false;
+  /// Oracle (h) checked the reference run's frontier (it needs two
+  /// boundaries, i.e. two checkpoints).
+  bool frontier_checked = false;
   /// Full miner executions performed.
   int mining_runs = 0;
 
@@ -52,6 +55,12 @@ struct OracleReport {
 ///      NM, and every value that is not bit-equal to it lies below the
 ///      final ω (reported via `memo_bounds_checked`).  Every exact score
 ///      the run memoized is thereby checked against the reference too.
+///  (h) frontier: for each pair of consecutive checkpoints of the
+///      reference run, the later one's `prev_high`/`prev_queue` equal, as
+///      pattern sets, `RebuildReferenceFrontier` of the earlier one's
+///      memo at its ω (reported via `frontier_checked`).  Runs first,
+///      right after the reference run, so a wrong H or Q is reported as
+///      such rather than as the top-k or counter change it may cause.
 ///
 /// Legs (b) and (f) are retired; the remaining legs keep their letters.
 ///

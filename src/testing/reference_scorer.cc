@@ -78,4 +78,23 @@ double ReferenceScorer::MatchTotal(const Pattern& p) {
   return total;
 }
 
+ReferenceFrontier RebuildReferenceFrontier(
+    const std::vector<ScoredPattern>& scores, double omega) {
+  ReferenceFrontier out;
+  for (const ScoredPattern& sp : scores) {
+    if (sp.nm >= omega) out.high.insert(sp.pattern);
+  }
+  for (const ScoredPattern& sp : scores) {
+    const std::vector<CellId>& c = sp.pattern.cells();
+    bool retained = out.high.contains(sp.pattern) || c.size() == 1;
+    if (!retained && c.size() > 1) {
+      const Pattern drop_first(std::vector<CellId>(c.begin() + 1, c.end()));
+      const Pattern drop_last(std::vector<CellId>(c.begin(), c.end() - 1));
+      retained = out.high.contains(drop_first) || out.high.contains(drop_last);
+    }
+    if (retained) out.queue.insert(sp.pattern);
+  }
+  return out;
+}
+
 }  // namespace trajpattern

@@ -2,6 +2,7 @@
 #define TRAJPATTERN_TESTING_REFERENCE_SCORER_H_
 
 #include <cstddef>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -54,6 +55,20 @@ class ReferenceScorer {
   std::vector<size_t> offsets_;
   std::unordered_map<CellId, std::vector<double>> columns_;
 };
+
+/// The high set H and retained set Q of §4.1, rebuilt from scratch as
+/// pattern sets: the reference the miner's id walk over its memo is
+/// checked against.
+struct ReferenceFrontier {
+  std::set<Pattern> high;
+  std::set<Pattern> queue;
+};
+
+/// H is every pattern of `scores` whose value reaches `omega`; Q is H,
+/// plus every singular, plus every pattern whose drop-first or
+/// drop-last sub-pattern is in H (Lemma 1).
+ReferenceFrontier RebuildReferenceFrontier(
+    const std::vector<ScoredPattern>& scores, double omega);
 
 }  // namespace trajpattern
 

@@ -1,8 +1,8 @@
 // Differential fuzz harness: the tier-1 slice of the campaign that
 // bench/fuzz_corpus runs at full width in CI.  Every seed here executes
 // the complete oracle pass (engine vs reference scorer + brute force,
-// checkpoint/resume, thread determinism, warm order, memo bounds); see
-// docs/correctness.md for the contracts.
+// frontier, checkpoint/resume, thread determinism, warm order, memo
+// bounds); see docs/correctness.md for the contracts.
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -118,6 +118,14 @@ TEST_P(DifferentialFuzzTest, OraclePassesOnSeed) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialFuzzTest,
                          ::testing::Range<uint64_t>(1, 61));
+
+// The frontier leg needs two boundaries, which seed 7's reference run
+// has; it must not quietly stop running.
+TEST(MiningOracleTest, FrontierLegRunsWhenTheRunHasTwoBoundaries) {
+  const OracleReport report = MiningOracle().Check(GenerateInstance(7));
+  EXPECT_TRUE(report.ok()) << report.divergence;
+  EXPECT_TRUE(report.frontier_checked);
+}
 
 TEST(ShrinkerTest, ReachesAFixpointUnderASimplePredicate) {
   // Predicate independent of the oracle so the test pins the shrinking
