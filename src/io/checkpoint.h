@@ -25,15 +25,19 @@ namespace trajpattern {
 ///   <cells>                                                x count
 ///   end
 ///
-/// The writer emits v2.  The reader accepts v1 files (written before the
-/// cumulative work counters existed; counters load as 0) and v2.  A v3
-/// file (written by the removed sharded miner) is refused with
-/// kFailedPrecondition, naming v3.  NM values are written as C99
-/// hexfloats (`%a`), which round-trip IEEE doubles bit-exactly
-/// (including -inf) — the property the resumed-run bit-identity
-/// guarantee rests on.  Other unknown versions, truncated files and a
-/// score block that lists a pattern twice are rejected with kDataLoss,
-/// never half-loaded; score rows need not be sorted.
+/// The writer emits v2, rows in the order `cp` holds them (the miner's
+/// memo order), each line formatted in place in a chunk buffer.  The
+/// reader accepts v1 files (written before the cumulative work counters
+/// existed; counters load as 0) and v2.  A v3 file (written by the
+/// removed sharded miner) is refused with kFailedPrecondition, naming
+/// v3.  NM values are written as C99 hexfloats, spelled from their bits
+/// exactly as glibc's `%a` spells them; they round-trip IEEE doubles
+/// bit-exactly (including -inf) — the property the resumed-run
+/// bit-identity guarantee rests on.  Other unknown versions, truncated
+/// files, an `iteration` or `k` outside int's range and a score block
+/// that lists a pattern twice are rejected with kDataLoss, never
+/// half-loaded.  Row order is not part of the format: rows of any block
+/// may come in any order.
 Status WriteMinerCheckpoint(const MinerCheckpoint& cp, std::ostream& os);
 Status ReadMinerCheckpoint(std::istream& is, MinerCheckpoint* cp);
 
