@@ -14,7 +14,6 @@
 #include "datagen/uniform_generator.h"
 #include "datagen/zebranet_generator.h"
 #include "index/grid_index.h"
-#include "index/rtree.h"
 #include "prob/normal.h"
 #include "prob/rng.h"
 
@@ -254,36 +253,6 @@ void BM_GridIndexRadiusQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridIndexRadiusQuery);
-
-void BM_RTreeInsert(benchmark::State& state) {
-  Rng rng(7);
-  for (auto _ : state) {
-    state.PauseTiming();
-    RTree tree(8);
-    state.ResumeTiming();
-    for (int i = 0; i < 1000; ++i) {
-      tree.Insert(i, Point2(rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)));
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_RTreeInsert);
-
-void BM_RTreeQuery(benchmark::State& state) {
-  RTree tree(8);
-  Rng rng(9);
-  for (int i = 0; i < 20000; ++i) {
-    tree.Insert(i, Point2(rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)));
-  }
-  double x = 0.0;
-  for (auto _ : state) {
-    x = x < 0.9 ? x + 0.001 : 0.0;
-    const BoundingBox box(Point2(x, x), Point2(x + 0.05, x + 0.05));
-    benchmark::DoNotOptimize(tree.QueryIntersects(box));
-  }
-}
-BENCHMARK(BM_RTreeQuery);
 
 }  // namespace
 }  // namespace trajpattern

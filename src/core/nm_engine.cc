@@ -19,7 +19,6 @@
 #include "prob/log_space.h"
 #include "prob/normal.h"
 #include "stats/timer.h"
-#include "storage/column_codec.h"
 
 namespace trajpattern {
 namespace {
@@ -119,47 +118,6 @@ NmEngine::NmEngine(const TrajectoryDataset& data, const MiningSpace& space)
 
 NmEngine::~NmEngine() = default;
 
-void NmEngine::AttachColumnStore(storage::PageStore* store) {
-  column_store_ = store;
-  // Spill records are only meaningful against the store they live in:
-  // attach (or detach) resets the map.
-  cell_record_.assign(store == nullptr ? 0 : cell_slot_.size(),
-                      storage::kNewRecord);
-}
-
-/// Reads `cell`'s spilled column (if any) from the store into `out`.
-/// Any failure — missing record, torn page, bad encoding — degrades to
-/// "not spilled": the caller recomputes and the result stays bit-exact.
-bool NmEngine::FaultColumnIn(CellId cell, double* out) const {
-  const storage::RecordId rec = cell_record_[static_cast<size_t>(cell)];
-  if (rec < 0) return false;
-  StatusOr<std::string> data = column_store_->ReadRecord(rec);
-  if (!data.ok() ||
-      !storage::DecodeColumn(data.value(), out, stride_).ok()) {
-    return false;
-  }
-  ++columns_faulted_;
-  TP_COUNTER_INC("storage.columns_faulted");
-  return true;
-}
-
-/// Write-once spill of the resident column in `slot`: serializes the
-/// slab and records the store record id.  Failures are silently dropped
-/// (the column recomputes on its next touch).
-void NmEngine::SpillColumn(CellId cell, int32_t slot) const {
-  if (cell_record_[static_cast<size_t>(cell)] != storage::kNewRecord) {
-    return;  // already spilled; the bits on disk are identical
-  }
-  const std::string encoded =
-      storage::EncodeColumn(ColumnBase(slot), stride_);
-  StatusOr<storage::RecordId> rec =
-      column_store_->WriteRecord(storage::kNewRecord, encoded);
-  if (!rec.ok()) return;
-  cell_record_[static_cast<size_t>(cell)] = rec.value();
-  ++columns_spilled_;
-  TP_COUNTER_INC("storage.columns_spilled");
-}
-
 Status NmEngine::ValidateScorable(const Pattern& p) {
   if (p.empty()) {
     return Status::InvalidArgument("empty pattern cannot be scored");
@@ -173,35 +131,16 @@ Status NmEngine::ValidateScorable(const Pattern& p) {
 }
 
 void NmEngine::ComputeColumnInto(CellId cell, double* out,
-                                 ColumnScratch* scratch) const {
+                                 std::vector<double>* dist) const {
   const size_t n = stride_;
   const Point2 center = space_.grid.CenterOf(cell);
-  if (space_.model == IndifferenceModel::kRectangular) {
-    // The log probability is the sum of independent x and y log factors;
-    // each batched pass streams the SoA coordinate arrays.  The factors
-    // and their sum are the ones MiningSpace::LogProb computes, so the
-    // column is bit-identical to the point-at-a-time path.
-    auto& fa = scratch->fa;
-    auto& fb = scratch->fb;
-    if (fa.size() < n) fa.resize(n);
-    if (fb.size() < n) fb.resize(n);
-    LogNormalIntervalProbBatch(px_.data(), sigma_.data(),
-                               center.x - space_.delta,
-                               center.x + space_.delta, fa.data(), n);
-    LogNormalIntervalProbBatch(py_.data(), sigma_.data(),
-                               center.y - space_.delta,
-                               center.y + space_.delta, fb.data(), n);
-    for (size_t g = 0; g < n; ++g) out[g] = AddLogFactors(fa[g], fb[g]);
-    return;
-  }
-  // Radial model: one cheap distance pass, then the batched Rice-CDF
-  // quadrature, then the log in place.
-  auto& dist = scratch->fa;
-  if (dist.size() < n) dist.resize(n);
+  // One cheap distance pass, then the batched Rice-CDF quadrature, then
+  // the log in place.
+  if (dist->size() < n) dist->resize(n);
   for (size_t g = 0; g < n; ++g) {
-    dist[g] = Distance(flat_points_[g].mean, center);
+    (*dist)[g] = Distance(flat_points_[g].mean, center);
   }
-  RadialWithinProbBatch(dist.data(), sigma_.data(), space_.delta, out, n);
+  RadialWithinProbBatch(dist->data(), sigma_.data(), space_.delta, out, n);
   for (size_t g = 0; g < n; ++g) out[g] = SafeLog(out[g]);
 }
 
@@ -248,11 +187,6 @@ size_t NmEngine::EvictLruSlots(size_t count, uint64_t protect_tick) const {
   for (size_t i = 0; i < n; ++i) {
     const CellId c = order[i].second;
     const int32_t slot = cell_slot_[static_cast<size_t>(c)];
-    // With a column store attached, eviction is "spill + free" instead
-    // of "free": the slab's bits land in the store before the slot is
-    // recycled, so a later warm-up faults them back in instead of
-    // recomputing.
-    if (column_store_ != nullptr) SpillColumn(c, slot);
     cell_slot_[static_cast<size_t>(c)] = kNoSlot;
     slot_cell_[static_cast<size_t>(slot)] = kWildcardCell;
     free_slots_.push_back(slot);
@@ -263,56 +197,18 @@ size_t NmEngine::EvictLruSlots(size_t count, uint64_t protect_tick) const {
   return n;
 }
 
-int32_t NmEngine::EnsureColumn(CellId cell) const {
-  assert(space_.grid.IsValid(cell));
-  int32_t slot = cell_slot_[static_cast<size_t>(cell)];
-  if (slot >= 0) {
-    slot_last_use_[static_cast<size_t>(slot)] = ++warm_tick_;
-    return slot;
-  }
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    // Serial lazy path has no Status channel; a growth failure (real or
-    // injected) surfaces as bad_alloc for the caller/supervisor.
-    if (!GrowArena(allocated_slots_ + 1)) throw std::bad_alloc();
-    slot = static_cast<int32_t>(allocated_slots_ - 1);
-  }
-  double* out = ColumnBase(slot);
-  if (column_store_ == nullptr || !FaultColumnIn(cell, out)) {
-    ComputeColumnInto(cell, out, &column_scratch_);
-  }
-  cell_slot_[static_cast<size_t>(cell)] = slot;
-  slot_cell_[static_cast<size_t>(slot)] = cell;
-  slot_last_use_[static_cast<size_t>(slot)] = ++warm_tick_;
-  ++num_slots_;
-  return slot;
-}
-
-void NmEngine::ResolveColumns(const Pattern& p,
-                              std::vector<const double*>* cols) const {
-  // Materialize every missing column BEFORE taking any base pointer:
-  // arena growth reallocates, which would dangle a sibling position
-  // resolved earlier in the same pattern.
-  for (const CellId c : p.cells()) {
-    if (c != kWildcardCell) EnsureColumn(c);
-  }
-  cols->clear();
-  for (const CellId c : p.cells()) {
-    cols->push_back(c == kWildcardCell
-                        ? nullptr
-                        : ColumnBase(cell_slot_[static_cast<size_t>(c)]));
-  }
+void NmEngine::WarmPattern(const Pattern& p) const {
+  WarmStats ws;
+  WarmCells(p.cells(), 1, &ws);
+  // Without a run context only a failed arena growth can stop it.
+  if (ws.stop != StopReason::kNone) throw std::bad_alloc();
 }
 
 double NmEngine::TotalOne(const Pattern& p, Measure measure) const {
   ++num_pattern_evaluations_;
   // Fill any missing columns while still serial, then walk the batch of
   // one with the read-only code the batch path runs.
-  for (CellId c : p.cells()) {
-    if (c != kWildcardCell) EnsureColumn(c);
-  }
+  WarmPattern(p);
   double out = 0.0;
   Walk(std::span<const Pattern>(&p, 1), measure, nullptr, nullptr,
        std::span<WalkScratch>(&walk_scratch_, 1), &out, nullptr);
@@ -712,74 +608,24 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
   }
   free_slots_.resize(free_slots_.size() - reuse);
 
-  // Fault-in: columns previously spilled to the attached store are read
-  // back instead of recomputed.  The reads run serially on the calling
-  // thread before the parallel fill so the store never sees concurrent
-  // access; the hexfloat round-trip restores the exact bits the original
-  // computation produced, so downstream scoring cannot tell a faulted
-  // column from a computed one.
-  std::vector<char> faulted(missing.size(), 0);
-  size_t num_faulted = 0;
-  if (column_store_ != nullptr) {
-    for (size_t i = 0; i < missing.size(); ++i) {
-      if (FaultColumnIn(missing[i], ColumnBase(slots[i]))) {
-        faulted[i] = 1;
-        ++num_faulted;
-      }
-    }
-  }
-  ws.faulted = num_faulted;
-
   ThreadPool* pool = PoolFor(ResolveThreadCount(num_threads));
   // Without run control every fill completes; with it, `done` records
-  // which columns finished before a stop.  Faulted columns are already
-  // resident, so they count as done up front.
+  // which columns finished before a stop.
   std::vector<char> done(missing.size(), run == nullptr ? 1 : 0);
-  for (size_t i = 0; i < missing.size(); ++i) {
-    if (faulted[i]) done[i] = 1;
-  }
-  const auto fill = [&](const std::vector<CellId>& fcells,
-                        const std::vector<int32_t>& fslots,
-                        std::vector<char>* fdone) {
-    if (space_.model == IndifferenceModel::kRectangular) {
-      WarmRectangularFactored(fcells, fslots, pool, run,
-                              run == nullptr ? nullptr : fdone);
-    } else {
-      const int lanes = pool == nullptr ? 1 : pool->size();
-      std::vector<ColumnScratch> scratch(static_cast<size_t>(lanes));
-      ParallelFor(
-          pool, fcells.size(),
-          [&](size_t i, int worker) {
-            ComputeColumnInto(fcells[i], ColumnBase(fslots[i]),
-                              &scratch[static_cast<size_t>(worker)]);
-            if (run != nullptr) (*fdone)[i] = 1;
-          },
-          run);
-    }
-  };
-  if (num_faulted == 0) {
-    fill(missing, slots, &done);
-  } else if (num_faulted < missing.size()) {
-    // Compact the still-cold subset so the fill paths see dense lists
-    // (the rectangular plan batches by row/column of the cells it is
-    // given), then scatter the completion flags back.
-    std::vector<CellId> cold_cells;
-    std::vector<int32_t> cold_slots;
-    std::vector<size_t> cold_idx;
-    cold_cells.reserve(missing.size() - num_faulted);
-    cold_slots.reserve(missing.size() - num_faulted);
-    cold_idx.reserve(missing.size() - num_faulted);
-    for (size_t i = 0; i < missing.size(); ++i) {
-      if (faulted[i]) continue;
-      cold_cells.push_back(missing[i]);
-      cold_slots.push_back(slots[i]);
-      cold_idx.push_back(i);
-    }
-    std::vector<char> cold_done(cold_cells.size(), run == nullptr ? 1 : 0);
-    fill(cold_cells, cold_slots, &cold_done);
-    for (size_t j = 0; j < cold_idx.size(); ++j) {
-      done[cold_idx[j]] = cold_done[j];
-    }
+  if (space_.model == IndifferenceModel::kRectangular) {
+    WarmRectangularFactored(missing, slots, pool, run,
+                            run == nullptr ? nullptr : &done);
+  } else {
+    const int lanes = pool == nullptr ? 1 : pool->size();
+    std::vector<std::vector<double>> dist(static_cast<size_t>(lanes));
+    ParallelFor(
+        pool, missing.size(),
+        [&](size_t i, int worker) {
+          ComputeColumnInto(missing[i], ColumnBase(slots[i]),
+                            &dist[static_cast<size_t>(worker)]);
+          if (run != nullptr) done[i] = 1;
+        },
+        run);
   }
 
   // Ordered publish.  Columns a stop skipped revert to cold and their
@@ -948,8 +794,14 @@ double NmEngine::NmTotalWithGaps(const Pattern& p, int max_gap) const {
   ++num_pattern_evaluations_;
   const size_t m = p.length();
   if (p.SpecifiedCount() == 0) return kNegInf;  // see ValidateScorable
+  WarmPattern(p);
+  // Every column is resident now, so no base pointer can move.
   std::vector<const double*> cols;
-  ResolveColumns(p, &cols);
+  for (const CellId c : p.cells()) {
+    cols.push_back(c == kWildcardCell
+                       ? nullptr
+                       : ColumnBase(cell_slot_[static_cast<size_t>(c)]));
+  }
   double total = 0.0;
   for (size_t i = 0; i < data_->size(); ++i) {
     const size_t off = offsets_[i];

@@ -13,7 +13,6 @@
 #include "core/pattern.h"
 #include "parallel/thread_pool.h"
 #include "stats/mining_counters.h"
-#include "storage/page_store.h"
 #include "trajectory/trajectory.h"
 
 namespace trajpattern {
@@ -86,13 +85,14 @@ inline void AccumulateBatch(const BatchScoreStats& batch, MiningCounters* c) {
 /// shorter than the pattern contribute the log floor to NM sums and 0 to
 /// match sums (they cannot host a window).
 ///
-/// Threading contract: the per-pattern entry points (`NmTotal`,
-/// `MatchTotal`, `NmTotalWithGaps`) lazily fill the arena and therefore
-/// must only be called from one thread at a time.  The batch entry points
-/// (`NmTotalBatch`, `MatchTotalBatch`) pre-warm every column their
-/// candidate set needs before any scoring worker starts — the warm-up
-/// itself fans distinct cells out over the pool into disjoint slabs and
-/// publishes the slot table serially (see `WarmCells`) — then fan the
+/// Threading contract: every entry point fills the arena through
+/// `WarmCells` before it reads a column.  The per-pattern entry points
+/// (`NmTotal`, `MatchTotal`, `NmTotalWithGaps`) warm one pattern's cells
+/// serially and therefore must only be called from one thread at a time.
+/// The batch entry points (`NmTotalBatch`, `MatchTotalBatch`) pre-warm
+/// every column their candidate set needs before any scoring worker
+/// starts — the warm-up itself fans distinct cells out over the pool into
+/// disjoint slabs and publishes the slot table serially — then fan the
 /// scan out over the same pool; scoring workers only ever *read* the
 /// arena.
 ///
@@ -137,7 +137,9 @@ class NmEngine {
   /// (Eq. 3 and 4), where the mean is over the *specified* (non-wildcard)
   /// positions — see `Pattern::SpecifiedCount` — and `LogFloor()` for a
   /// trajectory shorter than `P`.  -infinity if `P` fails
-  /// `ValidateScorable`.
+  /// `ValidateScorable`.  Throws `std::bad_alloc` when the arena cannot
+  /// grow to hold the pattern's columns, as do `MatchTotal` and
+  /// `NmTotalWithGaps`.
   double NmTotal(const Pattern& p) const;
 
   /// Scores a whole candidate generation at once: out[i] == NmTotal(
@@ -187,9 +189,6 @@ class NmEngine {
     /// Columns shed (LRU, excluding ones this request touched) to fit
     /// the run's memory budget.
     size_t evicted = 0;
-    /// Of the misses, columns faulted back in from the attached column
-    /// store (see `AttachColumnStore`) instead of being recomputed.
-    size_t faulted = 0;
     /// Why the warm-up stopped early (`kNone` == it completed).  On a
     /// stop nothing half-filled is published: columns that finished
     /// before the stop are installed, the rest stay cold, and the
@@ -208,10 +207,10 @@ class NmEngine {
   /// depend only on (cell, dataset, space), so results are bit-identical
   /// for any thread count and any warm order.  Returns the number of
   /// columns added — 0, with the arena untouched, when every cell is
-  /// already warm.  This is the batch API's warm-up step, exposed for
-  /// callers that know their working set up front.  Not itself
-  /// thread-safe: like the other lazy-warming entry points, callers
-  /// serialize calls (the batch API does) and workers only read.
+  /// already warm.  This is the warm-up step of every scoring entry
+  /// point, exposed for callers that know their working set up front.
+  /// Not itself thread-safe: callers serialize calls (the entry points
+  /// do) and workers only read.
   /// `run` (optional) adds run control: the fill fan-out polls the
   /// context before each column, a memory budget evicts
   /// least-recently-used resident columns (never ones this request
@@ -266,22 +265,6 @@ class NmEngine {
     alloc_fault_hook_ = std::move(hook);
   }
 
-  /// Attaches an out-of-core backing store for evicted columns (nullptr
-  /// detaches).  With a store attached, the PR 7 eviction path becomes
-  /// "spill + free" instead of "free": a column evicted for the first
-  /// time is serialized (hexfloat, bit-exact round-trip) into one store
-  /// record, and a later warm-up of the same cell faults the record back
-  /// in through the store's buffer pool instead of recomputing the
-  /// column.  Columns are pure functions of (cell, dataset, space) and
-  /// the codec round-trips every IEEE double bit-exactly, so scores are
-  /// bit-identical with or without a store — spill I/O failures
-  /// self-heal by recomputation.  The store must outlive the engine (or
-  /// a detach) and is used only from the serial warm-up phase.
-  void AttachColumnStore(storage::PageStore* store);
-  /// Columns spilled to / faulted in from the attached store (lifetime).
-  size_t columns_spilled() const { return columns_spilled_; }
-  size_t columns_faulted() const { return columns_faulted_; }
-
  private:
   /// Frees a `DoubleBuffer`: unmaps the `mapped` bytes at it, or, when
   /// `mapped` is 0, returns it to `operator delete`.
@@ -300,14 +283,6 @@ class NmEngine {
   /// lingers on heap memory.  A smaller buffer, which cannot hold a whole
   /// huge page, comes from `operator new`.  Throws `std::bad_alloc`.
   static DoubleBuffer AllocateDoubles(size_t count);
-
-  /// Scratch of one column materialization (per warm-up worker): the 1-D
-  /// probability factors of the rectangular model, or the center
-  /// distances of the radial one.
-  struct ColumnScratch {
-    std::vector<double> fa;
-    std::vector<double> fb;
-  };
 
   /// Which dataset aggregate a scan computes.
   enum class Measure { kNm, kMatch };
@@ -331,13 +306,13 @@ class NmEngine {
   /// worker count.
   struct WalkPlan;
 
-  /// Writes the log-prob column for `cell` into `out[0, TotalPoints())`,
-  /// column-at-a-time through the batched prob entry points
-  /// (`LogNormalIntervalProbBatch` / `RadialWithinProbBatch`) instead of
-  /// point-at-a-time.  `scratch` is caller-owned so parallel warm-up
+  /// Writes the radial-model log-prob column for `cell` into
+  /// `out[0, TotalPoints())`, column-at-a-time through the batched
+  /// `RadialWithinProbBatch` instead of point-at-a-time.  `dist` is the
+  /// caller-owned scratch for the center distances, so parallel warm-up
   /// workers each bring their own.
   void ComputeColumnInto(CellId cell, double* out,
-                         ColumnScratch* scratch) const;
+                         std::vector<double>* dist) const;
 
   /// Fills the slabs [base, base + missing.size()) of the pre-grown
   /// arena with the columns of `missing` under the rectangular model,
@@ -348,8 +323,8 @@ class NmEngine {
   /// and shared by every cell in it.  Factor passes and per-cell
   /// add-and-max passes each fan out over `pool`; each output depends
   /// only on its own inputs, so the result is bit-identical at any thread
-  /// count — and to the unfactored `ComputeColumnInto` path, which adds
-  /// the exact same doubles.
+  /// count — and to `MiningSpace::LogProb`, which adds the exact same
+  /// doubles.
   /// `slots[i]` is the (pre-reserved, possibly non-contiguous) arena
   /// slot for `missing[i]`.  With a non-null `run`, both fan-outs poll
   /// it and `done[i]` records whether cell i's column was fully
@@ -360,22 +335,16 @@ class NmEngine {
                                ThreadPool* pool, const RunContext* run,
                                std::vector<char>* done) const;
 
-  /// Slot of `cell`'s column, materializing it on miss (may grow the
-  /// arena and therefore invalidate previously resolved base pointers —
-  /// serial paths only, and never between resolve and use).
-  int32_t EnsureColumn(CellId cell) const;
-
   /// Base pointer of the column in `slot`.
   double* ColumnBase(int32_t slot) const {
     return arena_.get() + static_cast<size_t>(slot) * stride_;
   }
 
-  /// Resolves each position of `p` to its column base pointer in
-  /// `cols` (nullptr for wildcards, log 1), computing missing columns
-  /// first — all of them, before any pointer is taken, so arena growth
-  /// cannot dangle a sibling position.
-  void ResolveColumns(const Pattern& p,
-                      std::vector<const double*>* cols) const;
+  /// Warms `p`'s columns through `WarmCells`, serially and without run
+  /// control, for the per-pattern entry points.  They have no Status
+  /// channel, so a failed arena growth (real or injected) throws
+  /// `std::bad_alloc`, with no column of the failed request published.
+  void WarmPattern(const Pattern& p) const;
 
   /// `NmTotal`/`MatchTotal`: warms the pattern's columns, then scores it
   /// as a walk of one.
@@ -410,15 +379,6 @@ class NmEngine {
                                  int num_threads, BatchScoreStats* stats,
                                  Measure measure,
                                  const RunContext* run) const;
-
-  /// Reads `cell`'s spilled column from the attached store into `out`
-  /// (a pre-reserved slab).  False — caller recomputes — when the cell
-  /// was never spilled or the read/decode fails.
-  bool FaultColumnIn(CellId cell, double* out) const;
-
-  /// Spills the resident column of (`cell`, `slot`) to the attached
-  /// store, once per cell; no-op if already spilled or on I/O failure.
-  void SpillColumn(CellId cell, int32_t slot) const;
 
   /// Evicts up to `count` resident columns, least-recently-used first
   /// (ties broken by CellId for determinism), skipping columns stamped
@@ -479,15 +439,6 @@ class NmEngine {
   mutable uint64_t warm_tick_ = 0;
   /// Lifetime count of budget evictions (for stats/benches).
   mutable size_t cells_evicted_ = 0;
-  /// Out-of-core column backing (nullptr = evictions discard, the
-  /// RAM-only behavior).  See `AttachColumnStore`.
-  storage::PageStore* column_store_ = nullptr;
-  /// Dense CellId -> store record of the cell's spilled column
-  /// (`storage::kNewRecord` = never spilled).  Spills are write-once:
-  /// the column never changes, so the record never rewrites.
-  mutable std::vector<storage::RecordId> cell_record_;
-  mutable size_t columns_spilled_ = 0;
-  mutable size_t columns_faulted_ = 0;
   /// Test hook simulating arena allocation failure (see setter).
   std::function<bool(size_t)> alloc_fault_hook_;
   /// Column length: one double per flattened snapshot.
@@ -495,9 +446,6 @@ class NmEngine {
 
   mutable int64_t num_pattern_evaluations_ = 0;
   mutable std::unique_ptr<ThreadPool> pool_;
-  /// Column scratch of the serial lazy-warming paths (`EnsureColumn`);
-  /// parallel warm-up workers use per-worker instances instead.
-  mutable ColumnScratch column_scratch_;
   /// Walk scratch of the serial totals (`NmTotal`, `MatchTotal`).
   mutable WalkScratch walk_scratch_;
 };

@@ -65,34 +65,6 @@ class BoundingBox {
                   std::clamp(p.y, min_.y, max_.y));
   }
 
-  /// Area (0 for empty or degenerate boxes).
-  double Area() const { return empty() ? 0.0 : width() * height(); }
-
-  /// True iff this box and `o` share at least a boundary point.
-  bool Intersects(const BoundingBox& o) const {
-    return !empty() && !o.empty() && min_.x <= o.max_.x &&
-           o.min_.x <= max_.x && min_.y <= o.max_.y && o.min_.y <= max_.y;
-  }
-
-  /// True iff `o` lies entirely inside this box.
-  bool ContainsBox(const BoundingBox& o) const {
-    return !o.empty() && Contains(o.min_) && Contains(o.max_);
-  }
-
-  /// Grows the box to include all of `o`.
-  void ExtendBox(const BoundingBox& o) {
-    if (o.empty()) return;
-    Extend(o.min_);
-    Extend(o.max_);
-  }
-
-  /// Smallest box covering both `a` and `b`.
-  static BoundingBox Union(const BoundingBox& a, const BoundingBox& b) {
-    BoundingBox out = a;
-    out.ExtendBox(b);
-    return out;
-  }
-
  private:
   Point2 min_;
   Point2 max_;

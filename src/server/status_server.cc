@@ -14,7 +14,6 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "storage/page_store.h"
 
 namespace trajpattern {
 namespace {
@@ -43,13 +42,7 @@ std::string StatusServer::RunzJson() {
     if (i != 0) out += ",\n";
     obs::AppendRunSnapshotJson(runs[i], &out);
   }
-  out += "\n]";
-  // The storage registry is always on (it does not depend on
-  // TRAJPATTERN_OBS), so /runz shows buffer-pool behavior even in
-  // obs-off builds.
-  out += ",\n\"storage\": ";
-  storage::AppendStorageStatsJson(&out);
-  out += ",\n\"journal_events\": " +
+  out += "\n],\n\"journal_events\": " +
          std::to_string(RunJournal::Global().events_emitted());
   out += "\n}\n";
   return out;

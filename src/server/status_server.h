@@ -55,8 +55,7 @@ class StatusServer {
   /// for tests so handlers are coverable without sockets.
   static std::string HandlePath(const std::string& path);
 
-  /// The `/runz` document: {"runs": [...], "storage": {...},
-  /// "journal_events": N}.
+  /// The `/runz` document: {"runs": [...], "journal_events": N}.
   static std::string RunzJson();
 
  private:

@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "index/grid_index.h"
-#include "index/rtree.h"
 #include "prob/rng.h"
 
 namespace trajpattern {
@@ -164,112 +162,6 @@ TEST(GridIndexTest, NearestNeighborsMoreThanStored) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], 1);
   EXPECT_EQ(got[1], 2);
-}
-
-TEST(RTreeTest, InsertAndQueryPoint) {
-  RTree tree(4);
-  tree.Insert(1, Point2(0.5, 0.5));
-  tree.Insert(2, Point2(0.1, 0.9));
-  EXPECT_EQ(tree.size(), 2u);
-  EXPECT_EQ(tree.QueryPoint(Point2(0.5, 0.5)),
-            std::vector<RTree::EntryId>{1});
-  EXPECT_TRUE(tree.QueryPoint(Point2(0.3, 0.3)).empty());
-  EXPECT_TRUE(tree.CheckInvariants());
-}
-
-TEST(RTreeTest, SplitsKeepInvariants) {
-  RTree tree(4);
-  Rng rng(11);
-  for (int i = 0; i < 300; ++i) {
-    tree.Insert(i, Point2(rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)));
-    if (i % 50 == 0) {
-      EXPECT_TRUE(tree.CheckInvariants()) << "after " << i;
-    }
-  }
-  EXPECT_EQ(tree.size(), 300u);
-  EXPECT_GT(tree.height(), 1);
-  EXPECT_TRUE(tree.CheckInvariants());
-}
-
-TEST(RTreeTest, QueryIntersectsMatchesLinearScan) {
-  RTree tree(6);
-  Rng rng(13);
-  std::vector<BoundingBox> boxes;
-  for (int i = 0; i < 200; ++i) {
-    const Point2 min(rng.Uniform(0.0, 0.9), rng.Uniform(0.0, 0.9));
-    const BoundingBox box(
-        min, min + Point2(rng.Uniform(0.0, 0.1), rng.Uniform(0.0, 0.1)));
-    boxes.push_back(box);
-    tree.Insert(i, box);
-  }
-  for (int trial = 0; trial < 25; ++trial) {
-    const Point2 min(rng.Uniform(0.0, 0.8), rng.Uniform(0.0, 0.8));
-    const BoundingBox query(
-        min, min + Point2(rng.Uniform(0.05, 0.3), rng.Uniform(0.05, 0.3)));
-    std::vector<RTree::EntryId> expected;
-    for (int i = 0; i < 200; ++i) {
-      if (boxes[i].Intersects(query)) expected.push_back(i);
-    }
-    EXPECT_EQ(tree.QueryIntersects(query), expected) << "trial " << trial;
-  }
-}
-
-TEST(RTreeTest, RemoveMaintainsCorrectness) {
-  RTree tree(4);
-  Rng rng(17);
-  std::vector<Point2> points;
-  for (int i = 0; i < 120; ++i) {
-    points.emplace_back(rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0));
-    tree.Insert(i, points.back());
-  }
-  // Remove every third entry.
-  std::set<int> removed;
-  for (int i = 0; i < 120; i += 3) {
-    EXPECT_TRUE(tree.Remove(i, BoundingBox(points[i], points[i])));
-    removed.insert(i);
-  }
-  EXPECT_EQ(tree.size(), 80u);
-  EXPECT_TRUE(tree.CheckInvariants());
-  // Removed entries are gone; kept entries still found.
-  for (int i = 0; i < 120; ++i) {
-    const auto hits = tree.QueryPoint(points[i]);
-    const bool found = std::find(hits.begin(), hits.end(), i) != hits.end();
-    EXPECT_EQ(found, removed.count(i) == 0) << i;
-  }
-  // Removing a non-existent entry fails.
-  EXPECT_FALSE(tree.Remove(0, BoundingBox(points[0], points[0])));
-}
-
-TEST(RTreeTest, RemoveAllThenReinsert) {
-  RTree tree(4);
-  for (int i = 0; i < 30; ++i) {
-    tree.Insert(i, Point2(0.03 * i, 0.03 * i));
-  }
-  for (int i = 0; i < 30; ++i) {
-    const Point2 p(0.03 * i, 0.03 * i);
-    EXPECT_TRUE(tree.Remove(i, BoundingBox(p, p)));
-  }
-  EXPECT_EQ(tree.size(), 0u);
-  tree.Insert(99, Point2(0.5, 0.5));
-  EXPECT_EQ(tree.QueryPoint(Point2(0.5, 0.5)),
-            std::vector<RTree::EntryId>{99});
-  EXPECT_TRUE(tree.CheckInvariants());
-}
-
-TEST(BoundingBoxSetOpsTest, IntersectsUnionArea) {
-  const BoundingBox a(Point2(0.0, 0.0), Point2(1.0, 1.0));
-  const BoundingBox b(Point2(0.5, 0.5), Point2(2.0, 2.0));
-  const BoundingBox c(Point2(1.5, 1.5), Point2(1.8, 1.8));
-  EXPECT_TRUE(a.Intersects(b));
-  EXPECT_FALSE(a.Intersects(c));
-  EXPECT_TRUE(b.Intersects(c));
-  EXPECT_TRUE(b.ContainsBox(c));
-  EXPECT_FALSE(a.ContainsBox(b));
-  const BoundingBox u = BoundingBox::Union(a, c);
-  EXPECT_EQ(u.min(), Point2(0.0, 0.0));
-  EXPECT_EQ(u.max(), Point2(1.8, 1.8));
-  EXPECT_DOUBLE_EQ(a.Area(), 1.0);
-  EXPECT_DOUBLE_EQ(BoundingBox().Area(), 0.0);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // every span complete, and — above all — instrumentation never changes
 // mining answers.  Builds and passes with TRAJPATTERN_OBS=OFF too: the
 // classes are always compiled; only the TP_* macro call sites vanish.
+// Also the bench JsonWriter's control-character escaping, which every
+// BENCH_*.json artifact goes through.
 
 #include <cstdio>
 #include <cstring>
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.h"
 #include "core/miner.h"
 #include "core/nm_engine.h"
 #include "datagen/zebranet_generator.h"
@@ -312,6 +315,32 @@ TEST(ObsIntegrationTest, TracingNeverChangesMiningAnswers) {
     EXPECT_EQ(std::memcmp(&baseline.patterns[i].nm, &parallel.patterns[i].nm,
                           sizeof(double)),
               0);
+  }
+}
+
+TEST(JsonWriterTest, EscapesControlCharactersToValidJson) {
+  // Regression: AppendQuoted used to pass raw control characters
+  // through, producing artifacts no strict parser would accept.
+  std::string nasty = "tab\there\nnewline\rcr";
+  nasty.push_back('\x01');
+  nasty.push_back('\x1f');
+  nasty += "quote\"backslash\\done";
+
+  bench::JsonWriter w;
+  w.BeginObject();
+  w.Key(nasty).Str(nasty);
+  w.Key("plain").Str("ok");
+  w.EndObject();
+  const std::string& json = w.str();
+  EXPECT_TRUE(test::IsValidJson(json)) << json;
+  EXPECT_NE(json.find("\\u0001"), std::string::npos) << json;
+  EXPECT_NE(json.find("\\u001f"), std::string::npos) << json;
+  EXPECT_NE(json.find("\\n"), std::string::npos) << json;
+  // The writer's own pretty-printing newlines are the only raw control
+  // characters allowed in the artifact.
+  for (char c : json) {
+    EXPECT_TRUE(static_cast<unsigned char>(c) >= 0x20 || c == '\n')
+        << "raw control character leaked into the artifact";
   }
 }
 

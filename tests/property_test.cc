@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -8,7 +7,6 @@
 #include "core/nm_engine.h"
 #include "core/pattern_group.h"
 #include "datagen/uniform_generator.h"
-#include "index/tpr_index.h"
 #include "prob/rng.h"
 
 namespace trajpattern {
@@ -73,61 +71,6 @@ TEST_P(GroupPropertyTest, IdenticalPatternsNeverSplit) {
   const auto groups = GroupPatterns(pats, grid, 0.0);
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0].size(), 5u);
-}
-
-// ---------------------------------------------------------------------------
-// TPR index: QueryDuring agrees with dense time sampling.
-// ---------------------------------------------------------------------------
-
-class TprPropertyTest : public ::testing::TestWithParam<int> {};
-
-INSTANTIATE_TEST_SUITE_P(Seeds, TprPropertyTest, ::testing::Range(1, 5));
-
-TEST_P(TprPropertyTest, QueryDuringMatchesDenseSampling) {
-  Rng rng(GetParam() * 389);
-  TprIndex index(TprIndex::Options{.horizon = 3.0, .max_node_entries = 5});
-  struct Obj {
-    double t_ref;
-    Point2 p;
-    Vec2 v;
-  };
-  std::vector<Obj> objs;
-  for (int i = 0; i < 60; ++i) {
-    Obj o{rng.Uniform(0.0, 1.0),
-          Point2(rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)),
-          Vec2(rng.Uniform(-0.1, 0.1), rng.Uniform(-0.1, 0.1))};
-    index.Update(i, o.t_ref, o.p, o.v);
-    objs.push_back(o);
-  }
-  for (int trial = 0; trial < 10; ++trial) {
-    const Point2 min(rng.Uniform(0.0, 0.7), rng.Uniform(0.0, 0.7));
-    const BoundingBox region(
-        min, min + Point2(rng.Uniform(0.1, 0.3), rng.Uniform(0.1, 0.3)));
-    const double t0 = rng.Uniform(0.5, 4.0);
-    const double t1 = t0 + rng.Uniform(0.1, 3.0);
-    const auto got = index.QueryDuring(region, t0, t1);
-    // Dense sampling reference (fine enough for the speeds above).
-    std::set<TprIndex::ObjectId> expected;
-    for (int i = 0; i < 60; ++i) {
-      for (double t = t0; t <= t1 + 1e-9; t += 0.002) {
-        const Point2 at = objs[i].p + objs[i].v * (t - objs[i].t_ref);
-        if (region.Contains(at)) {
-          expected.insert(i);
-          break;
-        }
-      }
-    }
-    // The analytic interval test is exact, so it must contain every
-    // sampled hit; extras can only come from sampling resolution, not
-    // the other way around.
-    for (auto id : expected) {
-      EXPECT_NE(std::find(got.begin(), got.end(), id), got.end())
-          << "trial " << trial << " object " << id;
-    }
-    // And every analytic hit must verify at its entry time (spot check
-    // via midpoint of the clamped window).
-    EXPECT_GE(got.size(), expected.size());
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -361,6 +362,33 @@ TEST(MinerRunControlTest, InjectedAllocFailureStopsWithTypedReason) {
   const MiningResult healed = MineTrajPatterns(engine, MakeOptions());
   EXPECT_FALSE(healed.stats.aborted);
   EXPECT_FALSE(healed.patterns.empty());
+}
+
+TEST(EngineRunControlTest, FailedSerialWarmUpThrowsAndPublishesNothing) {
+  // The per-pattern entry points have no Status channel: a failed arena
+  // growth surfaces as std::bad_alloc, with no column of it cached.
+  const TrajectoryDataset data = MakeMiningData();
+  NmEngine engine(data, MakeSpace());
+  const std::vector<CellId> cells = engine.TouchedCells();
+  ASSERT_GE(cells.size(), 2u);
+  const Pattern p(
+      std::vector<CellId>{cells[0], kWildcardCell, cells[1], cells[0]});
+  int growths = 0;
+  engine.set_alloc_fault_hook([&growths](size_t) {
+    ++growths;
+    return true;
+  });
+  EXPECT_THROW(engine.NmTotal(p), std::bad_alloc);
+  EXPECT_GT(growths, 0);
+  EXPECT_EQ(engine.num_cached_cells(), 0u);
+
+  // Once the hook is cleared, the same engine scores the same bits as a
+  // fresh one.
+  engine.set_alloc_fault_hook(nullptr);
+  NmEngine fresh(data, MakeSpace());
+  const double want = fresh.NmTotal(p);
+  const double got = engine.NmTotal(p);
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << got << " vs " << want;
 }
 
 // ------------------------------------------- baseline miners, same contract

@@ -1,51 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <thread>
 
-#include "stats/running_stats.h"
 #include "stats/table.h"
 #include "stats/timer.h"
 
 namespace trajpattern {
 namespace {
-
-TEST(RunningStatsTest, EmptyIsSafe) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_TRUE(std::isnan(s.min()));
-  EXPECT_TRUE(std::isnan(s.max()));
-}
-
-TEST(RunningStatsTest, KnownSequence) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(v);
-  EXPECT_EQ(s.count(), 8);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  // Sample variance with n-1: sum of squared deviations = 32, /7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStatsTest, SingleValue) {
-  RunningStats s;
-  s.Add(3.5);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStatsTest, ShiftInvarianceOfVariance) {
-  RunningStats a, b;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) {
-    a.Add(v);
-    b.Add(v + 1000.0);
-  }
-  EXPECT_NEAR(a.variance(), b.variance(), 1e-9);
-}
 
 TEST(WallTimerTest, MeasuresElapsedTime) {
   WallTimer t;
