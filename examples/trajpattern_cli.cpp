@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "common/run_context.h"
@@ -43,6 +44,20 @@
 using namespace trajpattern;
 
 namespace {
+
+// Refuses --grid and --max_grid below 1: a grid needs a cell per side,
+// and Flags reads a non-number as 0.
+bool GridFlagsValid(const Flags& flags, const char* cmd) {
+  for (const char* name : {"grid", "max_grid"}) {
+    const int value = flags.GetInt(name, 1);
+    if (value < 1) {
+      std::fprintf(stderr, "%s: --%s must be at least 1 (got %d)\n", cmd,
+                   name, value);
+      return false;
+    }
+  }
+  return true;
+}
 
 int Generate(const Flags& flags) {
   const std::string kind = flags.GetString("kind", "zebranet");
@@ -164,6 +179,7 @@ int Mine(const Flags& flags, const ObsOptions& obs_opts) {
                  k);
     return 1;
   }
+  if (!GridFlagsValid(flags, "mine")) return 1;
   TrajectoryDataset data;
   CsvDiagnostic diag;
   if (!ReadTrajectoriesCsvFile(in, &data, &diag) || data.empty()) {
@@ -308,6 +324,7 @@ int Score(const Flags& flags) {
                  "required\n");
     return 1;
   }
+  if (!GridFlagsValid(flags, "score")) return 1;
   TrajectoryDataset data;
   if (!ReadTrajectoriesCsvFile(in, &data) || data.empty()) {
     std::fprintf(stderr, "score: cannot read %s\n", in.c_str());
@@ -324,8 +341,20 @@ int Score(const Flags& flags) {
   const ParameterSuggestion suggestion =
       SuggestParameters(data, flags.GetInt("max_grid", 128));
   const int side = flags.GetInt("grid", suggestion.cells_per_side);
-  const MiningSpace space(Grid(suggestion.box, side, side),
-                          flags.GetDouble("delta", suggestion.delta));
+  const Grid grid(suggestion.box, side, side);
+  // The engine indexes its column table by cell: a pattern mined on
+  // another grid cannot be scored on this one.
+  for (const auto& sp : patterns) {
+    if (const std::optional<CellId> c =
+            PatternCellOutsideGrid(sp.pattern, grid)) {
+      std::fprintf(stderr,
+                   "score: %s holds cell %d, outside the %dx%d grid of %d "
+                   "cells\n",
+                   patterns_path.c_str(), *c, side, side, grid.num_cells());
+      return 1;
+    }
+  }
+  const MiningSpace space(grid, flags.GetDouble("delta", suggestion.delta));
   NmEngine engine(data, space);
   std::printf("%-40s %12s %12s\n", "pattern", "NM", "match");
   for (const auto& sp : patterns) {

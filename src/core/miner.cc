@@ -650,13 +650,18 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   return result;
 }
 
+std::optional<CellId> PatternCellOutsideGrid(const Pattern& p,
+                                             const Grid& grid) {
+  for (const CellId c : p.cells()) {
+    if (c != kWildcardCell && !grid.IsValid(c)) return c;
+  }
+  return std::nullopt;
+}
+
 std::optional<CellId> CheckpointCellOutsideGrid(const MinerCheckpoint& cp,
                                                 const Grid& grid) {
-  const auto outside = [&grid](const Pattern& p) -> std::optional<CellId> {
-    for (const CellId c : p.cells()) {
-      if (c != kWildcardCell && !grid.IsValid(c)) return c;
-    }
-    return std::nullopt;
+  const auto outside = [&grid](const Pattern& p) {
+    return PatternCellOutsideGrid(p, grid);
   };
   for (const ScoredPattern& sp : cp.scores) {
     if (const std::optional<CellId> c = outside(sp.pattern)) return c;

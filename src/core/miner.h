@@ -238,10 +238,15 @@ class TrajPatternMiner {
 double SplitBound(std::span<const CellId> pattern, const ScoreMemo& scores,
                   size_t num_trajectories);
 
+/// The first cell of `p` that is neither a wildcard nor a cell of
+/// `grid`; nullopt when every cell is one of them.  An engine indexes its
+/// column slot table by cell, so such a pattern cannot be scored on it.
+std::optional<CellId> PatternCellOutsideGrid(const Pattern& p,
+                                             const Grid& grid);
+
 /// The first cell of `cp` — in its scores, then prev_high, then
-/// prev_queue — that is neither a wildcard nor a cell of `grid`;
-/// nullopt when every cell is one of them.  Such a checkpoint was
-/// written on another grid and cannot be resumed on this one.
+/// prev_queue — that `PatternCellOutsideGrid` finds.  Such a checkpoint
+/// was written on another grid and cannot be resumed on this one.
 std::optional<CellId> CheckpointCellOutsideGrid(const MinerCheckpoint& cp,
                                                 const Grid& grid);
 
