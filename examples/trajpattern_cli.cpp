@@ -16,6 +16,7 @@
 //   trajpattern_cli --cmd=score --in=/tmp/z.csv --patterns=/tmp/patterns.csv
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -45,14 +46,36 @@ using namespace trajpattern;
 
 namespace {
 
-// Refuses --grid and --max_grid below 1: a grid needs a cell per side,
-// and Flags reads a non-number as 0.
-bool GridFlagsValid(const Flags& flags, const char* cmd) {
+// Refuses the flags no mining space can be built from: --grid and
+// --max_grid below 1 (a grid needs a cell per side, and Flags reads a
+// non-number as 0), and a --delta that is not finite and above 0.
+bool SpaceFlagsValid(const Flags& flags, const char* cmd) {
   for (const char* name : {"grid", "max_grid"}) {
     const int value = flags.GetInt(name, 1);
     if (value < 1) {
       std::fprintf(stderr, "%s: --%s must be at least 1 (got %d)\n", cmd,
                    name, value);
+      return false;
+    }
+  }
+  const double delta = flags.GetDouble("delta", 1.0);
+  if (!std::isfinite(delta) || delta <= 0.0) {
+    std::fprintf(stderr, "%s: --delta must be finite and above 0 (got %g)\n",
+                 cmd, delta);
+    return false;
+  }
+  return true;
+}
+
+// The mine-shape flags count positions or candidates; 0 keeps its
+// meaning (no bound, or no wildcards), but a negative value would wrap
+// to a huge size_t bound or pass as an empty wildcard range.
+bool MineShapeFlagsValid(const Flags& flags) {
+  for (const char* name : {"min_len", "max_len", "beam", "wildcards"}) {
+    const int value = flags.GetInt(name, 0);
+    if (value < 0) {
+      std::fprintf(stderr, "mine: --%s must be at least 0 (got %d)\n", name,
+                   value);
       return false;
     }
   }
@@ -179,7 +202,7 @@ int Mine(const Flags& flags, const ObsOptions& obs_opts) {
                  k);
     return 1;
   }
-  if (!GridFlagsValid(flags, "mine")) return 1;
+  if (!SpaceFlagsValid(flags, "mine") || !MineShapeFlagsValid(flags)) return 1;
   TrajectoryDataset data;
   CsvDiagnostic diag;
   if (!ReadTrajectoriesCsvFile(in, &data, &diag) || data.empty()) {
@@ -324,7 +347,7 @@ int Score(const Flags& flags) {
                  "required\n");
     return 1;
   }
-  if (!GridFlagsValid(flags, "score")) return 1;
+  if (!SpaceFlagsValid(flags, "score")) return 1;
   TrajectoryDataset data;
   if (!ReadTrajectoriesCsvFile(in, &data) || data.empty()) {
     std::fprintf(stderr, "score: cannot read %s\n", in.c_str());
@@ -346,7 +369,7 @@ int Score(const Flags& flags) {
   // another grid cannot be scored on this one.
   for (const auto& sp : patterns) {
     if (const std::optional<CellId> c =
-            PatternCellOutsideGrid(sp.pattern, grid)) {
+            PatternCellOutsideGrid(sp.pattern.cells(), grid)) {
       std::fprintf(stderr,
                    "score: %s holds cell %d, outside the %dx%d grid of %d "
                    "cells\n",

@@ -51,6 +51,14 @@ void ForEachMemoizedCut(std::span<const CellId> cells, const ScoreMemo& scores,
   }
 }
 
+/// True iff `ids` ascend strictly and each is an id of `scores`: the
+/// shape of a `Frontier` list.
+[[maybe_unused]] bool AreAscendingIds(const std::vector<ScoreMemo::Id>& ids,
+                                      const ScoreMemo& scores) {
+  return std::ranges::adjacent_find(ids, std::greater_equal{}) == ids.end() &&
+         (ids.empty() || ids.back() < scores.size());
+}
+
 /// True iff `cells` is memoized with a value reaching ω, i.e. is in H.
 bool IsHigh(const ScoreMemo& scores, std::span<const CellId> cells,
             double omega) {
@@ -117,35 +125,6 @@ void RebuildFrontier(const ScoreMemo& scores, double omega, Frontier* out) {
   TP_GAUGE_SET("miner.queue_depth", out->queue.size());
   TP_GAUGE_SET("miner.high_set_size", out->high.size());
   TP_TRACE_COUNTER("miner/queue_depth", static_cast<double>(out->queue.size()));
-}
-
-/// The frontier snapshots a checkpoint carries, as ascending ids of
-/// `scores` (the memo restored from the same checkpoint), whatever the
-/// order of its rows.  A snapshot pattern missing from the memo is
-/// dropped: generation only walks memo entries, so it cannot matter
-/// there.  Returns false iff a `prev_high` pattern was dropped, in which
-/// case the snapshot cannot equal any rebuilt H.
-bool FrontierFromCheckpoint(const ScoreMemo& scores, const MinerCheckpoint& cp,
-                            Frontier* prev) {
-  auto to_ids = [&](const std::vector<Pattern>& patterns,
-                    std::vector<ScoreMemo::Id>* ids) {
-    ids->clear();
-    bool complete = true;
-    for (const Pattern& p : patterns) {
-      const ScoreMemo::Id id = scores.FindId(p.cells());
-      if (id == ScoreMemo::kNoId) {
-        complete = false;
-      } else {
-        ids->push_back(id);
-      }
-    }
-    std::sort(ids->begin(), ids->end());
-    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
-    return complete;
-  };
-  const bool high_complete = to_ids(cp.prev_high, &prev->high);
-  to_ids(cp.prev_queue, &prev->queue);
-  return high_complete;
 }
 
 /// One iteration's candidate generation (§4 extension step, §5 wildcard
@@ -379,7 +358,9 @@ void TrajPatternMiner::ScoreBatch(std::vector<Pattern> patterns) {
     const Pattern& p = scan[next];
     const double nm = nms[next];
     ++next;
-    if (scores_.emplace(p.cells(), nm) && Eligible(p)) top_k_.Offer(p, nm);
+    if (scores_.emplace(p.cells(), nm) && Eligible(p.length())) {
+      top_k_.Offer(p, nm);
+    }
   }
 }
 
@@ -395,17 +376,9 @@ MinerCheckpoint TrajPatternMiner::MakeCheckpoint(int completed_iterations,
   cp.iteration = completed_iterations;
   cp.k = options_.k;
   cp.omega = top_k_.Omega();
-  // Rows in memo (insertion) order, so a resumed run restores the same
-  // ids; the frontier lists are already ascending ids.
-  cp.scores.reserve(scores_.size());
-  for (ScoreMemo::Id id = 0; id < scores_.size(); ++id) {
-    cp.scores.push_back({scores_.pattern(id), scores_.nm(id)});
-  }
-  for (const auto& [ids, out] : {std::pair(&prev.high, &cp.prev_high),
-                                 std::pair(&prev.queue, &cp.prev_queue)}) {
-    out->reserve(ids->size());
-    for (const ScoreMemo::Id id : *ids) out->push_back(scores_.pattern(id));
-  }
+  cp.scores = scores_;
+  cp.prev_high = prev.high;
+  cp.prev_queue = prev.queue;
   cp.candidates_evaluated = stats_.candidates_evaluated;
   cp.candidates_pruned = stats_.candidates_pruned;
   return cp;
@@ -429,12 +402,12 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
     // run's answer bit-identical to an uninterrupted one.
     assert(resume->k == options_.k);
     assert(!CheckpointCellOutsideGrid(*resume, engine_->space().grid));
-    size_t cells = 0;
-    for (const ScoredPattern& sp : resume->scores) cells += sp.pattern.length();
-    scores_.reserve(resume->scores.size(), cells);
-    for (const ScoredPattern& sp : resume->scores) {
-      if (scores_.emplace(sp.pattern.cells(), sp.nm) && Eligible(sp.pattern)) {
-        top_k_.Offer(sp.pattern, sp.nm);
+    assert(AreAscendingIds(resume->prev_high, resume->scores));
+    assert(AreAscendingIds(resume->prev_queue, resume->scores));
+    scores_ = resume->scores;
+    for (ScoreMemo::Id id = 0; id < scores_.size(); ++id) {
+      if (Eligible(scores_.cells(id).size())) {
+        top_k_.Offer(scores_.pattern(id), scores_.nm(id));
       }
     }
     stats_.iterations = resume->iteration;
@@ -480,10 +453,9 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   // The H and Q snapshots that the previous round's generation ran over;
   // see the frontier rule in `GenerateCandidates`.  These are the only
   // pieces of mining state not derivable from the memo, so a resume
-  // restores them.
+  // restores them; their ids are the restored memo's.
   Frontier prev;
-  const bool prev_high_in_memo =
-      resume == nullptr || FrontierFromCheckpoint(scores_, *resume, &prev);
+  if (resume != nullptr) prev = {resume->prev_high, resume->prev_queue};
   const int start_iteration = resume != nullptr ? resume->iteration : 0;
 
   // The sink's view of the run.  `last_cp` holds the start boundary
@@ -509,7 +481,6 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   // would no longer be a faithful continuation).
   const bool resumed_after_convergence = resume != nullptr &&
                                          start_iteration > 0 &&
-                                         prev_high_in_memo &&
                                          frontier.high == prev.high;
 
   // Journal baselines: ω-tightening and eviction events carry deltas
@@ -650,25 +621,12 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   return result;
 }
 
-std::optional<CellId> PatternCellOutsideGrid(const Pattern& p,
-                                             const Grid& grid) {
-  for (const CellId c : p.cells()) {
-    if (c != kWildcardCell && !grid.IsValid(c)) return c;
-  }
-  return std::nullopt;
-}
-
 std::optional<CellId> CheckpointCellOutsideGrid(const MinerCheckpoint& cp,
                                                 const Grid& grid) {
-  const auto outside = [&grid](const Pattern& p) {
-    return PatternCellOutsideGrid(p, grid);
-  };
-  for (const ScoredPattern& sp : cp.scores) {
-    if (const std::optional<CellId> c = outside(sp.pattern)) return c;
-  }
-  for (const std::vector<Pattern>* list : {&cp.prev_high, &cp.prev_queue}) {
-    for (const Pattern& p : *list) {
-      if (const std::optional<CellId> c = outside(p)) return c;
+  for (ScoreMemo::Id id = 0; id < cp.scores.size(); ++id) {
+    if (const std::optional<CellId> c =
+            PatternCellOutsideGrid(cp.scores.cells(id), grid)) {
+      return c;
     }
   }
   return std::nullopt;

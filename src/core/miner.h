@@ -33,17 +33,16 @@ struct MinerCheckpoint {
   /// k-th best eligible NM); stored for inspection and load-time checks.
   double omega = -std::numeric_limits<double>::infinity();
   /// The global score memo: every pattern ever scored, with its exact NM
-  /// or an upper bound on it below ω, once each.  The miner emits the
-  /// rows in memo insertion order, so a resume restores the original
-  /// run's memo ids and writes the same later checkpoints; readers must
-  /// not rely on any order.  Holds both the high and the low set; the
-  /// split is re-derived from ω.
-  std::vector<ScoredPattern> scores;
+  /// or an upper bound on it below ω, once each.  The miner copies its
+  /// own memo here, so a resume restores the original run's memo ids
+  /// and writes the same later checkpoints.  Holds both the high and the
+  /// low set; the split is re-derived from ω.
+  ScoreMemo scores;
   /// High/queue snapshots the last generation step ran over (the
-  /// frontier rule skips pairs that were both present last round), in
-  /// the same memo order as `scores`.
-  std::vector<Pattern> prev_high;
-  std::vector<Pattern> prev_queue;
+  /// frontier rule skips pairs that were both present last round), as
+  /// ascending ids of `scores`.
+  std::vector<ScoreMemo::Id> prev_high;
+  std::vector<ScoreMemo::Id> prev_queue;
   /// Cumulative work counters at checkpoint time, restored on resume so
   /// a resumed run reports whole-run statistics rather than only the
   /// post-resume slice.  Absent from v1 checkpoint files (read as 0).
@@ -110,9 +109,9 @@ struct MinerOptions {
   /// false to stop mining at this boundary: the result so far is returned
   /// with `MinerStats::aborted` set, and a later `Mine(checkpoint)` with
   /// the same engine/options continues bit-identically.  Each delivery
-  /// builds a `MinerCheckpoint` with one `Pattern` row per memo entry,
-  /// in memo insertion order with no sort, so the hook costs O(|memo|)
-  /// time and memory per iteration; leave it empty when not needed.
+  /// copies the score memo and the frontier id lists into a
+  /// `MinerCheckpoint`, so the hook costs O(|memo|) time and memory per
+  /// iteration; leave it empty when not needed.
   std::function<bool(const MinerCheckpoint&)> checkpoint_sink;
 
   /// Run control: cooperative cancellation, wall-clock deadline, and
@@ -179,10 +178,11 @@ class TrajPatternMiner {
   /// Continues a run captured by `MinerOptions::checkpoint_sink`.  With
   /// the same data, space, and options as the original run, the final
   /// top-k is bit-identical to the uninterrupted one for any thread
-  /// count.  `resume.k` must match `MinerOptions::k`, and every cell
-  /// of `resume` must be a wildcard or a cell of the engine's grid (both
+  /// count.  `resume.k` must match `MinerOptions::k`, every cell of
+  /// `resume` must be a wildcard or a cell of the engine's grid (both
   /// only asserted here; `MiningSupervisor` refuses either with a typed
-  /// status).
+  /// status), and its frontier lists must be ascending ids of
+  /// `resume.scores` (asserted; `ReadMinerCheckpoint` returns them so).
   MiningResult Mine(const MinerCheckpoint& resume);
 
  private:
@@ -206,9 +206,10 @@ class TrajPatternMiner {
   /// scanned patterns move into the scan list without a copy.
   void ScoreBatch(std::vector<Pattern> patterns);
 
-  /// True iff `p` counts toward the answer set.
-  bool Eligible(const Pattern& p) const {
-    return options_.min_length == 0 || p.length() >= options_.min_length;
+  /// True iff a pattern of `length` positions counts toward the answer
+  /// set.
+  bool Eligible(size_t length) const {
+    return options_.min_length == 0 || length >= options_.min_length;
   }
 
   const NmEngine* engine_;
@@ -238,15 +239,10 @@ class TrajPatternMiner {
 double SplitBound(std::span<const CellId> pattern, const ScoreMemo& scores,
                   size_t num_trajectories);
 
-/// The first cell of `p` that is neither a wildcard nor a cell of
-/// `grid`; nullopt when every cell is one of them.  An engine indexes its
-/// column slot table by cell, so such a pattern cannot be scored on it.
-std::optional<CellId> PatternCellOutsideGrid(const Pattern& p,
-                                             const Grid& grid);
-
-/// The first cell of `cp` — in its scores, then prev_high, then
-/// prev_queue — that `PatternCellOutsideGrid` finds.  Such a checkpoint
-/// was written on another grid and cannot be resumed on this one.
+/// The first cell of `cp`'s score memo, in id order, that
+/// `PatternCellOutsideGrid` finds; every frontier row is a memo entry.
+/// Such a checkpoint was written on another grid and cannot be resumed
+/// on this one.
 std::optional<CellId> CheckpointCellOutsideGrid(const MinerCheckpoint& cp,
                                                 const Grid& grid);
 

@@ -198,6 +198,8 @@ size_t NmEngine::EvictLruSlots(size_t count, uint64_t protect_tick) const {
 }
 
 void NmEngine::WarmPattern(const Pattern& p) const {
+  // A pattern with a cell outside the grid is unscorable: no column.
+  if (PatternCellOutsideGrid(p.cells(), space_.grid)) return;
   WarmStats ws;
   WarmCells(p.cells(), 1, &ws);
   // Without a run context only a failed arena growth can stop it.
@@ -248,10 +250,12 @@ void NmEngine::PlanWalk(std::span<const Pattern> patterns, Measure measure,
                         double* out, WalkPlan* plan) const {
   for (size_t i = 0; i < patterns.size(); ++i) {
     const Pattern& p = patterns[i];
-    if (measure == Measure::kNm && p.SpecifiedCount() == 0) {
-      out[i] = kNegInf;  // see ValidateScorable
-    } else if (p.empty()) {
-      out[i] = 0.0;  // Match: no window can exist
+    // Unscorable: an NM pattern with no specified position (see
+    // ValidateScorable), an empty Match pattern (no window can exist),
+    // and a pattern with a cell outside the grid, which has no slot.
+    if ((measure == Measure::kNm ? p.SpecifiedCount() == 0 : p.empty()) ||
+        PatternCellOutsideGrid(p.cells(), space_.grid)) {
+      out[i] = measure == Measure::kNm ? kNegInf : 0.0;
     } else {
       plan->order.push_back(i);
     }
@@ -544,8 +548,7 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
   const uint64_t tick = ++warm_tick_;
   std::vector<CellId> missing;
   for (CellId c : cells) {
-    if (c == kWildcardCell) continue;
-    assert(space_.grid.IsValid(c));
+    if (!space_.grid.IsValid(c)) continue;  // a wildcard, or no slot
     int32_t& slot = cell_slot_[static_cast<size_t>(c)];
     if (slot != kNoSlot) {  // materialized, or staged just below
       if (slot >= 0) slot_last_use_[static_cast<size_t>(slot)] = tick;
@@ -688,6 +691,8 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
     size_t begin = 0;
     for (size_t i = 0; i < patterns.size(); ++i) {
       pat_cells.clear();
+      // Unscorable without columns; see PlanWalk.
+      if (PatternCellOutsideGrid(patterns[i].cells(), space_.grid)) continue;
       for (size_t j = 0; j < patterns[i].length(); ++j) {
         const CellId c = patterns[i][j];
         if (c == kWildcardCell) continue;
@@ -736,6 +741,7 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
       TP_TRACE_SPAN("nm/warmup");
       std::vector<CellId> needed;
       for (size_t i = cb; i < ce; ++i) {
+        if (PatternCellOutsideGrid(patterns[i].cells(), space_.grid)) continue;
         for (size_t j = 0; j < patterns[i].length(); ++j) {
           needed.push_back(patterns[i][j]);
         }
@@ -793,7 +799,11 @@ double NmEngine::NmTotalWithGaps(const Pattern& p, int max_gap) const {
   assert(max_gap >= 0);
   ++num_pattern_evaluations_;
   const size_t m = p.length();
-  if (p.SpecifiedCount() == 0) return kNegInf;  // see ValidateScorable
+  // Unscorable: see ValidateScorable and PatternCellOutsideGrid.
+  if (p.SpecifiedCount() == 0 ||
+      PatternCellOutsideGrid(p.cells(), space_.grid)) {
+    return kNegInf;
+  }
   WarmPattern(p);
   // Every column is resident now, so no base pointer can move.
   std::vector<const double*> cols;
@@ -880,6 +890,14 @@ std::vector<ScoredPattern> RerankWithGaps(const NmEngine& engine,
   }
   std::sort(patterns.begin(), patterns.end(), BetterScored);
   return patterns;
+}
+
+std::optional<CellId> PatternCellOutsideGrid(std::span<const CellId> cells,
+                                             const Grid& grid) {
+  for (const CellId c : cells) {
+    if (c != kWildcardCell && !grid.IsValid(c)) return c;
+  }
+  return std::nullopt;
 }
 
 double WindowLogMatch(const std::vector<TrajectoryPoint>& points, size_t begin,

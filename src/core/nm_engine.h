@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -115,7 +116,10 @@ inline void AccumulateBatch(const BatchScoreStats& batch, MiningCounters* c) {
 /// scoring entry points reject them by returning -infinity (a value no
 /// real pattern can reach, keeping release builds free of the silent
 /// 0/0) instead of asserting.  Match does not normalize and remains
-/// defined for them.
+/// defined for them.  A pattern with a cell outside the grid (see
+/// `PatternCellOutsideGrid`), such as one mined on a finer grid, has no
+/// column slot: every entry point scores it as unscorable too (NM
+/// -infinity, Match 0) and warms no column for it.
 class NmEngine {
  public:
   NmEngine(const TrajectoryDataset& data, const MiningSpace& space);
@@ -180,9 +184,10 @@ class NmEngine {
   /// normalization).  Computed by dynamic programming per trajectory.
   double NmTotalWithGaps(const Pattern& p, int max_gap) const;
 
-  /// Hit/miss split of one `WarmCells` call: every non-wildcard entry of
-  /// the request either hit an already-resident (or already-staged,
-  /// for in-request duplicates) column or missed and was materialized.
+  /// Hit/miss split of one `WarmCells` call: every entry of the request
+  /// that is a cell of the grid either hit an already-resident (or
+  /// already-staged, for in-request duplicates) column or missed and was
+  /// materialized.
   struct WarmStats {
     size_t hits = 0;
     size_t misses = 0;
@@ -207,8 +212,9 @@ class NmEngine {
   /// depend only on (cell, dataset, space), so results are bit-identical
   /// for any thread count and any warm order.  Returns the number of
   /// columns added — 0, with the arena untouched, when every cell is
-  /// already warm.  This is the warm-up step of every scoring entry
-  /// point, exposed for callers that know their working set up front.
+  /// already warm.  Wildcards and cells outside the grid are skipped.
+  /// This is the warm-up step of every scoring entry point, exposed for
+  /// callers that know their working set up front.
   /// Not itself thread-safe: callers serialize calls (the entry points
   /// do) and workers only read.
   /// `run` (optional) adds run control: the fill fan-out polls the
@@ -245,15 +251,10 @@ class NmEngine {
 
   /// Bytes of one cell column (the arena's allocation granularity).
   size_t column_bytes() const { return stride_ * sizeof(double); }
-  /// Arena bytes backing currently resident columns.
-  size_t arena_resident_bytes() const { return num_slots_ * column_bytes(); }
-  /// Arena bytes allocated (resident + free-listed slabs awaiting
-  /// reuse).  This is the number a memory budget bounds; it never
-  /// exceeds a budget that was in force for the engine's whole life.
-  size_t arena_allocated_bytes() const {
-    return allocated_slots_ * column_bytes();
-  }
-  /// High-water mark of `arena_allocated_bytes()`.
+  /// High-water mark of the arena bytes allocated: resident columns plus
+  /// free-listed slabs awaiting reuse.  A memory budget bounds the
+  /// allocated bytes, so this never exceeds a budget that was in force
+  /// for the engine's whole life.
   size_t arena_peak_bytes() const { return peak_slots_ * column_bytes(); }
   /// Columns shed by memory-budget eviction over the engine's life.
   size_t cells_evicted() const { return cells_evicted_; }
@@ -449,6 +450,12 @@ class NmEngine {
   /// Walk scratch of the serial totals (`NmTotal`, `MatchTotal`).
   mutable WalkScratch walk_scratch_;
 };
+
+/// The first cell of `cells` that is neither a wildcard nor a cell of
+/// `grid`; nullopt when every cell is one of them.  An engine has no
+/// column slot for such a cell, so it scores the pattern as unscorable.
+std::optional<CellId> PatternCellOutsideGrid(std::span<const CellId> cells,
+                                             const Grid& grid);
 
 /// Joint log probability that the window starting at `begin` in `points`
 /// is generated by `p` (Eq. 2); used by pattern-assisted prediction on

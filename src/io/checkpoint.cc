@@ -191,9 +191,9 @@ Status WriteMinerCheckpoint(const MinerCheckpoint& cp, std::ostream& os) {
       return std::to_chars(p, p + kMaxInt64Chars, value).ptr;
     });
   };
-  auto cells_line = [&](const Pattern& p) {
-    line(MaxCellsChars(p.length()),
-         [&](char* out) { return WriteCells(out, p.cells()); });
+  auto cells_line = [&](std::span<const CellId> cells) {
+    line(MaxCellsChars(cells.size()),
+         [&](char* p) { return WriteCells(p, cells); });
   };
   text_line(kMagicV2);
   header("iteration", cp.iteration);
@@ -203,19 +203,20 @@ Status WriteMinerCheckpoint(const MinerCheckpoint& cp, std::ostream& os) {
   });
   header("candidates_evaluated", cp.candidates_evaluated);
   header("candidates_pruned", cp.candidates_pruned);
+  // Rows in memo id order, so a resumed run's memo gets the same ids.
   header("scores", static_cast<int64_t>(cp.scores.size()));
-  for (const ScoredPattern& sp : cp.scores) {
-    line(kMaxDoubleChars + 1 + MaxCellsChars(sp.pattern.length()),
-         [&](char* p) {
-           p = WriteHexDouble(p, sp.nm);
-           *p++ = ',';
-           return WriteCells(p, sp.pattern.cells());
-         });
+  for (ScoreMemo::Id id = 0; id < cp.scores.size(); ++id) {
+    const std::span<const CellId> cells = cp.scores.cells(id);
+    line(kMaxDoubleChars + 1 + MaxCellsChars(cells.size()), [&](char* p) {
+      p = WriteHexDouble(p, cp.scores.nm(id));
+      *p++ = ',';
+      return WriteCells(p, cells);
+    });
   }
   header("prev_high", static_cast<int64_t>(cp.prev_high.size()));
-  for (const Pattern& p : cp.prev_high) cells_line(p);
+  for (const ScoreMemo::Id id : cp.prev_high) cells_line(cp.scores.cells(id));
   header("prev_queue", static_cast<int64_t>(cp.prev_queue.size()));
-  for (const Pattern& p : cp.prev_queue) cells_line(p);
+  for (const ScoreMemo::Id id : cp.prev_queue) cells_line(cp.scores.cells(id));
   text_line("end");
   flush();
   if (!os) return Status::DataLoss("checkpoint stream write failed");
@@ -307,10 +308,9 @@ Status ReadMinerCheckpoint(std::istream& is, MinerCheckpoint* cp) {
   if (count < 0 || count > kMaxBlockCount) {
     return reader.Error("implausible scores count");
   }
-  out.scores.reserve(std::min(static_cast<size_t>(count), kMaxReserve));
   // Rows need not be sorted, but each pattern may appear once: resume
-  // would offer a repeated row to the top-k twice.
-  ScoreMemo seen;
+  // would offer a repeated row to the top-k twice.  Rows become memo
+  // entries in file order.
   for (long i = 0; i < count; ++i) {
     if (!reader.Next(&line)) return reader.Error("truncated score block");
     const size_t comma = line.find(',');
@@ -321,27 +321,34 @@ Status ReadMinerCheckpoint(std::istream& is, MinerCheckpoint* cp) {
         !ParseCells(line.substr(comma + 1), &cells)) {
       return reader.Error("malformed score row");
     }
-    if (!seen.emplace(cells, nm)) {
+    if (!out.scores.emplace(cells, nm)) {
       return reader.Error("repeated pattern in score block");
     }
-    out.scores.push_back({Pattern(std::move(cells)), nm});
   }
 
-  for (std::vector<Pattern>* block : {&out.prev_high, &out.prev_queue}) {
-    const std::string key =
-        block == &out.prev_high ? "prev_high" : "prev_queue";
+  // Each frontier row names a memo entry: the miner's frontier lists are
+  // memo ids.  They load sorted and deduplicated, so row order stays
+  // outside the format.
+  for (std::vector<ScoreMemo::Id>* ids : {&out.prev_high, &out.prev_queue}) {
+    const std::string key = ids == &out.prev_high ? "prev_high" : "prev_queue";
     s = expect_keyed_long(key, &count);
     if (!s.ok()) return s;
     if (count < 0 || count > kMaxBlockCount) {
       return reader.Error("implausible " + key + " count");
     }
-    block->reserve(std::min(static_cast<size_t>(count), kMaxReserve));
+    ids->reserve(std::min(static_cast<size_t>(count), kMaxReserve));
     for (long i = 0; i < count; ++i) {
       if (!reader.Next(&line)) return reader.Error("truncated " + key);
       std::vector<CellId> cells;
       if (!ParseCells(line, &cells)) return reader.Error("malformed " + key + " row");
-      block->emplace_back(std::move(cells));
+      const ScoreMemo::Id id = out.scores.FindId(cells);
+      if (id == ScoreMemo::kNoId) {
+        return reader.Error(key + " row is not a score row");
+      }
+      ids->push_back(id);
     }
+    std::sort(ids->begin(), ids->end());
+    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
   }
 
   if (!reader.Next(&line) || line != "end") {

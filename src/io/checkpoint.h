@@ -25,19 +25,24 @@ namespace trajpattern {
 ///   <cells>                                                x count
 ///   end
 ///
-/// The writer emits v2, rows in the order `cp` holds them (the miner's
-/// memo order), each line formatted in place in a chunk buffer.  The
-/// reader accepts v1 files (written before the cumulative work counters
-/// existed; counters load as 0) and v2.  A v3 file (written by the
-/// removed sharded miner) is refused with kFailedPrecondition, naming
-/// v3.  NM values are written as C99 hexfloats, spelled from their bits
-/// exactly as glibc's `%a` spells them; they round-trip IEEE doubles
-/// bit-exactly (including -inf) — the property the resumed-run
-/// bit-identity guarantee rests on.  Other unknown versions, truncated
-/// files, an `iteration` or `k` outside int's range and a score block
-/// that lists a pattern twice are rejected with kDataLoss, never
-/// half-loaded.  Row order is not part of the format: rows of any block
-/// may come in any order.
+/// In memory, `cp.scores` is a `ScoreMemo` and the frontier blocks are
+/// lists of its ids.  The writer emits v2: one score row per memo entry
+/// in id order, then each frontier id's cells in list order, each line
+/// formatted in place in a chunk buffer; every frontier id must be an id
+/// of `cp.scores`.  The reader accepts v1 files (written before the
+/// cumulative work counters existed; counters load as 0) and v2.  A v3
+/// file (written by the removed sharded miner) is refused with
+/// kFailedPrecondition, naming v3.  NM values are written as C99
+/// hexfloats, spelled from their bits exactly as glibc's `%a` spells
+/// them; they round-trip IEEE doubles bit-exactly (including -inf) — the
+/// property the resumed-run bit-identity guarantee rests on.  Other
+/// unknown versions, truncated files, an `iteration` or `k` outside
+/// int's range, a score block that lists a pattern twice and a
+/// `prev_high` or `prev_queue` row that is not also a score row are
+/// rejected with kDataLoss naming the line, never half-loaded.  Row
+/// order is not part of the format: rows of any block may come in any
+/// order.  Score rows become memo entries in file order; frontier rows
+/// load as ascending, deduplicated ids.
 Status WriteMinerCheckpoint(const MinerCheckpoint& cp, std::ostream& os);
 Status ReadMinerCheckpoint(std::istream& is, MinerCheckpoint* cp);
 

@@ -16,26 +16,9 @@
 namespace trajpattern::obs {
 namespace {
 
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
+/// Newest trace spans and counters a flight record includes, across all
+/// threads.
+constexpr size_t kMaxTraceEvents = 512;
 
 /// Creates `path` exclusively (O_EXCL) and writes `body` to it.  Returns
 /// 1 on success, 0 when the name is taken, -1 on any other failure (a
@@ -58,8 +41,7 @@ int CreateAndWrite(const std::string& path, const std::string& body) {
 }  // namespace
 
 std::string FlightRecordJson(const std::string& trigger,
-                             const std::string& detail,
-                             const FlightRecordOptions& opts) {
+                             const std::string& detail) {
   const int64_t wall_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::system_clock::now().time_since_epoch())
@@ -85,7 +67,7 @@ std::string FlightRecordJson(const std::string& trigger,
   // the lines splice straight into an array.
   out += ",\n\"journal\": [\n";
   const std::vector<std::string> tail =
-      journal.TailLines(opts.max_journal_events);
+      journal.TailLines(RunJournal::kRingCapacity);
   for (size_t i = 0; i < tail.size(); ++i) {
     if (i != 0) out += ",\n";
     out += tail[i];
@@ -101,9 +83,9 @@ std::string FlightRecordJson(const std::string& trigger,
             [](const TraceEvent& a, const TraceEvent& b) {
               return a.ts_us < b.ts_us;
             });
-  if (events.size() > opts.max_trace_events) {
+  if (events.size() > kMaxTraceEvents) {
     events.erase(events.begin(),
-                 events.end() - static_cast<ptrdiff_t>(opts.max_trace_events));
+                 events.end() - static_cast<ptrdiff_t>(kMaxTraceEvents));
   }
   for (size_t i = 0; i < events.size(); ++i) {
     if (i != 0) out += ",\n";
@@ -119,10 +101,9 @@ std::string FlightRecordJson(const std::string& trigger,
 
 std::string WriteFlightRecord(const std::string& dir,
                               const std::string& trigger,
-                              const std::string& detail,
-                              const FlightRecordOptions& opts) {
+                              const std::string& detail) {
   if (dir.empty()) return "";
-  const std::string body = FlightRecordJson(trigger, detail, opts);
+  const std::string body = FlightRecordJson(trigger, detail);
   const int64_t wall_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::system_clock::now().time_since_epoch())

@@ -11,27 +11,6 @@ namespace {
 /// supervisor's restart attempts show up as a short history here).
 constexpr size_t kFinishedRunRetention = 8;
 
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendField(const char* key, const std::string& rendered,
                  std::string* out) {
   *out += ", \"";
@@ -65,6 +44,27 @@ const char* JournalEventTypeName(JournalEventType t) {
     case JournalEventType::kFlightDump: return "flight_dump";
   }
   return "unknown";
+}
+
+void AppendEscaped(const std::string& s, std::string* out) {
+  out->push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
 }
 
 void AppendRunSnapshotJson(const RunSnapshot& s, std::string* out) {
@@ -121,12 +121,6 @@ void RunJournal::EnableLiveTracking() {
   std::lock_guard<std::mutex> lock(mu_);
   live_tracking_ = true;
   active_.store(true, std::memory_order_relaxed);
-}
-
-void RunJournal::set_ring_capacity(size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_capacity_ = n == 0 ? 1 : n;
-  while (ring_.size() > ring_capacity_) ring_.pop_front();
 }
 
 RunJournal::RunState* RunJournal::FindRun(int64_t run_id) {
@@ -226,7 +220,7 @@ void RunJournal::Emit(const JournalEvent& e) {
     std::fflush(out_);
   }
   ring_.push_back(line);
-  while (ring_.size() > ring_capacity_) ring_.pop_front();
+  while (ring_.size() > kRingCapacity) ring_.pop_front();
 
   RunState* run = e.run_id > 0 ? FindRun(e.run_id) : nullptr;
   if (run == nullptr) return;

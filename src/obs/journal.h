@@ -85,6 +85,11 @@ struct RunSnapshot {
 /// status server's `/runz` and the crash flight recorder).
 void AppendRunSnapshotJson(const RunSnapshot& s, std::string* out);
 
+/// Appends `s` as a quoted JSON string: `"` and `\` escaped, newline and
+/// tab as `\n` and `\t`, other control bytes as `\u00XX` (shared by the
+/// journal lines and the crash flight recorder).
+void AppendEscaped(const std::string& s, std::string* out);
+
 /// Result of replaying a journal file from disk.
 struct JournalReplay {
   /// The structurally valid JSONL event lines, in file order.
@@ -140,8 +145,8 @@ class RunJournal {
   /// True iff events are being recorded (file open or live tracking on).
   bool active() const { return active_.load(std::memory_order_relaxed); }
 
-  /// Tail-ring capacity (events retained for flight records).
-  void set_ring_capacity(size_t n);
+  /// Events the tail ring retains for flight records.
+  static constexpr size_t kRingCapacity = 256;
 
   /// Registers a run and emits its kRunStarted event.  Returns the run
   /// id to stamp into subsequent events — 0 when the journal is inactive
@@ -186,7 +191,6 @@ class RunJournal {
   std::string path_;
   uint64_t seq_ = 0;
   int64_t next_run_id_ = 1;
-  size_t ring_capacity_ = 256;
   std::deque<std::string> ring_;
   /// Oldest-first; active runs never evicted, finished runs capped.
   std::deque<RunState> runs_;

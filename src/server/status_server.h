@@ -26,7 +26,7 @@ struct StatusServerOptions {
 ///   /metrics  - Prometheus text exposition of the global registry
 ///   /runz     - JSON of the journal's run table (per-run ω, iteration,
 ///               candidates evaluated/pruned, frontier depth, checkpoint
-///               age, StopReason) plus the storage registry
+///               age, StopReason)
 ///   /tracez   - Chrome trace_event JSON dump of the TraceRecorder
 ///
 /// One accept thread handles requests serially; every handler reads

@@ -66,6 +66,26 @@ std::string DiffPatternSet(const std::string& what,
   return "";
 }
 
+/// A checkpoint memo as rows, and a frontier list of its ids as
+/// patterns: the reference frontier walks rows, sharing no code with the
+/// miner's id walk.
+std::vector<ScoredPattern> Rows(const ScoreMemo& scores) {
+  std::vector<ScoredPattern> rows;
+  rows.reserve(scores.size());
+  for (ScoreMemo::Id id = 0; id < scores.size(); ++id) {
+    rows.push_back({scores.pattern(id), scores.nm(id)});
+  }
+  return rows;
+}
+
+std::vector<Pattern> Patterns(const ScoreMemo& scores,
+                              const std::vector<ScoreMemo::Id>& ids) {
+  std::vector<Pattern> patterns;
+  patterns.reserve(ids.size());
+  for (const ScoreMemo::Id id : ids) patterns.push_back(scores.pattern(id));
+  return patterns;
+}
+
 /// Renders the v1 wire format (pre-counter checkpoints) so the resume
 /// oracle can exercise the compatibility path without a fixture file.
 std::string RenderCheckpointV1(const MinerCheckpoint& cp) {
@@ -251,13 +271,15 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
     const MinerCheckpoint& earlier = ref_checkpoints[i - 1];
     const MinerCheckpoint& later = ref_checkpoints[i];
     const ReferenceFrontier want =
-        RebuildReferenceFrontier(earlier.scores, earlier.omega);
+        RebuildReferenceFrontier(Rows(earlier.scores), earlier.omega);
     const std::string where = "frontier after boundary " +
                               std::to_string(earlier.iteration) + " (omega " +
                               Hex(earlier.omega) + "): ";
-    std::string diff = DiffPatternSet(where + "H", later.prev_high, want.high);
+    std::string diff = DiffPatternSet(
+        where + "H", Patterns(later.scores, later.prev_high), want.high);
     if (diff.empty()) {
-      diff = DiffPatternSet(where + "Q", later.prev_queue, want.queue);
+      diff = DiffPatternSet(
+          where + "Q", Patterns(later.scores, later.prev_queue), want.queue);
     }
     if (!diff.empty()) {
       fail(diff);
@@ -530,7 +552,7 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
   if (!ref_checkpoints.empty()) {
     report.memo_bounds_checked = true;
     const MinerCheckpoint& ref_final = ref_checkpoints.back();
-    for (const ScoredPattern& sp : ref_final.scores) {
+    for (const ScoredPattern& sp : Rows(ref_final.scores)) {
       const double exact = reference.NmTotal(sp.pattern);
       if (!(exact <= sp.nm)) {
         fail("memo value below the exact NM on " + sp.pattern.ToString() +

@@ -326,14 +326,14 @@ MinerCheckpoint MakeSampleCheckpoint() {
   cp.iteration = 2;
   cp.k = 10;
   cp.omega = -123.456789012345678;
-  cp.scores.push_back({Pattern(std::vector<CellId>{3, 4, 5}), -10.25});
-  cp.scores.push_back(
-      {Pattern(std::vector<CellId>{7, kWildcardCell, 9}), -77.125});
-  cp.scores.push_back({Pattern(static_cast<CellId>(1)),
-                       -std::numeric_limits<double>::infinity()});
-  cp.prev_high.push_back(Pattern(std::vector<CellId>{3, 4}));
-  cp.prev_queue.push_back(Pattern(static_cast<CellId>(1)));
-  cp.prev_queue.push_back(Pattern(std::vector<CellId>{3, 4}));
+  cp.scores.emplace(std::vector<CellId>{3, 4, 5}, -10.25);
+  cp.scores.emplace(std::vector<CellId>{7, kWildcardCell, 9}, -77.125);
+  cp.scores.emplace(std::vector<CellId>{1},
+                    -std::numeric_limits<double>::infinity());
+  cp.scores.emplace(std::vector<CellId>{3, 4}, -50.5);
+  cp.prev_high.push_back(3);  // cells 3;4
+  cp.prev_queue.push_back(2);  // cells 1
+  cp.prev_queue.push_back(3);  // cells 3;4
   return cp;
 }
 
@@ -348,11 +348,10 @@ TEST(CheckpointIoTest, RoundTripsBitExactly) {
   EXPECT_EQ(loaded.k, cp.k);
   EXPECT_EQ(std::memcmp(&loaded.omega, &cp.omega, sizeof(double)), 0);
   ASSERT_EQ(loaded.scores.size(), cp.scores.size());
-  for (size_t i = 0; i < cp.scores.size(); ++i) {
-    EXPECT_EQ(loaded.scores[i].pattern, cp.scores[i].pattern);
-    EXPECT_EQ(std::memcmp(&loaded.scores[i].nm, &cp.scores[i].nm,
-                          sizeof(double)),
-              0);
+  for (ScoreMemo::Id i = 0; i < cp.scores.size(); ++i) {
+    EXPECT_EQ(loaded.scores.pattern(i), cp.scores.pattern(i));
+    EXPECT_EQ(std::bit_cast<uint64_t>(loaded.scores.nm(i)),
+              std::bit_cast<uint64_t>(cp.scores.nm(i)));
   }
   EXPECT_EQ(loaded.prev_high, cp.prev_high);
   EXPECT_EQ(loaded.prev_queue, cp.prev_queue);
@@ -368,16 +367,15 @@ TEST(CheckpointIoTest, WriterGoldenText) {
   cp.omega = -std::numeric_limits<double>::infinity();
   cp.candidates_evaluated = 12345678901;
   cp.candidates_pruned = 42;
-  cp.scores.push_back(
-      {Pattern(std::vector<CellId>{0, kWildcardCell, 2147483647}), -0.0});
-  cp.scores.push_back(
-      {Pattern(CellId{5}), std::numeric_limits<double>::denorm_min()});
-  cp.scores.push_back({Pattern(std::vector<CellId>{2147483647, 1}),
-                       -std::numeric_limits<double>::max()});
-  cp.scores.push_back({Pattern(std::vector<CellId>{9, 9}), -10.25});
-  cp.prev_high.push_back(Pattern(CellId{5}));
-  cp.prev_queue.push_back(Pattern(CellId{5}));
-  cp.prev_queue.push_back(Pattern(std::vector<CellId>{2147483647, 1}));
+  cp.scores.emplace(std::vector<CellId>{0, kWildcardCell, 2147483647}, -0.0);
+  cp.scores.emplace(std::vector<CellId>{5},
+                    std::numeric_limits<double>::denorm_min());
+  cp.scores.emplace(std::vector<CellId>{2147483647, 1},
+                    -std::numeric_limits<double>::max());
+  cp.scores.emplace(std::vector<CellId>{9, 9}, -10.25);
+  cp.prev_high.push_back(1);  // cells 5
+  cp.prev_queue.push_back(1);  // cells 5
+  cp.prev_queue.push_back(2);  // cells 2147483647;1
   std::ostringstream os;
   ASSERT_TRUE(WriteMinerCheckpoint(cp, os).ok());
   EXPECT_EQ(os.str(),
@@ -402,10 +400,9 @@ TEST(CheckpointIoTest, WriterGoldenText) {
   std::istringstream in(os.str());
   ASSERT_TRUE(ReadMinerCheckpoint(in, &back).ok());
   ASSERT_EQ(back.scores.size(), cp.scores.size());
-  for (size_t i = 0; i < cp.scores.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&back.scores[i].nm, &cp.scores[i].nm,
-                          sizeof(double)),
-              0)
+  for (ScoreMemo::Id i = 0; i < cp.scores.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(back.scores.nm(i)),
+              std::bit_cast<uint64_t>(cp.scores.nm(i)))
         << i;
   }
 }
@@ -417,12 +414,12 @@ TEST(CheckpointIoTest, WriterMatchesPrintfHexfloatOnRandomBits) {
   Rng rng(20061);
   MinerCheckpoint cp;
   cp.k = 1;
-  cp.scores.reserve(kValues);
+  cp.scores.reserve(kValues, kValues);
   while (static_cast<int>(cp.scores.size()) < kValues) {
     const double v = std::bit_cast<double>(rng.engine()());
     if (!std::isfinite(v)) continue;
-    cp.scores.push_back(
-        {Pattern(static_cast<CellId>(cp.scores.size())), v});
+    cp.scores.emplace(
+        std::vector<CellId>{static_cast<CellId>(cp.scores.size())}, v);
   }
   std::ostringstream os;
   ASSERT_TRUE(WriteMinerCheckpoint(cp, os).ok());
@@ -430,11 +427,11 @@ TEST(CheckpointIoTest, WriterMatchesPrintfHexfloatOnRandomBits) {
   std::string line;
   while (std::getline(lines, line) && line.rfind("scores,", 0) != 0) {
   }
-  for (const ScoredPattern& sp : cp.scores) {
+  for (ScoreMemo::Id i = 0; i < cp.scores.size(); ++i) {
     ASSERT_TRUE(std::getline(lines, line));
     char expected[64];
-    std::snprintf(expected, sizeof(expected), "%a,%d", sp.nm,
-                  sp.pattern[0]);
+    std::snprintf(expected, sizeof(expected), "%a,%d", cp.scores.nm(i),
+                  cp.scores.cells(i)[0]);
     ASSERT_EQ(line, expected);
   }
 }
@@ -541,13 +538,13 @@ TEST(CheckpointIoTest, FailedReadLeavesOutputUntouched) {
   MinerCheckpoint cp;
   cp.iteration = 123;
   cp.k = 45;
-  cp.scores.push_back({Pattern(CellId{9}), 0.5});
+  cp.scores.emplace(std::vector<CellId>{9}, 0.5);
   std::istringstream torn(text);
   EXPECT_EQ(ReadMinerCheckpoint(torn, &cp).code(), StatusCode::kDataLoss);
   EXPECT_EQ(cp.iteration, 123);
   EXPECT_EQ(cp.k, 45);
   ASSERT_EQ(cp.scores.size(), 1u);
-  EXPECT_EQ(cp.scores[0].pattern, Pattern(CellId{9}));
+  EXPECT_EQ(cp.scores.pattern(0), Pattern(CellId{9}));
 }
 
 TEST(CheckpointIoTest, V1HeaderLoadsWithZeroWorkCounters) {
@@ -687,15 +684,15 @@ TEST(CheckpointCorpusTest, RepeatedScoreRowsAreTypedWithLineDiagnostic) {
   std::stringstream ss;
   ASSERT_TRUE(WriteMinerCheckpoint(MakeSampleCheckpoint(), ss).ok());
   for (const std::string& good : {ss.str(), SampleCheckpointAsV1()}) {
-    // Double the score block: "scores,3" + rows -> "scores,6" + rows x 2.
-    const size_t header = good.find("scores,3\n");
+    // Double the score block: "scores,4" + rows -> "scores,8" + rows x 2.
+    const size_t header = good.find("scores,4\n");
     ASSERT_NE(header, std::string::npos);
-    const size_t rows_begin = header + std::string("scores,3\n").size();
+    const size_t rows_begin = header + std::string("scores,4\n").size();
     const size_t rows_end = good.find("prev_high,");
     ASSERT_NE(rows_end, std::string::npos);
     const std::string rows = good.substr(rows_begin, rows_end - rows_begin);
     std::string text = good;
-    text.replace(header, rows_end - header, "scores,6\n" + rows + rows);
+    text.replace(header, rows_end - header, "scores,8\n" + rows + rows);
     // The first repeat is the line after the original block.
     size_t repeat_line = 1;
     for (size_t i = 0; i < rows_end; ++i) repeat_line += good[i] == '\n';
@@ -709,6 +706,36 @@ TEST(CheckpointCorpusTest, RepeatedScoreRowsAreTypedWithLineDiagnostic) {
               std::string::npos)
         << s.ToString();
     EXPECT_EQ(cp.iteration, 99);
+  }
+}
+
+// Every frontier row must also be a score row, because the miner's
+// frontier lists are memo ids.  A row that is not is refused, naming its
+// block and line, and the output is left untouched.
+TEST(CheckpointCorpusTest, FrontierRowsThatAreNotScoreRowsAreTyped) {
+  std::stringstream ss;
+  ASSERT_TRUE(WriteMinerCheckpoint(MakeSampleCheckpoint(), ss).ok());
+  for (const std::string& good : {ss.str(), SampleCheckpointAsV1()}) {
+    for (const std::string block : {"prev_high", "prev_queue"}) {
+      // The block's first row becomes 8;8, which no score row holds.
+      const size_t header = good.find(block + ",");
+      ASSERT_NE(header, std::string::npos);
+      const size_t row = good.find('\n', header) + 1;
+      std::string text = good;
+      text.replace(row, good.find('\n', row) - row, "8;8");
+      size_t row_line = 1;
+      for (size_t i = 0; i < row; ++i) row_line += good[i] == '\n';
+      MinerCheckpoint cp;
+      cp.iteration = 99;  // canary: a failed read must not touch *cp
+      std::istringstream in(text);
+      const Status s = ReadMinerCheckpoint(in, &cp);
+      EXPECT_EQ(s.code(), StatusCode::kDataLoss) << block;
+      EXPECT_NE(s.ToString().find("checkpoint line " +
+                                  std::to_string(row_line) + ": " + block),
+                std::string::npos)
+          << s.ToString();
+      EXPECT_EQ(cp.iteration, 99);
+    }
   }
 }
 
@@ -792,20 +819,32 @@ std::string Serialized(const MinerCheckpoint& cp) {
   return os.str();
 }
 
-// `cp` with the rows of each block in a random order, which neither the
-// reader nor a resume may depend on.
-MinerCheckpoint ShuffledRows(MinerCheckpoint cp, uint64_t seed) {
+// `cp` serialized, with the rows of each block in a random order, and
+// read back: neither the reader nor a resume may depend on row order.
+MinerCheckpoint ShuffledRows(const MinerCheckpoint& cp, uint64_t seed) {
   Rng rng(seed);
-  auto shuffle = [&rng](auto& rows) {
+  std::istringstream in(Serialized(cp));
+  std::string text;
+  std::string line;
+  while (std::getline(in, line)) {
+    text += line + "\n";
+    const size_t comma = line.find(',');
+    const std::string key = line.substr(0, comma);
+    if (key != "scores" && key != "prev_high" && key != "prev_queue") {
+      continue;
+    }
+    std::vector<std::string> rows(std::stoul(line.substr(comma + 1)));
+    for (std::string& row : rows) std::getline(in, row);
     for (size_t i = rows.size(); i > 1; --i) {
       std::swap(rows[i - 1], rows[static_cast<size_t>(rng.UniformInt(
                                  0, static_cast<int>(i) - 1))]);
     }
-  };
-  shuffle(cp.scores);
-  shuffle(cp.prev_high);
-  shuffle(cp.prev_queue);
-  return cp;
+    for (const std::string& row : rows) text += row + "\n";
+  }
+  std::istringstream shuffled(text);
+  MinerCheckpoint back;
+  EXPECT_TRUE(ReadMinerCheckpoint(shuffled, &back).ok());
+  return back;
 }
 
 // Kills a mine of `data` at every boundary and resumes it; returns how

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -23,6 +24,8 @@ namespace {
 MiningSpace TestSpace(int n = 4, double delta = 0.1) {
   return MiningSpace(Grid::UnitSquare(n), delta);
 }
+
+bool BitEq(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 TrajectoryDataset OneTrajectory(std::initializer_list<Point2> means,
                                 double sigma = 0.05) {
@@ -331,6 +334,71 @@ TEST(NmEngineTest, CountersTrackWork) {
   engine.MatchTotal(Pattern(b));
   EXPECT_EQ(engine.num_pattern_evaluations(), 3);
   EXPECT_EQ(engine.num_cached_cells(), 2u);
+}
+
+// A cell outside the grid (a pattern mined on a finer grid, or a corrupt
+// pattern file) has no column slot.  Every entry point scores such a
+// pattern as unscorable (NM -inf, Match 0) and warms no column for it,
+// and the other patterns of a batch keep their bits.
+TEST(NmEngineTest, PatternsWithCellsOutsideTheGridAreUnscorable) {
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  const MiningSpace space = TestSpace();  // 4x4: cells 0-15
+  const TrajectoryDataset d =
+      OneTrajectory({{0.1, 0.1}, {0.6, 0.6}, {0.9, 0.9}, {0.4, 0.4}});
+  const CellId a = space.grid.CellOf(Point2(0.1, 0.1));
+  const CellId b = space.grid.CellOf(Point2(0.6, 0.6));
+  const Pattern ab(std::vector<CellId>{a, b});
+  const Pattern ba(std::vector<CellId>{b, kWildcardCell, a});
+  NmEngine reference(d, space);
+  const double nm_ab = reference.NmTotal(ab);
+  const double nm_ba = reference.NmTotal(ba);
+  const double match_ab = reference.MatchTotal(ab);
+  const double match_ba = reference.MatchTotal(ba);
+  for (const CellId bad :
+       {CellId{space.grid.num_cells()}, CellId{2000000000}}) {
+    const std::vector<Pattern> outside = {
+        Pattern(bad), Pattern(std::vector<CellId>{a, bad}),
+        Pattern(std::vector<CellId>{bad, kWildcardCell, b})};
+    for (const Pattern& p : outside) {
+      NmEngine engine(d, space);
+      EXPECT_EQ(engine.NmTotal(p), kNegInf) << p.ToString();
+      EXPECT_EQ(engine.MatchTotal(p), 0.0) << p.ToString();
+      EXPECT_EQ(engine.NmTotalWithGaps(p, 2), kNegInf) << p.ToString();
+      EXPECT_EQ(engine.num_cached_cells(), 0u) << p.ToString();
+    }
+    // In a batch, at 1 and 4 threads, and under a budget of two columns
+    // that the out-of-grid patterns' own cells would overflow.
+    const std::vector<Pattern> batch = {ab, outside[0], outside[1], ba,
+                                        outside[2]};
+    for (const int threads : {1, 4}) {
+      for (const bool budget : {false, true}) {
+        NmEngine engine(d, space);
+        RunContext run;
+        if (budget) run.memory_budget_bytes = 2 * engine.column_bytes();
+        BatchScoreStats stats;
+        const std::vector<double> nm =
+            engine.NmTotalBatch(batch, threads, &stats, &run);
+        EXPECT_EQ(stats.stop, StopReason::kNone);
+        const std::vector<double> match =
+            engine.MatchTotalBatch(batch, threads, &stats, &run);
+        EXPECT_EQ(stats.stop, StopReason::kNone);
+        EXPECT_EQ(engine.num_cached_cells(), 2u);
+        EXPECT_TRUE(BitEq(nm[0], nm_ab));
+        EXPECT_TRUE(BitEq(nm[3], nm_ba));
+        EXPECT_TRUE(BitEq(match[0], match_ab));
+        EXPECT_TRUE(BitEq(match[3], match_ba));
+        for (const size_t i : {1, 2, 4}) {
+          EXPECT_EQ(nm[i], kNegInf) << batch[i].ToString();
+          EXPECT_EQ(match[i], 0.0) << batch[i].ToString();
+        }
+      }
+    }
+    // Warming such a cell directly is a no-op.
+    NmEngine engine(d, space);
+    NmEngine::WarmStats ws;
+    EXPECT_EQ(engine.WarmCells({a, bad}, 1, &ws), 1u);
+    EXPECT_EQ(ws.hits + ws.misses, 1u);
+  }
 }
 
 TEST(NmEngineTest, WindowLogMatchAgreesWithEngine) {

@@ -505,10 +505,11 @@ TEST(WindowKernelTest, CheckpointV2RoundTripsWorkCounters) {
   cp.omega = -12.5;
   cp.candidates_evaluated = 12345;
   cp.candidates_pruned = 678;
-  cp.scores.push_back({Pattern(std::vector<CellId>{1, kWildcardCell, 2}),
-                       -13.25});
-  cp.prev_high.push_back(Pattern(CellId{1}));
-  cp.prev_queue.push_back(Pattern(CellId{2}));
+  cp.scores.emplace(std::vector<CellId>{1, kWildcardCell, 2}, -13.25);
+  cp.scores.emplace(std::vector<CellId>{1}, -11.5);
+  cp.scores.emplace(std::vector<CellId>{2}, -14.0);
+  cp.prev_high.push_back(1);  // cells 1
+  cp.prev_queue.push_back(2);  // cells 2
 
   std::stringstream ss;
   ASSERT_TRUE(WriteMinerCheckpoint(cp, ss).ok());
@@ -520,9 +521,11 @@ TEST(WindowKernelTest, CheckpointV2RoundTripsWorkCounters) {
   EXPECT_EQ(back.k, 5);
   EXPECT_EQ(back.candidates_evaluated, 12345);
   EXPECT_EQ(back.candidates_pruned, 678);
-  ASSERT_EQ(back.scores.size(), 1u);
-  EXPECT_EQ(back.scores[0].pattern, cp.scores[0].pattern);
-  EXPECT_TRUE(BitEqual(back.scores[0].nm, cp.scores[0].nm));
+  ASSERT_EQ(back.scores.size(), 3u);
+  EXPECT_EQ(back.scores.pattern(0), cp.scores.pattern(0));
+  EXPECT_TRUE(BitEqual(back.scores.nm(0), cp.scores.nm(0)));
+  EXPECT_EQ(back.prev_high, cp.prev_high);
+  EXPECT_EQ(back.prev_queue, cp.prev_queue);
 }
 
 TEST(WindowKernelTest, CheckpointReaderAcceptsV1WithZeroCounters) {
@@ -536,7 +539,7 @@ TEST(WindowKernelTest, CheckpointReaderAcceptsV1WithZeroCounters) {
       "scores,1\n"
       "-0x1.ap+3,7;*;9\n"
       "prev_high,1\n"
-      "7\n"
+      "7;*;9\n"
       "prev_queue,0\n"
       "end\n";
   std::stringstream ss(v1);
@@ -548,7 +551,7 @@ TEST(WindowKernelTest, CheckpointReaderAcceptsV1WithZeroCounters) {
   EXPECT_EQ(cp.candidates_evaluated, 0);
   EXPECT_EQ(cp.candidates_pruned, 0);
   ASSERT_EQ(cp.scores.size(), 1u);
-  EXPECT_EQ(cp.scores[0].pattern,
+  EXPECT_EQ(cp.scores.pattern(0),
             Pattern(std::vector<CellId>{7, kWildcardCell, 9}));
   ASSERT_EQ(cp.prev_high.size(), 1u);
   EXPECT_EQ(cp.prev_queue.size(), 0u);
