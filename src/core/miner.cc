@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "obs/journal.h"
@@ -13,6 +12,7 @@
 #include "stats/timer.h"
 
 namespace trajpattern {
+namespace {
 
 /// One round's high set H and retained queue Q (§4.1).  Both hold ids of
 /// the `ScoreMemo` in ascending order, i.e. in insertion order, so two
@@ -23,8 +23,6 @@ struct Frontier {
   std::vector<ScoreMemo::Id> high;
   std::vector<ScoreMemo::Id> queue;
 };
-
-namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
@@ -130,8 +128,8 @@ void RebuildFrontier(const ScoreMemo& scores, double omega, Frontier* out) {
 /// One iteration's candidate generation (§4 extension step, §5 wildcard
 /// joiners, beam fallback): every high pattern concatenated with every
 /// retained pattern in both orders, the frontier rule skipping pairs
-/// whose halves were both in `prev` (last round's H and Q),
-/// deduplicated against the memo and within the batch.  Each
+/// whose halves were both in `state`'s snapshots (last round's H and Q),
+/// deduplicated against `state`'s memo and within the batch.  Each
 /// concatenation is staged in one reusable cell buffer and probed by
 /// span; only a new candidate becomes a `Pattern`.  In beam mode
 /// (`options.max_candidates_per_iteration > 0`) the staged set is
@@ -141,11 +139,11 @@ void RebuildFrontier(const ScoreMemo& scores, double omega, Frontier* out) {
 /// follows the frontier's id order, so only the order, never the set,
 /// depends on the memo's insertion order.
 std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
-                                        const ScoreMemo& scores,
+                                        const MinerCheckpoint& state,
                                         const Frontier& current,
-                                        const Frontier& prev,
                                         bool* hit_candidate_cap) {
   using Id = ScoreMemo::Id;
+  const ScoreMemo& scores = state.scores;
   // Candidate generation: P in H extended with every P' in Q, both
   // orders.  Because one side is always high, every candidate respects
   // the min-max seed rule (observation 3 of §4).  Exact mode walks both
@@ -206,12 +204,12 @@ std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
   // round's H and Q generated its candidates last round (exact mode
   // stages every pair, so this is lossless there; in beam mode it
   // avoids re-walking quadratically many known pairs every round).
-  // Every id in `prev` is a memo id, so membership is one flag each.
+  // Every snapshot id is a memo id, so membership is one flag each.
   constexpr uint8_t kPrevHigh = 1;
   constexpr uint8_t kPrevQueue = 2;
   std::vector<uint8_t> in_prev(scores.size(), 0);
-  for (const Id id : prev.high) in_prev[id] |= kPrevHigh;
-  for (const Id id : prev.queue) in_prev[id] |= kPrevQueue;
+  for (const Id id : state.prev_high) in_prev[id] |= kPrevHigh;
+  for (const Id id : state.prev_queue) in_prev[id] |= kPrevQueue;
   for (const Id p : high) {
     if (candidates.size() >= generation_budget) break;
     const bool p_old = (in_prev[p] & kPrevHigh) != 0;
@@ -288,11 +286,14 @@ std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
 
 TrajPatternMiner::TrajPatternMiner(const NmEngine* engine,
                                    const MinerOptions& options)
-    : engine_(engine), options_(options), top_k_(options.k) {}
+    : engine_(engine), options_(options), top_k_(options.k) {
+  state_.k = options.k;
+}
 
 void TrajPatternMiner::ScoreBatch(std::vector<Pattern> patterns) {
   if (patterns.empty()) return;
   TP_TRACE_SPAN("miner/score_batch");
+  ScoreMemo& scores = state_.scores;
   // The batch runs against the ω that held when it was staged.  A
   // batch's own offers can only raise ω, so this is conservative (never
   // skips a candidate the final ω would keep) — and it is what makes the
@@ -309,7 +310,7 @@ void TrajPatternMiner::ScoreBatch(std::vector<Pattern> patterns) {
     TP_TRACE_SPAN("miner/split_bound");
     const size_t n = engine_->data().size();
     for (size_t i = 0; i < patterns.size(); ++i) {
-      bounds[i] = SplitBound(patterns[i].cells(), scores_, n);
+      bounds[i] = SplitBound(patterns[i].cells(), scores, n);
     }
   }
   const auto is_bounded = [&](size_t i) { return bounds[i] < omega; };
@@ -347,18 +348,18 @@ void TrajPatternMiner::ScoreBatch(std::vector<Pattern> patterns) {
   // candidate's memo value is an upper bound below ω: the top-k would
   // reject it, and the rebuild/1-extension consumers classify it low —
   // exactly as its exact score would be.
-  scores_.reserve(scores_.size() + patterns.size(),
-                  scores_.num_cells() + batch_cells);
+  scores.reserve(scores.size() + patterns.size(),
+                 scores.num_cells() + batch_cells);
   size_t next = 0;
   for (size_t i = 0; i < patterns.size(); ++i) {
     if (is_bounded(i)) {
-      scores_.emplace(patterns[i].cells(), bounds[i]);
+      scores.emplace(patterns[i].cells(), bounds[i]);
       continue;
     }
     const Pattern& p = scan[next];
     const double nm = nms[next];
     ++next;
-    if (scores_.emplace(p.cells(), nm) && Eligible(p.length())) {
+    if (scores.emplace(p.cells(), nm) && Eligible(p.length())) {
       top_k_.Offer(p, nm);
     }
   }
@@ -368,20 +369,6 @@ MiningResult TrajPatternMiner::Mine() { return Run(nullptr); }
 
 MiningResult TrajPatternMiner::Mine(const MinerCheckpoint& resume) {
   return Run(&resume);
-}
-
-MinerCheckpoint TrajPatternMiner::MakeCheckpoint(int completed_iterations,
-                                                 const Frontier& prev) const {
-  MinerCheckpoint cp;
-  cp.iteration = completed_iterations;
-  cp.k = options_.k;
-  cp.omega = top_k_.Omega();
-  cp.scores = scores_;
-  cp.prev_high = prev.high;
-  cp.prev_queue = prev.queue;
-  cp.candidates_evaluated = stats_.candidates_evaluated;
-  cp.candidates_pruned = stats_.candidates_pruned;
-  return cp;
 }
 
 MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
@@ -395,7 +382,7 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   const int64_t jrun = journal.BeginRun(options_.k, resume != nullptr);
 
   if (resume != nullptr) {
-    // Restore the score memo and re-derive the top-k/ω from it (the k
+    // Restore the state and re-derive the top-k/ω from its memo (the k
     // best eligible patterns under the strict BetterScored order are
     // unique, so the offer order cannot matter).  NM values round-trip
     // bit-exactly through the checkpoint, which is what makes a resumed
@@ -404,16 +391,17 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
     assert(!CheckpointCellOutsideGrid(*resume, engine_->space().grid));
     assert(AreAscendingIds(resume->prev_high, resume->scores));
     assert(AreAscendingIds(resume->prev_queue, resume->scores));
-    scores_ = resume->scores;
-    for (ScoreMemo::Id id = 0; id < scores_.size(); ++id) {
-      if (Eligible(scores_.cells(id).size())) {
-        top_k_.Offer(scores_.pattern(id), scores_.nm(id));
+    state_ = *resume;
+    for (ScoreMemo::Id id = 0; id < state_.scores.size(); ++id) {
+      if (Eligible(state_.scores.cells(id).size())) {
+        top_k_.Offer(state_.scores.pattern(id), state_.scores.nm(id));
       }
     }
     stats_.iterations = resume->iteration;
     stats_.candidates_evaluated = resume->candidates_evaluated;
     stats_.candidates_pruned = resume->candidates_pruned;
   }
+  const ScoreMemo& scores = state_.scores;
 
   // Step 1: singular patterns form the initial Q (§4: "the grid centers
   // serve as the singular patterns").  On resume every singular is
@@ -434,9 +422,12 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   std::vector<Pattern> singulars;
   singulars.reserve(alphabet.size());
   for (const CellId c : alphabet) {
-    if (!scores_.contains(std::span(&c, 1))) singulars.emplace_back(c);
+    if (!scores.contains(std::span(&c, 1))) singulars.emplace_back(c);
   }
   ScoreBatch(std::move(singulars));
+  // A stop during the singular batch predates any resumable state; such
+  // a run resumes from scratch.
+  const bool resumable = !stats_.aborted;
 
   // The high set H and the retained set Q.  Q is rebuilt from the global
   // score memo every round: a low pattern pruned in an earlier round must
@@ -444,35 +435,41 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   // otherwise Lemma 1's seed pool would be incomplete.
   Frontier frontier;
   auto rebuild = [&]() {
-    RebuildFrontier(scores_, top_k_.Omega(), &frontier);
+    RebuildFrontier(scores, top_k_.Omega(), &frontier);
     stats_.peak_queue_size =
         std::max(stats_.peak_queue_size, frontier.queue.size());
   };
   rebuild();
 
-  // The H and Q snapshots that the previous round's generation ran over;
-  // see the frontier rule in `GenerateCandidates`.  These are the only
-  // pieces of mining state not derivable from the memo, so a resume
-  // restores them; their ids are the restored memo's.
-  Frontier prev;
-  if (resume != nullptr) prev = {resume->prev_high, resume->prev_queue};
   const int start_iteration = resume != nullptr ? resume->iteration : 0;
 
-  // The sink's view of the run.  `last_cp` holds the start boundary
-  // (post-singulars, pre-iteration), which the sink has never seen, and
-  // `sink_has_latest` says whether the sink received any boundary since.
-  // If a stop fires before the first in-loop delivery, `last_cp` is
-  // emitted below so an aborted run always leaves a resumable
-  // checkpoint behind.  (A stop during the singular batch itself
-  // predates any resumable state; such a run resumes from scratch.)
+  // Hands the sink the live state, its scalars stamped for boundary
+  // `iteration`, and journals the delivery; returns the sink's answer.
+  // `sink_has_latest` says whether the sink received any boundary since
+  // the start one (post-singulars, pre-iteration), which it has never
+  // seen.
   const bool has_sink = static_cast<bool>(options_.checkpoint_sink);
-  std::optional<MinerCheckpoint> last_cp;
   bool sink_has_latest = false;
-  if (has_sink && !stats_.aborted) {
-    last_cp = MakeCheckpoint(start_iteration, prev);
-  }
+  auto deliver = [&](int iteration, const char* detail) {
+    TP_TRACE_SPAN("miner/checkpoint");
+    state_.iteration = iteration;
+    state_.omega = top_k_.Omega();
+    state_.candidates_evaluated = stats_.candidates_evaluated;
+    state_.candidates_pruned = stats_.candidates_pruned;
+    const bool keep_going = options_.checkpoint_sink(state_);
+    if (journal.active()) {
+      obs::JournalEvent ev;
+      ev.type = obs::JournalEventType::kCheckpointWritten;
+      ev.run_id = jrun;
+      ev.iteration = iteration;
+      ev.omega = state_.omega;
+      ev.detail = detail;
+      journal.Emit(ev);
+    }
+    return keep_going;
+  };
 
-  // `prev.high` is the H snapshot the checkpointed run's last generation
+  // `prev_high` is the H snapshot the checkpointed run's last generation
   // ran over — i.e. the H its convergence test compared against.  If the
   // rebuilt H equals it, the original run stopped at exactly this
   // boundary; running another iteration here would stage pairs against
@@ -481,7 +478,7 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   // would no longer be a faithful continuation).
   const bool resumed_after_convergence = resume != nullptr &&
                                          start_iteration > 0 &&
-                                         frontier.high == prev.high;
+                                         frontier.high == state_.prev_high;
 
   // Journal baselines: ω-tightening and eviction events carry deltas
   // against these.
@@ -509,20 +506,22 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
     // orders under the frontier rule, wildcard joiners, and the beam
     // fallback.
     std::vector<Pattern> candidates = GenerateCandidates(
-        options_, scores_, frontier, prev, &stats_.hit_candidate_cap);
-    prev = frontier;
+        options_, state_, frontier, &stats_.hit_candidate_cap);
     stats_.candidates_generated += static_cast<int64_t>(candidates.size());
     TP_COUNTER_ADD("miner.candidates_generated", candidates.size());
     TP_HISTOGRAM_OBSERVE("miner.iteration_candidates", candidates.size(),
                          {10, 100, 1000, 10000, 100000});
 
     ScoreBatch(std::move(candidates));
-    // A stop mid-batch discarded the whole generation; the memo is still
-    // exactly the last boundary's, so `last_cp` stays valid.
+    // A stop mid-batch discarded the whole generation; the state is
+    // still exactly the last boundary's.
     if (stats_.aborted) break;
 
-    // Re-threshold, relabel, prune (§4.1).  `prev.high` is this round's
-    // H before the rebuild.
+    // The batch landed: this round's H and Q become the snapshots, and
+    // the rebuild re-thresholds, relabels and prunes (§4.1) into the
+    // frontier in place.
+    state_.prev_high.swap(frontier.high);
+    state_.prev_queue.swap(frontier.queue);
     rebuild();
 
     if (journal.active()) {
@@ -555,23 +554,13 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
       journal.Emit(ev);
     }
 
-    const bool converged = frontier.high == prev.high;
+    const bool converged = frontier.high == state_.prev_high;
     if (has_sink) {
       // The iteration boundary is the resumable point: the memo and the
       // frontier snapshots fully determine everything the next iteration
       // does.  A sink veto stops here; `Mine(checkpoint)` picks it up.
-      TP_TRACE_SPAN("miner/checkpoint");
-      const bool keep_going =
-          options_.checkpoint_sink(MakeCheckpoint(iter + 1, prev));
+      const bool keep_going = deliver(iter + 1, "");
       sink_has_latest = true;
-      if (journal.active()) {
-        obs::JournalEvent ev;
-        ev.type = obs::JournalEventType::kCheckpointWritten;
-        ev.run_id = jrun;
-        ev.iteration = iter + 1;
-        ev.omega = top_k_.Omega();
-        journal.Emit(ev);
-      }
       if (!keep_going) {
         stats_.aborted = true;
         stats_.stop_reason = StopReason::kSinkVeto;
@@ -583,29 +572,20 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   }
 
   // An abort before this segment's first boundary delivery leaves the
-  // sink without the start-boundary state; emit it now so every aborted
-  // run (past the singular batch) ends with a resumable checkpoint on
-  // record.  The veto answer is ignored — the run is already stopping.
+  // sink without the start-boundary state, which the live state still
+  // is; deliver it now so every aborted run (past the singular batch)
+  // ends with a resumable checkpoint on record.  The veto answer is
+  // ignored — the run is already stopping.
   if (stats_.aborted && stats_.stop_reason != StopReason::kSinkVeto &&
-      has_sink && last_cp.has_value() && !sink_has_latest) {
-    TP_TRACE_SPAN("miner/checkpoint");
-    (void)options_.checkpoint_sink(*last_cp);
-    if (journal.active()) {
-      obs::JournalEvent ev;
-      ev.type = obs::JournalEventType::kCheckpointWritten;
-      ev.run_id = jrun;
-      ev.iteration = last_cp->iteration;
-      ev.omega = last_cp->omega;
-      ev.detail = "tail";
-      journal.Emit(ev);
-    }
+      has_sink && resumable && !sink_has_latest) {
+    (void)deliver(start_iteration, "tail");
   }
 
   MiningResult result;
   result.patterns = top_k_.Sorted();
   stats_.seconds = timer.Seconds();
   stats_.cells_cached = engine_->num_cached_cells();
-  stats_.memo_bytes = scores_.bytes();
+  stats_.memo_bytes = scores.bytes();
   result.stats = stats_;
   if (journal.active()) {
     obs::JournalEvent ev;

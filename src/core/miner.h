@@ -33,10 +33,10 @@ struct MinerCheckpoint {
   /// k-th best eligible NM); stored for inspection and load-time checks.
   double omega = -std::numeric_limits<double>::infinity();
   /// The global score memo: every pattern ever scored, with its exact NM
-  /// or an upper bound on it below ω, once each.  The miner copies its
-  /// own memo here, so a resume restores the original run's memo ids
-  /// and writes the same later checkpoints.  Holds both the high and the
-  /// low set; the split is re-derived from ω.
+  /// or an upper bound on it below ω, once each.  This is the miner's
+  /// own memo, so a resume restores the original run's memo ids and
+  /// writes the same later checkpoints.  Holds both the high and the low
+  /// set; the split is re-derived from ω.
   ScoreMemo scores;
   /// High/queue snapshots the last generation step ran over (the
   /// frontier rule skips pairs that were both present last round), as
@@ -108,10 +108,10 @@ struct MinerOptions {
   /// (long runs checkpoint here; see `WriteMinerCheckpointFile`).  Return
   /// false to stop mining at this boundary: the result so far is returned
   /// with `MinerStats::aborted` set, and a later `Mine(checkpoint)` with
-  /// the same engine/options continues bit-identically.  Each delivery
-  /// copies the score memo and the frontier id lists into a
-  /// `MinerCheckpoint`, so the hook costs O(|memo|) time and memory per
-  /// iteration; leave it empty when not needed.
+  /// the same engine/options continues bit-identically.  The sink gets
+  /// the miner's own state by reference, with no copy made, and the
+  /// reference is valid only during the call: a sink that keeps the
+  /// checkpoint must copy it.
   std::function<bool(const MinerCheckpoint&)> checkpoint_sink;
 
   /// Run control: cooperative cancellation, wall-clock deadline, and
@@ -126,9 +126,6 @@ struct MinerOptions {
   /// anything.
   RunContext run;
 };
-
-/// One round's high set H and retained queue Q (§4.1); see miner.cc.
-struct Frontier;
 
 /// Counters reported alongside a mining result.  The shared work/timing
 /// fields (candidates generated/evaluated/pruned, warmup/scoring split)
@@ -189,10 +186,6 @@ class TrajPatternMiner {
   /// Shared body of the two `Mine` overloads.
   MiningResult Run(const MinerCheckpoint* resume);
 
-  /// The resumable state after `completed_iterations` grow iterations.
-  MinerCheckpoint MakeCheckpoint(int completed_iterations,
-                                 const Frontier& prev) const;
-
   /// Scores `patterns` and feeds the memo and the top-k tracker serially
   /// in `patterns` order — identical bookkeeping to one-at-a-time
   /// scoring.  Precondition: the patterns are distinct and none is in
@@ -214,9 +207,11 @@ class TrajPatternMiner {
 
   const NmEngine* engine_;
   MinerOptions options_;
-  /// Every pattern ever scored, with its NM or an upper bound on it
-  /// that lies below ω (global memo).
-  ScoreMemo scores_;
+  /// The resumable state as of the last boundary: the global score memo,
+  /// the H/Q snapshots the last generation ran over, and k.  The sink
+  /// gets this member itself; its other fields are stamped just before
+  /// each delivery.
+  MinerCheckpoint state_;
   /// The best k eligible patterns seen; its Omega() is the threshold.
   TopKPatterns top_k_;
   MinerStats stats_;

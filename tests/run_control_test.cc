@@ -306,6 +306,53 @@ TEST(MinerRunControlTest, AbortedRunEmitsResumableFinalCheckpoint) {
   ExpectBitIdentical(resumed.patterns, full.patterns);
 }
 
+TEST(MinerRunControlTest, PreCancelledResumeHandsBackTheCheckpointUnchanged) {
+  // A resume whose token is already cancelled stops at its start
+  // boundary before any work.  The abort tail then hands the sink the
+  // state it resumed from: exactly one checkpoint, byte-identical once
+  // serialized, at every non-final boundary of a deep run.
+  const auto serialized = [](const MinerCheckpoint& cp) {
+    std::ostringstream os;
+    EXPECT_TRUE(WriteMinerCheckpoint(cp, os).ok());
+    return os.str();
+  };
+  const TrajectoryDataset data = MakeDeepMiningData();
+  const MiningSpace space = MakeSpace();
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
+    MinerOptions record = MakeDeepOptions(threads);
+    std::vector<MinerCheckpoint> boundaries;
+    record.checkpoint_sink = [&boundaries](const MinerCheckpoint& cp) {
+      boundaries.push_back(cp);
+      return true;
+    };
+    NmEngine engine(data, space);
+    const MiningResult full = MineTrajPatterns(engine, record);
+    ASSERT_FALSE(full.stats.aborted);
+    ASSERT_GT(boundaries.size(), 1u);
+
+    // The last boundary is the converged one, which a resume finishes
+    // without entering the loop.
+    for (size_t b = 0; b + 1 < boundaries.size(); ++b) {
+      SCOPED_TRACE(b);
+      MinerOptions resumed = MakeDeepOptions(threads);
+      resumed.run.token.Cancel();
+      std::vector<std::string> delivered;
+      resumed.checkpoint_sink = [&](const MinerCheckpoint& cp) {
+        delivered.push_back(serialized(cp));
+        return true;
+      };
+      NmEngine resume_engine(data, space);
+      const MiningResult stopped =
+          MineTrajPatterns(resume_engine, resumed, &boundaries[b]);
+      EXPECT_TRUE(stopped.stats.aborted);
+      EXPECT_EQ(stopped.stats.stop_reason, StopReason::kCancelled);
+      ASSERT_EQ(delivered.size(), 1u);
+      EXPECT_EQ(delivered[0], serialized(boundaries[b]));
+    }
+  }
+}
+
 TEST(MinerRunControlTest, MemoryBudgetHoldsAndStaysBitIdentical) {
   // A budget of a handful of columns forces chunked scoring and LRU
   // eviction, but the answer must not move: chunk boundaries and
