@@ -3,10 +3,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -22,6 +24,13 @@ using obs::MetricsRegistry;
 using obs::RunJournal;
 using obs::RunSnapshot;
 using obs::TraceRecorder;
+
+/// How long one connection may take to send its request head.  Requests
+/// are answered one at a time, so a client that connects and sends
+/// nothing (or trickles bytes) would otherwise hold every other client,
+/// `/healthz` included, and `Stop`.  Past it the head is read as it
+/// stands, which routes a silent client to 404.
+constexpr std::chrono::milliseconds kRequestHeadTimeout{2000};
 
 std::string HttpResponse(int code, const char* reason,
                          const char* content_type, const std::string& body) {
@@ -125,14 +134,33 @@ void StatusServer::Serve() {
       if (listen_fd_.load() < 0) return;
       continue;
     }
+    {
+      // Publish the connection for Stop(), unless Stop() already ran.
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      if (listen_fd_.load() < 0) {
+        ::close(conn);
+        return;
+      }
+      conn_fd_ = conn;
+    }
     // Read the request head.  One recv is almost always the whole "GET
     // /path HTTP/1.x" head; keep reading until the blank line that ends
     // it ("\r\n\r\n", not the first "\r\n" — curl and browsers send
-    // several header lines, often across packets), capped at 16 KiB.
-    // EINTR is a retry, not a dropped connection.
+    // several header lines, often across packets), capped at 16 KiB and
+    // at kRequestHeadTimeout.  EINTR is a retry, not a dropped
+    // connection.
     std::string req;
     char buf[2048];
+    const auto deadline =
+        std::chrono::steady_clock::now() + kRequestHeadTimeout;
     while (req.find("\r\n\r\n") == std::string::npos && req.size() < 16384) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) break;
+      pollfd readable{conn, POLLIN, 0};
+      const int ready = ::poll(&readable, 1, static_cast<int>(left.count()));
+      if (ready < 0 && errno == EINTR) continue;
+      if (ready <= 0) break;
       const ssize_t n = ::recv(conn, buf, sizeof(buf), 0);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) break;
@@ -155,6 +183,10 @@ void StatusServer::Serve() {
       if (n <= 0) break;
       sent += static_cast<size_t>(n);
     }
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      conn_fd_ = -1;
+    }
     ::shutdown(conn, SHUT_RDWR);
     ::close(conn);
   }
@@ -167,6 +199,11 @@ void StatusServer::Stop() {
     // the fd so any racing accept fails immediately.
     ::shutdown(fd, SHUT_RDWR);
     ::close(fd);
+  }
+  {
+    // Wake a read or send blocked on the connection being answered.
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    if (conn_fd_ >= 0) ::shutdown(conn_fd_, SHUT_RDWR);
   }
   if (thread_.joinable()) thread_.join();
   port_ = -1;

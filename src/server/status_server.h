@@ -2,6 +2,7 @@
 #define TRAJPATTERN_SERVER_STATUS_SERVER_H_
 
 #include <atomic>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -32,8 +33,11 @@ struct StatusServerOptions {
 /// One accept thread handles requests serially; every handler reads
 /// point-in-time snapshots of the global recorders, so serving never
 /// blocks mining and is safe while a RunContext cancels the run being
-/// inspected.  `Start` also activates the journal's live run tracking so
-/// `/runz` has data even when no JSONL file was requested.
+/// inspected.  A connection has a fixed time to send its request head,
+/// so an idle client cannot hold the thread, and `Stop` wakes the
+/// connection in flight instead of waiting for it.  `Start` also
+/// activates the journal's live run tracking so `/runz` has data even
+/// when no JSONL file was requested.
 class StatusServer {
  public:
   StatusServer() = default;
@@ -44,7 +48,8 @@ class StatusServer {
   /// Binds and starts the accept thread.  Error if already running or if
   /// the socket setup fails (port in use, ...).
   Status Start(const StatusServerOptions& options);
-  /// Stops accepting and joins the thread; idempotent.
+  /// Stops accepting, shuts down the connection being answered, and
+  /// joins the thread; idempotent.
   void Stop();
   bool running() const { return listen_fd_.load() >= 0; }
   /// The bound port (the resolved one when options.port was 0).
@@ -64,6 +69,10 @@ class StatusServer {
   std::atomic<int> listen_fd_{-1};
   int port_ = -1;
   std::thread thread_;
+  /// The connection `Serve` is answering (-1 when none).  Guarded, so
+  /// `Stop` never shuts down an fd number that was closed and reused.
+  std::mutex conn_mu_;
+  int conn_fd_ = -1;
 };
 
 /// Process-wide server for CLI/bench wiring: starts the singleton on

@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <limits>
 #include <mutex>
 #include <set>
@@ -139,24 +140,39 @@ bool HasEvent(const std::string& line, const char* type) {
          std::string::npos;
 }
 
-// Minimal blocking HTTP client for the raw-socket leg of the server
-// tests (HandlePath covers the handlers; this covers the wire).
-std::string HttpGet(int port, const std::string& path) {
+// A TCP connection to the server on loopback, or -1.
+int ConnectTo(int port) {
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
   inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// Minimal blocking HTTP client for the raw-socket leg of the server
+// tests (HandlePath covers the handlers; this covers the wire).  With
+// `timeout_s` > 0 the client stops waiting for the response after that
+// many seconds and returns what it has.
+std::string HttpGet(int port, const std::string& path, int timeout_s = 0) {
+  const int fd = ConnectTo(port);
+  if (fd < 0) return "";
+  if (timeout_s > 0) {
+    const timeval tv{timeout_s, 0};
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
   std::string out;
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-    const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
-    if (send(fd, req.data(), req.size(), 0) ==
-        static_cast<ssize_t>(req.size())) {
-      char buf[4096];
-      ssize_t n;
-      while ((n = read(fd, buf, sizeof(buf))) > 0) out.append(buf, n);
-    }
+  const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
+  if (send(fd, req.data(), req.size(), 0) ==
+      static_cast<ssize_t>(req.size())) {
+    char buf[4096];
+    ssize_t n;
+    while ((n = read(fd, buf, sizeof(buf))) > 0) out.append(buf, n);
   }
   close(fd);
   return out;
@@ -425,6 +441,36 @@ TEST(StatusServerTest, ServesAllEndpointsOverRealSockets) {
   EXPECT_FALSE(server.running());
   EXPECT_EQ(HttpGet(port, "/healthz"), "");  // really stopped
   server.Stop();                             // idempotent
+}
+
+TEST(StatusServerTest, IdleClientHoldsNeitherOtherClientsNorStop) {
+  // Requests are answered one at a time, so a client that connects and
+  // sends nothing must not hold the server: another client's /healthz
+  // is answered, and Stop() returns, each within a few seconds.
+  StatusServer server;
+  ASSERT_TRUE(server.Start({}).ok());
+  // EXPECT, not ASSERT: returning early would leave a client open for
+  // the server's destructor to wait on.
+  const int idle = ConnectTo(server.port());
+  EXPECT_GE(idle, 0);
+  const std::string health = HttpGet(server.port(), "/healthz", 5);
+  EXPECT_EQ(HttpBody(health), "ok\n") << health;
+
+  // A second silent client, accepted and being read when Stop() runs.
+  const int idle_at_stop = ConnectTo(server.port());
+  EXPECT_GE(idle_at_stop, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  std::future<void> stopped =
+      std::async(std::launch::async, [&server] { server.Stop(); });
+  const bool prompt = stopped.wait_for(std::chrono::seconds(3)) ==
+                      std::future_status::ready;
+  // Closing the clients lets a server that waits for them finish, so
+  // a regression fails here instead of hanging the suite.
+  close(idle_at_stop);
+  close(idle);
+  stopped.wait();
+  EXPECT_TRUE(prompt) << "Stop() waited for an idle client";
+  EXPECT_FALSE(server.running());
 }
 
 TEST(StatusServerTest, HandlersAreCoverableWithoutSockets) {
