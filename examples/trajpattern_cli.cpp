@@ -205,9 +205,13 @@ int Mine(const Flags& flags, const ObsOptions& obs_opts) {
   if (!SpaceFlagsValid(flags, "mine") || !MineShapeFlagsValid(flags)) return 1;
   TrajectoryDataset data;
   CsvDiagnostic diag;
-  if (!ReadTrajectoriesCsvFile(in, &data, &diag) || data.empty()) {
+  if (!ReadTrajectoriesCsvFile(in, &data, &diag)) {
     std::fprintf(stderr, "mine: cannot read %s (line %zu: %s)\n", in.c_str(),
                  diag.line, diag.message.c_str());
+    return 1;
+  }
+  if (data.empty()) {
+    std::fprintf(stderr, "mine: %s holds no trajectories\n", in.c_str());
     return 1;
   }
 

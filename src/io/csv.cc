@@ -7,6 +7,7 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <unordered_set>
 #include <vector>
 
 namespace trajpattern {
@@ -69,6 +70,7 @@ bool ReadTrajectoriesCsv(std::istream& is, TrajectoryDataset* out,
   size_t line_no = 1;
   Trajectory current;
   bool have_current = false;
+  std::unordered_set<std::string> started;  // ids of every row group so far
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
@@ -90,9 +92,21 @@ bool ReadTrajectoriesCsv(std::istream& is, TrajectoryDataset* out,
       return Fail(diag, line_no, "sigma must be finite and > 0");
     }
     if (!have_current || fields[0] != current.id()) {
+      if (!started.insert(fields[0]).second) {
+        return Fail(diag, line_no,
+                    "trajectory " + fields[0] +
+                        " returns after another trajectory's rows; rows "
+                        "must be grouped by trajectory");
+      }
       if (have_current) out->Add(std::move(current));
       current = Trajectory(fields[0]);
       have_current = true;
+    }
+    if (snapshot != static_cast<long>(current.size())) {
+      return Fail(diag, line_no,
+                  "snapshot " + fields[1] + " of trajectory " + fields[0] +
+                      " should be " + std::to_string(current.size()) +
+                      " (its position in the trajectory)");
     }
     current.Append(Point2(x, y), sigma);
   }

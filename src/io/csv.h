@@ -23,11 +23,14 @@ struct CsvDiagnostic {
 void WriteTrajectoriesCsv(const TrajectoryDataset& data, std::ostream& os);
 
 /// Parses the format produced by `WriteTrajectoriesCsv`.  Rows must be
-/// grouped by trajectory (snapshot order within a group is taken as-is).
-/// Rows with non-finite coordinates or sigma <= 0 are rejected — one such
-/// snapshot would poison every NM score computed through it.  Returns
-/// false and leaves `*out` unspecified on malformed input; `*diag`, when
-/// given, then names the offending line.
+/// grouped by trajectory, and each row's `snapshot` must be its position
+/// in its trajectory (0, 1, 2, ...): an id that returns after another
+/// id's rows, or a skipped, repeated or reordered snapshot, is rejected
+/// rather than read as a different dataset.  So are rows with non-finite
+/// coordinates or sigma <= 0 — one such snapshot would poison every NM
+/// score computed through it.  Returns false and leaves `*out`
+/// unspecified on malformed input; `*diag`, when given, then names the
+/// offending line.
 bool ReadTrajectoriesCsv(std::istream& is, TrajectoryDataset* out,
                          CsvDiagnostic* diag = nullptr);
 

@@ -309,6 +309,67 @@ TEST(CsvHardeningTest, AcceptsCleanInputUnchanged) {
   EXPECT_EQ(out[0].size(), 2u);
 }
 
+// The snapshot column and the grouping are part of the format: rows that
+// break either would otherwise read as a different dataset (time-major
+// rows as one-point trajectories, a missing row as a shifted trajectory).
+TEST(CsvHardeningTest, RejectsTimeMajorRowsWithLineNumber) {
+  std::istringstream is(
+      "traj_id,snapshot,x,y,sigma\n"
+      "a,0,0.1,0.1,0.01\n"
+      "b,0,0.5,0.5,0.01\n"
+      "a,1,0.2,0.2,0.01\n"
+      "b,1,0.6,0.6,0.01\n");
+  TrajectoryDataset out;
+  CsvDiagnostic diag;
+  EXPECT_FALSE(ReadTrajectoriesCsv(is, &out, &diag));
+  EXPECT_EQ(diag.line, 4u);
+  EXPECT_NE(diag.message.find("grouped by trajectory"), std::string::npos)
+      << diag.message;
+}
+
+TEST(CsvHardeningTest, RejectsSkippedSnapshotWithLineNumber) {
+  std::istringstream is(
+      "traj_id,snapshot,x,y,sigma\n"
+      "a,0,0.1,0.1,0.01\n"
+      "a,1,0.2,0.2,0.01\n"
+      "a,3,0.4,0.4,0.01\n");
+  TrajectoryDataset out;
+  CsvDiagnostic diag;
+  EXPECT_FALSE(ReadTrajectoriesCsv(is, &out, &diag));
+  EXPECT_EQ(diag.line, 4u);
+  EXPECT_NE(diag.message.find("should be 2"), std::string::npos)
+      << diag.message;
+}
+
+TEST(CsvHardeningTest, RejectsRepeatedSnapshotWithLineNumber) {
+  std::istringstream is(
+      "traj_id,snapshot,x,y,sigma\n"
+      "a,0,0.1,0.1,0.01\n"
+      "a,1,0.2,0.2,0.01\n"
+      "a,1,0.3,0.3,0.01\n");
+  TrajectoryDataset out;
+  CsvDiagnostic diag;
+  EXPECT_FALSE(ReadTrajectoriesCsv(is, &out, &diag));
+  EXPECT_EQ(diag.line, 4u);
+  EXPECT_NE(diag.message.find("should be 2"), std::string::npos)
+      << diag.message;
+}
+
+TEST(CsvHardeningTest, RejectsReturningIdWithLineNumber) {
+  std::istringstream is(
+      "traj_id,snapshot,x,y,sigma\n"
+      "a,0,0.1,0.1,0.01\n"
+      "a,1,0.2,0.2,0.01\n"
+      "b,0,0.5,0.5,0.01\n"
+      "a,2,0.3,0.3,0.01\n");
+  TrajectoryDataset out;
+  CsvDiagnostic diag;
+  EXPECT_FALSE(ReadTrajectoriesCsv(is, &out, &diag));
+  EXPECT_EQ(diag.line, 5u);
+  EXPECT_NE(diag.message.find("trajectory a returns"), std::string::npos)
+      << diag.message;
+}
+
 TEST(CsvHardeningTest, PatternsRejectNaNNm) {
   std::istringstream is(
       "rank,nm,length,cells\n"
