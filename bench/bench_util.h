@@ -33,13 +33,13 @@ class JsonWriter {
 
   JsonWriter& Key(const std::string& k) {
     NextItem();
-    AppendQuoted(k);
+    obs::AppendEscaped(k, &out_);
     out_ += ": ";
     pending_key_ = true;
     return *this;
   }
 
-  JsonWriter& Str(const std::string& v) { NextItem(); AppendQuoted(v); return *this; }
+  JsonWriter& Str(const std::string& v) { NextItem(); obs::AppendEscaped(v, &out_); return *this; }
   JsonWriter& Bool(bool v) { NextItem(); out_ += v ? "true" : "false"; return *this; }
   JsonWriter& Int(long long v) { return Fmt("%lld", v); }
   JsonWriter& UInt(unsigned long long v) { return Fmt("%llu", v); }
@@ -107,32 +107,6 @@ class JsonWriter {
   void Newline() {
     out_ += '\n';
     out_.append(2 * depth_.size(), ' ');
-  }
-
-  void AppendQuoted(const std::string& s) {
-    out_ += '"';
-    for (char c : s) {
-      switch (c) {
-        case '"': out_ += "\\\""; break;
-        case '\\': out_ += "\\\\"; break;
-        case '\n': out_ += "\\n"; break;
-        case '\t': out_ += "\\t"; break;
-        case '\r': out_ += "\\r"; break;
-        default:
-          // RFC 8259: control characters must be escaped; a raw one
-          // (e.g. from a dataset path or a kernel name) would make the
-          // whole artifact unparseable.
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char esc[8];
-            std::snprintf(esc, sizeof(esc), "\\u%04x",
-                          static_cast<unsigned>(c));
-            out_ += esc;
-          } else {
-            out_ += c;
-          }
-      }
-    }
-    out_ += '"';
   }
 
   std::string out_;

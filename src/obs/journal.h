@@ -86,8 +86,9 @@ struct RunSnapshot {
 void AppendRunSnapshotJson(const RunSnapshot& s, std::string* out);
 
 /// Appends `s` as a quoted JSON string: `"` and `\` escaped, newline and
-/// tab as `\n` and `\t`, other control bytes as `\u00XX` (shared by the
-/// journal lines and the crash flight recorder).
+/// tab as `\n` and `\t`, other control bytes as `\u00XX`.  The one JSON
+/// string escaper: the journal lines, the crash flight recorder, the
+/// metrics exporters and the benches' `JsonWriter` all use it.
 void AppendEscaped(const std::string& s, std::string* out);
 
 /// Result of replaying a journal file from disk.

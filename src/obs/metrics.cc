@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "obs/journal.h"
+
 namespace trajpattern::obs {
 namespace {
 
@@ -24,27 +26,6 @@ std::string FormatDouble(double v) {
     if (back == v && std::string(shorter).size() < best.size()) best = shorter;
   }
   return best;
-}
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -114,7 +95,7 @@ std::string ToJson(const MetricsSnapshot& snapshot) {
   for (const auto& [name, v] : snapshot.counters) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    AppendJsonString(name, &out);
+    AppendEscaped(name, &out);
     out += ": " + std::to_string(v);
   }
   out += first ? "},\n" : "\n  },\n";
@@ -123,7 +104,7 @@ std::string ToJson(const MetricsSnapshot& snapshot) {
   for (const auto& [name, v] : snapshot.gauges) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    AppendJsonString(name, &out);
+    AppendEscaped(name, &out);
     out += ": ";
     out += std::isfinite(v) ? FormatDouble(v) : "null";
   }
@@ -133,7 +114,7 @@ std::string ToJson(const MetricsSnapshot& snapshot) {
   for (const auto& [name, h] : snapshot.histograms) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    AppendJsonString(name, &out);
+    AppendEscaped(name, &out);
     out += ": {\"bounds\": [";
     for (size_t i = 0; i < h.bounds.size(); ++i) {
       if (i > 0) out += ", ";
