@@ -67,8 +67,8 @@ struct LegResult {
 LegResult MeasureLeg(const NmEngine& engine, const MinerOptions& opt,
                      int reps, double max_overhead_pct,
                      const std::function<void(bool)>& set_on) {
-  // Unmeasured warm-up: populates the engine's column arena so neither
-  // mode pays the one-time cell materialization; also the bit-identity
+  // Unmeasured warm-up: populates the engine's factor arena so neither
+  // mode pays the one-time factor computation; also the bit-identity
   // reference.
   const MiningResult reference = MineTrajPatterns(engine, opt);
   LegResult leg;

@@ -58,15 +58,19 @@ void BM_LogNormalIntervalProbBatch(benchmark::State& state) {
 BENCHMARK(BM_LogNormalIntervalProbBatch)->Arg(2400)->Arg(19200);
 
 void BM_SimdFusedMaxSum(benchmark::State& state) {
+  // The walk's last position: a prefix level plus one position's floored
+  // factor sum, built from its two log-factor vectors.
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(13);
-  std::vector<double> w(n), t(n);
+  std::vector<double> w(n), fx(n), fy(n);
   for (size_t i = 0; i < n; ++i) {
     w[i] = -rng.Uniform(0.0, 30.0);
-    t[i] = -rng.Uniform(0.0, 30.0);
+    fx[i] = -rng.Uniform(0.0, 15.0);
+    fy[i] = -rng.Uniform(0.0, 15.0);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::FusedMaxSum(w.data(), t.data(), n));
+    benchmark::DoNotOptimize(
+        simd::FusedMaxSum(w.data(), fx.data(), fy.data(), n));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
   state.SetLabel(simd::ActiveLevelName());
@@ -95,7 +99,8 @@ void BM_NmTotal(benchmark::State& state) {
   const auto cells = engine.TouchedCells();
   const Pattern p(std::vector<CellId>{cells[0], cells[1 % cells.size()],
                                       cells[2 % cells.size()]});
-  // Warm the cell columns so the steady-state evaluation cost is measured.
+  // Warm the factor vectors so the steady-state evaluation cost is
+  // measured.
   engine.NmTotal(p);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.NmTotal(p));

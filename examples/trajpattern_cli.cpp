@@ -243,7 +243,7 @@ int Mine(const Flags& flags, const ObsOptions& obs_opts) {
   opt.num_threads = flags.GetInt("threads", 0);
 
   // Run control: --deadline_ms bounds wall-clock, --memory_budget_mb
-  // bounds the scoring arena.  Either stop returns best-so-far results
+  // caps the factor cache.  Either stop returns best-so-far results
   // with a typed stop reason instead of failing the run.
   const int deadline_ms = flags.GetInt("deadline_ms", 0);
   if (deadline_ms > 0) opt.run.SetDeadlineAfterMillis(deadline_ms);
@@ -353,8 +353,14 @@ int Score(const Flags& flags) {
   }
   if (!SpaceFlagsValid(flags, "score")) return 1;
   TrajectoryDataset data;
-  if (!ReadTrajectoriesCsvFile(in, &data) || data.empty()) {
-    std::fprintf(stderr, "score: cannot read %s\n", in.c_str());
+  CsvDiagnostic diag;
+  if (!ReadTrajectoriesCsvFile(in, &data, &diag)) {
+    std::fprintf(stderr, "score: cannot read %s (line %zu: %s)\n", in.c_str(),
+                 diag.line, diag.message.c_str());
+    return 1;
+  }
+  if (data.empty()) {
+    std::fprintf(stderr, "score: %s holds no trajectories\n", in.c_str());
     return 1;
   }
   std::vector<ScoredPattern> patterns;
@@ -427,7 +433,8 @@ int main(int argc, char** argv) {
       "--seed ...]\n"
       "  mine:     --in=F [--k --min_len --max_len --wildcards --grid "
       "--delta --gamma --beam --out=F]\n"
-      "            [--threads=N]\n"
+      "            [--threads=N --deadline_ms=N --memory_budget_mb=N (caps "
+      "the factor cache)]\n"
       "            [--faults=drop:0.05,corrupt:0.01,... --fault_seed "
       "--repair=0|1 --max_jump --sigma_growth --checkpoint=F]\n"
       "  score:    --in=F --patterns=F [--grid --delta]\n"

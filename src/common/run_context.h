@@ -66,7 +66,7 @@ class CancellationToken {
 
 /// Run-control contract carried through the whole mining stack: a
 /// cooperative cancellation token, an optional wall-clock deadline, and
-/// an optional memory budget for the engine's column arena.  A
+/// an optional memory budget for the engine's factor arena.  A
 /// default-constructed context never stops anything, so threading it
 /// through unconditionally costs one atomic load per poll.
 ///
@@ -77,7 +77,7 @@ class CancellationToken {
 ///  - The last checkpoint the sink received (always an iteration
 ///    boundary) stays the valid resume point; resuming from it
 ///    reproduces the uninterrupted run's answer bit-identically.
-///  - The memory budget bounds the engine's column-arena bytes: warm-up
+///  - The memory budget bounds the engine's factor-arena bytes: warm-up
 ///    first sheds least-recently-used slabs and the batch API shrinks
 ///    its chunk size before giving up with `kMemoryBudgetExceeded`.
 struct RunContext {
@@ -90,7 +90,7 @@ struct RunContext {
   bool has_deadline = false;
   Clock::time_point deadline{};
 
-  /// Upper bound on the engine's column-arena bytes (0 = unlimited).
+  /// Upper bound on the engine's factor-arena bytes (0 = unlimited).
   uint64_t memory_budget_bytes = 0;
 
   /// Arms the deadline `ms` milliseconds from now.

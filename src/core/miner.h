@@ -136,7 +136,8 @@ struct MinerStats : MiningCounters {
   size_t peak_queue_size = 0;
   size_t alphabet_size = 0;
   double seconds = 0.0;
-  /// Distinct cells with a cached column when mining finished.
+  /// Factor vectors the engine held when mining finished (two per cell
+  /// at most; one per grid column and row under the rectangular model).
   size_t cells_cached = 0;
   /// Heap bytes of the score memo when mining finished (also the
   /// `miner.memo_bytes` gauge, updated every round).

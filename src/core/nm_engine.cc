@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstring>
 #include <new>
-#include <unordered_set>
 #include <utility>
 
 #if __has_include(<sys/mman.h>)
@@ -25,16 +24,18 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-/// `cell_slot_` sentinels: not materialized, and staged-by-this-warm-up
+/// `factor_slot_` sentinels: not computed, and staged-by-this-warm-up
 /// (a dedup marker that never survives a WarmCells call).
 constexpr int32_t kNoSlot = -1;
 constexpr int32_t kStagedSlot = -2;
 
-/// Cache budget of one walk tile: the batch's distinct columns restricted
-/// to a tile fit in it.  One core's L2 on the 4-core x86-64 VM the walk
-/// was measured on, where 1-4 MiB scanned alike and 0.5 MiB was slower
-/// (per-tile costs); a constant, so the plan never depends on the host.
-constexpr size_t kTileBytes = size_t{2} << 20;
+/// Cache budget of one walk tile: the batch's distinct factor vectors
+/// restricted to a tile fit in it.  The factored fold is bound by its
+/// arithmetic in cache, not by memory, and on the 4-core x86-64 VM the
+/// walk was measured on 0.5 MiB beat 1 and 2 MiB on `bus_pipeline` and
+/// tied them on `zebra_scan` (DESIGN.md 4d); a constant, so the plan never
+/// depends on the host.
+constexpr size_t kTileBytes = size_t{1} << 19;
 
 /// Most candidates one walk slice holds, so that a large first-cell
 /// group still spreads over the lanes.
@@ -113,7 +114,11 @@ NmEngine::NmEngine(const TrajectoryDataset& data, const MiningSpace& space)
     py_.push_back(p.mean.y);
     sigma_.push_back(p.sigma);
   }
-  cell_slot_.assign(static_cast<size_t>(space_.grid.num_cells()), kNoSlot);
+  const size_t num_factors =
+      space_.model == IndifferenceModel::kRectangular
+          ? static_cast<size_t>(space_.grid.nx() + space_.grid.ny())
+          : static_cast<size_t>(space_.grid.num_cells()) + 1;
+  factor_slot_.assign(num_factors, kNoSlot);
 }
 
 NmEngine::~NmEngine() = default;
@@ -130,18 +135,53 @@ Status NmEngine::ValidateScorable(const Pattern& p) {
   return Status::Ok();
 }
 
-void NmEngine::ComputeColumnInto(CellId cell, double* out,
+std::pair<int32_t, int32_t> NmEngine::FactorIds(CellId cell) const {
+  const Grid& grid = space_.grid;
+  if (space_.model == IndifferenceModel::kRectangular) {
+    return {grid.ColumnOf(cell), grid.nx() + grid.RowOf(cell)};
+  }
+  return {cell, grid.num_cells()};
+}
+
+void NmEngine::ComputeFactorInto(int32_t id, double* out,
                                  std::vector<double>* dist) const {
+  const Grid& grid = space_.grid;
+  const double delta = space_.delta;
   const size_t n = stride_;
-  const Point2 center = space_.grid.CenterOf(cell);
+  if (space_.model == IndifferenceModel::kRectangular) {
+    // `CenterOf` derives center.x purely from the column index and
+    // center.y purely from the row index, so every cell of a grid column
+    // (row) shares these doubles with `MiningSpace::LogProb` bit for bit.
+    if (id < grid.nx()) {
+      const double cx = grid.CenterOf(grid.At(id, 0)).x;
+      LogNormalIntervalProbBatch(px_.data(), sigma_.data(), cx - delta,
+                                 cx + delta, out, n);
+    } else {
+      const double cy = grid.CenterOf(grid.At(0, id - grid.nx())).y;
+      LogNormalIntervalProbBatch(py_.data(), sigma_.data(), cy - delta,
+                                 cy + delta, out, n);
+    }
+    return;
+  }
+  if (id == grid.num_cells()) {
+    std::fill(out, out + n, 0.0);
+    return;
+  }
+  const Point2 center = grid.CenterOf(id);
   // One cheap distance pass, then the batched Rice-CDF quadrature, then
   // the log in place.
   if (dist->size() < n) dist->resize(n);
   for (size_t g = 0; g < n; ++g) {
     (*dist)[g] = Distance(flat_points_[g].mean, center);
   }
-  RadialWithinProbBatch(dist->data(), sigma_.data(), space_.delta, out, n);
+  RadialWithinProbBatch(dist->data(), sigma_.data(), delta, out, n);
   for (size_t g = 0; g < n; ++g) out[g] = SafeLog(out[g]);
+}
+
+const double* NmEngine::ResidentFactor(int32_t id) const {
+  const int32_t slot = factor_slot_[static_cast<size_t>(id)];
+  assert(slot >= 0);  // the walk only reads warm vectors
+  return FactorBase(slot);
 }
 
 bool NmEngine::GrowArena(size_t new_alloc) const {
@@ -152,11 +192,11 @@ bool NmEngine::GrowArena(size_t new_alloc) const {
   }
   try {
     DoubleBuffer grown = AllocateDoubles(new_alloc * stride_);
-    slot_cell_.resize(new_alloc, kWildcardCell);
+    slot_factor_.resize(new_alloc, kNoSlot);
     slot_last_use_.resize(new_alloc, 0);
-    // Free slabs hold no column, and may never have been written.
+    // Free slabs hold no vector, and may never have been written.
     for (size_t s = 0; s < allocated_slots_ && stride_ > 0; ++s) {
-      if (slot_cell_[s] == kWildcardCell) continue;
+      if (slot_factor_[s] == kNoSlot) continue;
       std::memcpy(grown.get() + s * stride_, arena_.get() + s * stride_,
                   column_bytes());
     }
@@ -171,24 +211,24 @@ bool NmEngine::GrowArena(size_t new_alloc) const {
 
 size_t NmEngine::EvictLruSlots(size_t count, uint64_t protect_tick) const {
   if (count == 0 || num_slots_ == 0) return 0;
-  // (stamp, cell) of every evictable resident slot; sorting gives
-  // LRU-first with a CellId tiebreak, so the victim set is a pure
+  // (stamp, factor id) of every evictable resident slot; sorting gives
+  // LRU-first with a factor-id tiebreak, so the victim set is a pure
   // function of the request history — independent of thread count.
-  std::vector<std::pair<uint64_t, CellId>> order;
+  std::vector<std::pair<uint64_t, int32_t>> order;
   order.reserve(num_slots_);
   for (size_t s = 0; s < allocated_slots_; ++s) {
-    const CellId c = slot_cell_[s];
-    if (c == kWildcardCell) continue;                 // free slab
+    const int32_t f = slot_factor_[s];
+    if (f == kNoSlot) continue;                       // free slab
     if (slot_last_use_[s] == protect_tick) continue;  // current request
-    order.emplace_back(slot_last_use_[s], c);
+    order.emplace_back(slot_last_use_[s], f);
   }
   std::sort(order.begin(), order.end());
   const size_t n = std::min(count, order.size());
   for (size_t i = 0; i < n; ++i) {
-    const CellId c = order[i].second;
-    const int32_t slot = cell_slot_[static_cast<size_t>(c)];
-    cell_slot_[static_cast<size_t>(c)] = kNoSlot;
-    slot_cell_[static_cast<size_t>(slot)] = kWildcardCell;
+    const int32_t f = order[i].second;
+    const int32_t slot = factor_slot_[static_cast<size_t>(f)];
+    factor_slot_[static_cast<size_t>(f)] = kNoSlot;
+    slot_factor_[static_cast<size_t>(slot)] = kNoSlot;
     free_slots_.push_back(slot);
     --num_slots_;
     ++cells_evicted_;
@@ -198,7 +238,7 @@ size_t NmEngine::EvictLruSlots(size_t count, uint64_t protect_tick) const {
 }
 
 void NmEngine::WarmPattern(const Pattern& p) const {
-  // A pattern with a cell outside the grid is unscorable: no column.
+  // A pattern with a cell outside the grid is unscorable: no vectors.
   if (PatternCellOutsideGrid(p.cells(), space_.grid)) return;
   WarmStats ws;
   WarmCells(p.cells(), 1, &ws);
@@ -207,8 +247,7 @@ void NmEngine::WarmPattern(const Pattern& p) const {
 }
 
 double NmEngine::TotalOne(const Pattern& p, Measure measure) const {
-  ++num_pattern_evaluations_;
-  // Fill any missing columns while still serial, then walk the batch of
+  // Fill any missing vectors while still serial, then walk the batch of
   // one with the read-only code the batch path runs.
   WarmPattern(p);
   double out = 0.0;
@@ -227,10 +266,11 @@ double NmEngine::MatchTotal(const Pattern& p) const {
 
 struct NmEngine::WalkPlan {
   /// Batch indices of the walked candidates, sorted by cells (ties by
-  /// index), and per walk position k the candidate's column base
-  /// pointers (nullptr for a wildcard) at [col_begin[k], col_begin[k+1]).
+  /// index), and per walk position k the base pointers of the candidate's
+  /// two factor vectors per pattern position (nullptr for a wildcard) at
+  /// [col_begin[k], col_begin[k+1]) of `fx` and `fy`.
   std::vector<size_t> order;
-  std::vector<const double*> cols;
+  std::vector<const double*> fx, fy;
   std::vector<size_t> col_begin;
   /// Running dataset total per walk position.
   std::vector<double> acc;
@@ -266,33 +306,38 @@ void NmEngine::PlanWalk(std::span<const Pattern> patterns, Measure measure,
     return cmp != 0 ? cmp < 0 : a < b;
   });
 
-  // Resolve every column once, counting the distinct ones.
-  std::vector<char> seen(allocated_slots_, 0);
+  // Resolve every factor vector once, counting the distinct ones.
+  std::vector<char> seen(factor_slot_.size(), 0);
   size_t distinct = 0;
+  const auto resolve = [&](int32_t id) {
+    if (!seen[static_cast<size_t>(id)]) {
+      seen[static_cast<size_t>(id)] = 1;
+      ++distinct;
+    }
+    return ResidentFactor(id);
+  };
   plan->col_begin.reserve(plan->order.size() + 1);
   for (const size_t i : plan->order) {
     const Pattern& p = patterns[i];
-    plan->col_begin.push_back(plan->cols.size());
+    plan->col_begin.push_back(plan->fx.size());
     plan->max_length = std::max(plan->max_length, p.length());
     for (const CellId c : p.cells()) {
       if (c == kWildcardCell) {
-        plan->cols.push_back(nullptr);
+        plan->fx.push_back(nullptr);
+        plan->fy.push_back(nullptr);
         continue;
       }
-      const int32_t slot = cell_slot_[static_cast<size_t>(c)];
-      assert(slot >= 0);  // the walk only reads warm columns
-      plan->cols.push_back(ColumnBase(slot));
-      if (!seen[static_cast<size_t>(slot)]) {
-        seen[static_cast<size_t>(slot)] = 1;
-        ++distinct;
-      }
+      const auto [x, y] = FactorIds(c);
+      plan->fx.push_back(resolve(x));
+      plan->fy.push_back(resolve(y));
     }
   }
-  plan->col_begin.push_back(plan->cols.size());
+  plan->col_begin.push_back(plan->fx.size());
   plan->acc.assign(plan->order.size(), 0.0);
 
   // Tiles of whole trajectories, each as long as keeps the distinct
-  // columns restricted to it within kTileBytes (one trajectory at least).
+  // factor vectors restricted to it within kTileBytes (one trajectory at
+  // least).
   const size_t tile_points = std::max<size_t>(
       1, kTileBytes / (std::max<size_t>(distinct, 1) * sizeof(double)));
   const size_t n = data_->size();
@@ -342,7 +387,8 @@ void NmEngine::WalkSlice(std::span<const Pattern> patterns, Measure measure,
        ++k) {
     const Pattern& p = patterns[plan->order[k]];
     const size_t m = p.length();
-    const double* const* cols = plan->cols.data() + plan->col_begin[k];
+    const double* const* fx = plan->fx.data() + plan->col_begin[k];
+    const double* const* fy = plan->fy.data() + plan->col_begin[k];
     size_t last = m;  // last specified position, m if none
     for (size_t j = m; j-- > 0;) {
       if (p[j] != kWildcardCell) {
@@ -366,14 +412,16 @@ void NmEngine::WalkSlice(std::span<const Pattern> patterns, Measure measure,
         ws->computed[j] = 0;
         if (p[j] == kWildcardCell) {
           ws->sums[j] = below;
-        } else if (below == nullptr) {
-          // The first specified column is its own prefix sum (0.0 + x ==
-          // x; columns never hold -0.0): read it in place.
-          ws->sums[j] = cols[j] + j + p0;
-        } else {
-          double* level = ws->levels.data() + j * plan->level_stride;
-          simd::AddTo(level, below, cols[j] + j + p0, tile_points - j);
-          ws->sums[j] = level;
+          continue;
+        }
+        // With no level below, the fold materializes the first specified
+        // position's floored factor sum: its own prefix sum (0.0 + x ==
+        // x; it is never -0.0), counted as neither built nor reused.
+        double* level = ws->levels.data() + j * plan->level_stride;
+        simd::FoldFactors(level, below, fx[j] + j + p0, fy[j] + j + p0,
+                          tile_points - j);
+        ws->sums[j] = level;
+        if (below != nullptr) {
           ws->computed[j] = 1;
           ++ws->built;
         }
@@ -391,10 +439,10 @@ void NmEngine::WalkSlice(std::span<const Pattern> patterns, Measure measure,
       } else if (last == m) {
         total += 1.0;  // all-wildcard Match: every window is exp(0)
       } else {
-        // The last specified column is fused into the max scan.
-        const double best =
-            simd::FusedMaxSum(sums == nullptr ? nullptr : sums + (off - p0),
-                              cols[last] + off + last, len - m + 1);
+        // The last specified position is fused into the max scan.
+        const double best = simd::FusedMaxSum(
+            sums == nullptr ? nullptr : sums + (off - p0),
+            fx[last] + off + last, fy[last] + off + last, len - m + 1);
         total += nm ? best / spec : std::exp(best);
       }
     }
@@ -420,7 +468,7 @@ void NmEngine::Walk(std::span<const Pattern> patterns, Measure measure,
     ws.reused = 0;
   }
   // Tile-major: every slice finishes a tile before any starts the next,
-  // so the tile's columns serve the whole batch from cache and each
+  // so the tile's factor vectors serve the whole batch from cache and each
   // running total grows in ascending trajectory order.
   const size_t num_tiles = plan.tiles.size() - 1;
   for (size_t t = 0; t < num_tiles; ++t) {
@@ -458,87 +506,6 @@ ThreadPool* NmEngine::PoolFor(int threads) const {
   return pool_.get();
 }
 
-void NmEngine::WarmRectangularFactored(const std::vector<CellId>& missing,
-                                       const std::vector<int32_t>& slots,
-                                       ThreadPool* pool, const RunContext* run,
-                                       std::vector<char>* done) const {
-  const Grid& grid = space_.grid;
-  const double delta = space_.delta;
-  // First-seen-order dedup of the grid columns/rows the batch touches;
-  // dense maps because nx/ny are small next to the dataset.
-  std::vector<int32_t> col_slot(static_cast<size_t>(grid.nx()), -1);
-  std::vector<int32_t> row_slot(static_cast<size_t>(grid.ny()), -1);
-  std::vector<int> cols, rows;
-  for (CellId c : missing) {
-    const int col = grid.ColumnOf(c);
-    const int row = grid.RowOf(c);
-    if (col_slot[static_cast<size_t>(col)] < 0) {
-      col_slot[static_cast<size_t>(col)] = static_cast<int32_t>(cols.size());
-      cols.push_back(col);
-    }
-    if (row_slot[static_cast<size_t>(row)] < 0) {
-      row_slot[static_cast<size_t>(row)] = static_cast<int32_t>(rows.size());
-      rows.push_back(row);
-    }
-  }
-  // Phase 1: one batched 1-D log-factor pass per distinct grid
-  // column/row.  `CenterOf` derives center.x purely from the column
-  // index and center.y purely from the row index, so every cell sharing
-  // a grid column shares these doubles bit-for-bit — this is where the
-  // erfc- and log-bound cost collapses from O(cells) to O(cols + rows)
-  // passes.
-  const DoubleBuffer fx = AllocateDoubles(cols.size() * stride_);
-  const DoubleBuffer fy = AllocateDoubles(rows.size() * stride_);
-  // Under run control a factor pass can be skipped mid-batch; a cell's
-  // column is complete only if its grid-column factor, grid-row factor,
-  // AND product pass all ran, so factor completion is tracked too.
-  std::vector<char> part_done(run != nullptr ? cols.size() + rows.size() : 0,
-                              0);
-  ParallelFor(
-      pool, cols.size() + rows.size(),
-      [&](size_t i, int) {
-        if (i < cols.size()) {
-          const double cx = grid.CenterOf(grid.At(cols[i], 0)).x;
-          LogNormalIntervalProbBatch(px_.data(), sigma_.data(), cx - delta,
-                                     cx + delta, fx.get() + i * stride_,
-                                     stride_);
-        } else {
-          const size_t r = i - cols.size();
-          const double cy = grid.CenterOf(grid.At(0, rows[r])).y;
-          LogNormalIntervalProbBatch(py_.data(), sigma_.data(), cy - delta,
-                                     cy + delta, fy.get() + r * stride_,
-                                     stride_);
-        }
-        if (run != nullptr) part_done[i] = 1;
-      },
-      run);
-  // Phase 2: one add-and-max pass per cell into the cell's own slab.  It
-  // adds the exact same factors `MiningSpace::LogProb` would, so the
-  // columns are bit-identical to the unfactored path for any thread count
-  // and order.
-  ParallelFor(
-      pool, missing.size(),
-      [&](size_t i, int) {
-        const CellId c = missing[i];
-        const size_t ci =
-            static_cast<size_t>(col_slot[static_cast<size_t>(grid.ColumnOf(c))]);
-        const size_t ri =
-            static_cast<size_t>(row_slot[static_cast<size_t>(grid.RowOf(c))]);
-        if (run != nullptr &&
-            (!part_done[ci] || !part_done[cols.size() + ri])) {
-          return;  // a factor was skipped by the stop: leave the cell cold
-        }
-        const double* px = fx.get() + ci * stride_;
-        const double* py = fy.get() + ri * stride_;
-        double* out = ColumnBase(slots[i]);
-        for (size_t g = 0; g < stride_; ++g) {
-          out[g] = AddLogFactors(px[g], py[g]);
-        }
-        if (done != nullptr) (*done)[i] = 1;
-      },
-      run);
-}
-
 size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
                            WarmStats* stats, const RunContext* run) const {
   WarmStats ws;
@@ -546,17 +513,22 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
   // (hits now, publishes below), so budget eviction can tell "needed by
   // the in-flight request" apart from "left behind by earlier ones".
   const uint64_t tick = ++warm_tick_;
-  std::vector<CellId> missing;
-  for (CellId c : cells) {
-    if (!space_.grid.IsValid(c)) continue;  // a wildcard, or no slot
-    int32_t& slot = cell_slot_[static_cast<size_t>(c)];
-    if (slot != kNoSlot) {  // materialized, or staged just below
+  std::vector<int32_t> missing;  // factor ids, in first-seen order
+  const auto request = [&](int32_t id) {
+    int32_t& slot = factor_slot_[static_cast<size_t>(id)];
+    if (slot != kNoSlot) {  // computed, or staged just below
       if (slot >= 0) slot_last_use_[static_cast<size_t>(slot)] = tick;
       ++ws.hits;
-      continue;
+      return;
     }
     slot = kStagedSlot;
-    missing.push_back(c);
+    missing.push_back(id);
+  };
+  for (CellId c : cells) {
+    if (!space_.grid.IsValid(c)) continue;  // a wildcard, or no vectors
+    const auto [x, y] = FactorIds(c);
+    request(x);
+    request(y);
   }
   ws.misses = missing.size();
   if (missing.empty()) {
@@ -565,14 +537,14 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
   }
   // Early-out path: revert the staging marks (nothing was published).
   const auto bail = [&](StopReason why) -> size_t {
-    for (CellId c : missing) cell_slot_[static_cast<size_t>(c)] = kNoSlot;
+    for (int32_t f : missing) factor_slot_[static_cast<size_t>(f)] = kNoSlot;
     ws.stop = why;
     if (stats != nullptr) *stats = ws;
     return 0;
   };
 
   // Memory budget: the resident set after this request must fit.  Shed
-  // LRU columns first — never ones this request just hit, they carry the
+  // LRU vectors first — never ones this request just hit, they carry the
   // current tick — and give up only if the request alone overflows.
   if (run != nullptr && run->memory_budget_bytes > 0 && stride_ > 0) {
     const size_t budget_slots =
@@ -595,7 +567,7 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
   // pre-existing slabs and `arena_` never moves while they run;
   // slot assignment also stays on the calling thread — a single ordered
   // publish after the fills — so the slot table never needs a lock,
-  // readers never see a torn update, and the cell->slot assignment is a
+  // readers never see a torn update, and the factor->slot assignment is a
   // pure function of arrival order, independent of how the fills
   // interleaved.
   const size_t reuse = std::min(free_slots_.size(), missing.size());
@@ -613,38 +585,34 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
 
   ThreadPool* pool = PoolFor(ResolveThreadCount(num_threads));
   // Without run control every fill completes; with it, `done` records
-  // which columns finished before a stop.
+  // which vectors finished before a stop.  Each fill writes straight
+  // into its own slab.
   std::vector<char> done(missing.size(), run == nullptr ? 1 : 0);
-  if (space_.model == IndifferenceModel::kRectangular) {
-    WarmRectangularFactored(missing, slots, pool, run,
-                            run == nullptr ? nullptr : &done);
-  } else {
-    const int lanes = pool == nullptr ? 1 : pool->size();
-    std::vector<std::vector<double>> dist(static_cast<size_t>(lanes));
-    ParallelFor(
-        pool, missing.size(),
-        [&](size_t i, int worker) {
-          ComputeColumnInto(missing[i], ColumnBase(slots[i]),
-                            &dist[static_cast<size_t>(worker)]);
-          if (run != nullptr) done[i] = 1;
-        },
-        run);
-  }
+  std::vector<std::vector<double>> dist(
+      static_cast<size_t>(pool == nullptr ? 1 : pool->size()));
+  ParallelFor(
+      pool, missing.size(),
+      [&](size_t i, int worker) {
+        ComputeFactorInto(missing[i], FactorBase(slots[i]),
+                          &dist[static_cast<size_t>(worker)]);
+        if (run != nullptr) done[i] = 1;
+      },
+      run);
 
-  // Ordered publish.  Columns a stop skipped revert to cold and their
+  // Ordered publish.  Vectors a stop skipped revert to cold and their
   // slabs go back to the free list; publishing only the completed subset
-  // is consistent because a column is a pure function of (cell, dataset,
-  // space) — whoever warms it later gets the identical bits.
+  // is consistent because a vector is a pure function of (factor id,
+  // dataset, space) — whoever warms it later gets the identical bits.
   size_t published = 0;
   for (size_t i = 0; i < missing.size(); ++i) {
     const size_t slot = static_cast<size_t>(slots[i]);
     if (done[i]) {
-      cell_slot_[static_cast<size_t>(missing[i])] = slots[i];
-      slot_cell_[slot] = missing[i];
+      factor_slot_[static_cast<size_t>(missing[i])] = slots[i];
+      slot_factor_[slot] = missing[i];
       slot_last_use_[slot] = tick;
       ++published;
     } else {
-      cell_slot_[static_cast<size_t>(missing[i])] = kNoSlot;
+      factor_slot_[static_cast<size_t>(missing[i])] = kNoSlot;
       free_slots_.push_back(slots[i]);
     }
   }
@@ -678,30 +646,34 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
   }
 
   // Chunking: with a memory budget the batch is split so each chunk's
-  // distinct-cell working set fits the arena budget (boundaries are a
-  // pure function of the pattern list and the budget — deterministic);
+  // distinct factor vectors fit the arena budget (boundaries are a pure
+  // function of the pattern list and the budget — deterministic);
   // without one the whole batch is one chunk, the exact pre-budget
   // code path.
   std::vector<std::pair<size_t, size_t>> chunks;
   if (run != nullptr && run->memory_budget_bytes > 0 && stride_ > 0) {
     const size_t budget_slots =
         static_cast<size_t>(run->memory_budget_bytes / column_bytes());
-    std::unordered_set<CellId> chunk_cells;
-    std::vector<CellId> pat_cells;
+    std::vector<char> in_chunk(factor_slot_.size(), 0);
+    std::vector<int32_t> chunk_factors;
+    std::vector<int32_t> pat_factors;
     size_t begin = 0;
     for (size_t i = 0; i < patterns.size(); ++i) {
-      pat_cells.clear();
-      // Unscorable without columns; see PlanWalk.
+      pat_factors.clear();
+      // Unscorable without vectors; see PlanWalk.
       if (PatternCellOutsideGrid(patterns[i].cells(), space_.grid)) continue;
       for (size_t j = 0; j < patterns[i].length(); ++j) {
         const CellId c = patterns[i][j];
         if (c == kWildcardCell) continue;
-        if (std::find(pat_cells.begin(), pat_cells.end(), c) ==
-            pat_cells.end()) {
-          pat_cells.push_back(c);
+        const auto [x, y] = FactorIds(c);
+        for (const int32_t f : {x, y}) {
+          if (std::find(pat_factors.begin(), pat_factors.end(), f) ==
+              pat_factors.end()) {
+            pat_factors.push_back(f);
+          }
         }
       }
-      if (pat_cells.size() > budget_slots) {
+      if (pat_factors.size() > budget_slots) {
         // A single pattern overflows the budget by itself: no chunking
         // or eviction can ever score it.
         out_stats.stop = StopReason::kMemoryBudgetExceeded;
@@ -709,15 +681,23 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
         return out;
       }
       size_t newly = 0;
-      for (CellId c : pat_cells) {
-        if (chunk_cells.count(c) == 0) ++newly;
+      for (const int32_t f : pat_factors) {
+        newly += in_chunk[static_cast<size_t>(f)] == 0;
       }
-      if (i > begin && chunk_cells.size() + newly > budget_slots) {
+      if (i > begin && chunk_factors.size() + newly > budget_slots) {
         chunks.emplace_back(begin, i);
-        chunk_cells.clear();
+        for (const int32_t f : chunk_factors) {
+          in_chunk[static_cast<size_t>(f)] = 0;
+        }
+        chunk_factors.clear();
         begin = i;
       }
-      for (CellId c : pat_cells) chunk_cells.insert(c);
+      for (const int32_t f : pat_factors) {
+        if (!in_chunk[static_cast<size_t>(f)]) {
+          in_chunk[static_cast<size_t>(f)] = 1;
+          chunk_factors.push_back(f);
+        }
+      }
     }
     chunks.emplace_back(begin, patterns.size());
   } else {
@@ -735,9 +715,9 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
     timer.Reset();
     bool warm_stopped = false;
     {
-      // Warm-up: every column any candidate of the chunk needs exists
-      // before a worker runs, so the scoring region below only reads
-      // the arena.
+      // Warm-up: every factor vector any candidate of the chunk needs
+      // exists before a worker runs, so the scoring region below only
+      // reads the arena.
       TP_TRACE_SPAN("nm/warmup");
       std::vector<CellId> needed;
       for (size_t i = cb; i < ce; ++i) {
@@ -767,7 +747,6 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
            pool, run, walk_scratch, out.data() + cb, &out_stats);
     }
     out_stats.scoring_seconds += timer.Seconds();
-    num_pattern_evaluations_ += static_cast<int64_t>(ce - cb);
     if (run != nullptr) {
       const StopReason sr = run->CheckStop();
       if (sr != StopReason::kNone) {
@@ -797,7 +776,6 @@ std::vector<double> NmEngine::MatchTotalBatch(
 
 double NmEngine::NmTotalWithGaps(const Pattern& p, int max_gap) const {
   assert(max_gap >= 0);
-  ++num_pattern_evaluations_;
   const size_t m = p.length();
   // Unscorable: see ValidateScorable and PatternCellOutsideGrid.
   if (p.SpecifiedCount() == 0 ||
@@ -805,13 +783,22 @@ double NmEngine::NmTotalWithGaps(const Pattern& p, int max_gap) const {
     return kNegInf;
   }
   WarmPattern(p);
-  // Every column is resident now, so no base pointer can move.
-  std::vector<const double*> cols;
+  // Every factor vector is resident now, so no base pointer can move.
+  std::vector<const double*> fx, fy;
   for (const CellId c : p.cells()) {
-    cols.push_back(c == kWildcardCell
-                       ? nullptr
-                       : ColumnBase(cell_slot_[static_cast<size_t>(c)]));
+    if (c == kWildcardCell) {
+      fx.push_back(nullptr);
+      fy.push_back(nullptr);
+      continue;
+    }
+    const auto [x, y] = FactorIds(c);
+    fx.push_back(ResidentFactor(x));
+    fy.push_back(ResidentFactor(y));
   }
+  // Position j's log prob at global snapshot g; 0 (log 1) for a wildcard.
+  const auto logp = [&](size_t j, size_t g) {
+    return fx[j] != nullptr ? AddLogFactors(fx[j][g], fy[j][g]) : 0.0;
+  };
   double total = 0.0;
   for (size_t i = 0; i < data_->size(); ++i) {
     const size_t off = offsets_[i];
@@ -823,7 +810,7 @@ double NmEngine::NmTotalWithGaps(const Pattern& p, int max_gap) const {
     // dp[s]: best log-sum of p_0..p_j with p_j matched at snapshot s.
     std::vector<double> dp(len), prev(len);
     for (size_t s = 0; s < len; ++s) {
-      prev[s] = cols[0] != nullptr ? cols[0][off + s] : 0.0;
+      prev[s] = logp(0, off + s);
     }
     for (size_t j = 1; j < m; ++j) {
       for (size_t s = 0; s < len; ++s) {
@@ -837,7 +824,7 @@ double NmEngine::NmTotalWithGaps(const Pattern& p, int max_gap) const {
             best_prev = std::max(best_prev, prev[sp]);
           }
         }
-        const double here = cols[j] != nullptr ? cols[j][off + s] : 0.0;
+        const double here = logp(j, off + s);
         dp[s] = best_prev == kNegInf ? kNegInf : best_prev + here;
       }
       std::swap(dp, prev);

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/run_context.h"
@@ -22,19 +23,20 @@ namespace trajpattern {
 /// path of §4.4's complexity analysis): the serial-side cache warm-up
 /// versus the multi-threaded candidate scoring.
 struct BatchScoreStats {
-  /// Seconds spent materializing missing cell columns before scoring.
+  /// Seconds spent computing missing log-factor vectors before scoring.
   double warmup_seconds = 0.0;
   /// Seconds spent scoring candidates (parallel region).
   double scoring_seconds = 0.0;
-  /// Cell columns newly cached by this call's warm-up (the incremental
-  /// miss set: cells no earlier batch touched).
+  /// Factor vectors newly cached by this call's warm-up (the incremental
+  /// miss set: vectors no earlier batch needed).
   size_t cells_warmed = 0;
-  /// Warm-up requests satisfied by an already-resident column (the hit
-  /// side of the incremental warm-up; wildcards excluded).
+  /// Factor-vector requests satisfied by an already-resident vector (the
+  /// hit side of the incremental warm-up; two requests per non-wildcard
+  /// position).
   size_t cells_hit = 0;
   /// Worker count the call actually ran with.
   int threads_used = 1;
-  /// Arena columns shed (LRU) to keep the run under its memory budget.
+  /// Factor vectors shed (LRU) to keep the run under its memory budget.
   size_t cells_evicted = 0;
   /// Sub-batches the call was split into to fit the budget (1 == the
   /// whole batch ran as one chunk, the no-budget fast path).
@@ -42,11 +44,12 @@ struct BatchScoreStats {
   /// Dataset tiles the shared-prefix walk cut its chunks into, summed
   /// over chunks.
   int tiles = 0;
-  /// Prefix window-sum levels the walk computed (one `simd::AddTo` pass
-  /// over a tile each) and levels it took over from the previous
+  /// Prefix window-sum levels the walk computed (one `simd::FoldFactors`
+  /// pass over a tile each) and levels it took over from the previous
   /// candidate of its slice instead, both summed over tiles.  A level
-  /// folds one more specified column into a sum of at least one; the
-  /// first specified column is read in place and counts as neither.
+  /// folds one more specified position into a sum of at least one; the
+  /// first specified position's level is materialized from its factors
+  /// and counts as neither.
   int64_t prefix_levels_built = 0;
   int64_t prefix_levels_reused = 0;
   /// Why the call stopped early (`kNone` == it completed).  When set,
@@ -75,35 +78,43 @@ inline void AccumulateBatch(const BatchScoreStats& batch, MiningCounters* c) {
 /// center(c), delta), as `MiningSpace::LogProb` defines it: under the
 /// rectangular model max(log Px + log Py, LogFloor()) of two floored
 /// per-axis log factors, so every entry lies in [LogFloor(), 0] and is
-/// never -0.0.  The engine caches one flat column per cell the first time
-/// the cell is scored, so the cost of evaluating many candidate patterns
-/// over the same few hundred live cells amortizes to array lookups.
-/// Columns live in one contiguous arena (`arena_`), one slab of
-/// `TotalPoints()` doubles per cell, found through a dense
-/// CellId-indexed slot table — resolving a pattern position is a single
-/// indexed load, not a hash probe.  The arena is never zero-filled: the
-/// parallel warm-up is the first touch of its pages.  Trajectories
-/// shorter than the pattern contribute the log floor to NM sums and 0 to
-/// match sums (they cannot host a window).
+/// never -0.0.  Px depends only on the cell's grid column and Py only on
+/// its grid row, so the engine caches floored 1-D log-factor vectors, not
+/// per-cell columns: one vector of `TotalPoints()` doubles per grid
+/// column (factor ids [0, nx)) and per grid row ([nx, nx + ny)), each
+/// computed the first time a cell needs it.  The walk folds a cell's two
+/// vectors as it reads them (`simd::FoldFactors`, `simd::FusedMaxSum`),
+/// so no per-cell column is ever stored.  The radial model does not
+/// factor: a cell's first vector is its own log-prob column (id = the
+/// cell) and its second is one shared all-+0.0 vector (id = the cell
+/// count); AddLogFactors(v, +0.0) == v bit for bit for every column
+/// entry, so one kernel serves both models.
+/// Vectors live in one contiguous arena (`arena_`), one slab each, found
+/// through a dense factor-id-indexed slot table — resolving a pattern
+/// position is two indexed loads, not a hash probe.  The arena is never
+/// zero-filled: the warm-up is the first touch of its pages.
+/// Trajectories shorter than the pattern contribute the log floor to NM
+/// sums and 0 to match sums (they cannot host a window).
 ///
 /// Threading contract: every entry point fills the arena through
-/// `WarmCells` before it reads a column.  The per-pattern entry points
+/// `WarmCells` before it reads a vector.  The per-pattern entry points
 /// (`NmTotal`, `MatchTotal`, `NmTotalWithGaps`) warm one pattern's cells
 /// serially and therefore must only be called from one thread at a time.
 /// The batch entry points (`NmTotalBatch`, `MatchTotalBatch`) pre-warm
-/// every column their candidate set needs before any scoring worker
-/// starts — the warm-up itself fans distinct cells out over the pool into
-/// disjoint slabs and publishes the slot table serially — then fan the
-/// scan out over the same pool; scoring workers only ever *read* the
+/// every vector their candidate set needs before any scoring worker
+/// starts — the warm-up itself fans distinct vectors out over the pool
+/// into disjoint slabs and publishes the slot table serially — then fan
+/// the scan out over the same pool; scoring workers only ever *read* the
 /// arena.
 ///
 /// Dataset totals (`NmTotal`, `MatchTotal` and the batch entry points;
 /// one pattern is a batch of one) all run the shared-prefix tiled walk:
 /// the candidates are sorted by cells, the dataset is cut into tiles of
-/// whole trajectories small enough that the batch's columns restricted
-/// to one tile stay in cache, and each tile's window sums are built once
-/// per distinct prefix and shared by every candidate extending it.
-/// Every level is the same left fold of the same columns, and every
+/// whole trajectories small enough that the batch's factor vectors
+/// restricted to one tile stay in cache, and each tile's window sums are
+/// built once per distinct prefix and shared by every candidate
+/// extending it.  Every level is the same left fold of the same floored
+/// factor sums, and every
 /// total adds its per-trajectory terms in ascending trajectory order, so
 /// results are bit-identical to a window-major sum of point-at-a-time
 /// log probabilities (the reference in src/testing/reference_scorer.h)
@@ -118,8 +129,8 @@ inline void AccumulateBatch(const BatchScoreStats& batch, MiningCounters* c) {
 /// 0/0) instead of asserting.  Match does not normalize and remains
 /// defined for them.  A pattern with a cell outside the grid (see
 /// `PatternCellOutsideGrid`), such as one mined on a finer grid, has no
-/// column slot: every entry point scores it as unscorable too (NM
-/// -infinity, Match 0) and warms no column for it.
+/// factor vectors: every entry point scores it as unscorable too (NM
+/// -infinity, Match 0) and warms nothing for it.
 class NmEngine {
  public:
   NmEngine(const TrajectoryDataset& data, const MiningSpace& space);
@@ -142,22 +153,25 @@ class NmEngine {
   /// positions — see `Pattern::SpecifiedCount` — and `LogFloor()` for a
   /// trajectory shorter than `P`.  -infinity if `P` fails
   /// `ValidateScorable`.  Throws `std::bad_alloc` when the arena cannot
-  /// grow to hold the pattern's columns, as do `MatchTotal` and
+  /// grow to hold the pattern's factor vectors, as do `MatchTotal` and
   /// `NmTotalWithGaps`.
   double NmTotal(const Pattern& p) const;
 
   /// Scores a whole candidate generation at once: out[i] == NmTotal(
   /// patterns[i]), bit-identical to the serial calls, computed on
   /// `num_threads` workers (0 = hardware concurrency, 1 = inline serial).
-  /// Missing cell columns are warmed before any worker starts, which is
+  /// Missing factor vectors are warmed before any worker starts, which is
   /// what makes the scoring region read-only and race-free.
   ///
   /// `run` (optional) threads the run-control contract through the call:
   /// scoring workers poll its token/deadline before claiming each
-  /// candidate, warm-up polls it between phases, and a non-zero
-  /// `memory_budget_bytes` caps the column arena — the call splits the
-  /// batch into chunks whose working sets fit the budget and sheds
-  /// least-recently-used columns between chunks.  Chunk boundaries are a
+  /// candidate, warm-up polls it before each vector, and a non-zero
+  /// `memory_budget_bytes` caps the factor arena — the call splits the
+  /// batch into chunks whose distinct factor vectors fit the budget and
+  /// sheds least-recently-used vectors between chunks.  A pattern whose
+  /// own vectors (at most 2 per specified position under the rectangular
+  /// model, its cells plus one under the radial) exceed the budget stops
+  /// the call with `kMemoryBudgetExceeded`.  Chunk boundaries are a
   /// pure function of the pattern list and the budget, and every chunk
   /// uses the serial reduction order, so budgeted results stay
   /// bit-identical to unbudgeted ones.  On an early stop the call
@@ -184,45 +198,46 @@ class NmEngine {
   /// normalization).  Computed by dynamic programming per trajectory.
   double NmTotalWithGaps(const Pattern& p, int max_gap) const;
 
-  /// Hit/miss split of one `WarmCells` call: every entry of the request
-  /// that is a cell of the grid either hit an already-resident (or
-  /// already-staged, for in-request duplicates) column or missed and was
-  /// materialized.
+  /// Hit/miss split of one `WarmCells` call: each cell of the request
+  /// that is a cell of the grid asks for its two factor vectors, and each
+  /// ask either hit an already-resident (or already-staged, for
+  /// in-request duplicates) vector or missed and was computed.
   struct WarmStats {
     size_t hits = 0;
     size_t misses = 0;
-    /// Columns shed (LRU, excluding ones this request touched) to fit
-    /// the run's memory budget.
+    /// Factor vectors shed (LRU, excluding ones this request touched) to
+    /// fit the run's memory budget.
     size_t evicted = 0;
     /// Why the warm-up stopped early (`kNone` == it completed).  On a
-    /// stop nothing half-filled is published: columns that finished
+    /// stop nothing half-filled is published: vectors that finished
     /// before the stop are installed, the rest stay cold, and the
     /// return value counts only the published ones.
     StopReason stop = StopReason::kNone;
   };
 
-  /// Materializes the log-prob columns of `cells` that are not cached
-  /// yet.  Warm-up is parallel and incremental: the missing cells are
-  /// deduplicated against the resident set (so per-batch calls warm only
-  /// the delta), the arena is grown once, distinct columns are filled on
-  /// distinct `num_threads` workers — each into its own pre-reserved
-  /// slab, under the rectangular model from x/y-factored batched log
-  /// factors — and a single serial, ordered publish step installs
-  /// the new slots into the dense CellId->slot table.  Column contents
-  /// depend only on (cell, dataset, space), so results are bit-identical
-  /// for any thread count and any warm order.  Returns the number of
-  /// columns added — 0, with the arena untouched, when every cell is
-  /// already warm.  Wildcards and cells outside the grid are skipped.
-  /// This is the warm-up step of every scoring entry point, exposed for
-  /// callers that know their working set up front.
+  /// Computes the factor vectors that `cells` need and that are not
+  /// cached yet.  Warm-up is parallel and incremental: each cell maps to
+  /// its two factor ids, the missing ids are deduplicated against the
+  /// resident set (so per-batch calls warm only the delta), the arena is
+  /// grown once, distinct vectors are filled on distinct `num_threads`
+  /// workers — each into its own pre-reserved slab, one batched
+  /// `LogNormalIntervalProbBatch` pass per grid column or row under the
+  /// rectangular model — and a single serial, ordered publish step
+  /// installs the new slots into the dense factor-id->slot table.  Vector
+  /// contents depend only on (factor id, dataset, space), so results are
+  /// bit-identical for any thread count and any warm order.  Returns the
+  /// number of factor vectors added — 0, with the arena untouched, when
+  /// every one is already warm.  Wildcards and cells outside the grid are
+  /// skipped.  This is the warm-up step of every scoring entry point,
+  /// exposed for callers that know their working set up front.
   /// Not itself thread-safe: callers serialize calls (the entry points
   /// do) and workers only read.
   /// `run` (optional) adds run control: the fill fan-out polls the
-  /// context before each column, a memory budget evicts
-  /// least-recently-used resident columns (never ones this request
+  /// context before each vector, a memory budget evicts
+  /// least-recently-used resident vectors (never ones this request
   /// needs) before growing the arena, and arena growth failure — real
   /// `std::bad_alloc` or an injected fault — reports `kAllocFailed`
-  /// instead of throwing.  Columns are pure functions of (cell,
+  /// instead of throwing.  Vectors are pure functions of (factor id,
   /// dataset, space), so publishing only the completed subset after a
   /// stop keeps the cache consistent.
   size_t WarmCells(const std::vector<CellId>& cells, int num_threads = 1,
@@ -235,28 +250,20 @@ class NmEngine {
   /// almost all of G is empty and scoring it would be pure waste.
   std::vector<CellId> TouchedCells(double radius_sigmas = 3.0) const;
 
-  /// Number of pattern-vs-dataset scorings performed (for the benches).
-  int64_t num_pattern_evaluations() const { return num_pattern_evaluations_; }
-  /// Number of distinct cells with a cached log-prob column.
+  /// Number of resident factor vectors (at most nx + ny under the
+  /// rectangular model).
   size_t num_cached_cells() const { return num_slots_; }
-  /// The cached log-prob column of `cell`, one entry per snapshot in
-  /// trajectory order; empty when the cell is not cached.  Valid until the
-  /// next call that warms or evicts a column.
-  std::span<const double> ResidentColumn(CellId cell) const {
-    if (!space_.grid.IsValid(cell)) return {};
-    const int32_t slot = cell_slot_[static_cast<size_t>(cell)];
-    if (slot < 0) return {};
-    return {ColumnBase(slot), stride_};
-  }
 
-  /// Bytes of one cell column (the arena's allocation granularity).
+  /// Bytes of one factor vector, one double per snapshot (the arena's
+  /// allocation granularity; a memory budget is a count of these).
   size_t column_bytes() const { return stride_ * sizeof(double); }
-  /// High-water mark of the arena bytes allocated: resident columns plus
-  /// free-listed slabs awaiting reuse.  A memory budget bounds the
-  /// allocated bytes, so this never exceeds a budget that was in force
-  /// for the engine's whole life.
+  /// High-water mark of the factor arena bytes allocated: resident
+  /// vectors plus free-listed slabs awaiting reuse.  A memory budget
+  /// bounds the allocated bytes, so this never exceeds a budget that was
+  /// in force for the engine's whole life.
   size_t arena_peak_bytes() const { return peak_slots_ * column_bytes(); }
-  /// Columns shed by memory-budget eviction over the engine's life.
+  /// Factor vectors shed by memory-budget eviction over the engine's
+  /// life.
   size_t cells_evicted() const { return cells_evicted_; }
 
   /// Test hook: called with the would-be arena byte size before every
@@ -291,7 +298,7 @@ class NmEngine {
   /// Per-lane state of the shared-prefix walk, reused across calls: the
   /// tile-local prefix window-sum buffers (one per pattern position),
   /// and per position the base pointer of that prefix's sums (nullptr
-  /// while no specified column has been folded in), the cell it was
+  /// while no specified position has been folded in), the cell it was
   /// built for, and whether it is a computed level.
   struct WalkScratch {
     std::vector<double> levels;
@@ -307,52 +314,39 @@ class NmEngine {
   /// worker count.
   struct WalkPlan;
 
-  /// Writes the radial-model log-prob column for `cell` into
-  /// `out[0, TotalPoints())`, column-at-a-time through the batched
-  /// `RadialWithinProbBatch` instead of point-at-a-time.  `dist` is the
-  /// caller-owned scratch for the center distances, so parallel warm-up
-  /// workers each bring their own.
-  void ComputeColumnInto(CellId cell, double* out,
+  /// The two factor ids of grid cell `cell`: (column, nx + row) under the
+  /// rectangular model, (cell, num_cells) under the radial one.
+  std::pair<int32_t, int32_t> FactorIds(CellId cell) const;
+
+  /// Writes factor vector `id` into `out[0, TotalPoints())`: under the
+  /// rectangular model one batched `LogNormalIntervalProbBatch` pass over
+  /// the x (or y) means, the floored 1-D log factor `MiningSpace::LogProb`
+  /// adds; under the radial model the cell's `SafeLog` column through the
+  /// batched `RadialWithinProbBatch`, or the all-+0.0 vector.  `dist` is
+  /// the caller-owned scratch for the radial center distances, so
+  /// parallel warm-up workers each bring their own.
+  void ComputeFactorInto(int32_t id, double* out,
                          std::vector<double>* dist) const;
 
-  /// Fills the slabs [base, base + missing.size()) of the pre-grown
-  /// arena with the columns of `missing` under the rectangular model,
-  /// factored: the column of cell (cx, cy) is AddLogFactors(log Px,
-  /// log Py) where Px depends only on the grid column and Py only on the
-  /// grid row, so the floored 1-D log factors (the erfc- and log-bound
-  /// part) are computed once per distinct grid column/row in the batch
-  /// and shared by every cell in it.  Factor passes and per-cell
-  /// add-and-max passes each fan out over `pool`; each output depends
-  /// only on its own inputs, so the result is bit-identical at any thread
-  /// count — and to `MiningSpace::LogProb`, which adds the exact same
-  /// doubles.
-  /// `slots[i]` is the (pre-reserved, possibly non-contiguous) arena
-  /// slot for `missing[i]`.  With a non-null `run`, both fan-outs poll
-  /// it and `done[i]` records whether cell i's column was fully
-  /// computed (its grid-column factor, grid-row factor, and product
-  /// pass all completed); without `run`, every column completes.
-  void WarmRectangularFactored(const std::vector<CellId>& missing,
-                               const std::vector<int32_t>& slots,
-                               ThreadPool* pool, const RunContext* run,
-                               std::vector<char>* done) const;
-
-  /// Base pointer of the column in `slot`.
-  double* ColumnBase(int32_t slot) const {
+  /// Base pointer of the factor vector in `slot`.
+  double* FactorBase(int32_t slot) const {
     return arena_.get() + static_cast<size_t>(slot) * stride_;
   }
+  /// Base pointer of resident factor vector `id`.
+  const double* ResidentFactor(int32_t id) const;
 
-  /// Warms `p`'s columns through `WarmCells`, serially and without run
-  /// control, for the per-pattern entry points.  They have no Status
+  /// Warms `p`'s factor vectors through `WarmCells`, serially and without
+  /// run control, for the per-pattern entry points.  They have no Status
   /// channel, so a failed arena growth (real or injected) throws
-  /// `std::bad_alloc`, with no column of the failed request published.
+  /// `std::bad_alloc`, with no vector of the failed request published.
   void WarmPattern(const Pattern& p) const;
 
-  /// `NmTotal`/`MatchTotal`: warms the pattern's columns, then scores it
-  /// as a walk of one.
+  /// `NmTotal`/`MatchTotal`: warms the pattern's factor vectors, then
+  /// scores it as a walk of one.
   double TotalOne(const Pattern& p, Measure measure) const;
 
-  /// Shared-prefix tiled walk of `patterns`, whose columns must all be
-  /// resident: out[i] gets pattern i's dataset total.  The lanes of
+  /// Shared-prefix tiled walk of `patterns`, whose factor vectors must all
+  /// be resident: out[i] gets pattern i's dataset total.  The lanes of
   /// `pool` claim slices one tile at a time; a stop from `run` between
   /// tiles returns with `out` unwritten (the caller reports the stop and
   /// discards the batch).  `scratch` holds one entry per lane.  Adds its
@@ -381,10 +375,10 @@ class NmEngine {
                                  Measure measure,
                                  const RunContext* run) const;
 
-  /// Evicts up to `count` resident columns, least-recently-used first
-  /// (ties broken by CellId for determinism), skipping columns stamped
-  /// with the in-progress request's `protect_tick`.  Freed slabs go to
-  /// `free_slots_` for reuse.  Returns how many were evicted.
+  /// Evicts up to `count` resident factor vectors, least-recently-used
+  /// first (ties broken by factor id for determinism), skipping vectors
+  /// stamped with the in-progress request's `protect_tick`.  Freed slabs
+  /// go to `free_slots_` for reuse.  Returns how many were evicted.
   size_t EvictLruSlots(size_t count, uint64_t protect_tick) const;
 
   /// Grows the arena to hold `new_alloc` slots (plus the slot-side
@@ -408,18 +402,18 @@ class NmEngine {
   /// dense inputs the batched prob evaluations stream over.
   std::vector<double> px_, py_, sigma_;
 
-  /// Column arena of `allocated_slots_ * stride_` doubles: slot s holds
-  /// the column of one cell in [s*stride_, (s+1)*stride_), stride_ ==
+  /// Factor arena of `allocated_slots_ * stride_` doubles: slot s holds
+  /// one factor vector in [s*stride_, (s+1)*stride_), stride_ ==
   /// flat_points_.size().  Warm-up appends slabs (reusing free-listed
   /// ones first); batch workers only read.  Only resident slabs are ever
   /// read: a slab is fully written before it is published, and a free
-  /// one holds no column.
+  /// one holds no vector.
   mutable DoubleBuffer arena_;
-  /// Dense CellId -> arena slot map (-1 == not materialized), sized to
-  /// the grid; replaces the hash probe of the old unordered_map cache.
-  mutable std::vector<int32_t> cell_slot_;
-  /// Number of resident columns (== num_cached_cells()).  With a memory
-  /// budget this can shrink (eviction); without one it only grows.
+  /// Dense factor id -> arena slot map (-1 == not computed): nx + ny ids
+  /// under the rectangular model, num_cells + 1 under the radial one.
+  mutable std::vector<int32_t> factor_slot_;
+  /// Number of resident factor vectors (== num_cached_cells()).  With a
+  /// memory budget this can shrink (eviction); without one it only grows.
   mutable size_t num_slots_ = 0;
   /// Slots the arena is sized for (resident + free-listed).
   mutable size_t allocated_slots_ = 0;
@@ -428,12 +422,12 @@ class NmEngine {
   /// Slabs freed by eviction (or unpublished after a stop), reused
   /// before the arena grows again.
   mutable std::vector<int32_t> free_slots_;
-  /// Reverse map: slot -> resident cell (-1 for free slots); sized with
-  /// the arena.  Lets eviction clear `cell_slot_` without a grid scan.
-  mutable std::vector<CellId> slot_cell_;
+  /// Reverse map: slot -> resident factor id (-1 for free slots); sized
+  /// with the arena.  Lets eviction clear `factor_slot_` without a scan.
+  mutable std::vector<int32_t> slot_factor_;
   /// Per-slot LRU stamp: the `warm_tick_` of the last request that
   /// touched the slot (hit or publish).  Eviction drops the smallest
-  /// stamps first, so a budgeted run sheds the cells the frontier left
+  /// stamps first, so a budgeted run sheds the vectors the frontier left
   /// behind.
   mutable std::vector<uint64_t> slot_last_use_;
   /// Monotone request counter driving `slot_last_use_`.
@@ -442,10 +436,9 @@ class NmEngine {
   mutable size_t cells_evicted_ = 0;
   /// Test hook simulating arena allocation failure (see setter).
   std::function<bool(size_t)> alloc_fault_hook_;
-  /// Column length: one double per flattened snapshot.
+  /// Factor vector length: one double per flattened snapshot.
   size_t stride_ = 0;
 
-  mutable int64_t num_pattern_evaluations_ = 0;
   mutable std::unique_ptr<ThreadPool> pool_;
   /// Walk scratch of the serial totals (`NmTotal`, `MatchTotal`).
   mutable WalkScratch walk_scratch_;
@@ -453,7 +446,8 @@ class NmEngine {
 
 /// The first cell of `cells` that is neither a wildcard nor a cell of
 /// `grid`; nullopt when every cell is one of them.  An engine has no
-/// column slot for such a cell, so it scores the pattern as unscorable.
+/// factor vectors for such a cell, so it scores the pattern as
+/// unscorable.
 std::optional<CellId> PatternCellOutsideGrid(std::span<const CellId> cells,
                                              const Grid& grid);
 

@@ -29,7 +29,7 @@ enum class JournalEventType {
   kOmegaTightened,
   /// A checkpoint was delivered to the sink at this boundary.
   kCheckpointWritten,
-  /// The engine shed arena columns to honor a memory budget.
+  /// The engine shed factor vectors to honor a memory budget.
   kCellsEvicted,
   /// The run ended; `stop_reason` is "none" for a clean finish.
   kRunStopped,

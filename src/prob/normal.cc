@@ -19,6 +19,13 @@ constexpr double kSqrt2 = 1.4142135623730951;
 /// 5.7e-300, above the floor.
 constexpr double kFloorSigmas = 38.0;
 
+/// Distance from the mean, in sigmas, beyond which a CDF term cannot move
+/// the interval probability.  Phi(z) rounds to exactly 1.0 for every
+/// z > 8.5 (1 - Phi(8.5) = 9.5e-18 is below half an ulp of 1.0), and
+/// Phi(-8.5) = 9.5e-18 < 2^-55 is below half an ulp of any value >= 0.5,
+/// so subtracting it from Phi(hi) with hi >= 0 rounds back to Phi(hi).
+constexpr double kTailSigmas = 8.5;
+
 // Integrand of the Rice CDF in the numerically stable scaled form:
 //   f(r) = (r / sigma^2) * exp(-(r - nu)^2 / (2 sigma^2)) * I0e(r nu / s^2)
 // where I0e(x) = I0(x) exp(-x).  Expanding exp(-(r^2+nu^2)/(2s^2)) I0(..)
@@ -43,14 +50,24 @@ inline double NormalIntervalProbImpl(double mean, double sigma, double a,
 }
 
 /// The one per-element body behind `LogNormalIntervalProb` and its batch
-/// form, for the same reason as `NormalIntervalProbImpl`.  The two
-/// early returns give the value SafeLog would: see kFloorSigmas.  A NaN
-/// mean fails both tests and takes the full path.
+/// form, for the same reason as `NormalIntervalProbImpl`.  The early
+/// returns give the bits the full path would (see kFloorSigmas and
+/// kTailSigmas), skipping one or both erfc calls:
+///   lo > 8.5:              both CDF terms are 1.0, so the floor;
+///   hi < -38:              the floor;
+///   lo < -8.5, hi > 8.5:   1.0 - Phi(lo) == 1.0, so log 1 = +0.0;
+///   lo < -8.5, hi >= 0:    Phi(hi) - Phi(lo) == Phi(hi).
+/// A NaN mean fails every test and takes the full path.
 inline double LogNormalIntervalProbImpl(double mean, double sigma, double a,
                                         double b) {
-  if (sigma > 0.0 && ((a - mean) / sigma > kFloorSigmas ||
-                      (b - mean) / sigma < -kFloorSigmas)) {
-    return LogFloor();
+  if (sigma > 0.0) {
+    const double lo = (a - mean) / sigma;
+    const double hi = (b - mean) / sigma;
+    if (lo > kTailSigmas || hi < -kFloorSigmas) return LogFloor();
+    if (lo < -kTailSigmas) {
+      if (hi > kTailSigmas) return 0.0;
+      if (hi >= 0.0) return std::log(StdNormalCdf(hi));
+    }
   }
   const double p = NormalIntervalProbImpl(mean, sigma, a, b);
   return p < kProbFloor ? LogFloor() : std::log(p);

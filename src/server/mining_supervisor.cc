@@ -101,8 +101,8 @@ SupervisorReport MiningSupervisor::Run() {
           std::to_string(options_.miner.k));
       return report;
     }
-    // A cell past the engine's grid would index past its column slot
-    // table.  The reader cannot tell: it does not know the grid.
+    // A cell past the engine's grid has no factor vectors in the
+    // engine.  The reader cannot tell: it does not know the grid.
     const Grid& grid = engine_->space().grid;
     const std::optional<CellId> outside =
         s.ok() ? CheckpointCellOutsideGrid(cp, grid) : std::nullopt;

@@ -24,10 +24,10 @@ struct MiningCounters {
   /// scanned (`SplitBound` in core/miner.h).  0 for the baselines.
   /// Checkpoint v2 carries it.
   int64_t candidates_pruned = 0;
-  /// Engine arena columns shed (LRU) to honor a memory budget (0 unless
+  /// Engine factor vectors shed (LRU) to honor a memory budget (0 unless
   /// the run carried one; see `RunContext::memory_budget_bytes`).
   int64_t cells_evicted = 0;
-  /// Time spent materializing cell columns (serial side of the batches).
+  /// Time spent computing factor vectors (serial side of the batches).
   double warmup_seconds = 0.0;
   /// Time spent scoring candidates (the parallel region).
   double scoring_seconds = 0.0;

@@ -402,11 +402,11 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
     }
   }
 
-  // --- Oracle (e), warm-order determinism: column contents depend only
-  // on (cell, dataset, space), so engines warmed in shuffled orders and
-  // on different thread counts must score bit-identically to one warmed
-  // in canonical order on one thread — and re-warming the resident set
-  // must be a pure no-op that materializes nothing.
+  // --- Oracle (e), warm-order determinism: factor vectors depend only
+  // on (factor id, dataset, space), so engines warmed in shuffled orders
+  // and on different thread counts must score bit-identically to one
+  // warmed in canonical order on one thread — and re-warming the
+  // resident set must be a pure no-op that computes nothing.
   if (!alphabet.empty()) {
     report.warm_order_checked = true;
     const std::vector<Pattern> samples = SamplePatterns(inst, alphabet);
@@ -414,16 +414,29 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
     for (const Pattern& p : samples) {
       if (NmEngine::ValidateScorable(p).ok()) scorable.push_back(p);
     }
+    // Each distinct cell needs two factor vectors: its grid column's and
+    // its grid row's under the rectangular model, its own column and the
+    // shared all-+0.0 vector under the radial one.
+    size_t vectors = alphabet.size() + 1;
+    if (space.model == IndifferenceModel::kRectangular) {
+      std::set<int> cols, rows;
+      for (const CellId c : alphabet) {
+        cols.insert(space.grid.ColumnOf(c));
+        rows.insert(space.grid.RowOf(c));
+      }
+      vectors = cols.size() + rows.size();
+    }
     NmEngine warm_ref(data, space);
     const size_t warmed = warm_ref.WarmCells(alphabet, 1);
-    if (warmed != alphabet.size()) {
-      fail("first warm-up materialized " + std::to_string(warmed) + " of " +
+    if (warmed != vectors) {
+      fail("first warm-up computed " + std::to_string(warmed) + " of the " +
+           std::to_string(vectors) + " factor vectors of " +
            std::to_string(alphabet.size()) + " distinct cells");
       return report;
     }
     NmEngine::WarmStats rewarm;
     if (warm_ref.WarmCells(alphabet, 1, &rewarm) != 0 ||
-        rewarm.misses != 0 || rewarm.hits != alphabet.size()) {
+        rewarm.misses != 0 || rewarm.hits != 2 * alphabet.size()) {
       fail("re-warming the resident set was not a counted no-op: " +
            std::to_string(rewarm.hits) + " hits, " +
            std::to_string(rewarm.misses) + " misses");

@@ -46,10 +46,10 @@ struct OracleReport {
 ///      counters that neither double-count nor vanish.
 ///  (d) threads: 1 worker vs the instance's N workers — same top-k,
 ///      same counters.
-///  (e) warm order: engines whose column cache was warmed in shuffled
+///  (e) warm order: engines whose factor cache was warmed in shuffled
 ///      orders and on different thread counts score bit-identically to
 ///      one warmed in canonical order on one thread, and re-warming the
-///      resident set materializes nothing (the incremental contract).
+///      resident set computes nothing (the incremental contract).
 ///  (g) memo bounds: in the reference run's final memo (captured through
 ///      its last checkpoint) every value is >= the `ReferenceScorer`'s
 ///      NM, and every value that is not bit-equal to it lies below the

@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "common/run_context.h"
 #include "core/miner.h"
 #include "core/mining_space.h"
 #include "core/nm_engine.h"
@@ -14,6 +15,7 @@
 #include "datagen/uniform_generator.h"
 #include "datagen/zebranet_generator.h"
 #include "prob/log_space.h"
+#include "prob/normal.h"
 #include "prob/rng.h"
 #include "testing/reference_scorer.h"
 #include "trajectory/transform.h"
@@ -261,11 +263,15 @@ TEST(NmEngineTest, TouchedCellsClampsPointsOutsideTheGridAndHugeSigmas) {
   EXPECT_EQ(wide_engine.TouchedCells(3.0), all);
 }
 
-// Every column entry is finite, in [LogFloor(), 0] and never -0.0: the
-// walk reads a first column in place as its own prefix sum, and the AVX2
-// kernels reassociate max, which both rely on.  Each entry is also the
-// bits of MiningSpace::LogProb, whether the factored batch warm-up or the
-// serial per-cell path built it.
+// Every log-prob entry the walk folds is finite, in [LogFloor(), 0] and
+// never -0.0: the walk materializes a first specified position as its own
+// prefix sum, and the AVX2 kernels reassociate max, which both rely on.
+// Under the rectangular model each entry is AddLogFactors of two floored
+// 1-D log factors, the bits of `LogNormalIntervalProb` that the engine's
+// factor table holds.  The singular scores the engine builds from that
+// table, from a batch warm-up on 2 threads or one pattern at a time (and
+// through the gap DP), are each trajectory's best entry summed in
+// trajectory order, bit for bit.
 TEST(NmEngineTest, ColumnEntriesLieInTheFlooredLogDomain) {
   const TrajectoryDataset zebra = ZebraData();
   const TrajectoryDataset velocity = VelocityData();
@@ -273,41 +279,52 @@ TEST(NmEngineTest, ColumnEntriesLieInTheFlooredLogDomain) {
     const TrajectoryDataset* data;
     MiningSpace space;
   } cases[] = {{&zebra, ZebraSpace()}, {&velocity, VelocitySpace(velocity)}};
+  const auto in_domain = [](double e) {
+    return e >= LogFloor() && e <= 0.0 && !(e == 0.0 && std::signbit(e));
+  };
   size_t total_floored = 0;
   for (const auto& c : cases) {
-    std::vector<const TrajectoryPoint*> points;
-    for (const auto& t : *c.data) {
-      for (const auto& pt : t) points.push_back(&pt);
-    }
-    std::vector<CellId> cells(static_cast<size_t>(c.space.grid.num_cells()));
-    for (CellId cell = 0; cell < c.space.grid.num_cells(); ++cell) {
+    const Grid& grid = c.space.grid;
+    const double delta = c.space.delta;
+    std::vector<CellId> cells(static_cast<size_t>(grid.num_cells()));
+    std::vector<Pattern> singulars;
+    for (CellId cell = 0; cell < grid.num_cells(); ++cell) {
       cells[static_cast<size_t>(cell)] = cell;
+      singulars.emplace_back(cell);
     }
     NmEngine batch(*c.data, c.space);
-    ASSERT_EQ(batch.WarmCells(cells, 2), cells.size());
+    ASSERT_EQ(batch.WarmCells(cells, 2),
+              static_cast<size_t>(grid.nx() + grid.ny()));
+    const std::vector<double> batch_nm = batch.NmTotalBatch(singulars, 2);
     NmEngine serial(*c.data, c.space);
     size_t floored = 0;
     size_t entries = 0;
     for (const CellId cell : cells) {
-      serial.NmTotalWithGaps(Pattern(cell), 0);  // warms one column
-      const std::span<const double> col = batch.ResidentColumn(cell);
-      const std::span<const double> lazy = serial.ResidentColumn(cell);
-      ASSERT_EQ(col.size(), points.size());
-      ASSERT_EQ(lazy.size(), points.size());
-      for (size_t g = 0; g < col.size(); ++g) {
-        const double e = col[g];
-        ASSERT_GE(e, LogFloor()) << "cell " << cell << " entry " << g;
-        ASSERT_LE(e, 0.0) << "cell " << cell << " entry " << g;
-        ASSERT_FALSE(e == 0.0 && std::signbit(e))
-            << "cell " << cell << " entry " << g;
-        const double want = c.space.LogProb(*points[g], cell);
-        ASSERT_EQ(std::memcmp(&e, &want, sizeof(double)), 0)
-            << "cell " << cell << " entry " << g;
-        ASSERT_EQ(std::memcmp(&lazy[g], &want, sizeof(double)), 0)
-            << "cell " << cell << " entry " << g;
-        floored += e == LogFloor();
-        ++entries;
+      const Point2 center = grid.CenterOf(cell);
+      double want = 0.0;
+      for (const auto& t : *c.data) {
+        double best = -std::numeric_limits<double>::infinity();
+        for (const auto& pt : t) {
+          const double fx = LogNormalIntervalProb(
+              pt.mean.x, pt.sigma, center.x - delta, center.x + delta);
+          const double fy = LogNormalIntervalProb(
+              pt.mean.y, pt.sigma, center.y - delta, center.y + delta);
+          ASSERT_TRUE(in_domain(fx)) << "cell " << cell << ": " << fx;
+          ASSERT_TRUE(in_domain(fy)) << "cell " << cell << ": " << fy;
+          const double e = c.space.LogProb(pt, cell);
+          ASSERT_TRUE(in_domain(e)) << "cell " << cell << ": " << e;
+          ASSERT_TRUE(BitEq(e, AddLogFactors(fx, fy))) << "cell " << cell;
+          best = std::max(best, e);
+          floored += e == LogFloor();
+          ++entries;
+        }
+        want += best;  // a singular's NM is its best entry over 1
       }
+      const size_t i = static_cast<size_t>(cell);
+      EXPECT_TRUE(BitEq(batch_nm[i], want)) << "cell " << cell;
+      EXPECT_TRUE(BitEq(serial.NmTotal(singulars[i]), want)) << "cell " << cell;
+      EXPECT_TRUE(BitEq(serial.NmTotalWithGaps(singulars[i], 0), want))
+          << "cell " << cell;
     }
     // Both the floored and the unfloored side of the domain are covered
     // (the velocity grid spans only ~11 sigma, so it floors little).
@@ -321,25 +338,24 @@ TEST(NmEngineTest, CountersTrackWork) {
   const MiningSpace space = TestSpace();
   const TrajectoryDataset d = OneTrajectory({{0.1, 0.1}, {0.6, 0.6}});
   NmEngine engine(d, space);
-  EXPECT_EQ(engine.num_pattern_evaluations(), 0);
   EXPECT_EQ(engine.num_cached_cells(), 0u);
   const CellId a = space.grid.CellOf(Point2(0.1, 0.1));
   const CellId b = space.grid.CellOf(Point2(0.6, 0.6));
   engine.NmTotal(Pattern(a));
-  EXPECT_EQ(engine.num_pattern_evaluations(), 1);
-  EXPECT_EQ(engine.num_cached_cells(), 1u);
-  // Re-scoring the same cell reuses its column.
-  engine.NmTotal(Pattern(std::vector<CellId>{a, a}));
-  EXPECT_EQ(engine.num_cached_cells(), 1u);
-  engine.MatchTotal(Pattern(b));
-  EXPECT_EQ(engine.num_pattern_evaluations(), 3);
+  // The cache holds factor vectors: a's grid column and grid row.
   EXPECT_EQ(engine.num_cached_cells(), 2u);
+  // Re-scoring the same cell reuses its vectors.
+  engine.NmTotal(Pattern(std::vector<CellId>{a, a}));
+  EXPECT_EQ(engine.num_cached_cells(), 2u);
+  // b shares neither a's column nor a's row.
+  engine.MatchTotal(Pattern(b));
+  EXPECT_EQ(engine.num_cached_cells(), 4u);
 }
 
 // A cell outside the grid (a pattern mined on a finer grid, or a corrupt
-// pattern file) has no column slot.  Every entry point scores such a
-// pattern as unscorable (NM -inf, Match 0) and warms no column for it,
-// and the other patterns of a batch keep their bits.
+// pattern file) has no factor vectors.  Every entry point scores such a
+// pattern as unscorable (NM -inf, Match 0) and warms nothing for it, and
+// the other patterns of a batch keep their bits.
 TEST(NmEngineTest, PatternsWithCellsOutsideTheGridAreUnscorable) {
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   const MiningSpace space = TestSpace();  // 4x4: cells 0-15
@@ -366,15 +382,16 @@ TEST(NmEngineTest, PatternsWithCellsOutsideTheGridAreUnscorable) {
       EXPECT_EQ(engine.NmTotalWithGaps(p, 2), kNegInf) << p.ToString();
       EXPECT_EQ(engine.num_cached_cells(), 0u) << p.ToString();
     }
-    // In a batch, at 1 and 4 threads, and under a budget of two columns
-    // that the out-of-grid patterns' own cells would overflow.
+    // In a batch, at 1 and 4 threads, and under a budget of the four
+    // factor vectors of a and b (a column and a row each), which the
+    // out-of-grid patterns' own cells would overflow.
     const std::vector<Pattern> batch = {ab, outside[0], outside[1], ba,
                                         outside[2]};
     for (const int threads : {1, 4}) {
       for (const bool budget : {false, true}) {
         NmEngine engine(d, space);
         RunContext run;
-        if (budget) run.memory_budget_bytes = 2 * engine.column_bytes();
+        if (budget) run.memory_budget_bytes = 4 * engine.column_bytes();
         BatchScoreStats stats;
         const std::vector<double> nm =
             engine.NmTotalBatch(batch, threads, &stats, &run);
@@ -382,7 +399,7 @@ TEST(NmEngineTest, PatternsWithCellsOutsideTheGridAreUnscorable) {
         const std::vector<double> match =
             engine.MatchTotalBatch(batch, threads, &stats, &run);
         EXPECT_EQ(stats.stop, StopReason::kNone);
-        EXPECT_EQ(engine.num_cached_cells(), 2u);
+        EXPECT_EQ(engine.num_cached_cells(), 4u);
         EXPECT_TRUE(BitEq(nm[0], nm_ab));
         EXPECT_TRUE(BitEq(nm[3], nm_ba));
         EXPECT_TRUE(BitEq(match[0], match_ab));
@@ -393,11 +410,122 @@ TEST(NmEngineTest, PatternsWithCellsOutsideTheGridAreUnscorable) {
         }
       }
     }
-    // Warming such a cell directly is a no-op.
+    // Warming such a cell directly is a no-op: only a's two vectors.
     NmEngine engine(d, space);
     NmEngine::WarmStats ws;
-    EXPECT_EQ(engine.WarmCells({a, bad}, 1, &ws), 1u);
-    EXPECT_EQ(ws.hits + ws.misses, 1u);
+    EXPECT_EQ(engine.WarmCells({a, bad}, 1, &ws), 2u);
+    EXPECT_EQ(ws.hits + ws.misses, 2u);
+  }
+}
+
+// The factor cache holds one vector per grid column and one per grid row
+// under the rectangular model, so a whole mine on a 10x10 grid never
+// allocates more than 20, however many cells it scores.
+TEST(NmEngineTest, FullMineKeepsAtMostOneVectorPerGridColumnAndRow) {
+  const TrajectoryDataset data = ZebraData();
+  const MiningSpace space = ZebraSpace();
+  NmEngine engine(data, space);
+  MinerOptions opt;
+  opt.k = 10;
+  opt.max_pattern_length = 4;
+  const MiningResult result = MineTrajPatterns(engine, opt);
+  ASSERT_FALSE(result.patterns.empty());
+  EXPECT_GT(engine.TouchedCells().size(), 20u);
+  EXPECT_LE(engine.arena_peak_bytes(), 20 * engine.column_bytes());
+  EXPECT_LE(engine.num_cached_cells(), 20u);
+  EXPECT_EQ(result.stats.cells_cached, engine.num_cached_cells());
+}
+
+// The radial model keeps a column per cell, paired with one shared +0.0
+// vector.  A budget of four vectors holds any pattern of up to three
+// distinct cells (its columns and the +0.0 vector), so a batch over many
+// cells is chunked and the columns are evicted LRU between chunks.  The
+// +0.0 vector is never the victim: every radial request that can evict
+// needs it, and eviction spares the request's own vectors.  The scores
+// stay the point-at-a-time reference's, bit for bit, and a pattern of
+// four distinct cells, whose five vectors exceed the budget, stops the
+// batch with the typed budget reason.
+TEST(NmEngineTest, RadialFactorCacheEvictsUnderABudgetAndKeepsItsBits) {
+  const MiningSpace space(Grid::UnitSquare(5), 0.2,
+                          IndifferenceModel::kRadial);
+  const UniformGeneratorOptions gopt{.num_objects = 12,
+                                     .num_snapshots = 9,
+                                     .seed = 29};
+  const TrajectoryDataset d = GenerateUniformObjects(gopt);
+  NmEngine engine(d, space);
+  ReferenceScorer reference(d, space);
+  const std::vector<CellId> cells = engine.TouchedCells();
+  ASSERT_GE(cells.size(), 8u);
+  const CellId w = kWildcardCell;
+  std::vector<Pattern> batch;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const CellId a = cells[i];
+    const CellId b = cells[(i + 1) % cells.size()];
+    const CellId c = cells[(i + 3) % cells.size()];
+    batch.emplace_back(a);
+    batch.emplace_back(std::vector<CellId>{a, b});
+    batch.emplace_back(std::vector<CellId>{a, w, c, b});
+    batch.emplace_back(std::vector<CellId>{c, a, c});
+  }
+  RunContext run;
+  run.memory_budget_bytes = 4 * engine.column_bytes();
+  for (const int threads : {1, 4}) {
+    BatchScoreStats nm_stats, match_stats;
+    const std::vector<double> nm =
+        engine.NmTotalBatch(batch, threads, &nm_stats, &run);
+    const std::vector<double> match =
+        engine.MatchTotalBatch(batch, threads, &match_stats, &run);
+    ASSERT_EQ(nm_stats.stop, StopReason::kNone);
+    ASSERT_EQ(match_stats.stop, StopReason::kNone);
+    EXPECT_GE(nm_stats.chunks, 2);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_TRUE(BitEq(nm[i], reference.NmTotal(batch[i])))
+          << threads << " threads, " << batch[i].ToString();
+      EXPECT_TRUE(BitEq(match[i], reference.MatchTotal(batch[i])))
+          << threads << " threads, " << batch[i].ToString();
+    }
+  }
+  EXPECT_GT(engine.cells_evicted(), 0u);
+  EXPECT_LE(engine.num_cached_cells(), 4u);
+  EXPECT_LE(engine.arena_peak_bytes(), run.memory_budget_bytes);
+
+  const Pattern four(
+      std::vector<CellId>{cells[0], cells[1], cells[2], cells[3]});
+  BatchScoreStats stats;
+  engine.NmTotalBatch({batch[0], four}, 1, &stats, &run);
+  EXPECT_EQ(stats.stop, StopReason::kMemoryBudgetExceeded);
+}
+
+// Under the rectangular model a pattern's working set is its distinct
+// grid columns plus its distinct grid rows.  A budget of exactly that
+// many vectors scores it with the unbudgeted bits; one vector less stops
+// the batch with kMemoryBudgetExceeded before anything is warmed.
+TEST(NmEngineTest, BudgetBelowOnePatternsFactorVectorsStops) {
+  const MiningSpace space = TestSpace(10, 0.08);
+  const TrajectoryDataset d = OneTrajectory(
+      {{0.05, 0.05}, {0.35, 0.55}, {0.75, 0.95}, {0.36, 0.52}, {0.05, 0.1}});
+  // Three cells in three grid columns and three grid rows, the first
+  // twice: six vectors.
+  const CellId a = space.grid.CellOf(Point2(0.05, 0.05));
+  const CellId b = space.grid.CellOf(Point2(0.35, 0.55));
+  const CellId c = space.grid.CellOf(Point2(0.75, 0.95));
+  const Pattern p(std::vector<CellId>{a, b, kWildcardCell, c, a});
+  NmEngine unbudgeted(d, space);
+  const double want = unbudgeted.NmTotal(p);
+  ASSERT_EQ(unbudgeted.num_cached_cells(), 6u);
+  for (const size_t vectors : {size_t{6}, size_t{5}}) {
+    NmEngine engine(d, space);
+    RunContext run;
+    run.memory_budget_bytes = vectors * engine.column_bytes();
+    BatchScoreStats stats;
+    const std::vector<double> got = engine.NmTotalBatch({p}, 1, &stats, &run);
+    if (vectors == 6) {
+      EXPECT_EQ(stats.stop, StopReason::kNone);
+      EXPECT_TRUE(BitEq(got[0], want));
+    } else {
+      EXPECT_EQ(stats.stop, StopReason::kMemoryBudgetExceeded);
+      EXPECT_EQ(engine.num_cached_cells(), 0u);
+    }
   }
 }
 

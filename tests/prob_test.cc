@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "prob/log_space.h"
@@ -163,6 +165,95 @@ TEST(LogNormalIntervalProbTest, FloorShortcutsMatchSafeLogOfProb) {
       expect_same(m, s, m - k * s - width, m - k * s);
     }
   }
+}
+
+/// `LogNormalIntervalProb` without any shortcut: the log of the clamped
+/// difference of both CDF terms, floored.
+double FullPathLogNormalIntervalProb(double mean, double sigma, double a,
+                                     double b) {
+  double p;
+  if (sigma <= 0.0) {
+    p = (mean >= a && mean <= b) ? 1.0 : 0.0;
+  } else {
+    const double lo = (a - mean) / sigma;
+    const double hi = (b - mean) / sigma;
+    p = std::clamp(StdNormalCdf(hi) - StdNormalCdf(lo), 0.0, 1.0);
+  }
+  return p < kProbFloor ? LogFloor() : std::log(p);
+}
+
+/// `z` and its 64 neighbours on each side, one ulp apart.
+std::vector<double> UlpNeighbourhood(double z) {
+  std::vector<double> out = {z};
+  double up = z, down = z;
+  for (int i = 0; i < 64; ++i) {
+    up = std::nextafter(up, std::numeric_limits<double>::infinity());
+    down = std::nextafter(down, -std::numeric_limits<double>::infinity());
+    out.push_back(up);
+    out.push_back(down);
+  }
+  return out;
+}
+
+// The tail shortcuts (lo > 8.5: the floor; lo < -8.5 with hi > 8.5: 0;
+// lo < -8.5 with hi >= 0: one erfc) and the 38-sigma floor return the
+// bits of the full path.  z sweeps across +-8.5 and +-38 in ulp steps
+// with mean 0 and sigma 1, where the standardized bounds are the bounds
+// themselves, then over a grid of (mean, sigma, a, b), with infinite
+// bounds and a NaN mean.
+TEST(LogNormalIntervalProbTest, TailShortcutsMatchTheFullPathBitForBit) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  size_t checked = 0;
+  const auto expect_same = [&](double mean, double sigma, double a, double b) {
+    if (!(a <= b)) return;
+    const double got = LogNormalIntervalProb(mean, sigma, a, b);
+    const double want = FullPathLogNormalIntervalProb(mean, sigma, a, b);
+    ++checked;
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << "mean=" << mean;
+      return;
+    }
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+        << std::hexfloat << "mean=" << mean << " sigma=" << sigma << " ["
+        << a << ", " << b << "]: got " << got << ", want " << want;
+  };
+  std::vector<double> partners = {-kInf, -40.0, -38.0, -9.0, -8.5,
+                                  -8.0,  -1.0,  -0.0,  0.0,  0.25,
+                                  1.0,   8.0,   8.5,   9.0,  38.0,
+                                  40.0,  kInf};
+  std::vector<double> sweep;
+  for (const double t : {-38.0, -8.5, 8.5, 38.0}) {
+    const std::vector<double> z = UlpNeighbourhood(t);
+    sweep.insert(sweep.end(), z.begin(), z.end());
+  }
+  partners.insert(partners.end(), sweep.begin(), sweep.end());
+  for (const double z : sweep) {
+    for (const double other : partners) {
+      expect_same(0.0, 1.0, z, other);  // z as the lower bound
+      expect_same(0.0, 1.0, other, z);  // z as the upper bound
+    }
+  }
+
+  const double means[] = {-1.5, 0.0, 0.3, 1e3};
+  const double sigmas[] = {1e-9, 0.006, 0.05, 1.0, 7.0};
+  const double zs[] = {-kInf, -40.0, -38.000001, -38.0, -37.999999, -20.0,
+                       -9.0, -8.500001, -8.5, -8.499999, -8.3, -8.1, -7.9,
+                       -3.0, 0.0, 0.5, 7.9, 8.1, 8.3, 8.499999, 8.5,
+                       8.500001, 9.0, 20.0, 38.0, 40.0, kInf};
+  for (const double mean : means) {
+    for (const double sigma : sigmas) {
+      for (const double za : zs) {
+        for (const double zb : zs) {
+          expect_same(mean, sigma, mean + za * sigma, mean + zb * sigma);
+        }
+      }
+    }
+  }
+  // A NaN mean fails every shortcut test and stays NaN, at any bounds.
+  for (const double za : zs) {
+    for (const double zb : zs) expect_same(std::nan(""), 0.01, za, zb);
+  }
+  EXPECT_GT(checked, 100000u);
 }
 
 TEST(RadialWithinProbBatchTest, BitIdenticalToScalarCalls) {

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,6 +39,17 @@ bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
     if (!BitEqual(a[i], b[i])) return false;
   }
   return true;
+}
+
+/// Factor vectors a rectangular engine keeps for `cells`: one per
+/// distinct grid column and one per distinct grid row.
+size_t FactorVectors(const Grid& grid, const std::vector<CellId>& cells) {
+  std::set<int> cols, rows;
+  for (const CellId c : cells) {
+    cols.insert(grid.ColumnOf(c));
+    rows.insert(grid.RowOf(c));
+  }
+  return cols.size() + rows.size();
 }
 
 TrajectoryDataset UniformData(int objects, int snapshots, uint64_t seed) {
@@ -159,12 +171,13 @@ TEST(WindowKernelTest, BatchMatchesSerialAcrossKernelsAndThreads) {
 
 /// Ragged trajectories over the unit square for the shared-prefix walk:
 /// every tenth is shorter than the longest patterns (so the log floor is
-/// reached), and there are enough snapshots that a batch touching every
-/// cell of a 10x10 grid walks them in several tiles.
+/// reached), and there are enough snapshots (about 14k) that a batch
+/// needing all 20 factor vectors of a 10x10 grid walks them in several
+/// tiles.
 TrajectoryDataset WalkData(uint64_t seed) {
   Rng rng(seed);
   TrajectoryDataset d;
-  for (int i = 0; i < 120; ++i) {
+  for (int i = 0; i < 180; ++i) {
     Trajectory t("w" + std::to_string(i));
     const int len =
         i % 10 == 0 ? rng.UniformInt(1, 4) : rng.UniformInt(60, 110);
@@ -180,7 +193,7 @@ TrajectoryDataset WalkData(uint64_t seed) {
 /// three cells and of length 1-3 over four, stems with interior, leading
 /// and trailing wildcards, exact duplicates, a strict-prefix pair, an
 /// all-wildcard pattern, and a singular of every touched cell (which
-/// widens the batch's column set, and so shortens its tiles).
+/// widens the batch's factor-vector set, and so shortens its tiles).
 std::vector<Pattern> PrefixHeavyBatch(const NmEngine& engine, uint64_t seed) {
   const std::vector<CellId> touched = engine.TouchedCells();
   EXPECT_GE(touched.size(), 40u);
@@ -262,10 +275,11 @@ TEST(WindowKernelTest, SharedPrefixWalkMatchesGatherBitwise) {
     EXPECT_GT(nm_stats.prefix_levels_reused, 0);
   }
 
-  // A 40-column budget splits the batch into chunks that each plan and
-  // walk on their own.
+  // A budget of 12 of the batch's 20 factor vectors (a pattern here has
+  // at most 4 distinct cells, so at most 8 vectors) splits the batch into
+  // chunks that each plan and walk on their own.
   RunContext run;
-  run.memory_budget_bytes = 40 * engine.column_bytes();
+  run.memory_budget_bytes = 12 * engine.column_bytes();
   NmEngine budgeted(d, space);
   for (const int threads : {1, 4}) {
     BatchScoreStats nm_stats, match_stats;
@@ -360,9 +374,10 @@ TEST(WindowKernelTest, EmptyDatasetScoresZeroAndWarmsNothing) {
   const TrajectoryDataset d;
   NmEngine engine(d, space);
   EXPECT_TRUE(engine.TouchedCells().empty());
-  EXPECT_EQ(engine.WarmCells({0, 1, 2}), 3u);
-  EXPECT_EQ(engine.num_cached_cells(), 3u);
-  // Zero-length columns: scoring sums over no trajectories.
+  // Cells 0-2 lie in grid columns 0-2 of grid row 0: four vectors.
+  EXPECT_EQ(engine.WarmCells({0, 1, 2}), 4u);
+  EXPECT_EQ(engine.num_cached_cells(), 4u);
+  // Zero-length vectors: scoring sums over no trajectories.
   EXPECT_EQ(engine.NmTotal(Pattern(CellId{0})), 0.0);
   EXPECT_EQ(engine.MatchTotal(Pattern(CellId{0})), 0.0);
 }
@@ -394,15 +409,16 @@ TEST(WindowKernelTest, RewarmingIsANoOp) {
   ASSERT_GE(cells.size(), 2u);
 
   const std::vector<CellId> two{cells[0], cells[1]};
-  EXPECT_EQ(engine.WarmCells(two), 2u);
-  EXPECT_EQ(engine.num_cached_cells(), 2u);
+  const size_t vectors = FactorVectors(space.grid, two);
+  EXPECT_EQ(engine.WarmCells(two), vectors);
+  EXPECT_EQ(engine.num_cached_cells(), vectors);
   // Re-warming (with duplicates) adds nothing and grows nothing.
   EXPECT_EQ(engine.WarmCells({cells[0], cells[1], cells[0]}), 0u);
-  EXPECT_EQ(engine.num_cached_cells(), 2u);
-  // A batch over warmed-plus-new cells warms exactly the new ones.
+  EXPECT_EQ(engine.num_cached_cells(), vectors);
+  // A batch over warmed-plus-new cells warms exactly the new vectors.
   BatchScoreStats stats;
   engine.NmTotalBatch(MixedPatterns(engine), 1, &stats);
-  EXPECT_EQ(engine.num_cached_cells(), 2u + stats.cells_warmed);
+  EXPECT_EQ(engine.num_cached_cells(), vectors + stats.cells_warmed);
   EXPECT_GT(stats.cells_warmed, 0u);
 }
 
@@ -429,18 +445,22 @@ TEST(WindowKernelTest, WarmStatsSplitHitsAndMisses) {
   ASSERT_GE(cells.size(), 2u);
 
   NmEngine::WarmStats stats;
-  // Cold: an in-request duplicate counts as a hit (staged by the same
-  // call), the two distinct cells as misses.
-  EXPECT_EQ(engine.WarmCells({cells[0], cells[1], cells[0]}, 1, &stats), 2u);
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.hits, 1u);
-  // Warm: every request is a hit, nothing is materialized.
+  // Cold: each cell asks for its two factor vectors.  The distinct
+  // vectors of the two distinct cells miss; every other ask — the
+  // in-request duplicate cell's, and a vector the two cells share — is a
+  // hit on one staged by the same call.
+  const size_t vectors = FactorVectors(space.grid, {cells[0], cells[1]});
+  EXPECT_EQ(engine.WarmCells({cells[0], cells[1], cells[0]}, 1, &stats),
+            vectors);
+  EXPECT_EQ(stats.misses, vectors);
+  EXPECT_EQ(stats.hits, 6u - vectors);
+  // Warm: every ask is a hit, nothing is computed.
   EXPECT_EQ(engine.WarmCells({cells[1], cells[0]}, 1, &stats), 0u);
   EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.hits, 4u);
 
   // The batch stats surface the same split: a second identical batch
-  // warms nothing and reports every cell request as a hit.
+  // warms nothing and reports every vector request as a hit.
   BatchScoreStats cold, warm;
   const std::vector<Pattern> patterns = MixedPatterns(engine);
   engine.NmTotalBatch(patterns, 1, &cold);
@@ -468,18 +488,19 @@ TEST(WindowKernelTest, WarmOrderAndThreadCountDoNotChangeScores) {
                     rng.UniformInt(0, static_cast<int>(i) - 1))]);
     }
     NmEngine engine(d, space);
-    EXPECT_EQ(engine.WarmCells(shuffled, threads), cells.size());
+    EXPECT_EQ(engine.WarmCells(shuffled, threads),
+              FactorVectors(space.grid, cells));
     EXPECT_TRUE(BitEqual(engine.NmTotalBatch(patterns, threads), want))
         << threads << " threads, shuffled warm order";
   }
 }
 
 TEST(WindowKernelTest, FactoredWarmupMatchesLazySerialPath) {
-  // WarmCells materializes rectangular columns through the x/y-factored
-  // path; the serial NmTotal entry points go through the unfactored
-  // per-cell computation.  Both must produce bit-identical scores — and
-  // under the radial model, where no factorization applies, the parallel
-  // warm-up must agree with the serial path too.
+  // A parallel warm-up of every touched cell's factor vectors, then a
+  // batch, must score bit-identically to the serial per-pattern entry
+  // points, which warm one pattern's vectors at a time — under the
+  // rectangular model (grid-column and grid-row factors) and the radial
+  // one (a column per cell paired with the +0.0 vector).
   for (const IndifferenceModel model :
        {IndifferenceModel::kRectangular, IndifferenceModel::kRadial}) {
     const MiningSpace space(Grid::UnitSquare(4), 0.25, model);
