@@ -67,7 +67,7 @@ struct LegResult {
 LegResult MeasureLeg(const NmEngine& engine, const MinerOptions& opt,
                      int reps, double max_overhead_pct,
                      const std::function<void(bool)>& set_on) {
-  // Unmeasured warm-up: populates the engine's factor arena so neither
+  // Unmeasured warm-up: populates the engine's factor cache so neither
   // mode pays the one-time factor computation; also the bit-identity
   // reference.
   const MiningResult reference = MineTrajPatterns(engine, opt);

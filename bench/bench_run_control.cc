@@ -2,7 +2,7 @@
 // run overshoots its deadline (bound: one scoring batch, in practice one
 // work item, since workers poll the context before every claim), (b)
 // cancellation latency from Cancel() to the miner returning, (c) that a
-// memory-budgeted run holds the factor arena under its budget while
+// memory-budgeted run holds the factor cache under its budget while
 // returning the bit-identical top-k, and (d) the MiningSupervisor's
 // retry/backoff bookkeeping under an injected transient sink outage,
 // with the supervised answer again bit-identical.  Writes

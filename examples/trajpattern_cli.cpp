@@ -67,11 +67,16 @@ bool SpaceFlagsValid(const Flags& flags, const char* cmd) {
   return true;
 }
 
-// The mine-shape flags count positions or candidates; 0 keeps its
-// meaning (no bound, or no wildcards), but a negative value would wrap
-// to a huge size_t bound or pass as an empty wildcard range.
-bool MineShapeFlagsValid(const Flags& flags) {
-  for (const char* name : {"min_len", "max_len", "beam", "wildcards"}) {
+// These mine flags count positions, candidates, MiB, milliseconds,
+// workers or retries.  0 keeps its meaning: no bound, no wildcards, no
+// budget, no deadline, every core, or no retry.  A negative length or
+// beam bound would wrap to a huge size_t, a negative wildcard count
+// would pass as an empty range, and a negative run-control value would
+// silently read as its 0 (or, for the retries, as one attempt).
+bool MineCountFlagsValid(const Flags& flags) {
+  for (const char* name :
+       {"min_len", "max_len", "beam", "wildcards", "memory_budget_mb",
+        "deadline_ms", "threads", "checkpoint_retries"}) {
     const int value = flags.GetInt(name, 0);
     if (value < 0) {
       std::fprintf(stderr, "mine: --%s must be at least 0 (got %d)\n", name,
@@ -202,7 +207,7 @@ int Mine(const Flags& flags, const ObsOptions& obs_opts) {
                  k);
     return 1;
   }
-  if (!SpaceFlagsValid(flags, "mine") || !MineShapeFlagsValid(flags)) return 1;
+  if (!SpaceFlagsValid(flags, "mine") || !MineCountFlagsValid(flags)) return 1;
   TrajectoryDataset data;
   CsvDiagnostic diag;
   if (!ReadTrajectoriesCsvFile(in, &data, &diag)) {

@@ -21,11 +21,11 @@ enum class StopReason {
   kCancelled,
   /// The wall-clock deadline passed.
   kDeadlineExceeded,
-  /// The memory budget could not be met even after shedding arena slabs
-  /// and shrinking the scoring batches.
+  /// The memory budget could not be met even after shedding cached
+  /// factor vectors and shrinking the scoring batches.
   kMemoryBudgetExceeded,
-  /// Arena growth failed at the allocator (std::bad_alloc, or an
-  /// injected allocation fault).
+  /// Allocating factor vectors failed at the allocator (std::bad_alloc,
+  /// or an injected allocation fault).
   kAllocFailed,
   /// A configured work cap fired (e.g. the PB baseline's
   /// `max_expanded_prefixes`).
@@ -66,7 +66,7 @@ class CancellationToken {
 
 /// Run-control contract carried through the whole mining stack: a
 /// cooperative cancellation token, an optional wall-clock deadline, and
-/// an optional memory budget for the engine's factor arena.  A
+/// an optional memory budget for the engine's factor cache.  A
 /// default-constructed context never stops anything, so threading it
 /// through unconditionally costs one atomic load per poll.
 ///
@@ -77,9 +77,10 @@ class CancellationToken {
 ///  - The last checkpoint the sink received (always an iteration
 ///    boundary) stays the valid resume point; resuming from it
 ///    reproduces the uninterrupted run's answer bit-identically.
-///  - The memory budget bounds the engine's factor-arena bytes: warm-up
-///    first sheds least-recently-used slabs and the batch API shrinks
-///    its chunk size before giving up with `kMemoryBudgetExceeded`.
+///  - The memory budget bounds the engine's factor-cache bytes: warm-up
+///    first frees least-recently-used factor vectors and the batch API
+///    shrinks its chunk size before giving up with
+///    `kMemoryBudgetExceeded`.
 struct RunContext {
   using Clock = std::chrono::steady_clock;
 
@@ -90,7 +91,7 @@ struct RunContext {
   bool has_deadline = false;
   Clock::time_point deadline{};
 
-  /// Upper bound on the engine's factor-arena bytes (0 = unlimited).
+  /// Upper bound on the engine's factor-cache bytes (0 = unlimited).
   uint64_t memory_budget_bytes = 0;
 
   /// Arms the deadline `ms` milliseconds from now.
@@ -102,7 +103,7 @@ struct RunContext {
 
   /// The stop this context currently demands: cancellation wins over
   /// deadline; memory-budget stops are reported by the engine (which
-  /// owns the arena accounting), never from here.
+  /// owns the factor-cache accounting), never from here.
   StopReason CheckStop() const {
     if (token.cancelled()) return StopReason::kCancelled;
     if (has_deadline && Clock::now() >= deadline) {

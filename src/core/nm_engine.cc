@@ -4,14 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <new>
 #include <utility>
-
-#if __has_include(<sys/mman.h>)
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
 
 #include "core/simd_kernels.h"
 #include "obs/obs.h"
@@ -23,11 +17,6 @@ namespace trajpattern {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-/// `factor_slot_` sentinels: not computed, and staged-by-this-warm-up
-/// (a dedup marker that never survives a WarmCells call).
-constexpr int32_t kNoSlot = -1;
-constexpr int32_t kStagedSlot = -2;
 
 /// Cache budget of one walk tile: the batch's distinct factor vectors
 /// restricted to a tile fit in it.  The factored fold is bound by its
@@ -41,58 +30,7 @@ constexpr size_t kTileBytes = size_t{1} << 19;
 /// group still spreads over the lanes.
 constexpr size_t kSliceCandidates = 64;
 
-/// One x86-64 huge page.
-constexpr size_t kHugePage = size_t{2} << 20;
-
 }  // namespace
-
-void NmEngine::FreeDoubles::operator()(double* p) const noexcept {
-#ifdef MADV_HUGEPAGE
-  if (mapped > 0) {
-    munmap(p, mapped);
-    return;
-  }
-#endif
-  ::operator delete(p);
-}
-
-NmEngine::DoubleBuffer NmEngine::AllocateDoubles(size_t count) {
-  if (count == 0) return DoubleBuffer();
-  // Leaves room to round up to a page and to align.
-  if (count > (SIZE_MAX - 2 * kHugePage) / sizeof(double)) {
-    throw std::bad_alloc();
-  }
-  const size_t bytes = count * sizeof(double);
-#ifdef MADV_HUGEPAGE
-  // A mapping rather than the heap: memalign on the heap fragmented it
-  // (perfbench zebra_scan: heap 26 -> 37 MiB), and the advice would stay
-  // on heap memory after the buffer is freed.
-  if (bytes >= kHugePage) {
-    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-    const size_t length = (bytes + page - 1) / page * page;
-    const size_t reserved = length + kHugePage;
-    void* const raw = mmap(nullptr, reserved, PROT_READ | PROT_WRITE,
-                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (raw == MAP_FAILED) throw std::bad_alloc();
-    // Keep the 2 MiB-aligned `length` bytes, unmap the rest.
-    char* const base = static_cast<char*>(raw);
-    const size_t head =
-        (kHugePage - reinterpret_cast<uintptr_t>(base) % kHugePage) %
-        kHugePage;
-    if (head > 0) munmap(base, head);
-    if (reserved - head > length) {
-      munmap(base + head + length, reserved - head - length);
-    }
-    void* const start = base + head;
-    // Advice only, so a failure changes nothing.  The tail past the last
-    // whole huge page stays in small pages.
-    madvise(start, bytes / kHugePage * kHugePage, MADV_HUGEPAGE);
-    return DoubleBuffer(static_cast<double*>(start), FreeDoubles{length});
-  }
-#endif
-  return DoubleBuffer(static_cast<double*>(::operator new(bytes)),
-                      FreeDoubles{0});
-}
 
 NmEngine::NmEngine(const TrajectoryDataset& data, const MiningSpace& space)
     : data_(&data), space_(space) {
@@ -118,7 +56,8 @@ NmEngine::NmEngine(const TrajectoryDataset& data, const MiningSpace& space)
       space_.model == IndifferenceModel::kRectangular
           ? static_cast<size_t>(space_.grid.nx() + space_.grid.ny())
           : static_cast<size_t>(space_.grid.num_cells()) + 1;
-  factor_slot_.assign(num_factors, kNoSlot);
+  factors_.resize(num_factors);
+  last_use_.assign(num_factors, 0);
 }
 
 NmEngine::~NmEngine() = default;
@@ -179,60 +118,30 @@ void NmEngine::ComputeFactorInto(int32_t id, double* out,
 }
 
 const double* NmEngine::ResidentFactor(int32_t id) const {
-  const int32_t slot = factor_slot_[static_cast<size_t>(id)];
-  assert(slot >= 0);  // the walk only reads warm vectors
-  return FactorBase(slot);
+  const double* const v = factors_[static_cast<size_t>(id)].get();
+  assert(v != nullptr);  // the walk only reads warm vectors
+  return v;
 }
 
-bool NmEngine::GrowArena(size_t new_alloc) const {
-  if (new_alloc <= allocated_slots_) return true;
-  if (alloc_fault_hook_ &&
-      alloc_fault_hook_(new_alloc * stride_ * sizeof(double))) {
-    return false;
-  }
-  try {
-    DoubleBuffer grown = AllocateDoubles(new_alloc * stride_);
-    slot_factor_.resize(new_alloc, kNoSlot);
-    slot_last_use_.resize(new_alloc, 0);
-    // Free slabs hold no vector, and may never have been written.
-    for (size_t s = 0; s < allocated_slots_ && stride_ > 0; ++s) {
-      if (slot_factor_[s] == kNoSlot) continue;
-      std::memcpy(grown.get() + s * stride_, arena_.get() + s * stride_,
-                  column_bytes());
-    }
-    arena_ = std::move(grown);
-  } catch (const std::bad_alloc&) {
-    return false;
-  }
-  allocated_slots_ = new_alloc;
-  peak_slots_ = std::max(peak_slots_, allocated_slots_);
-  return true;
-}
-
-size_t NmEngine::EvictLruSlots(size_t count, uint64_t protect_tick) const {
-  if (count == 0 || num_slots_ == 0) return 0;
-  // (stamp, factor id) of every evictable resident slot; sorting gives
+size_t NmEngine::EvictLru(size_t count, uint64_t protect_tick) const {
+  if (count == 0 || num_resident_ == 0) return 0;
+  // (stamp, factor id) of every evictable resident vector; sorting gives
   // LRU-first with a factor-id tiebreak, so the victim set is a pure
   // function of the request history — independent of thread count.
   std::vector<std::pair<uint64_t, int32_t>> order;
-  order.reserve(num_slots_);
-  for (size_t s = 0; s < allocated_slots_; ++s) {
-    const int32_t f = slot_factor_[s];
-    if (f == kNoSlot) continue;                       // free slab
-    if (slot_last_use_[s] == protect_tick) continue;  // current request
-    order.emplace_back(slot_last_use_[s], f);
+  order.reserve(num_resident_);
+  for (size_t f = 0; f < factors_.size(); ++f) {
+    if (factors_[f] == nullptr) continue;        // cold
+    if (last_use_[f] == protect_tick) continue;  // current request
+    order.emplace_back(last_use_[f], static_cast<int32_t>(f));
   }
   std::sort(order.begin(), order.end());
   const size_t n = std::min(count, order.size());
   for (size_t i = 0; i < n; ++i) {
-    const int32_t f = order[i].second;
-    const int32_t slot = factor_slot_[static_cast<size_t>(f)];
-    factor_slot_[static_cast<size_t>(f)] = kNoSlot;
-    slot_factor_[static_cast<size_t>(slot)] = kNoSlot;
-    free_slots_.push_back(slot);
-    --num_slots_;
-    ++cells_evicted_;
+    factors_[static_cast<size_t>(order[i].second)].reset();
   }
+  num_resident_ -= n;
+  cells_evicted_ += n;
   TP_COUNTER_ADD("nm.cells_evicted", n);
   return n;
 }
@@ -242,7 +151,7 @@ void NmEngine::WarmPattern(const Pattern& p) const {
   if (PatternCellOutsideGrid(p.cells(), space_.grid)) return;
   WarmStats ws;
   WarmCells(p.cells(), 1, &ws);
-  // Without a run context only a failed arena growth can stop it.
+  // Without a run context only a failed allocation can stop it.
   if (ws.stop != StopReason::kNone) throw std::bad_alloc();
 }
 
@@ -292,7 +201,7 @@ void NmEngine::PlanWalk(std::span<const Pattern> patterns, Measure measure,
     const Pattern& p = patterns[i];
     // Unscorable: an NM pattern with no specified position (see
     // ValidateScorable), an empty Match pattern (no window can exist),
-    // and a pattern with a cell outside the grid, which has no slot.
+    // and a pattern with a cell outside the grid, which has no vectors.
     if ((measure == Measure::kNm ? p.SpecifiedCount() == 0 : p.empty()) ||
         PatternCellOutsideGrid(p.cells(), space_.grid)) {
       out[i] = measure == Measure::kNm ? kNegInf : 0.0;
@@ -307,7 +216,7 @@ void NmEngine::PlanWalk(std::span<const Pattern> patterns, Measure measure,
   });
 
   // Resolve every factor vector once, counting the distinct ones.
-  std::vector<char> seen(factor_slot_.size(), 0);
+  std::vector<char> seen(factors_.size(), 0);
   size_t distinct = 0;
   const auto resolve = [&](int32_t id) {
     if (!seen[static_cast<size_t>(id)]) {
@@ -509,20 +418,20 @@ ThreadPool* NmEngine::PoolFor(int threads) const {
 size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
                            WarmStats* stats, const RunContext* run) const {
   WarmStats ws;
-  // One LRU tick per request, stamped on every slot the request touches
-  // (hits now, publishes below), so budget eviction can tell "needed by
-  // the in-flight request" apart from "left behind by earlier ones".
+  // One LRU tick per request, stamped on every vector the request asks
+  // for, so budget eviction can tell "needed by the in-flight request"
+  // apart from "left behind by earlier ones", and a cold vector already
+  // stamped is an in-request duplicate.
   const uint64_t tick = ++warm_tick_;
   std::vector<int32_t> missing;  // factor ids, in first-seen order
   const auto request = [&](int32_t id) {
-    int32_t& slot = factor_slot_[static_cast<size_t>(id)];
-    if (slot != kNoSlot) {  // computed, or staged just below
-      if (slot >= 0) slot_last_use_[static_cast<size_t>(slot)] = tick;
+    const size_t f = static_cast<size_t>(id);
+    if (factors_[f] != nullptr || last_use_[f] == tick) {
       ++ws.hits;
-      return;
+    } else {
+      missing.push_back(id);
     }
-    slot = kStagedSlot;
-    missing.push_back(id);
+    last_use_[f] = tick;
   };
   for (CellId c : cells) {
     if (!space_.grid.IsValid(c)) continue;  // a wildcard, or no vectors
@@ -531,97 +440,78 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
     request(y);
   }
   ws.misses = missing.size();
-  if (missing.empty()) {
-    if (stats != nullptr) *stats = ws;
-    return 0;
-  }
-  // Early-out path: revert the staging marks (nothing was published).
-  const auto bail = [&](StopReason why) -> size_t {
-    for (int32_t f : missing) factor_slot_[static_cast<size_t>(f)] = kNoSlot;
+  const auto finish = [&](StopReason why, size_t published) {
     ws.stop = why;
     if (stats != nullptr) *stats = ws;
-    return 0;
+    return published;
   };
+  if (missing.empty()) return finish(StopReason::kNone, 0);
 
   // Memory budget: the resident set after this request must fit.  Shed
-  // LRU vectors first — never ones this request just hit, they carry the
+  // LRU vectors first — never ones this request asked for, they carry the
   // current tick — and give up only if the request alone overflows.
   if (run != nullptr && run->memory_budget_bytes > 0 && stride_ > 0) {
-    const size_t budget_slots =
+    const size_t budget_vectors =
         static_cast<size_t>(run->memory_budget_bytes / column_bytes());
-    if (num_slots_ + missing.size() > budget_slots) {
+    if (num_resident_ + missing.size() > budget_vectors) {
       ws.evicted =
-          EvictLruSlots(num_slots_ + missing.size() - budget_slots, tick);
-      if (num_slots_ + missing.size() > budget_slots) {
-        return bail(StopReason::kMemoryBudgetExceeded);
+          EvictLru(num_resident_ + missing.size() - budget_vectors, tick);
+      if (num_resident_ + missing.size() > budget_vectors) {
+        return finish(StopReason::kMemoryBudgetExceeded, 0);
       }
     }
   }
   if (run != nullptr) {
     const StopReason sr = run->CheckStop();
-    if (sr != StopReason::kNone) return bail(sr);
+    if (sr != StopReason::kNone) return finish(sr, 0);
   }
 
-  // Slot assignment: free-listed slabs first, then the arena is grown
-  // once, serially, so the workers below write into disjoint
-  // pre-existing slabs and `arena_` never moves while they run;
-  // slot assignment also stays on the calling thread — a single ordered
-  // publish after the fills — so the slot table never needs a lock,
-  // readers never see a torn update, and the factor->slot assignment is a
-  // pure function of arrival order, independent of how the fills
-  // interleaved.
-  const size_t reuse = std::min(free_slots_.size(), missing.size());
-  const size_t grow_base = allocated_slots_;
-  if (!GrowArena(grow_base + (missing.size() - reuse))) {
-    return bail(StopReason::kAllocFailed);
+  // Allocation stays on the calling thread, so the workers below only
+  // fill buffers they were handed, and publishing stays a single ordered
+  // pass after the fills: `factors_` never needs a lock and readers never
+  // see a half-written vector.  No buffer is zero-filled; its fill is the
+  // first write.
+  const size_t in_flight = num_resident_ + missing.size();
+  if (alloc_fault_hook_ && alloc_fault_hook_(in_flight * column_bytes())) {
+    return finish(StopReason::kAllocFailed, 0);
   }
-  std::vector<int32_t> slots(missing.size());
-  for (size_t i = 0; i < missing.size(); ++i) {
-    slots[i] = i < reuse
-                   ? free_slots_[free_slots_.size() - reuse + i]
-                   : static_cast<int32_t>(grow_base + (i - reuse));
+  std::vector<std::unique_ptr<double[]>> fresh(missing.size());
+  try {
+    for (auto& v : fresh) v = std::make_unique_for_overwrite<double[]>(stride_);
+  } catch (const std::bad_alloc&) {
+    return finish(StopReason::kAllocFailed, 0);
   }
-  free_slots_.resize(free_slots_.size() - reuse);
+  peak_vectors_ = std::max(peak_vectors_, in_flight);
 
   ThreadPool* pool = PoolFor(ResolveThreadCount(num_threads));
   // Without run control every fill completes; with it, `done` records
-  // which vectors finished before a stop.  Each fill writes straight
-  // into its own slab.
+  // which vectors finished before a stop.
   std::vector<char> done(missing.size(), run == nullptr ? 1 : 0);
   std::vector<std::vector<double>> dist(
       static_cast<size_t>(pool == nullptr ? 1 : pool->size()));
   ParallelFor(
       pool, missing.size(),
       [&](size_t i, int worker) {
-        ComputeFactorInto(missing[i], FactorBase(slots[i]),
+        ComputeFactorInto(missing[i], fresh[i].get(),
                           &dist[static_cast<size_t>(worker)]);
         if (run != nullptr) done[i] = 1;
       },
       run);
 
-  // Ordered publish.  Vectors a stop skipped revert to cold and their
-  // slabs go back to the free list; publishing only the completed subset
-  // is consistent because a vector is a pure function of (factor id,
+  // Ordered publish.  Vectors a stop skipped stay cold and their buffers
+  // are freed with `fresh`; publishing only the completed subset is
+  // consistent because a vector is a pure function of (factor id,
   // dataset, space) — whoever warms it later gets the identical bits.
   size_t published = 0;
   for (size_t i = 0; i < missing.size(); ++i) {
-    const size_t slot = static_cast<size_t>(slots[i]);
-    if (done[i]) {
-      factor_slot_[static_cast<size_t>(missing[i])] = slots[i];
-      slot_factor_[slot] = missing[i];
-      slot_last_use_[slot] = tick;
-      ++published;
-    } else {
-      factor_slot_[static_cast<size_t>(missing[i])] = kNoSlot;
-      free_slots_.push_back(slots[i]);
-    }
+    if (!done[i]) continue;
+    factors_[static_cast<size_t>(missing[i])] = std::move(fresh[i]);
+    ++published;
   }
-  num_slots_ += published;
-  if (run != nullptr && published < missing.size()) {
-    ws.stop = run->CheckStop();  // sticky: reports the stop that fired
-  }
-  if (stats != nullptr) *stats = ws;
-  return published;
+  num_resident_ += published;
+  // A stop is sticky, so this reports the one that skipped fills.
+  const bool stopped = run != nullptr && published < missing.size();
+  return finish(stopped ? run->CheckStop() : StopReason::kNone, published);
 }
 
 std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
@@ -646,15 +536,15 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
   }
 
   // Chunking: with a memory budget the batch is split so each chunk's
-  // distinct factor vectors fit the arena budget (boundaries are a pure
+  // distinct factor vectors fit the budget (boundaries are a pure
   // function of the pattern list and the budget — deterministic);
   // without one the whole batch is one chunk, the exact pre-budget
   // code path.
   std::vector<std::pair<size_t, size_t>> chunks;
   if (run != nullptr && run->memory_budget_bytes > 0 && stride_ > 0) {
-    const size_t budget_slots =
+    const size_t budget_vectors =
         static_cast<size_t>(run->memory_budget_bytes / column_bytes());
-    std::vector<char> in_chunk(factor_slot_.size(), 0);
+    std::vector<char> in_chunk(factors_.size(), 0);
     std::vector<int32_t> chunk_factors;
     std::vector<int32_t> pat_factors;
     size_t begin = 0;
@@ -673,7 +563,7 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
           }
         }
       }
-      if (pat_factors.size() > budget_slots) {
+      if (pat_factors.size() > budget_vectors) {
         // A single pattern overflows the budget by itself: no chunking
         // or eviction can ever score it.
         out_stats.stop = StopReason::kMemoryBudgetExceeded;
@@ -684,7 +574,7 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
       for (const int32_t f : pat_factors) {
         newly += in_chunk[static_cast<size_t>(f)] == 0;
       }
-      if (i > begin && chunk_factors.size() + newly > budget_slots) {
+      if (i > begin && chunk_factors.size() + newly > budget_vectors) {
         chunks.emplace_back(begin, i);
         for (const int32_t f : chunk_factors) {
           in_chunk[static_cast<size_t>(f)] = 0;
@@ -717,7 +607,7 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
     {
       // Warm-up: every factor vector any candidate of the chunk needs
       // exists before a worker runs, so the scoring region below only
-      // reads the arena.
+      // reads the cache.
       TP_TRACE_SPAN("nm/warmup");
       std::vector<CellId> needed;
       for (size_t i = cb; i < ce; ++i) {

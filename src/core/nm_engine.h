@@ -89,23 +89,23 @@ inline void AccumulateBatch(const BatchScoreStats& batch, MiningCounters* c) {
 /// cell) and its second is one shared all-+0.0 vector (id = the cell
 /// count); AddLogFactors(v, +0.0) == v bit for bit for every column
 /// entry, so one kernel serves both models.
-/// Vectors live in one contiguous arena (`arena_`), one slab each, found
-/// through a dense factor-id-indexed slot table — resolving a pattern
-/// position is two indexed loads, not a hash probe.  The arena is never
-/// zero-filled: the warm-up is the first touch of its pages.
+/// Each vector is its own buffer, indexed by factor id (`factors_`, null
+/// while cold), so resolving a pattern position is one indexed load, not
+/// a hash probe.  A buffer is never zero-filled: its warm-up fill is the
+/// first write of its pages.
 /// Trajectories shorter than the pattern contribute the log floor to NM
 /// sums and 0 to match sums (they cannot host a window).
 ///
-/// Threading contract: every entry point fills the arena through
+/// Threading contract: every entry point fills the factor cache through
 /// `WarmCells` before it reads a vector.  The per-pattern entry points
 /// (`NmTotal`, `MatchTotal`, `NmTotalWithGaps`) warm one pattern's cells
 /// serially and therefore must only be called from one thread at a time.
 /// The batch entry points (`NmTotalBatch`, `MatchTotalBatch`) pre-warm
 /// every vector their candidate set needs before any scoring worker
-/// starts — the warm-up itself fans distinct vectors out over the pool
-/// into disjoint slabs and publishes the slot table serially — then fan
-/// the scan out over the same pool; scoring workers only ever *read* the
-/// arena.
+/// starts — the warm-up allocates the missing buffers on the calling
+/// thread, fans their fills out over the pool and publishes them serially
+/// — then fan the scan out over the same pool; scoring workers only ever
+/// *read* the cache.
 ///
 /// Dataset totals (`NmTotal`, `MatchTotal` and the batch entry points;
 /// one pattern is a batch of one) all run the shared-prefix tiled walk:
@@ -152,8 +152,8 @@ class NmEngine {
   /// (Eq. 3 and 4), where the mean is over the *specified* (non-wildcard)
   /// positions — see `Pattern::SpecifiedCount` — and `LogFloor()` for a
   /// trajectory shorter than `P`.  -infinity if `P` fails
-  /// `ValidateScorable`.  Throws `std::bad_alloc` when the arena cannot
-  /// grow to hold the pattern's factor vectors, as do `MatchTotal` and
+  /// `ValidateScorable`.  Throws `std::bad_alloc` when the pattern's
+  /// missing factor vectors cannot be allocated, as do `MatchTotal` and
   /// `NmTotalWithGaps`.
   double NmTotal(const Pattern& p) const;
 
@@ -166,7 +166,7 @@ class NmEngine {
   /// `run` (optional) threads the run-control contract through the call:
   /// scoring workers poll its token/deadline before claiming each
   /// candidate, warm-up polls it before each vector, and a non-zero
-  /// `memory_budget_bytes` caps the factor arena — the call splits the
+  /// `memory_budget_bytes` caps the factor cache — the call splits the
   /// batch into chunks whose distinct factor vectors fit the budget and
   /// sheds least-recently-used vectors between chunks.  A pattern whose
   /// own vectors (at most 2 per specified position under the rectangular
@@ -200,8 +200,8 @@ class NmEngine {
 
   /// Hit/miss split of one `WarmCells` call: each cell of the request
   /// that is a cell of the grid asks for its two factor vectors, and each
-  /// ask either hit an already-resident (or already-staged, for
-  /// in-request duplicates) vector or missed and was computed.
+  /// ask either hit an already-resident vector (or one this request
+  /// already asked for) or missed and was computed.
   struct WarmStats {
     size_t hits = 0;
     size_t misses = 0;
@@ -218,24 +218,24 @@ class NmEngine {
   /// Computes the factor vectors that `cells` need and that are not
   /// cached yet.  Warm-up is parallel and incremental: each cell maps to
   /// its two factor ids, the missing ids are deduplicated against the
-  /// resident set (so per-batch calls warm only the delta), the arena is
-  /// grown once, distinct vectors are filled on distinct `num_threads`
-  /// workers — each into its own pre-reserved slab, one batched
+  /// resident set (so per-batch calls warm only the delta), each missing
+  /// vector gets its own buffer, allocated on the calling thread, the
+  /// buffers are filled on `num_threads` workers — one batched
   /// `LogNormalIntervalProbBatch` pass per grid column or row under the
   /// rectangular model — and a single serial, ordered publish step
-  /// installs the new slots into the dense factor-id->slot table.  Vector
-  /// contents depend only on (factor id, dataset, space), so results are
-  /// bit-identical for any thread count and any warm order.  Returns the
-  /// number of factor vectors added — 0, with the arena untouched, when
-  /// every one is already warm.  Wildcards and cells outside the grid are
-  /// skipped.  This is the warm-up step of every scoring entry point,
-  /// exposed for callers that know their working set up front.
+  /// installs them under their factor ids.  Vector contents depend only on
+  /// (factor id, dataset, space), so results are bit-identical for any
+  /// thread count and any warm order.  Returns the number of factor
+  /// vectors added — 0, allocating nothing, when every one is already
+  /// warm.  Wildcards and cells outside the grid are skipped.  This is
+  /// the warm-up step of every scoring entry point, exposed for callers
+  /// that know their working set up front.
   /// Not itself thread-safe: callers serialize calls (the entry points
   /// do) and workers only read.
   /// `run` (optional) adds run control: the fill fan-out polls the
   /// context before each vector, a memory budget evicts
   /// least-recently-used resident vectors (never ones this request
-  /// needs) before growing the arena, and arena growth failure — real
+  /// needs) before allocating, and allocation failure — real
   /// `std::bad_alloc` or an injected fault — reports `kAllocFailed`
   /// instead of throwing.  Vectors are pure functions of (factor id,
   /// dataset, space), so publishing only the completed subset after a
@@ -252,46 +252,29 @@ class NmEngine {
 
   /// Number of resident factor vectors (at most nx + ny under the
   /// rectangular model).
-  size_t num_cached_cells() const { return num_slots_; }
+  size_t num_cached_cells() const { return num_resident_; }
 
-  /// Bytes of one factor vector, one double per snapshot (the arena's
-  /// allocation granularity; a memory budget is a count of these).
+  /// Bytes of one factor vector, one double per snapshot (the size of
+  /// one buffer; a memory budget is a count of these).
   size_t column_bytes() const { return stride_ * sizeof(double); }
-  /// High-water mark of the factor arena bytes allocated: resident
-  /// vectors plus free-listed slabs awaiting reuse.  A memory budget
-  /// bounds the allocated bytes, so this never exceeds a budget that was
-  /// in force for the engine's whole life.
-  size_t arena_peak_bytes() const { return peak_slots_ * column_bytes(); }
+  /// High-water mark of the factor vectors allocated at once, resident
+  /// plus in flight (allocated by a warm-up, not yet published), in
+  /// bytes.  A memory budget bounds that count, so this never exceeds a
+  /// budget that was in force for the engine's whole life.
+  size_t arena_peak_bytes() const { return peak_vectors_ * column_bytes(); }
   /// Factor vectors shed by memory-budget eviction over the engine's
   /// life.
   size_t cells_evicted() const { return cells_evicted_; }
 
-  /// Test hook: called with the would-be arena byte size before every
-  /// growth; returning true simulates an allocation failure
-  /// (`kAllocFailed`) without actually exhausting memory.
+  /// Test hook: called once by every warm-up that allocates, before it
+  /// allocates, with the bytes of the resident plus requested vectors;
+  /// returning true simulates an allocation failure (`kAllocFailed`)
+  /// without actually exhausting memory.
   void set_alloc_fault_hook(std::function<bool(size_t)> hook) {
     alloc_fault_hook_ = std::move(hook);
   }
 
  private:
-  /// Frees a `DoubleBuffer`: unmaps the `mapped` bytes at it, or, when
-  /// `mapped` is 0, returns it to `operator delete`.
-  struct FreeDoubles {
-    size_t mapped;
-    void operator()(double* p) const noexcept;
-  };
-  /// Owning buffer of doubles that is never zero-filled: its pages are
-  /// first touched by whoever first writes them.
-  using DoubleBuffer = std::unique_ptr<double[], FreeDoubles>;
-
-  /// `count` uninitialized doubles, the length not rounded up.  Where the
-  /// platform has `MADV_HUGEPAGE`, a buffer of at least one huge page
-  /// (2 MiB) is a private mapping aligned to one, with the advice on its
-  /// whole huge pages; unmapping the buffer ends the advice, so it never
-  /// lingers on heap memory.  A smaller buffer, which cannot hold a whole
-  /// huge page, comes from `operator new`.  Throws `std::bad_alloc`.
-  static DoubleBuffer AllocateDoubles(size_t count);
-
   /// Which dataset aggregate a scan computes.
   enum class Measure { kNm, kMatch };
 
@@ -328,16 +311,12 @@ class NmEngine {
   void ComputeFactorInto(int32_t id, double* out,
                          std::vector<double>* dist) const;
 
-  /// Base pointer of the factor vector in `slot`.
-  double* FactorBase(int32_t slot) const {
-    return arena_.get() + static_cast<size_t>(slot) * stride_;
-  }
   /// Base pointer of resident factor vector `id`.
   const double* ResidentFactor(int32_t id) const;
 
   /// Warms `p`'s factor vectors through `WarmCells`, serially and without
   /// run control, for the per-pattern entry points.  They have no Status
-  /// channel, so a failed arena growth (real or injected) throws
+  /// channel, so a failed allocation (real or injected) throws
   /// `std::bad_alloc`, with no vector of the failed request published.
   void WarmPattern(const Pattern& p) const;
 
@@ -375,17 +354,11 @@ class NmEngine {
                                  Measure measure,
                                  const RunContext* run) const;
 
-  /// Evicts up to `count` resident factor vectors, least-recently-used
+  /// Frees up to `count` resident factor vectors, least-recently-used
   /// first (ties broken by factor id for determinism), skipping vectors
-  /// stamped with the in-progress request's `protect_tick`.  Freed slabs
-  /// go to `free_slots_` for reuse.  Returns how many were evicted.
-  size_t EvictLruSlots(size_t count, uint64_t protect_tick) const;
-
-  /// Grows the arena to hold `new_alloc` slots (plus the slot-side
-  /// bookkeeping), copying the resident slabs into the new buffer.
-  /// Returns false — leaving the arena untouched — on `std::bad_alloc` or
-  /// when the alloc fault hook injects a failure.
-  bool GrowArena(size_t new_alloc) const;
+  /// stamped with the in-progress request's `protect_tick`.  Returns how
+  /// many were evicted.
+  size_t EvictLru(size_t count, uint64_t protect_tick) const;
 
   /// The lazily built pool reused by batch calls; grown when a call asks
   /// for more workers than it has.  nullptr until the first parallel call.
@@ -402,39 +375,25 @@ class NmEngine {
   /// dense inputs the batched prob evaluations stream over.
   std::vector<double> px_, py_, sigma_;
 
-  /// Factor arena of `allocated_slots_ * stride_` doubles: slot s holds
-  /// one factor vector in [s*stride_, (s+1)*stride_), stride_ ==
-  /// flat_points_.size().  Warm-up appends slabs (reusing free-listed
-  /// ones first); batch workers only read.  Only resident slabs are ever
-  /// read: a slab is fully written before it is published, and a free
-  /// one holds no vector.
-  mutable DoubleBuffer arena_;
-  /// Dense factor id -> arena slot map (-1 == not computed): nx + ny ids
-  /// under the rectangular model, num_cells + 1 under the radial one.
-  mutable std::vector<int32_t> factor_slot_;
+  /// Factor id -> its vector of `stride_` doubles, null while cold: nx +
+  /// ny ids under the rectangular model, num_cells + 1 under the radial
+  /// one.  Warm-up fills a buffer completely before it publishes it here;
+  /// batch workers only read.
+  mutable std::vector<std::unique_ptr<double[]>> factors_;
+  /// Per-id LRU stamp: the `warm_tick_` of the last request that asked
+  /// for the vector.  Eviction drops the smallest stamps first, so a
+  /// budgeted run sheds the vectors the frontier left behind.
+  mutable std::vector<uint64_t> last_use_;
   /// Number of resident factor vectors (== num_cached_cells()).  With a
   /// memory budget this can shrink (eviction); without one it only grows.
-  mutable size_t num_slots_ = 0;
-  /// Slots the arena is sized for (resident + free-listed).
-  mutable size_t allocated_slots_ = 0;
-  /// High-water mark of `allocated_slots_`.
-  mutable size_t peak_slots_ = 0;
-  /// Slabs freed by eviction (or unpublished after a stop), reused
-  /// before the arena grows again.
-  mutable std::vector<int32_t> free_slots_;
-  /// Reverse map: slot -> resident factor id (-1 for free slots); sized
-  /// with the arena.  Lets eviction clear `factor_slot_` without a scan.
-  mutable std::vector<int32_t> slot_factor_;
-  /// Per-slot LRU stamp: the `warm_tick_` of the last request that
-  /// touched the slot (hit or publish).  Eviction drops the smallest
-  /// stamps first, so a budgeted run sheds the vectors the frontier left
-  /// behind.
-  mutable std::vector<uint64_t> slot_last_use_;
-  /// Monotone request counter driving `slot_last_use_`.
+  mutable size_t num_resident_ = 0;
+  /// High-water mark of resident plus in-flight vectors.
+  mutable size_t peak_vectors_ = 0;
+  /// Monotone request counter driving `last_use_`.
   mutable uint64_t warm_tick_ = 0;
   /// Lifetime count of budget evictions (for stats/benches).
   mutable size_t cells_evicted_ = 0;
-  /// Test hook simulating arena allocation failure (see setter).
+  /// Test hook simulating allocation failure (see setter).
   std::function<bool(size_t)> alloc_fault_hook_;
   /// Factor vector length: one double per flattened snapshot.
   size_t stride_ = 0;

@@ -7,13 +7,6 @@
 
 namespace trajpattern {
 
-bool Pattern::HasWildcard() const {
-  for (CellId c : cells_) {
-    if (c == kWildcardCell) return true;
-  }
-  return false;
-}
-
 size_t Pattern::SpecifiedCount() const {
   size_t n = 0;
   for (CellId c : cells_) {
@@ -32,22 +25,6 @@ Pattern Pattern::SubPattern(size_t begin, size_t len) const {
   assert(begin + len <= cells_.size());
   return Pattern(std::vector<CellId>(cells_.begin() + begin,
                                      cells_.begin() + begin + len));
-}
-
-bool Pattern::IsSuperPatternOf(const Pattern& other) const {
-  if (other.length() > length()) return false;
-  if (other.empty()) return true;
-  for (size_t i = 0; i + other.length() <= length(); ++i) {
-    bool match = true;
-    for (size_t j = 0; j < other.length(); ++j) {
-      if (cells_[i + j] != other.cells_[j]) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return true;
-  }
-  return false;
 }
 
 std::string Pattern::ToString() const {

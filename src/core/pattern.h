@@ -33,9 +33,6 @@ class Pattern {
   /// True iff this pattern has exactly one position (§3.3 "singular").
   bool IsSingular() const { return cells_.size() == 1; }
 
-  /// True iff any position is a wildcard.
-  bool HasWildcard() const;
-
   /// Number of non-wildcard positions.  NM normalizes by this count: a
   /// wildcard contributes log 1 = 0 to every window, so normalizing by
   /// the full length would make star-padded patterns spuriously beat
@@ -47,15 +44,6 @@ class Pattern {
 
   /// The contiguous sub-pattern [begin, begin+len).
   Pattern SubPattern(size_t begin, size_t len) const;
-
-  /// Pattern without its first position; length must be >= 2.
-  Pattern DropFirst() const { return SubPattern(1, length() - 1); }
-  /// Pattern without its last position; length must be >= 2.
-  Pattern DropLast() const { return SubPattern(0, length() - 1); }
-
-  /// True iff `other` occurs as a contiguous run in this pattern
-  /// (Def. 3: this is then a super-pattern of `other`).
-  bool IsSuperPatternOf(const Pattern& other) const;
 
   /// "(c3, c7, *, c1)"-style rendering for logs and tests.
   std::string ToString() const;

@@ -91,7 +91,7 @@ __attribute__((target("avx2"))) double FusedMaxSumAvx2(const double* w,
 
 /// AVX2 fold; per-element IEEE adds and the same max as the scalar loop,
 /// so identical to the portable loop by construction.  Unaligned
-/// loads/stores: the prefix levels and the factor slabs are offset by
+/// loads/stores: the prefix levels and the factor vectors are offset by
 /// tile starts and pattern positions, so 32-byte alignment cannot be
 /// assumed.
 __attribute__((target("avx2"))) void FoldFactorsAvx2(double* dst,

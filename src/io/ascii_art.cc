@@ -49,19 +49,4 @@ std::string RenderDensity(const TrajectoryDataset& data, const Grid& grid) {
   return Frame(grid, cells);
 }
 
-std::string RenderPattern(const Pattern& pattern, const Grid& grid) {
-  std::vector<char> cells(static_cast<size_t>(grid.num_cells()), '.');
-  int label = 0;
-  for (size_t i = 0; i < pattern.length(); ++i) {
-    if (pattern[i] == kWildcardCell) continue;
-    const char mark =
-        label < 9 ? static_cast<char>('1' + label)
-                  : static_cast<char>('a' + (label - 9) % 26);
-    ++label;
-    char& cell = cells[static_cast<size_t>(pattern[i])];
-    cell = cell == '.' ? mark : '*';
-  }
-  return Frame(grid, cells);
-}
-
 }  // namespace trajpattern

@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "core/pattern.h"
 #include "geometry/grid.h"
 #include "trajectory/trajectory.h"
 
@@ -14,11 +13,6 @@ namespace trajpattern {
 /// the densest cell).  Handy for eyeballing generated workloads in the
 /// examples and for debugging mining inputs.
 std::string RenderDensity(const TrajectoryDataset& data, const Grid& grid);
-
-/// Renders a pattern's footprint on `grid`: its positions are labeled
-/// '1'..'9' then 'a'.. in sequence order ('.' elsewhere, '*' where two
-/// positions share a cell).  Wildcard positions are skipped.
-std::string RenderPattern(const Pattern& pattern, const Grid& grid);
 
 }  // namespace trajpattern
 

@@ -120,22 +120,13 @@ TEST(PatternTest, ToStringRendersCellsAndWildcards) {
   EXPECT_EQ(p.ToString(), "(c3, *, c7)");
 }
 
-TEST(PatternTest, SuperPatternDetection) {
-  const Pattern p(std::vector<CellId>{1, 2, 3, 4});
-  EXPECT_TRUE(p.IsSuperPatternOf(Pattern(std::vector<CellId>{2, 3})));
-  EXPECT_TRUE(p.IsSuperPatternOf(p));
-  EXPECT_FALSE(p.IsSuperPatternOf(Pattern(std::vector<CellId>{2, 4})));
-  EXPECT_FALSE(
-      Pattern(std::vector<CellId>{2, 3}).IsSuperPatternOf(p));
-}
-
 TEST(PatternTest, ConcatAndDrop) {
   const Pattern a(std::vector<CellId>{1, 2});
   const Pattern b(std::vector<CellId>{3});
   const Pattern c = a.Concat(b);
   EXPECT_EQ(c, Pattern(std::vector<CellId>{1, 2, 3}));
-  EXPECT_EQ(c.DropFirst(), Pattern(std::vector<CellId>{2, 3}));
-  EXPECT_EQ(c.DropLast(), a);
+  EXPECT_EQ(c.SubPattern(1, 2), Pattern(std::vector<CellId>{2, 3}));
+  EXPECT_EQ(c.SubPattern(0, 2), a);
 }
 
 TEST(PatternTest, HashDistinguishesOrder) {
@@ -152,10 +143,10 @@ TEST(PatternTest, SpanLookupMatchesPatternLookup) {
   const Pattern p(std::vector<CellId>{1, kWildcardCell, 3});
   const std::span<const CellId> cells = p.cells();
   PatternHash h;
-  EXPECT_EQ(h(cells.subspan(1)), h(p.DropFirst()));
-  EXPECT_EQ(h(cells.first(2)), h(p.DropLast()));
+  EXPECT_EQ(h(cells.subspan(1)), h(p.SubPattern(1, 2)));
+  EXPECT_EQ(h(cells.first(2)), h(p.SubPattern(0, 2)));
   ScoreMemo memo;
-  memo.emplace(p.DropLast().cells(), -1.5);
+  memo.emplace(p.SubPattern(0, 2).cells(), -1.5);
   const double* hit = memo.find(cells.first(2));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, -1.5);
@@ -187,25 +178,6 @@ TEST(AsciiArtTest, DensityMarksOccupiedCells) {
   EXPECT_EQ(lines[4][1], '@');
   // Empty cells are blank.
   EXPECT_EQ(lines[2][2], ' ');
-}
-
-TEST(AsciiArtTest, PatternLabelsSequenceOrder) {
-  const Grid grid = Grid::UnitSquare(4);
-  const Pattern p(std::vector<CellId>{grid.At(0, 0), kWildcardCell,
-                                      grid.At(3, 3), grid.At(0, 0)});
-  const std::string art = RenderPattern(p, grid);
-  std::vector<std::string> lines;
-  {
-    std::istringstream is(art);
-    std::string line;
-    while (std::getline(is, line)) lines.push_back(line);
-  }
-  ASSERT_EQ(lines.size(), 6u);
-  // Position 1 and 3 share cell (0,0) -> '*'; position 2 at (3,3) -> '2'
-  // (the wildcard is skipped and does not consume a label).
-  EXPECT_EQ(lines[4][1], '*');
-  EXPECT_EQ(lines[1][4], '2');
-  EXPECT_EQ(lines[2][2], '.');
 }
 
 TEST(FlagsTest, ParsesTypedValues) {

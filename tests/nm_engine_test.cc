@@ -436,6 +436,85 @@ TEST(NmEngineTest, FullMineKeepsAtMostOneVectorPerGridColumnAndRow) {
   EXPECT_EQ(result.stats.cells_cached, engine.num_cached_cells());
 }
 
+// Each factor vector is one buffer.  Every warm-up that allocates asks the
+// fault hook once, with the bytes of the resident plus requested vectors,
+// and the peak counts vectors.  Under a 2-vector budget, warming a cell
+// in another grid column and row evicts the first cell's two vectors and
+// asks the hook for two new ones: nothing freed is reused without asking.
+// A failing hook then publishes nothing.
+TEST(NmEngineTest, FaultHookAndPeakCountResidentPlusRequestedVectors) {
+  const MiningSpace space = TestSpace();  // 4x4
+  const TrajectoryDataset d = OneTrajectory({{0.1, 0.1}, {0.6, 0.6}});
+  const CellId a = space.grid.CellOf(Point2(0.1, 0.1));  // column 0, row 0
+  const CellId b = space.grid.CellOf(Point2(0.6, 0.6));  // column 2, row 2
+  for (const bool fail : {false, true}) {
+    NmEngine engine(d, space);
+    const size_t vector = engine.column_bytes();
+    std::vector<size_t> asked;
+    size_t resident_when_asked = 0;
+    engine.set_alloc_fault_hook([&](size_t bytes) {
+      asked.push_back(bytes);
+      resident_when_asked = engine.num_cached_cells();
+      return fail && asked.size() == 2;
+    });
+    EXPECT_EQ(engine.WarmCells({a}), 2u);
+    EXPECT_EQ(asked, std::vector<size_t>{2 * vector});
+    EXPECT_EQ(engine.arena_peak_bytes(), 2 * vector);
+
+    RunContext run;
+    run.memory_budget_bytes = 2 * vector;
+    NmEngine::WarmStats ws;
+    const size_t warmed = engine.WarmCells({b}, 1, &ws, &run);
+    EXPECT_EQ(ws.evicted, 2u) << "fail=" << fail;
+    EXPECT_EQ(asked, (std::vector<size_t>{2 * vector, 2 * vector}))
+        << "fail=" << fail;
+    EXPECT_EQ(engine.arena_peak_bytes(), 2 * vector) << "fail=" << fail;
+    if (fail) {
+      EXPECT_EQ(ws.stop, StopReason::kAllocFailed);
+      EXPECT_EQ(warmed, 0u);
+      EXPECT_EQ(engine.num_cached_cells(), resident_when_asked);
+    } else {
+      EXPECT_EQ(ws.stop, StopReason::kNone);
+      EXPECT_EQ(warmed, 2u);
+      EXPECT_EQ(engine.num_cached_cells(), 2u);
+      // Without a budget nothing is evicted: the hook sees the two
+      // resident vectors plus the two requested ones.
+      const CellId c = space.grid.CellOf(Point2(0.35, 0.35));  // 1, 1
+      EXPECT_EQ(engine.WarmCells({c}), 2u);
+      EXPECT_EQ(asked.back(), 4 * vector);
+      EXPECT_EQ(engine.arena_peak_bytes(), 4 * vector);
+    }
+  }
+}
+
+// A stop that fires after the buffers are allocated but before they are
+// filled (here the fault hook cancels the run) skips every fill.  None of
+// the unfilled buffers is published, so the same engine, asked again
+// without a stop, scores a fresh engine's bits.
+TEST(NmEngineTest, BuffersAStopLeftUnfilledAreNotPublished) {
+  const MiningSpace space = TestSpace();
+  const TrajectoryDataset d = OneTrajectory({{0.1, 0.1}, {0.6, 0.6}});
+  const CellId a = space.grid.CellOf(Point2(0.1, 0.1));
+  const CellId b = space.grid.CellOf(Point2(0.6, 0.6));
+  const Pattern p(std::vector<CellId>{a, b});
+  NmEngine fresh(d, space);
+  const double want = fresh.NmTotal(p);
+  for (const int threads : {1, 4}) {
+    NmEngine engine(d, space);
+    RunContext run;
+    engine.set_alloc_fault_hook([&run](size_t) {
+      run.token.Cancel();
+      return false;
+    });
+    NmEngine::WarmStats ws;
+    EXPECT_EQ(engine.WarmCells(p.cells(), threads, &ws, &run), 0u);
+    EXPECT_EQ(ws.stop, StopReason::kCancelled);
+    EXPECT_EQ(engine.num_cached_cells(), 0u);
+    engine.set_alloc_fault_hook(nullptr);
+    EXPECT_TRUE(BitEq(engine.NmTotal(p), want)) << threads << " threads";
+  }
+}
+
 // The radial model keeps a column per cell, paired with one shared +0.0
 // vector.  A budget of four vectors holds any pattern of up to three
 // distinct cells (its columns and the +0.0 vector), so a batch over many

@@ -691,8 +691,8 @@ TEST(MiningSupervisorTest, V3CheckpointIsRefusedUntouched) {
 }
 
 // A checkpoint holding a cell the engine's grid lacks (one written with a
-// larger grid) must not be resumed: warm-up would index past the column
-// slot table.  Whichever block holds the cell (a frontier row is also a
+// larger grid) must not be resumed: warm-up would index past the factor
+// table.  Whichever block holds the cell (a frontier row is also a
 // score row), the supervisor refuses the file before mining, typed,
 // naming the cell and the grid size, and leaves it byte-identical.
 TEST(MiningSupervisorTest, CheckpointWithCellOutsideTheGridIsRefusedUntouched) {

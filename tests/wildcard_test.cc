@@ -193,7 +193,9 @@ TEST(WildcardMinerTest, DisabledByDefault) {
   opt.max_pattern_length = 3;
   const MiningResult result = MineTrajPatterns(engine, opt);
   for (const auto& sp : result.patterns) {
-    EXPECT_FALSE(sp.pattern.HasWildcard()) << sp.pattern.ToString();
+    EXPECT_EQ(std::ranges::find(sp.pattern.cells(), kWildcardCell),
+              sp.pattern.cells().end())
+        << sp.pattern.ToString();
   }
 }
 
