@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
 #include <string>
 
@@ -67,20 +68,28 @@ bool SpaceFlagsValid(const Flags& flags, const char* cmd) {
   return true;
 }
 
-// These mine flags count positions, candidates, MiB, milliseconds,
-// workers or retries.  0 keeps its meaning: no bound, no wildcards, no
-// budget, no deadline, every core, or no retry.  A negative length or
-// beam bound would wrap to a huge size_t, a negative wildcard count
-// would pass as an empty range, and a negative run-control value would
-// silently read as its 0 (or, for the retries, as one attempt).
-bool MineCountFlagsValid(const Flags& flags) {
-  for (const char* name :
-       {"min_len", "max_len", "beam", "wildcards", "memory_budget_mb",
-        "deadline_ms", "threads", "checkpoint_retries"}) {
+// Refuses a negative value of any of `names`, flags that count
+// something; 0 keeps its meaning.
+//
+// The mine flags count positions, candidates, MiB, milliseconds,
+// workers or retries, and 0 means no bound, no wildcards, no budget, no
+// deadline, every core, or no retry.  A negative length or beam bound
+// would wrap to a huge size_t, a negative wildcard count would pass as
+// an empty range, and a negative run-control value would silently read
+// as its 0 (or, for the retries, as one attempt).
+//
+// The generate flags count trajectories, snapshots, groups, routes,
+// buses or days.  A negative trajectory or route count would abort the
+// generator on a vector length, a negative snapshot or day count would
+// write trajectories with no snapshots, and a negative group count would
+// silently read as one group.
+bool CountFlagsValid(const Flags& flags, const char* cmd,
+                     std::initializer_list<const char*> names) {
+  for (const char* name : names) {
     const int value = flags.GetInt(name, 0);
     if (value < 0) {
-      std::fprintf(stderr, "mine: --%s must be at least 0 (got %d)\n", name,
-                   value);
+      std::fprintf(stderr, "%s: --%s must be at least 0 (got %d)\n", cmd,
+                   name, value);
       return false;
     }
   }
@@ -92,6 +101,11 @@ int Generate(const Flags& flags) {
   const std::string out = flags.GetString("out", "");
   if (out.empty()) {
     std::fprintf(stderr, "generate: --out=<file.csv> is required\n");
+    return 1;
+  }
+  if (!CountFlagsValid(flags, "generate",
+                       {"n", "snapshots", "groups", "routes", "buses",
+                        "days"})) {
     return 1;
   }
   TrajectoryDataset data;
@@ -207,7 +221,13 @@ int Mine(const Flags& flags, const ObsOptions& obs_opts) {
                  k);
     return 1;
   }
-  if (!SpaceFlagsValid(flags, "mine") || !MineCountFlagsValid(flags)) return 1;
+  if (!SpaceFlagsValid(flags, "mine") ||
+      !CountFlagsValid(flags, "mine",
+                       {"min_len", "max_len", "beam", "wildcards",
+                        "memory_budget_mb", "deadline_ms", "threads",
+                        "checkpoint_retries"})) {
+    return 1;
+  }
   TrajectoryDataset data;
   CsvDiagnostic diag;
   if (!ReadTrajectoriesCsvFile(in, &data, &diag)) {

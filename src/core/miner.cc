@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <numeric>
 #include <utility>
 
 #include "obs/journal.h"
@@ -130,18 +130,19 @@ void RebuildFrontier(const ScoreMemo& scores, double omega, Frontier* out) {
 /// retained pattern in both orders, the frontier rule skipping pairs
 /// whose halves were both in `state`'s snapshots (last round's H and Q),
 /// deduplicated against `state`'s memo and within the batch.  Each
-/// concatenation is staged in one reusable cell buffer and probed by
-/// span; only a new candidate becomes a `Pattern`.  In beam mode
+/// concatenation is staged in one reusable cell buffer, probed by span,
+/// and a new one is interned into the returned batch, a `ScoreMemo`
+/// whose values are unused; no `Pattern` is built.  In beam mode
 /// (`options.max_candidates_per_iteration > 0`) the staged set is
 /// truncated to the best min-max bounds, round-robined across length
-/// strata; `*hit_candidate_cap` reports a truncation.  Deterministic:
-/// the output order is a pure function of the inputs.  In exact mode it
-/// follows the frontier's id order, so only the order, never the set,
-/// depends on the memo's insertion order.
-std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
-                                        const MinerCheckpoint& state,
-                                        const Frontier& current,
-                                        bool* hit_candidate_cap) {
+/// strata, into a fresh batch; `*hit_candidate_cap` reports a
+/// truncation.  Deterministic: the batch's id order is a pure function
+/// of the inputs.  In exact mode it follows the frontier's id order, so
+/// only the order, never the set, depends on the memo's insertion order.
+ScoreMemo GenerateCandidates(const MinerOptions& options,
+                             const MinerCheckpoint& state,
+                             const Frontier& current,
+                             bool* hit_candidate_cap) {
   using Id = ScoreMemo::Id;
   const ScoreMemo& scores = state.scores;
   // Candidate generation: P in H extended with every P' in Q, both
@@ -155,7 +156,8 @@ std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
   // We then walk both sets in NM-descending order (the most promising
   // combinations first) and stop once enough candidates are staged for
   // the beam to rank.
-  const bool beam = options.max_candidates_per_iteration > 0;
+  const size_t cap = options.max_candidates_per_iteration;
+  const bool beam = cap > 0;
   std::vector<Id> high_by_nm;
   std::vector<Id> queue_by_nm;
   if (beam) {
@@ -173,17 +175,13 @@ std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
   const std::vector<Id>& high = beam ? high_by_nm : current.high;
   const std::vector<Id>& queue = beam ? queue_by_nm : current.queue;
   const size_t generation_budget =
-      beam ? 4 * options.max_candidates_per_iteration
-           : std::numeric_limits<size_t>::max();
-  std::vector<Pattern> candidates;
-  // Candidates staged by this call, for the within-batch dedupe.
+      beam ? 4 * cap : std::numeric_limits<size_t>::max();
   ScoreMemo staged_set;
   std::vector<CellId> staged;
   // Stage the two concatenation orders a·*^gap·b and b·*^gap·a of a pair
   // (§5 wildcard joiners put 0..d '*' positions between the halves).
-  // Each is assembled in `staged` and probed by span; only a new one
-  // becomes a `Pattern`.  The length test runs first: with a depth cap
-  // most pairs are over-length.
+  // Each is assembled in `staged` and probed by span.  The length test
+  // runs first: with a depth cap most pairs are over-length.
   auto stage_pair = [&](std::span<const CellId> a, size_t gap,
                         std::span<const CellId> b) {
     if (options.max_pattern_length > 0 &&
@@ -194,10 +192,7 @@ std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
       staged.assign(first.begin(), first.end());
       staged.insert(staged.end(), gap, kWildcardCell);
       staged.insert(staged.end(), second.begin(), second.end());
-      if (scores.contains(staged) || !staged_set.emplace(staged, 0.0)) {
-        continue;
-      }
-      candidates.emplace_back(staged);
+      if (!scores.contains(staged)) staged_set.emplace(staged, 0.0);
     }
   };
   // Frontier rule: a pair whose halves were BOTH already in last
@@ -211,11 +206,11 @@ std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
   for (const Id id : state.prev_high) in_prev[id] |= kPrevHigh;
   for (const Id id : state.prev_queue) in_prev[id] |= kPrevQueue;
   for (const Id p : high) {
-    if (candidates.size() >= generation_budget) break;
+    if (staged_set.size() >= generation_budget) break;
     const bool p_old = (in_prev[p] & kPrevHigh) != 0;
     const std::span<const CellId> p_cells = scores.cells(p);
     for (const Id q : queue) {
-      if (candidates.size() >= generation_budget) break;
+      if (staged_set.size() >= generation_budget) break;
       if (p_old && (in_prev[q] & kPrevQueue) != 0) continue;
       const std::span<const CellId> q_cells = scores.cells(q);
       for (int gap = 0; gap <= options.max_wildcards; ++gap) {
@@ -223,63 +218,50 @@ std::vector<Pattern> GenerateCandidates(const MinerOptions& options,
       }
     }
   }
+  if (!beam || staged_set.size() <= cap) return staged_set;
 
-  if (options.max_candidates_per_iteration > 0 &&
-      candidates.size() > options.max_candidates_per_iteration) {
-    // Beam fallback: keep the candidates whose worse half is best — the
-    // min-max property bounds a pattern's NM by the max of any cut, so
-    // a candidate with two strong halves is the most promising.  The
-    // beam is stratified by candidate length: ranking by bound alone
-    // would let the (always better-bounded) short candidates starve the
-    // long ones, and with a min-length constraint the threshold omega
-    // never tightens until long patterns exist at all.
-    if (hit_candidate_cap != nullptr) *hit_candidate_cap = true;
-    auto bound = [&](const Pattern& c) {
-      double best = kNegInf;
-      ForEachMemoizedCut(c.cells(), scores,
-                         [&](size_t, double left, double right) {
-                           best = std::max(best, std::min(left, right));
-                         });
-      return best;
-    };
-    std::map<size_t, std::vector<std::pair<double, Pattern>>> buckets;
-    for (Pattern& c : candidates) {
-      const size_t len = c.length();
-      buckets[len].emplace_back(bound(c), std::move(c));
-    }
-    for (auto& [len, bucket] : buckets) {
-      (void)len;
-      std::sort(bucket.begin(), bucket.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.first != b.first) return a.first > b.first;
-                  return a.second < b.second;
-                });
-    }
-    candidates.clear();
-    // Round-robin across length buckets, best-bound first within each.
-    std::vector<size_t> cursor_keys;
-    for (const auto& [len, bucket] : buckets) {
-      (void)bucket;
-      cursor_keys.push_back(len);
-    }
-    std::vector<size_t> offsets(cursor_keys.size(), 0);
-    while (candidates.size() < options.max_candidates_per_iteration) {
-      bool any = false;
-      for (size_t b = 0; b < cursor_keys.size() &&
-                         candidates.size() <
-                             options.max_candidates_per_iteration;
-           ++b) {
-        auto& bucket = buckets[cursor_keys[b]];
-        if (offsets[b] < bucket.size()) {
-          candidates.push_back(std::move(bucket[offsets[b]].second));
-          ++offsets[b];
-          any = true;
-        }
-      }
-      if (!any) break;
+  // Beam fallback: keep the candidates whose worse half is best — the
+  // min-max property bounds a pattern's NM by the max of any cut, so a
+  // candidate with two strong halves is the most promising.  The beam is
+  // stratified by candidate length: ranking by bound alone would let the
+  // (always better-bounded) short candidates starve the long ones, and
+  // with a min-length constraint the threshold omega never tightens
+  // until long patterns exist at all.
+  if (hit_candidate_cap != nullptr) *hit_candidate_cap = true;
+  const auto length = [&](Id id) { return staged_set.cells(id).size(); };
+  std::vector<double> bound(staged_set.size(), kNegInf);
+  for (Id id = 0; id < staged_set.size(); ++id) {
+    double& best = bound[id];
+    ForEachMemoizedCut(staged_set.cells(id), scores,
+                       [&](size_t, double left, double right) {
+                         best = std::max(best, std::min(left, right));
+                       });
+  }
+  // Rank each length's candidates best bound first, then fill the beam
+  // round-robin across lengths: ascending (rank, length).
+  std::vector<Id> order(staged_set.size());
+  std::iota(order.begin(), order.end(), Id{0});
+  std::sort(order.begin(), order.end(), [&](Id a, Id b) {
+    if (length(a) != length(b)) return length(a) < length(b);
+    if (bound[a] != bound[b]) return bound[a] > bound[b];
+    return staged_set.Less(a, b);
+  });
+  std::vector<size_t> rank(staged_set.size(), 0);
+  for (size_t i = 1; i < order.size(); ++i) {
+    if (length(order[i]) == length(order[i - 1])) {
+      rank[order[i]] = rank[order[i - 1]] + 1;
     }
   }
-  return candidates;
+  std::partial_sort(order.begin(), order.begin() + cap, order.end(),
+                    [&](Id a, Id b) {
+                      if (rank[a] != rank[b]) return rank[a] < rank[b];
+                      return length(a) < length(b);
+                    });
+  ScoreMemo kept;
+  for (size_t i = 0; i < cap; ++i) {
+    kept.emplace(staged_set.cells(order[i]), 0.0);
+  }
+  return kept;
 }
 
 }  // namespace
@@ -290,8 +272,9 @@ TrajPatternMiner::TrajPatternMiner(const NmEngine* engine,
   state_.k = options.k;
 }
 
-void TrajPatternMiner::ScoreBatch(std::vector<Pattern> patterns) {
-  if (patterns.empty()) return;
+void TrajPatternMiner::ScoreBatch(const ScoreMemo& batch) {
+  using Id = ScoreMemo::Id;
+  if (batch.size() == 0) return;
   TP_TRACE_SPAN("miner/score_batch");
   ScoreMemo& scores = state_.scores;
   // The batch runs against the ω that held when it was staged.  A
@@ -305,24 +288,20 @@ void TrajPatternMiner::ScoreBatch(std::vector<Pattern> patterns) {
   // memoizes the bound and is never warmed or scanned.  Every bound
   // reads the memo as of batch entry.  Beam mode scans everything,
   // because its min-max ranking reads memo values as scores.
-  std::vector<double> bounds(patterns.size(), kPosInf);
+  std::vector<double> bounds(batch.size(), kPosInf);
   if (options_.max_candidates_per_iteration == 0 && omega > kNegInf) {
     TP_TRACE_SPAN("miner/split_bound");
     const size_t n = engine_->data().size();
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      bounds[i] = SplitBound(patterns[i].cells(), scores, n);
+    for (Id id = 0; id < batch.size(); ++id) {
+      bounds[id] = SplitBound(batch.cells(id), scores, n);
     }
   }
-  const auto is_bounded = [&](size_t i) { return bounds[i] < omega; };
-  size_t bounded = 0;
-  for (size_t i = 0; i < patterns.size(); ++i) bounded += is_bounded(i);
-  size_t batch_cells = 0;
+  const auto is_bounded = [&](Id id) { return bounds[id] < omega; };
   std::vector<Pattern> scan;
-  scan.reserve(patterns.size() - bounded);
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    batch_cells += patterns[i].length();
-    if (!is_bounded(i)) scan.push_back(std::move(patterns[i]));
+  for (Id id = 0; id < batch.size(); ++id) {
+    if (!is_bounded(id)) scan.push_back(batch.pattern(id));
   }
+  const size_t bounded = batch.size() - scan.size();
 
   BatchScoreStats bstats;
   const std::vector<double> nms = engine_->NmTotalBatch(
@@ -339,28 +318,27 @@ void TrajPatternMiner::ScoreBatch(std::vector<Pattern> patterns) {
     stats_.aborted = true;
     return;
   }
-  TP_COUNTER_ADD("miner.candidates_evaluated", patterns.size());
+  TP_COUNTER_ADD("miner.candidates_evaluated", batch.size());
   TP_COUNTER_ADD("miner.candidates_pruned", bounded);
-  stats_.candidates_evaluated += static_cast<int64_t>(patterns.size());
+  stats_.candidates_evaluated += static_cast<int64_t>(batch.size());
   stats_.candidates_pruned += static_cast<int64_t>(bounded);
-  // Serial epilogue in staged order: the memo and top-k offers land
+  // Serial epilogue in batch order: the memo and top-k offers land
   // exactly as the serial one-at-a-time loop would.  A bounded
   // candidate's memo value is an upper bound below ω: the top-k would
   // reject it, and the rebuild/1-extension consumers classify it low —
   // exactly as its exact score would be.
-  scores.reserve(scores.size() + patterns.size(),
-                 scores.num_cells() + batch_cells);
+  scores.reserve(scores.size() + batch.size(),
+                 scores.num_cells() + batch.num_cells());
   size_t next = 0;
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    if (is_bounded(i)) {
-      scores.emplace(patterns[i].cells(), bounds[i]);
+  for (Id id = 0; id < batch.size(); ++id) {
+    const std::span<const CellId> cells = batch.cells(id);
+    if (is_bounded(id)) {
+      scores.emplace(cells, bounds[id]);
       continue;
     }
-    const Pattern& p = scan[next];
-    const double nm = nms[next];
-    ++next;
-    if (scores.emplace(p.cells(), nm) && Eligible(p.length())) {
-      top_k_.Offer(p, nm);
+    const double nm = nms[next++];
+    if (scores.emplace(cells, nm) && Eligible(cells.size())) {
+      top_k_.Offer(cells, nm);
     }
   }
 }
@@ -394,7 +372,7 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
     state_ = *resume;
     for (ScoreMemo::Id id = 0; id < state_.scores.size(); ++id) {
       if (Eligible(state_.scores.cells(id).size())) {
-        top_k_.Offer(state_.scores.pattern(id), state_.scores.nm(id));
+        top_k_.Offer(state_.scores.cells(id), state_.scores.nm(id));
       }
     }
     stats_.iterations = resume->iteration;
@@ -419,12 +397,12 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   stats_.alphabet_size = alphabet.size();
   // One batch warms every touched cell's column up front and scores the
   // singulars across the workers.
-  std::vector<Pattern> singulars;
-  singulars.reserve(alphabet.size());
+  ScoreMemo singulars;
   for (const CellId c : alphabet) {
-    if (!scores.contains(std::span(&c, 1))) singulars.emplace_back(c);
+    const std::span<const CellId> cell(&c, 1);
+    if (!scores.contains(cell)) singulars.emplace(cell, 0.0);
   }
-  ScoreBatch(std::move(singulars));
+  ScoreBatch(singulars);
   // A stop during the singular batch predates any resumable state; such
   // a run resumes from scratch.
   const bool resumable = !stats_.aborted;
@@ -505,14 +483,14 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
     // Candidate generation (see `GenerateCandidates`): H x Q in both
     // orders under the frontier rule, wildcard joiners, and the beam
     // fallback.
-    std::vector<Pattern> candidates = GenerateCandidates(
+    const ScoreMemo candidates = GenerateCandidates(
         options_, state_, frontier, &stats_.hit_candidate_cap);
     stats_.candidates_generated += static_cast<int64_t>(candidates.size());
     TP_COUNTER_ADD("miner.candidates_generated", candidates.size());
     TP_HISTOGRAM_OBSERVE("miner.iteration_candidates", candidates.size(),
                          {10, 100, 1000, 10000, 100000});
 
-    ScoreBatch(std::move(candidates));
+    ScoreBatch(candidates);
     // A stop mid-batch discarded the whole generation; the state is
     // still exactly the last boundary's.
     if (stats_.aborted) break;

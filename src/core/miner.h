@@ -187,18 +187,18 @@ class TrajPatternMiner {
   /// Shared body of the two `Mine` overloads.
   MiningResult Run(const MinerCheckpoint* resume);
 
-  /// Scores `patterns` and feeds the memo and the top-k tracker serially
-  /// in `patterns` order — identical bookkeeping to one-at-a-time
-  /// scoring.  Precondition: the patterns are distinct and none is in
-  /// the memo yet (scoring one twice would count it twice and offer it
-  /// to the top-k twice); `GenerateCandidates` and the singular batch
-  /// filter for that.  In exact mode a candidate whose `SplitBound`
-  /// (read from the memo as of batch entry) is below the batch's ω
-  /// memoizes that bound and is neither scanned nor offered; the rest go
-  /// through the engine's batch API (parallel per
-  /// `MinerOptions::num_threads`).  Takes the list by value so the
-  /// scanned patterns move into the scan list without a copy.
-  void ScoreBatch(std::vector<Pattern> patterns);
+  /// Scores the entries of `batch` (its values are ignored) and feeds
+  /// the memo and the top-k tracker serially in id order — identical
+  /// bookkeeping to one-at-a-time scoring.  The entries are distinct by
+  /// the batch's type.  Precondition: none is in the memo yet (scoring
+  /// one twice would count it twice and offer it to the top-k twice);
+  /// `GenerateCandidates` and the singular batch filter for that.  In
+  /// exact mode an entry whose `SplitBound` (read from the memo as of
+  /// batch entry) is below the batch's ω memoizes that bound and is
+  /// neither scanned nor offered; only the rest become `Pattern`s, for
+  /// the engine's batch API (parallel per `MinerOptions::num_threads`).
+  /// Every entry is committed to the memo by span.
+  void ScoreBatch(const ScoreMemo& batch);
 
   /// True iff a pattern of `length` positions counts toward the answer
   /// set.

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/pattern.h"
@@ -19,17 +20,21 @@ class TopKPatterns {
   explicit TopKPatterns(int k) : k_(k > 0 ? static_cast<size_t>(k) : 0) {}
 
   /// Offers a candidate; keeps it iff it beats the current k-th best.
-  void Offer(const Pattern& pattern, double score) {
+  /// The cells are copied into a `Pattern` only once the candidate is
+  /// kept.
+  void Offer(std::span<const CellId> cells, double score) {
     if (k_ == 0) return;
-    ScoredPattern sp{pattern, score};
     if (heap_.size() < k_) {
-      heap_.push_back(std::move(sp));
+      heap_.push_back(Scored(cells, score));
       std::push_heap(heap_.begin(), heap_.end(), WorseOnTop);
-    } else if (BetterScored(sp, heap_.front())) {
+    } else if (Beats(cells, score, heap_.front())) {
       std::pop_heap(heap_.begin(), heap_.end(), WorseOnTop);
-      heap_.back() = std::move(sp);
+      heap_.back() = Scored(cells, score);
       std::push_heap(heap_.begin(), heap_.end(), WorseOnTop);
     }
+  }
+  void Offer(const Pattern& pattern, double score) {
+    Offer(pattern.cells(), score);
   }
 
   /// The paper's omega: the k-th best score seen, or -inf while fewer
@@ -53,6 +58,15 @@ class TopKPatterns {
  private:
   static bool WorseOnTop(const ScoredPattern& a, const ScoredPattern& b) {
     return BetterScored(a, b);
+  }
+  static ScoredPattern Scored(std::span<const CellId> cells, double score) {
+    return {Pattern(std::vector<CellId>(cells.begin(), cells.end())), score};
+  }
+  /// `BetterScored` of (`cells`, `score`) against `kept`.
+  static bool Beats(std::span<const CellId> cells, double score,
+                    const ScoredPattern& kept) {
+    if (score != kept.nm) return score > kept.nm;
+    return std::ranges::lexicographical_compare(cells, kept.pattern.cells());
   }
 
   size_t k_;

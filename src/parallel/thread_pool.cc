@@ -20,9 +20,10 @@ namespace {
 /// is Linux-only (15-char limit incl. the index); the trace-export name
 /// is set wherever the obs layer is compiled in.
 void NameWorkerThread() {
-  static std::atomic<int> next_worker{0};
+  // Unsigned, so the index stays in 0..99 and the name in 15 chars.
+  static std::atomic<unsigned> next_worker{0};
   char name[16];
-  std::snprintf(name, sizeof(name), "trajp-worker-%d",
+  std::snprintf(name, sizeof(name), "trajp-worker-%u",
                 next_worker.fetch_add(1, std::memory_order_relaxed) % 100);
 #if defined(__linux__)
   pthread_setname_np(pthread_self(), name);

@@ -14,6 +14,12 @@
 #include "obs/obs.h"
 
 namespace trajpattern {
+namespace {
+
+/// The first retry's backoff; each later retry doubles it.
+constexpr double kBackoffInitialMs = 1.0;
+
+}  // namespace
 
 MiningSupervisor::MiningSupervisor(const NmEngine* engine,
                                    SupervisorOptions options)
@@ -36,7 +42,7 @@ MiningSupervisor::MiningSupervisor(const NmEngine* engine,
 bool MiningSupervisor::DeliverCheckpoint(const MinerCheckpoint& cp,
                                          SupervisorReport* report) {
   const int attempts = 1 + std::max(0, options_.checkpoint_retries);
-  double backoff = options_.backoff_initial_ms;
+  double backoff = kBackoffInitialMs;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
       // Exponential backoff between attempts: transient sink outages
@@ -46,7 +52,7 @@ bool MiningSupervisor::DeliverCheckpoint(const MinerCheckpoint& cp,
       TP_HISTOGRAM_OBSERVE("supervisor.backoff_ms", backoff,
                            {1, 2, 5, 10, 50, 100, 1000});
       options_.sleep_fn(backoff);
-      backoff *= options_.backoff_multiplier;
+      backoff *= 2.0;
       if (attempt == 1) {
         ++report->sink_deliveries_retried;
         TP_COUNTER_INC("supervisor.deliveries_retried");

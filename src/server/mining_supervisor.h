@@ -22,11 +22,8 @@ struct SupervisorOptions {
 
   /// Retry attempts per checkpoint delivery AFTER the first try (so a
   /// delivery makes at most `1 + checkpoint_retries` write attempts).
-  /// Retries back off exponentially: `backoff_initial_ms`, doubled per
-  /// attempt (`backoff_multiplier`).
+  /// Retries back off exponentially: 1 ms, doubled on each retry.
   int checkpoint_retries = 3;
-  double backoff_initial_ms = 1.0;
-  double backoff_multiplier = 2.0;
 
   /// Auto-resume attempts after the mining run itself throws (worker
   /// exception, allocation failure, ...).  Each restart resumes from the

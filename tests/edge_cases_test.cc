@@ -21,7 +21,9 @@ TEST(EdgeCaseTest, EmptyDatasetMinesNothing) {
   const TrajectoryDataset empty;
   NmEngine engine(empty, TinySpace());
   // Touched alphabet is empty -> nothing to grow from.
-  const MiningResult result = MineTrajPatterns(engine, {.k = 3});
+  MinerOptions opt;
+  opt.k = 3;
+  const MiningResult result = MineTrajPatterns(engine, opt);
   EXPECT_TRUE(result.patterns.empty());
   EXPECT_EQ(engine.TouchedCells().size(), 0u);
 }

@@ -544,7 +544,7 @@ TEST(CheckpointIoTest, RejectsCorruptCellLists) {
   const std::string good = ss.str();
   // Negative cell, CellId overflow, and a trailing ';' (lost cell) are
   // all corruption, not formatting slack.
-  for (const std::string& bad_row : {"-7", "99999999999", "3;"}) {
+  for (const char* bad_row : {"-7", "99999999999", "3;"}) {
     std::string text = good;
     const size_t row = text.rfind("3;4\n");
     ASSERT_NE(row, std::string::npos);
@@ -1010,6 +1010,22 @@ void RunKillAndResume(int num_threads) {
 TEST(CheckpointResumeTest, BitIdenticalSingleThread) { RunKillAndResume(1); }
 
 TEST(CheckpointResumeTest, BitIdenticalEightThreads) { RunKillAndResume(8); }
+
+// Beam mode: a cap of 20 truncates the deep workload's staged rounds, so
+// every resumed round must rank and keep the same candidates, in the
+// same order, as the uninterrupted run.
+TEST(CheckpointResumeTest, BeamBitIdenticalAcrossResume) {
+  const TrajectoryDataset data = MakeDeepMiningData();
+  const MiningSpace space(Grid::UnitSquare(8), 0.125);
+  for (const int num_threads : {1, 8}) {
+    SCOPED_TRACE(num_threads);
+    MinerOptions opt = MakeDeepOptions(num_threads);
+    opt.max_candidates_per_iteration = 20;
+    NmEngine engine(data, space);
+    EXPECT_TRUE(MineTrajPatterns(engine, opt).stats.hit_candidate_cap);
+    EXPECT_GT(KillAndResumeAtEveryBoundary(data, opt), 0u);
+  }
+}
 
 // Cancellation-driven variant of the kill sweep: instead of a sink veto,
 // the run's CancellationToken is tripped at every iteration boundary in

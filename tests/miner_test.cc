@@ -36,7 +36,9 @@ TEST(TrajPatternMinerTest, FindsSingularTopOnTrivialData) {
   d.Add(std::move(t));
   const MiningSpace space = SmallSpace();
   NmEngine engine(d, space);
-  const MiningResult result = MineTrajPatterns(engine, {.k = 1});
+  MinerOptions opt;
+  opt.k = 1;
+  const MiningResult result = MineTrajPatterns(engine, opt);
   ASSERT_EQ(result.patterns.size(), 1u);
   const Pattern& best = result.patterns[0].pattern;
   // Every position of the winner is the object's cell (NM ties across

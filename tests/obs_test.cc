@@ -218,7 +218,9 @@ TEST(ObsTraceTest, ChromeExportIsValidJsonWithCompleteSpans) {
     if (e.phase == 'X') ++spans;
     if (e.phase == 'C') ++counters;
     EXPECT_GE(e.ts_us, 0.0);
-    if (e.phase == 'X') EXPECT_GE(e.dur_us, 0.0);
+    if (e.phase == 'X') {
+      EXPECT_GE(e.dur_us, 0.0);
+    }
   }
   EXPECT_EQ(spans, 3);
   EXPECT_EQ(counters, 1);  // the NaN sample was skipped

@@ -523,8 +523,6 @@ TEST(MiningSupervisorTest, RetriesTransientSinkFailuresWithBackoff) {
   sup.checkpoint_path = path;
   sup.miner = MakeOptions();
   sup.checkpoint_retries = 3;
-  sup.backoff_initial_ms = 1.0;
-  sup.backoff_multiplier = 2.0;
   sup.sink_faults = &faults;
   sup.sleep_fn = [&sleeps](double ms) { sleeps.push_back(ms); };
   MiningSupervisor supervisor(&engine, sup);
