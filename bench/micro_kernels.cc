@@ -57,25 +57,54 @@ void BM_LogNormalIntervalProbBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_LogNormalIntervalProbBatch)->Arg(2400)->Arg(19200);
 
-void BM_SimdFusedMaxSum(benchmark::State& state) {
-  // The walk's last position: a prefix level plus one position's floored
-  // factor sum, built from its two log-factor vectors.
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(13);
-  std::vector<double> w(n), fx(n), fy(n);
-  for (size_t i = 0; i < n; ++i) {
-    w[i] = -rng.Uniform(0.0, 30.0);
-    fx[i] = -rng.Uniform(0.0, 15.0);
-    fy[i] = -rng.Uniform(0.0, 15.0);
+/// A prefix level and `columns` tile columns of n snapshots, in the
+/// walk's value ranges.
+struct ScanInputs {
+  ScanInputs(size_t n, size_t columns) : w(n), t(columns, std::vector<double>(n)) {
+    Rng rng(13);
+    for (size_t i = 0; i < n; ++i) {
+      w[i] = -rng.Uniform(0.0, 30.0);
+      for (auto& column : t) column[i] = -rng.Uniform(0.0, 30.0);
+    }
   }
+  std::vector<double> w;
+  std::vector<std::vector<double>> t;
+};
+
+void BM_SimdFusedMaxSum(benchmark::State& state) {
+  // The walk's last position: a prefix level plus one position's tile
+  // column.  The walk calls it once per trajectory, so n = 38 and 96 are
+  // the zebra and bus trajectory lengths.
+  const size_t n = static_cast<size_t>(state.range(0));
+  const ScanInputs in(n, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        simd::FusedMaxSum(w.data(), fx.data(), fy.data(), n));
+    benchmark::DoNotOptimize(simd::FusedMaxSum(in.w.data(), in.t[0].data(), n));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
   state.SetLabel(simd::ActiveLevelName());
 }
-BENCHMARK(BM_SimdFusedMaxSum)->Arg(2400)->Arg(19200);
+BENCHMARK(BM_SimdFusedMaxSum)->Arg(38)->Arg(96)->Arg(2400)->Arg(19200);
+
+void BM_SimdFusedMaxSumGroup(benchmark::State& state) {
+  // A scan group: `groups` candidates that share the prefix level and
+  // differ in their last column, one call per trajectory.  Items are
+  // column elements, so the rate compares with BM_SimdFusedMaxSum's.
+  const size_t groups = static_cast<size_t>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  const ScanInputs in(n, groups);
+  const double* t[simd::kMaxGroup];
+  for (size_t g = 0; g < groups; ++g) t[g] = in.t[g].data();
+  double best[simd::kMaxGroup];
+  for (auto _ : state) {
+    simd::FusedMaxSumGroup(in.w.data(), t, groups, n, best);
+    benchmark::DoNotOptimize(best);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(groups * n));
+  state.SetLabel(simd::ActiveLevelName());
+}
+BENCHMARK(BM_SimdFusedMaxSumGroup)
+    ->ArgsProduct({{2, 3, 4}, {38, 96, 2400}});
 
 void BM_GridCellOf(benchmark::State& state) {
   const Grid grid = Grid::UnitSquare(32);

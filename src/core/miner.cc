@@ -378,6 +378,7 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
     stats_.iterations = resume->iteration;
     stats_.candidates_evaluated = resume->candidates_evaluated;
     stats_.candidates_pruned = resume->candidates_pruned;
+    stats_.hit_candidate_cap = resume->hit_candidate_cap;
   }
   const ScoreMemo& scores = state_.scores;
 
@@ -434,6 +435,7 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
     state_.omega = top_k_.Omega();
     state_.candidates_evaluated = stats_.candidates_evaluated;
     state_.candidates_pruned = stats_.candidates_pruned;
+    state_.hit_candidate_cap = stats_.hit_candidate_cap;
     const bool keep_going = options_.checkpoint_sink(state_);
     if (journal.active()) {
       obs::JournalEvent ev;

@@ -48,6 +48,11 @@ struct MinerCheckpoint {
   /// post-resume slice.  Absent from v1 checkpoint files (read as 0).
   int64_t candidates_evaluated = 0;
   int64_t candidates_pruned = 0;
+  /// Whether the beam capped a generation before this boundary
+  /// (`MinerStats::hit_candidate_cap`), restored on resume so a resumed
+  /// capped run still reports the cap.  Absent from v1 and v2 checkpoint
+  /// files (read as false).
+  bool hit_candidate_cap = false;
 };
 
 /// Knobs of the TrajPattern algorithm (§4, §5).

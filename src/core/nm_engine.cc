@@ -1,10 +1,13 @@
 #include "core/nm_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <new>
+#include <thread>
 #include <utility>
 
 #include "core/simd_kernels.h"
@@ -18,13 +21,14 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-/// Cache budget of one walk tile: the batch's distinct factor vectors
-/// restricted to a tile fit in it.  The factored fold is bound by its
-/// arithmetic in cache, not by memory, and on the 4-core x86-64 VM the
-/// walk was measured on 0.5 MiB beat 1 and 2 MiB on `bus_pipeline` and
-/// tied them on `zebra_scan` (DESIGN.md 4d); a constant, so the plan never
-/// depends on the host.
-constexpr size_t kTileBytes = size_t{1} << 19;
+/// Budget of one walk tile: the columns of the chunk's distinct cells
+/// restricted to a tile fit in it, and so does the tile buffer.  A
+/// constant, so the plan never depends on the host; DESIGN.md 4d has the
+/// sweep that picked it.
+constexpr size_t kTileBytes = size_t{1} << 20;
+
+/// The column of a wildcard position.
+constexpr uint32_t kNoColumn = std::numeric_limits<uint32_t>::max();
 
 /// Most candidates one walk slice holds, so that a large first-cell
 /// group still spreads over the lanes.
@@ -175,12 +179,21 @@ double NmEngine::MatchTotal(const Pattern& p) const {
 
 struct NmEngine::WalkPlan {
   /// Batch indices of the walked candidates, sorted by cells (ties by
-  /// index), and per walk position k the base pointers of the candidate's
-  /// two factor vectors per pattern position (nullptr for a wildcard) at
-  /// [col_begin[k], col_begin[k+1]) of `fx` and `fy`.
+  /// index), and per walk position k the column of each pattern position
+  /// (an index into `factors`, kNoColumn for a wildcard) at
+  /// [col_begin[k], col_begin[k+1]) of `cols`.
   std::vector<size_t> order;
-  std::vector<const double*> fx, fy;
+  std::vector<uint32_t> cols;
   std::vector<size_t> col_begin;
+  /// Per walk position: the last specified position (the length if
+  /// none), the specified-position count, and the size of the scan group
+  /// that starts there (0 inside a group).
+  std::vector<size_t> last;
+  std::vector<double> spec;
+  std::vector<uint32_t> group;
+  /// The two factor vectors of each distinct cell the chunk reads, in
+  /// first-seen order: column c of a tile is built from factors[c].
+  std::vector<std::pair<const double*, const double*>> factors;
   /// Running dataset total per walk position.
   std::vector<double> acc;
   /// Tile t covers trajectories [tiles[t], tiles[t + 1]); its longest
@@ -190,7 +203,8 @@ struct NmEngine::WalkPlan {
   /// Walk-position ranges [first, second) the lanes claim: candidates
   /// sharing their first cell, at most kSliceCandidates of them.
   std::vector<std::pair<size_t, size_t>> slices;
-  /// Doubles per prefix level buffer: the largest tile's snapshot count.
+  /// Doubles per tile column and per prefix level buffer: the largest
+  /// tile's snapshot count.
   size_t level_stride = 0;
   size_t max_length = 0;
 };
@@ -215,40 +229,46 @@ void NmEngine::PlanWalk(std::span<const Pattern> patterns, Measure measure,
     return cmp != 0 ? cmp < 0 : a < b;
   });
 
-  // Resolve every factor vector once, counting the distinct ones.
-  std::vector<char> seen(factors_.size(), 0);
-  size_t distinct = 0;
-  const auto resolve = [&](int32_t id) {
-    if (!seen[static_cast<size_t>(id)]) {
-      seen[static_cast<size_t>(id)] = 1;
-      ++distinct;
-    }
-    return ResidentFactor(id);
-  };
+  // Give every distinct cell a tile column, resolving its factor vectors
+  // once.
+  std::vector<uint32_t> column_of(static_cast<size_t>(space_.grid.num_cells()),
+                                  kNoColumn);
   plan->col_begin.reserve(plan->order.size() + 1);
+  plan->last.reserve(plan->order.size());
+  plan->spec.reserve(plan->order.size());
   for (const size_t i : plan->order) {
     const Pattern& p = patterns[i];
-    plan->col_begin.push_back(plan->fx.size());
+    plan->col_begin.push_back(plan->cols.size());
     plan->max_length = std::max(plan->max_length, p.length());
-    for (const CellId c : p.cells()) {
+    size_t last = p.length();
+    size_t spec = 0;
+    for (size_t j = 0; j < p.length(); ++j) {
+      const CellId c = p[j];
       if (c == kWildcardCell) {
-        plan->fx.push_back(nullptr);
-        plan->fy.push_back(nullptr);
+        plan->cols.push_back(kNoColumn);
         continue;
       }
-      const auto [x, y] = FactorIds(c);
-      plan->fx.push_back(resolve(x));
-      plan->fy.push_back(resolve(y));
+      last = j;
+      ++spec;
+      uint32_t& column = column_of[static_cast<size_t>(c)];
+      if (column == kNoColumn) {
+        column = static_cast<uint32_t>(plan->factors.size());
+        const auto [x, y] = FactorIds(c);
+        plan->factors.emplace_back(ResidentFactor(x), ResidentFactor(y));
+      }
+      plan->cols.push_back(column);
     }
+    plan->last.push_back(last);
+    plan->spec.push_back(static_cast<double>(spec));
   }
-  plan->col_begin.push_back(plan->fx.size());
+  plan->col_begin.push_back(plan->cols.size());
   plan->acc.assign(plan->order.size(), 0.0);
 
-  // Tiles of whole trajectories, each as long as keeps the distinct
-  // factor vectors restricted to it within kTileBytes (one trajectory at
-  // least).
+  // Tiles of whole trajectories, each as long as keeps the columns of
+  // the distinct cells within kTileBytes (one trajectory at least).
   const size_t tile_points = std::max<size_t>(
-      1, kTileBytes / (std::max<size_t>(distinct, 1) * sizeof(double)));
+      1, kTileBytes /
+             (std::max<size_t>(plan->factors.size(), 1) * sizeof(double)));
   const size_t n = data_->size();
   plan->tiles.push_back(0);
   size_t longest = 0;
@@ -265,7 +285,19 @@ void NmEngine::PlanWalk(std::span<const Pattern> patterns, Measure measure,
   }
 
   // Slices: runs of one first cell, longest first so that the last slice
-  // a lane claims in a tile is a short one.
+  // a lane claims in a tile is a short one.  Within a slice, neighbors
+  // of one length, one last specified position and the same cells before
+  // it differ only in their last cell: they form one scan group.
+  const auto same_group = [&](size_t a, size_t b) {
+    const Pattern& pa = patterns[plan->order[a]];
+    const Pattern& pb = patterns[plan->order[b]];
+    const size_t last = plan->last[a];
+    return last < pa.length() && pb.length() == pa.length() &&
+           plan->last[b] == last &&
+           std::equal(pa.cells().begin(), pa.cells().begin() + last,
+                      pb.cells().begin());
+  };
+  plan->group.assign(plan->order.size(), 0);
   for (size_t k = 0; k < plan->order.size();) {
     const CellId first = patterns[plan->order[k]][0];
     size_t end = k + 1;
@@ -274,6 +306,15 @@ void NmEngine::PlanWalk(std::span<const Pattern> patterns, Measure measure,
       ++end;
     }
     plan->slices.emplace_back(k, end);
+    for (size_t g = k; g < end;) {
+      size_t g_end = g + 1;
+      while (g_end < end && g_end - g < simd::kMaxGroup &&
+             same_group(g, g_end)) {
+        ++g_end;
+      }
+      plan->group[g] = static_cast<uint32_t>(g_end - g);
+      g = g_end;
+    }
     k = end;
   }
   std::stable_sort(plan->slices.begin(), plan->slices.end(),
@@ -289,26 +330,26 @@ void NmEngine::WalkSlice(std::span<const Pattern> patterns, Measure measure,
   const size_t te = plan->tiles[tile + 1];
   const size_t p0 = offsets_[ta];
   const size_t tile_points = offsets_[te] - p0;
+  const size_t stride = plan->level_stride;
   const bool nm = measure == Measure::kNm;
+  // Column c of this tile, shifted to pattern position j.
+  const auto column = [&](uint32_t c, size_t j) -> const double* {
+    return tile_columns_.get() + c * stride + j;
+  };
   // Stack positions [0, depth) hold the prefix sums of ws->cells.
   size_t depth = 0;
   for (size_t k = plan->slices[slice].first; k < plan->slices[slice].second;
-       ++k) {
+       k += plan->group[k]) {
     const Pattern& p = patterns[plan->order[k]];
     const size_t m = p.length();
-    const double* const* fx = plan->fx.data() + plan->col_begin[k];
-    const double* const* fy = plan->fy.data() + plan->col_begin[k];
-    size_t last = m;  // last specified position, m if none
-    for (size_t j = m; j-- > 0;) {
-      if (p[j] != kWildcardCell) {
-        last = j;
-        break;
-      }
-    }
-    // Window sums of positions [0, last): keep the longest prefix the
-    // stack already holds and fold the remaining positions in one at a
-    // time, in ascending j like a window-major sum.  A pattern no
-    // trajectory of the tile can host needs no sums at all.
+    const uint32_t* cols = plan->cols.data() + plan->col_begin[k];
+    const size_t last = plan->last[k];
+    const size_t group = plan->group[k];
+    // Window sums of positions [0, last), shared by the group: keep the
+    // longest prefix the stack already holds and fold the remaining
+    // positions in one at a time, in ascending j like a window-major
+    // sum.  A pattern no trajectory of the tile can host needs no sums
+    // at all.
     if (m <= plan->tile_max_len[tile]) {
       size_t keep = 0;
       while (keep < std::min(depth, last) && ws->cells[keep] == p[keep]) {
@@ -323,39 +364,58 @@ void NmEngine::WalkSlice(std::span<const Pattern> patterns, Measure measure,
           ws->sums[j] = below;
           continue;
         }
-        // With no level below, the fold materializes the first specified
-        // position's floored factor sum: its own prefix sum (0.0 + x ==
-        // x; it is never -0.0), counted as neither built nor reused.
-        double* level = ws->levels.data() + j * plan->level_stride;
-        simd::FoldFactors(level, below, fx[j] + j + p0, fy[j] + j + p0,
-                          tile_points - j);
-        ws->sums[j] = level;
-        if (below != nullptr) {
-          ws->computed[j] = 1;
-          ++ws->built;
+        // With no level below, the first specified position's prefix sum
+        // is its column, read in place (0.0 + x == x; it is never -0.0)
+        // and counted as neither built nor reused.
+        if (below == nullptr) {
+          ws->sums[j] = column(cols[j], j);
+          continue;
         }
+        double* level = ws->levels.data() + (j - 1) * stride;
+        simd::AddTo(level, below, column(cols[j], j), tile_points - j);
+        ws->sums[j] = level;
+        ws->computed[j] = 1;
+        ++ws->built;
       }
       if (keep < last) depth = last;
     }
     const double* sums = last == 0 || last == m ? nullptr : ws->sums[last - 1];
-    const double spec = static_cast<double>(p.SpecifiedCount());
-    double total = plan->acc[k];
+    const double spec = plan->spec[k];
+    // The last specified position of each member is fused into the max
+    // scan; the members differ only there.
+    const double* lasts[simd::kMaxGroup] = {};
+    double totals[simd::kMaxGroup];
+    for (size_t g = 0; g < group; ++g) {
+      if (last < m) {
+        lasts[g] = column(plan->cols[plan->col_begin[k + g] + last], last);
+      }
+      totals[g] = plan->acc[k + g];
+    }
     for (size_t i = ta; i < te; ++i) {
-      const size_t off = offsets_[i];
-      const size_t len = offsets_[i + 1] - off;
+      const size_t at = offsets_[i] - p0;
+      const size_t len = offsets_[i + 1] - offsets_[i];
       if (len < m) {
-        if (nm) total += LogFloor();
+        if (nm) {
+          for (size_t g = 0; g < group; ++g) totals[g] += LogFloor();
+        }
       } else if (last == m) {
-        total += 1.0;  // all-wildcard Match: every window is exp(0)
+        totals[0] += 1.0;  // all-wildcard Match: every window is exp(0)
       } else {
-        // The last specified position is fused into the max scan.
-        const double best = simd::FusedMaxSum(
-            sums == nullptr ? nullptr : sums + (off - p0),
-            fx[last] + off + last, fy[last] + off + last, len - m + 1);
-        total += nm ? best / spec : std::exp(best);
+        double best[simd::kMaxGroup];
+        const double* w = sums == nullptr ? nullptr : sums + at;
+        if (group == 1) {
+          best[0] = simd::FusedMaxSum(w, lasts[0] + at, len - m + 1);
+        } else {
+          const double* t[simd::kMaxGroup];
+          for (size_t g = 0; g < group; ++g) t[g] = lasts[g] + at;
+          simd::FusedMaxSumGroup(w, t, group, len - m + 1, best);
+        }
+        for (size_t g = 0; g < group; ++g) {
+          totals[g] += nm ? best[g] / spec : std::exp(best[g]);
+        }
       }
     }
-    plan->acc[k] = total;
+    for (size_t g = 0; g < group; ++g) plan->acc[k + g] = totals[g];
   }
 }
 
@@ -365,8 +425,12 @@ void NmEngine::Walk(std::span<const Pattern> patterns, Measure measure,
                     BatchScoreStats* stats) const {
   WalkPlan plan;
   PlanWalk(patterns, measure, out, &plan);
+  // A computed level j sits at levels[(j - 1) * stride]: position 0 is a
+  // wildcard or read in place, and the last specified position, at most
+  // max_length - 1, is fused into the scan.
+  const size_t level_doubles =
+      plan.max_length > 2 ? (plan.max_length - 2) * plan.level_stride : 0;
   for (WalkScratch& ws : scratch) {
-    const size_t level_doubles = plan.max_length * plan.level_stride;
     if (ws.levels.size() < level_doubles) ws.levels.resize(level_doubles);
     if (ws.sums.size() < plan.max_length) {
       ws.sums.resize(plan.max_length);
@@ -376,20 +440,70 @@ void NmEngine::Walk(std::span<const Pattern> patterns, Measure measure,
     ws.built = 0;
     ws.reused = 0;
   }
-  // Tile-major: every slice finishes a tile before any starts the next,
-  // so the tile's factor vectors serve the whole batch from cache and each
-  // running total grows in ascending trajectory order.
-  const size_t num_tiles = plan.tiles.size() - 1;
-  for (size_t t = 0; t < num_tiles; ++t) {
-    ParallelFor(
-        pool, plan.slices.size(),
-        [&](size_t s, int worker) {
-          WalkSlice(patterns, measure, s, t, &plan,
-                    &scratch[static_cast<size_t>(worker)]);
-        },
-        run);
-    if (run != nullptr && run->StopRequested()) return;
+  // One allocation of the whole tile budget serves every later walk of
+  // the engine: the tiles keep a walk's columns within it unless a
+  // single trajectory alone is longer than a tile.
+  const size_t column_doubles = plan.factors.size() * plan.level_stride;
+  if (tile_capacity_ < column_doubles) {
+    tile_capacity_ = std::max(column_doubles, kTileBytes / sizeof(double));
+    tile_columns_ = nullptr;
+    tile_columns_ = std::make_unique_for_overwrite<double[]>(tile_capacity_);
   }
+  // Tile-major: every slice finishes a tile before any starts the next,
+  // so the tile's columns serve the whole batch from cache and each
+  // running total grows in ascending trajectory order.  One fan-out runs
+  // the whole walk: per tile, the lanes claim and build its columns,
+  // then claim its slices, and a lane that finds a phase's items all
+  // claimed waits until the others have finished them.  Every claimed
+  // item is running on some lane, so the wait always ends, and no slice
+  // reads a column before it is built.  A handover costs two counters
+  // instead of putting every worker to sleep and waking it again.
+  const size_t num_tiles = plan.tiles.size() - 1;
+  struct Phase {
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> done{0};
+  };
+  const std::unique_ptr<Phase[]> phases(new Phase[2 * num_tiles]);
+  std::atomic<bool> stopped{false};
+  // Runs `fn` on the items of `phase` this lane claims, then waits for
+  // the phase to finish; false once a stop was seen.
+  const auto run_phase = [&](Phase& phase, size_t n, const auto& fn) {
+    for (size_t i; (i = phase.next.fetch_add(1, std::memory_order_relaxed)) <
+                   n;) {
+      if (run != nullptr && run->StopRequested()) {
+        stopped.store(true, std::memory_order_relaxed);
+        return false;
+      }
+      fn(i);
+      phase.done.fetch_add(1, std::memory_order_release);
+    }
+    while (phase.done.load(std::memory_order_acquire) < n) {
+      if (stopped.load(std::memory_order_relaxed)) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+  const size_t lanes = pool == nullptr ? 1 : static_cast<size_t>(pool->size());
+  ParallelFor(pool, lanes, [&](size_t, int worker) {
+    WalkScratch* ws = &scratch[static_cast<size_t>(worker)];
+    for (size_t t = 0; t < num_tiles; ++t) {
+      const size_t p0 = offsets_[plan.tiles[t]];
+      const size_t tile_points = offsets_[plan.tiles[t + 1]] - p0;
+      const bool built = run_phase(
+          phases[2 * t], plan.factors.size(), [&](size_t c) {
+            simd::BuildColumn(tile_columns_.get() + c * plan.level_stride,
+                              plan.factors[c].first + p0,
+                              plan.factors[c].second + p0, tile_points);
+          });
+      if (!built ||
+          !run_phase(phases[2 * t + 1], plan.slices.size(), [&](size_t s) {
+            WalkSlice(patterns, measure, s, t, &plan, ws);
+          })) {
+        return;
+      }
+    }
+  });
+  if (stopped.load(std::memory_order_relaxed)) return;
   for (size_t k = 0; k < plan.order.size(); ++k) {
     out[plan.order[k]] = plan.acc[k];
   }

@@ -44,12 +44,14 @@ struct BatchScoreStats {
   /// Dataset tiles the shared-prefix walk cut its chunks into, summed
   /// over chunks.
   int tiles = 0;
-  /// Prefix window-sum levels the walk computed (one `simd::FoldFactors`
-  /// pass over a tile each) and levels it took over from the previous
-  /// candidate of its slice instead, both summed over tiles.  A level
-  /// folds one more specified position into a sum of at least one; the
-  /// first specified position's level is materialized from its factors
-  /// and counts as neither.
+  /// Prefix window-sum levels the walk computed (one `simd::AddTo` pass
+  /// over a tile each) and levels it took over from the previous scan
+  /// of its slice instead, both summed over tiles.  A level folds one
+  /// more specified position into a sum of at least one; the first
+  /// specified position's level is its tile column, read in place, and
+  /// counts as neither.  A scan group (neighbors of a slice that differ
+  /// only in their last specified cell) takes its prefix levels once, so
+  /// they count once for the whole group.
   int64_t prefix_levels_built = 0;
   int64_t prefix_levels_reused = 0;
   /// Why the call stopped early (`kNone` == it completed).  When set,
@@ -82,13 +84,14 @@ inline void AccumulateBatch(const BatchScoreStats& batch, MiningCounters* c) {
 /// its grid row, so the engine caches floored 1-D log-factor vectors, not
 /// per-cell columns: one vector of `TotalPoints()` doubles per grid
 /// column (factor ids [0, nx)) and per grid row ([nx, nx + ny)), each
-/// computed the first time a cell needs it.  The walk folds a cell's two
-/// vectors as it reads them (`simd::FoldFactors`, `simd::FusedMaxSum`),
-/// so no per-cell column is ever stored.  The radial model does not
-/// factor: a cell's first vector is its own log-prob column (id = the
-/// cell) and its second is one shared all-+0.0 vector (id = the cell
-/// count); AddLogFactors(v, +0.0) == v bit for bit for every column
-/// entry, so one kernel serves both models.
+/// computed the first time a cell needs it.  No dataset-wide per-cell
+/// column is stored: the walk builds each cell's floored column for one
+/// tile at a time (`simd::BuildColumn`) into one reused tile buffer, and
+/// its folds and scans read those.  The radial model does not factor: a
+/// cell's first vector is its own log-prob column (id = the cell) and its
+/// second is one shared all-+0.0 vector (id = the cell count);
+/// AddLogFactors(v, +0.0) == v bit for bit for every column entry, so one
+/// kernel serves both models.
 /// Each vector is its own buffer, indexed by factor id (`factors_`, null
 /// while cold), so resolving a pattern position is one indexed load, not
 /// a hash probe.  A buffer is never zero-filled: its warm-up fill is the
@@ -110,11 +113,13 @@ inline void AccumulateBatch(const BatchScoreStats& batch, MiningCounters* c) {
 /// Dataset totals (`NmTotal`, `MatchTotal` and the batch entry points;
 /// one pattern is a batch of one) all run the shared-prefix tiled walk:
 /// the candidates are sorted by cells, the dataset is cut into tiles of
-/// whole trajectories small enough that the batch's factor vectors
-/// restricted to one tile stay in cache, and each tile's window sums are
-/// built once per distinct prefix and shared by every candidate
-/// extending it.  Every level is the same left fold of the same floored
-/// factor sums, and every
+/// whole trajectories small enough that the columns of the batch's
+/// distinct cells restricted to one tile stay in cache, each tile's
+/// columns are built before any candidate reads them, and each tile's
+/// window sums are built once per distinct prefix and shared by every
+/// candidate extending it; candidates that differ only in their last
+/// specified cell share one max scan per trajectory.  Every level is the
+/// same left fold of the same floored factor sums, and every
 /// total adds its per-trajectory terms in ascending trajectory order, so
 /// results are bit-identical to a window-major sum of point-at-a-time
 /// log probabilities (the reference in src/testing/reference_scorer.h)
@@ -279,10 +284,11 @@ class NmEngine {
   enum class Measure { kNm, kMatch };
 
   /// Per-lane state of the shared-prefix walk, reused across calls: the
-  /// tile-local prefix window-sum buffers (one per pattern position),
-  /// and per position the base pointer of that prefix's sums (nullptr
-  /// while no specified position has been folded in), the cell it was
-  /// built for, and whether it is a computed level.
+  /// tile-local prefix window-sum buffers (one per computed level, which
+  /// neither position 0 nor the last position ever is), and per position
+  /// the base pointer of that prefix's sums (nullptr while no specified
+  /// position has been folded in; a tile column for the first specified
+  /// one), the cell it was built for, and whether it is a computed level.
   struct WalkScratch {
     std::vector<double> levels;
     std::vector<const double*> sums;
@@ -325,10 +331,10 @@ class NmEngine {
   double TotalOne(const Pattern& p, Measure measure) const;
 
   /// Shared-prefix tiled walk of `patterns`, whose factor vectors must all
-  /// be resident: out[i] gets pattern i's dataset total.  The lanes of
-  /// `pool` claim slices one tile at a time; a stop from `run` between
-  /// tiles returns with `out` unwritten (the caller reports the stop and
-  /// discards the batch).  `scratch` holds one entry per lane.  Adds its
+  /// be resident: out[i] gets pattern i's dataset total.  Per tile, the
+  /// lanes of `pool` first build the tile's columns, then claim slices; a
+  /// stop from `run` returns with `out` unwritten (the caller reports the
+  /// stop and discards the batch).  `scratch` holds one entry per lane.  Adds its
   /// tile and prefix-level counts to `stats` when non-null.
   void Walk(std::span<const Pattern> patterns, Measure measure,
             ThreadPool* pool, const RunContext* run,
@@ -341,9 +347,9 @@ class NmEngine {
   void PlanWalk(std::span<const Pattern> patterns, Measure measure,
                 double* out, WalkPlan* plan) const;
 
-  /// Walks slice `slice` of `plan` over tile `tile`, adding each
-  /// candidate's per-trajectory terms to its running total in
-  /// `plan->acc`.
+  /// Walks slice `slice` of `plan` over tile `tile`, whose columns are
+  /// built, adding each candidate's per-trajectory terms to its running
+  /// total in `plan->acc`.
   void WalkSlice(std::span<const Pattern> patterns, Measure measure,
                  size_t slice, size_t tile, WalkPlan* plan,
                  WalkScratch* scratch) const;
@@ -401,6 +407,13 @@ class NmEngine {
   mutable std::unique_ptr<ThreadPool> pool_;
   /// Walk scratch of the serial totals (`NmTotal`, `MatchTotal`).
   mutable WalkScratch walk_scratch_;
+  /// The walk's tile-local columns, one per distinct cell of the chunk,
+  /// rebuilt for every tile; grown to the largest walk's need and reused.
+  /// Tiles are sized so that this stays within the tile budget unless a
+  /// single trajectory alone is longer than a tile.  Scratch like the
+  /// prefix levels, so not counted in `arena_peak_bytes()`.
+  mutable std::unique_ptr<double[]> tile_columns_;
+  mutable size_t tile_capacity_ = 0;
 };
 
 /// The first cell of `cells` that is neither a wildcard nor a cell of

@@ -25,35 +25,46 @@ Level ActiveLevel();
 /// which code path produced them.
 const char* ActiveLevelName();
 
-/// max over k in [0, n) of w[k] + max(fx[k] + fy[k], LogFloor()), or of
-/// the floored factor sum alone when `w` is null; -infinity for n == 0.
-/// The fused last-position max scan of the shared-prefix walk: `fx` and
-/// `fy` are the position's two floored log-factor vectors, so the floored
-/// sum is the position's log-prob column (`AddLogFactors`), never stored.
-/// Inputs must be finite (sums of log-probabilities, floored at
-/// LogFloor()); no NaN and no -0.0 can appear, which is what licenses the
-/// vector reassociation of the max.
-double FusedMaxSum(const double* w, const double* fx, const double* fy,
-                   size_t n);
+/// Most columns one `FusedMaxSumGroup` call scans.
+inline constexpr size_t kMaxGroup = 4;
 
-/// dst[k] = below[k] + max(fx[k] + fy[k], LogFloor()) for k in [0, n):
-/// folds one more position's log-prob column, built from its two
-/// factors, into the prefix window-sum level `below`.  With `below` null
-/// it writes the floored sum alone, the first specified position's level
-/// (the same bits as 0.0 + it, since it is never -0.0).  Element-wise
-/// IEEE adds and a max taken in `AddLogFactors`' operand order, so
-/// vectorization is bit-identical; no FMA.  `dst` must not overlap the
-/// inputs.
-void FoldFactors(double* dst, const double* below, const double* fx,
-                 const double* fy, size_t n);
+/// dst[k] = max(fx[k] + fy[k], LogFloor()) for k in [0, n): one cell's
+/// log-prob column (`AddLogFactors`) from its two floored log-factor
+/// vectors, the tile-local column the shared-prefix walk reads.  An
+/// element-wise IEEE add and a max taken in `AddLogFactors`' operand
+/// order, so vectorization is bit-identical; no FMA.  `dst` must not
+/// overlap the inputs.
+void BuildColumn(double* dst, const double* fx, const double* fy, size_t n);
+
+/// dst[k] = a[k] + b[k] for k in [0, n): folds one more position's
+/// column (`b`) into the prefix window-sum level below it (`a`).
+/// Element-wise IEEE adds, so vectorization is trivially bit-identical;
+/// no FMA.  `dst` must not overlap `a` or `b`.
+void AddTo(double* dst, const double* a, const double* b, size_t n);
+
+/// max over k in [0, n) of w[k] + t[k], or of t[k] alone when `w` is
+/// null; -infinity for n == 0.  The fused last-position max scan of the
+/// shared-prefix walk: `w` is the prefix level, `t` the last specified
+/// position's column.  Inputs must be finite (sums of log-probabilities,
+/// floored at LogFloor()); no NaN and no -0.0 can appear, which is what
+/// licenses the vector reassociation of the max.
+double FusedMaxSum(const double* w, const double* t, size_t n);
+
+/// out[g] = FusedMaxSum(w, t[g], n) for g in [0, groups), 1 <= groups <=
+/// kMaxGroup, bit for bit, in one pass over `w`: the scan of candidates
+/// that share a prefix level and differ only in their last column.
+void FusedMaxSumGroup(const double* w, const double* const* t, size_t groups,
+                      size_t n, double* out);
 
 /// Reference implementations, always compiled, dispatch-independent.
 /// The identity tests (and the portable-only CI leg) compare the
 /// dispatched kernels against these bit for bit.
-double FusedMaxSumPortable(const double* w, const double* fx,
-                           const double* fy, size_t n);
-void FoldFactorsPortable(double* dst, const double* below, const double* fx,
-                         const double* fy, size_t n);
+void BuildColumnPortable(double* dst, const double* fx, const double* fy,
+                         size_t n);
+void AddToPortable(double* dst, const double* a, const double* b, size_t n);
+double FusedMaxSumPortable(const double* w, const double* t, size_t n);
+void FusedMaxSumGroupPortable(const double* w, const double* const* t,
+                              size_t groups, size_t n, double* out);
 
 }  // namespace trajpattern::simd
 

@@ -27,6 +27,7 @@ namespace {
 constexpr const char* kMagicV1 = "trajpattern_checkpoint,v1";
 constexpr const char* kMagicV2 = "trajpattern_checkpoint,v2";
 constexpr const char* kMagicV3 = "trajpattern_checkpoint,v3";
+constexpr const char* kMagicV4 = "trajpattern_checkpoint,v4";
 
 /// The longest spelling `WriteHexDouble` produces,
 /// "-0x1.fffffffffffffp+1023"; of one `int32_t` cell, "-2147483648";
@@ -195,7 +196,7 @@ Status WriteMinerCheckpoint(const MinerCheckpoint& cp, std::ostream& os) {
     line(MaxCellsChars(cells.size()),
          [&](char* p) { return WriteCells(p, cells); });
   };
-  text_line(kMagicV2);
+  text_line(kMagicV4);
   header("iteration", cp.iteration);
   header("k", cp.k);
   line(std::strlen("omega,") + kMaxDoubleChars, [&](char* p) {
@@ -203,6 +204,7 @@ Status WriteMinerCheckpoint(const MinerCheckpoint& cp, std::ostream& os) {
   });
   header("candidates_evaluated", cp.candidates_evaluated);
   header("candidates_pruned", cp.candidates_pruned);
+  header("beam_capped", cp.hit_candidate_cap ? 1 : 0);
   // Rows in memo id order, so a resumed run's memo gets the same ids.
   header("scores", static_cast<int64_t>(cp.scores.size()));
   for (ScoreMemo::Id id = 0; id < cp.scores.size(); ++id) {
@@ -237,13 +239,15 @@ Status ReadMinerCheckpoint(std::istream& is, MinerCheckpoint* cp) {
     // so rather than report a bad header.
     return Status::FailedPrecondition(
         "checkpoint format v3 (a sharded run) is no longer supported; "
-        "v1 and v2 are");
+        "v1, v2 and v4 are");
   }
-  if (!have_header || (line != kMagicV1 && line != kMagicV2)) {
+  if (!have_header ||
+      (line != kMagicV1 && line != kMagicV2 && line != kMagicV4)) {
     return Status::DataLoss(
         "not a trajpattern checkpoint (bad or missing header)");
   }
-  const bool v2 = line == kMagicV2;
+  const bool v4 = line == kMagicV4;
+  const bool v2 = v4 || line == kMagicV2;
   // Fixed "key,count-or-value" headers followed by their payload blocks.
   auto expect_keyed_long = [&](const std::string& key, long* value) {
     if (!reader.Next(&line)) return reader.Error("truncated before " + key);
@@ -291,6 +295,16 @@ Status ReadMinerCheckpoint(std::istream& is, MinerCheckpoint* cp) {
     }
     out.candidates_evaluated = evaluated;
     out.candidates_pruned = pruned;
+  }
+  // v4 adds the beam-cap flag; older files leave it false.
+  if (v4) {
+    long capped;
+    const Status sv = expect_keyed_long("beam_capped", &capped);
+    if (!sv.ok()) return sv;
+    if (capped != 0 && capped != 1) {
+      return reader.Error("beam_capped is not 0 or 1");
+    }
+    out.hit_candidate_cap = capped == 1;
   }
 
   // Block counts come from the (possibly corrupt) file: reserving them

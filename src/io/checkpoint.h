@@ -11,12 +11,13 @@ namespace trajpattern {
 
 /// Versioned text serialization of a `MinerCheckpoint`:
 ///
-///   trajpattern_checkpoint,v2
+///   trajpattern_checkpoint,v4
 ///   iteration,<int>
 ///   k,<int>
 ///   omega,<hexfloat>
 ///   candidates_evaluated,<int64>                            (v2+)
 ///   candidates_pruned,<int64>                               (v2+)
+///   beam_capped,<0|1>                                       (v4)
 ///   scores,<count>
 ///   <hexfloat NM>,<;-separated cells, '*' for wildcards>   x count
 ///   prev_high,<count>
@@ -26,23 +27,24 @@ namespace trajpattern {
 ///   end
 ///
 /// In memory, `cp.scores` is a `ScoreMemo` and the frontier blocks are
-/// lists of its ids.  The writer emits v2: one score row per memo entry
+/// lists of its ids.  The writer emits v4: one score row per memo entry
 /// in id order, then each frontier id's cells in list order, each line
 /// formatted in place in a chunk buffer; every frontier id must be an id
 /// of `cp.scores`.  The reader accepts v1 files (written before the
-/// cumulative work counters existed; counters load as 0) and v2.  A v3
-/// file (written by the removed sharded miner) is refused with
+/// cumulative work counters existed; counters load as 0), v2 (written
+/// before the beam-cap flag; it loads as false) and v4.  A v3 file
+/// (written by the removed sharded miner) is refused with
 /// kFailedPrecondition, naming v3.  NM values are written as C99
 /// hexfloats, spelled from their bits exactly as glibc's `%a` spells
 /// them; they round-trip IEEE doubles bit-exactly (including -inf) — the
 /// property the resumed-run bit-identity guarantee rests on.  Other
 /// unknown versions, truncated files, an `iteration` or `k` outside
-/// int's range, a score block that lists a pattern twice and a
-/// `prev_high` or `prev_queue` row that is not also a score row are
-/// rejected with kDataLoss naming the line, never half-loaded.  Row
-/// order is not part of the format: rows of any block may come in any
-/// order.  Score rows become memo entries in file order; frontier rows
-/// load as ascending, deduplicated ids.
+/// int's range, a `beam_capped` other than 0 or 1, a score block that
+/// lists a pattern twice and a `prev_high` or `prev_queue` row that is
+/// not also a score row are rejected with kDataLoss naming the line,
+/// never half-loaded.  Row order is not part of the format: rows of any
+/// block may come in any order.  Score rows become memo entries in file
+/// order; frontier rows load as ascending, deduplicated ids.
 Status WriteMinerCheckpoint(const MinerCheckpoint& cp, std::ostream& os);
 Status ReadMinerCheckpoint(std::istream& is, MinerCheckpoint* cp);
 

@@ -89,10 +89,10 @@ std::vector<Pattern> Patterns(const ScoreMemo& scores,
 /// Renders the v1 wire format (pre-counter checkpoints) so the resume
 /// oracle can exercise the compatibility path without a fixture file.
 std::string RenderCheckpointV1(const MinerCheckpoint& cp) {
-  std::ostringstream v2;
-  const Status s = WriteMinerCheckpoint(cp, v2);
+  std::ostringstream current;
+  const Status s = WriteMinerCheckpoint(cp, current);
   if (!s.ok()) return "";
-  std::istringstream in(v2.str());
+  std::istringstream in(current.str());
   std::ostringstream v1;
   std::string line;
   size_t line_no = 0;
@@ -103,7 +103,8 @@ std::string RenderCheckpointV1(const MinerCheckpoint& cp) {
       continue;
     }
     if (line.rfind("candidates_evaluated,", 0) == 0 ||
-        line.rfind("candidates_pruned,", 0) == 0) {
+        line.rfind("candidates_pruned,", 0) == 0 ||
+        line.rfind("beam_capped,", 0) == 0) {
       continue;  // the fields v1 predates
     }
     v1 << line << "\n";
@@ -465,7 +466,7 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
     }
   }
 
-  // --- Oracle (c), kill-at-iteration checkpoint/resume, v2 and v1.
+  // --- Oracle (c), kill-at-iteration checkpoint/resume, v4 and v1.
   {
     MinerCheckpoint captured;
     bool have_checkpoint = false;
@@ -481,7 +482,7 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
     ++report.mining_runs;
     (void)aborted;
     if (have_checkpoint) {
-      // v2 round-trip: top-k and cumulative counters bit-identical.
+      // v4 round-trip: top-k and cumulative counters bit-identical.
       std::ostringstream os;
       Status s = WriteMinerCheckpoint(captured, os);
       if (!s.ok()) {
@@ -492,7 +493,7 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
       MinerCheckpoint loaded;
       s = ReadMinerCheckpoint(is, &loaded);
       if (!s.ok()) {
-        fail("checkpoint v2 reload failed: " + s.ToString());
+        fail("checkpoint v4 reload failed: " + s.ToString());
         return report;
       }
       NmEngine resume_engine(data, space);
@@ -500,11 +501,11 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
           MineTrajPatterns(resume_engine, base, &loaded);
       ++report.mining_runs;
       std::string diff =
-          DiffTopK("v2 resume vs uninterrupted", resumed.patterns,
+          DiffTopK("v4 resume vs uninterrupted", resumed.patterns,
                    ref.patterns);
       if (diff.empty() && resumed.stats.candidates_evaluated !=
                               ref.stats.candidates_evaluated) {
-        diff = "v2 resume candidates_evaluated " +
+        diff = "v4 resume candidates_evaluated " +
                std::to_string(resumed.stats.candidates_evaluated) +
                " vs uninterrupted " +
                std::to_string(ref.stats.candidates_evaluated) +
@@ -512,7 +513,7 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
       }
       if (diff.empty() &&
           resumed.stats.candidates_pruned != ref.stats.candidates_pruned) {
-        diff = "v2 resume candidates_pruned " +
+        diff = "v4 resume candidates_pruned " +
                std::to_string(resumed.stats.candidates_pruned) + " vs " +
                std::to_string(ref.stats.candidates_pruned);
       }

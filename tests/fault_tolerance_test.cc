@@ -428,6 +428,7 @@ TEST(CheckpointIoTest, WriterGoldenText) {
   cp.omega = -std::numeric_limits<double>::infinity();
   cp.candidates_evaluated = 12345678901;
   cp.candidates_pruned = 42;
+  cp.hit_candidate_cap = true;
   cp.scores.emplace(std::vector<CellId>{0, kWildcardCell, 2147483647}, -0.0);
   cp.scores.emplace(std::vector<CellId>{5},
                     std::numeric_limits<double>::denorm_min());
@@ -440,12 +441,13 @@ TEST(CheckpointIoTest, WriterGoldenText) {
   std::ostringstream os;
   ASSERT_TRUE(WriteMinerCheckpoint(cp, os).ok());
   EXPECT_EQ(os.str(),
-            "trajpattern_checkpoint,v2\n"
+            "trajpattern_checkpoint,v4\n"
             "iteration,3\n"
             "k,7\n"
             "omega,-inf\n"
             "candidates_evaluated,12345678901\n"
             "candidates_pruned,42\n"
+            "beam_capped,1\n"
             "scores,4\n"
             "-0x0p+0,0;*;2147483647\n"
             "0x0.0000000000001p-1022,5\n"
@@ -618,11 +620,12 @@ TEST(CheckpointIoTest, V1HeaderLoadsWithZeroWorkCounters) {
   std::stringstream ss;
   ASSERT_TRUE(WriteMinerCheckpoint(sample, ss).ok());
   std::string text = ss.str();
-  const size_t v2 = text.find("checkpoint,v2");
-  ASSERT_NE(v2, std::string::npos);
-  text.replace(v2, 13, "checkpoint,v1");
-  // v1 has no counter lines.
-  for (const char* key : {"candidates_evaluated,0\n", "candidates_pruned,0\n"}) {
+  const size_t v4 = text.find("checkpoint,v4");
+  ASSERT_NE(v4, std::string::npos);
+  text.replace(v4, 13, "checkpoint,v1");
+  // v1 has no counter lines and no beam-cap flag.
+  for (const char* key : {"candidates_evaluated,0\n", "candidates_pruned,0\n",
+                          "beam_capped,0\n"}) {
     const size_t pos = text.find(key);
     ASSERT_NE(pos, std::string::npos);
     text.erase(pos, std::string(key).size());
@@ -637,6 +640,49 @@ TEST(CheckpointIoTest, V1HeaderLoadsWithZeroWorkCounters) {
   EXPECT_EQ(loaded.prev_queue, sample.prev_queue);
 }
 
+TEST(CheckpointIoTest, BeamCapFlagRoundTripsAndV2LoadsUncapped) {
+  // v4 writes the beam-cap flag after the work counters and reads it
+  // back; v2 files predate it and load uncapped; a flag other than 0 or
+  // 1 is a typed error naming its line.
+  for (const bool capped : {false, true}) {
+    MinerCheckpoint sample = MakeSampleCheckpoint();
+    sample.hit_candidate_cap = capped;
+    std::stringstream ss;
+    ASSERT_TRUE(WriteMinerCheckpoint(sample, ss).ok());
+    EXPECT_NE(ss.str().find(capped ? "\nbeam_capped,1\nscores,"
+                                   : "\nbeam_capped,0\nscores,"),
+              std::string::npos);
+    MinerCheckpoint loaded;
+    ASSERT_TRUE(ReadMinerCheckpoint(ss, &loaded).ok());
+    EXPECT_EQ(loaded.hit_candidate_cap, capped);
+  }
+
+  MinerCheckpoint sample = MakeSampleCheckpoint();
+  sample.candidates_evaluated = 17;
+  sample.hit_candidate_cap = true;
+  std::stringstream ss;
+  ASSERT_TRUE(WriteMinerCheckpoint(sample, ss).ok());
+  const std::string v4_text = ss.str();
+  std::string v2_text = v4_text;
+  v2_text.replace(v2_text.find("checkpoint,v4"), 13, "checkpoint,v2");
+  v2_text.erase(v2_text.find("beam_capped,1\n"), 14);
+  MinerCheckpoint loaded;
+  loaded.hit_candidate_cap = true;
+  std::istringstream v2_in(v2_text);
+  const Status s = ReadMinerCheckpoint(v2_in, &loaded);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_FALSE(loaded.hit_candidate_cap);
+  EXPECT_EQ(loaded.candidates_evaluated, 17);
+  EXPECT_EQ(loaded.scores.size(), sample.scores.size());
+
+  std::string bad = v4_text;
+  bad.replace(bad.find("beam_capped,1"), 13, "beam_capped,2");
+  std::istringstream bad_in(bad);
+  const Status sb = ReadMinerCheckpoint(bad_in, &loaded);
+  EXPECT_EQ(sb.code(), StatusCode::kDataLoss);
+  EXPECT_NE(sb.message().find("line 7"), std::string::npos) << sb.ToString();
+}
+
 // Renders the sample checkpoint in the v1 format (no work-counter
 // lines, v1 magic), the on-disk shape of pre-counter-era files.
 std::string SampleCheckpointAsV1() {
@@ -646,11 +692,11 @@ std::string SampleCheckpointAsV1() {
   std::stringstream ss;
   EXPECT_TRUE(WriteMinerCheckpoint(sample, ss).ok());
   std::string text = ss.str();
-  const size_t v2 = text.find("checkpoint,v2");
-  EXPECT_NE(v2, std::string::npos);
-  text.replace(v2, 13, "checkpoint,v1");
-  for (const char* key :
-       {"candidates_evaluated,0\n", "candidates_pruned,0\n"}) {
+  const size_t v4 = text.find("checkpoint,v4");
+  EXPECT_NE(v4, std::string::npos);
+  text.replace(v4, 13, "checkpoint,v1");
+  for (const char* key : {"candidates_evaluated,0\n", "candidates_pruned,0\n",
+                          "beam_capped,0\n"}) {
     const size_t pos = text.find(key);
     EXPECT_NE(pos, std::string::npos);
     text.erase(pos, std::string(key).size());
@@ -872,6 +918,7 @@ MinerOptions MakeDeepOptions(int num_threads) {
 void ExpectSameWork(const MiningResult& a, const MiningResult& b) {
   EXPECT_EQ(a.stats.candidates_evaluated, b.stats.candidates_evaluated);
   EXPECT_EQ(a.stats.candidates_pruned, b.stats.candidates_pruned);
+  EXPECT_EQ(a.stats.hit_candidate_cap, b.stats.hit_candidate_cap);
 }
 
 std::string Serialized(const MinerCheckpoint& cp) {
@@ -1023,6 +1070,8 @@ TEST(CheckpointResumeTest, BeamBitIdenticalAcrossResume) {
     opt.max_candidates_per_iteration = 20;
     NmEngine engine(data, space);
     EXPECT_TRUE(MineTrajPatterns(engine, opt).stats.hit_candidate_cap);
+    // Every resumed run reports the cap too (`ExpectSameWork`), also
+    // one resumed past the round that first capped.
     EXPECT_GT(KillAndResumeAtEveryBoundary(data, opt), 0u);
   }
 }

@@ -1,12 +1,12 @@
 // The SIMD dispatch contract of src/core/simd_kernels.h: whatever level
 // the runtime selects, the dispatched kernels return bit-identical
 // results to the always-compiled portable reference, over every tail
-// length and the degenerate inputs (n = 0, w or below = nullptr), with
-// factor pairs whose sum falls below the log floor and with the radial
-// model's +0.0 second factor.  On non-AVX2 hosts — and in the
-// TRAJPATTERN_SIMD=portable CI leg — dispatched == portable trivially; on
-// AVX2 hosts this is the test that the vector reassociation really is
-// exact.
+// length, unaligned offsets, every scan group size and the degenerate
+// inputs (n = 0, w = nullptr), on columns built from factor pairs whose
+// sum falls below the log floor and from the radial model's +0.0 second
+// factor.  On non-AVX2 hosts — and in the TRAJPATTERN_SIMD=portable CI
+// leg — dispatched == portable trivially; on AVX2 hosts this is the test
+// that the vector reassociation really is exact.
 
 #include "core/simd_kernels.h"
 
@@ -63,7 +63,7 @@ std::vector<double> FactorData(size_t n, uint64_t seed) {
   return out;
 }
 
-/// The floored factor sum both kernels read, as `AddLogFactors` spells it.
+/// The floored factor sum a column holds, as `AddLogFactors` spells it.
 double Floored(const std::vector<double>& fx, const std::vector<double>& fy,
                size_t k) {
   return AddLogFactors(fx[k], fy[k]);
@@ -73,6 +73,28 @@ double Floored(const std::vector<double>& fx, const std::vector<double>& fy,
 /// model's all-+0.0 vector.
 std::vector<std::vector<double>> SecondFactors(size_t n, uint64_t seed) {
   return {FactorData(n, seed), std::vector<double>(n, 0.0)};
+}
+
+/// The columns a scan test reads: one built from general factor pairs
+/// (a quarter of them summing below the floor), and one from the radial
+/// model's +0.0 second factor, each `AddLogFactors` element by element.
+std::vector<std::vector<double>> Columns(size_t n, uint64_t seed) {
+  const std::vector<double> fx = FactorData(n, seed);
+  std::vector<std::vector<double>> out;
+  for (const std::vector<double>& fy : SecondFactors(n, seed + 1)) {
+    out.emplace_back(n);
+    for (size_t k = 0; k < n; ++k) out.back()[k] = Floored(fx, fy, k);
+  }
+  return out;
+}
+
+/// The strictly sequential scan the kernels reassociate.
+double NaiveMaxSum(const double* w, const double* t, size_t n) {
+  double best = -std::numeric_limits<double>::infinity();
+  for (size_t k = 0; k < n; ++k) {
+    best = std::max(best, w != nullptr ? w[k] + t[k] : t[k]);
+  }
+  return best;
 }
 
 TEST(SimdKernelTest, ActiveLevelNameIsKnown) {
@@ -86,36 +108,50 @@ TEST(SimdKernelTest, ActiveLevelNameIsKnown) {
 }
 
 TEST(SimdKernelTest, FusedMaxSumEmptyIsNegativeInfinity) {
-  const double with_w = simd::FusedMaxSum(nullptr, nullptr, nullptr, 0);
+  const double with_w = simd::FusedMaxSum(nullptr, nullptr, 0);
   EXPECT_EQ(with_w, -std::numeric_limits<double>::infinity());
-  EXPECT_TRUE(
-      BitEq(with_w, simd::FusedMaxSumPortable(nullptr, nullptr, nullptr, 0)));
+  EXPECT_TRUE(BitEq(with_w, simd::FusedMaxSumPortable(nullptr, nullptr, 0)));
+  const double* t[simd::kMaxGroup] = {};
+  double out[simd::kMaxGroup];
+  for (size_t groups = 1; groups <= simd::kMaxGroup; ++groups) {
+    simd::FusedMaxSumGroup(nullptr, t, groups, 0, out);
+    for (size_t g = 0; g < groups; ++g) {
+      EXPECT_EQ(out[g], -std::numeric_limits<double>::infinity()) << groups;
+    }
+  }
 }
 
 TEST(SimdKernelTest, FusedMaxSumMatchesPortableOnEveryTailLength) {
   // 0..40 covers: below one vector, exact vector multiples (4, 8, 16,
-  // 32), the 16-element main-loop boundary, and every scalar tail shape.
+  // 32), the 16-element main-loop boundary, and every tail shape; the
+  // offsets 0..3 put the loads on every alignment a double can have.
   for (size_t n = 0; n <= 40; ++n) {
-    const std::vector<double> w = ColumnData(n, 1000 + n);
-    const std::vector<double> fx = FactorData(n, 2000 + n);
-    for (const std::vector<double>& fy : SecondFactors(n, 4000 + n)) {
-      const double want =
-          simd::FusedMaxSumPortable(w.data(), fx.data(), fy.data(), n);
-      const double got = simd::FusedMaxSum(w.data(), fx.data(), fy.data(), n);
-      EXPECT_TRUE(BitEq(got, want))
-          << "n=" << n << " got=" << got << " want=" << want;
+    for (size_t at = 0; at < 4; ++at) {
+      const std::vector<double> w = ColumnData(n + at, 1000 + n);
+      for (const std::vector<double>& t : Columns(n + at, 2000 + n)) {
+        const double want =
+            simd::FusedMaxSumPortable(w.data() + at, t.data() + at, n);
+        const double got = simd::FusedMaxSum(w.data() + at, t.data() + at, n);
+        EXPECT_TRUE(BitEq(got, want))
+            << "n=" << n << " at=" << at << " got=" << got << " want=" << want;
+        EXPECT_TRUE(BitEq(want, NaiveMaxSum(w.data() + at, t.data() + at, n)))
+            << "n=" << n << " at=" << at;
+      }
     }
   }
 }
 
 TEST(SimdKernelTest, FusedMaxSumMatchesPortableWithNullWindow) {
   for (size_t n = 0; n <= 40; ++n) {
-    const std::vector<double> fx = FactorData(n, 3000 + n);
-    for (const std::vector<double>& fy : SecondFactors(n, 5000 + n)) {
-      const double want =
-          simd::FusedMaxSumPortable(nullptr, fx.data(), fy.data(), n);
-      const double got = simd::FusedMaxSum(nullptr, fx.data(), fy.data(), n);
-      EXPECT_TRUE(BitEq(got, want)) << "n=" << n;
+    for (size_t at = 0; at < 4; ++at) {
+      for (const std::vector<double>& t : Columns(n + at, 3000 + n)) {
+        const double want =
+            simd::FusedMaxSumPortable(nullptr, t.data() + at, n);
+        const double got = simd::FusedMaxSum(nullptr, t.data() + at, n);
+        EXPECT_TRUE(BitEq(got, want)) << "n=" << n << " at=" << at;
+        EXPECT_TRUE(BitEq(want, NaiveMaxSum(nullptr, t.data() + at, n)))
+            << "n=" << n << " at=" << at;
+      }
     }
   }
 }
@@ -123,50 +159,87 @@ TEST(SimdKernelTest, FusedMaxSumMatchesPortableWithNullWindow) {
 TEST(SimdKernelTest, FusedMaxSumMatchesNaiveScanOnLargeInput) {
   // The kernels only reassociate max, which cannot change the result on
   // this domain — check against the strictly sequential scan, and the
-  // window-free scan against the plain floored sums.
+  // window-free scan against the plain column.
   const size_t n = 4801;  // deliberately not a vector multiple
   const std::vector<double> w = ColumnData(n, 42);
-  const std::vector<double> fx = FactorData(n, 43);
-  const std::vector<double> fy = FactorData(n, 44);
-  double naive = -std::numeric_limits<double>::infinity();
-  double naive_alone = naive;
-  for (size_t k = 0; k < n; ++k) {
-    naive = std::max(naive, w[k] + Floored(fx, fy, k));
-    naive_alone = std::max(naive_alone, Floored(fx, fy, k));
+  for (const std::vector<double>& t : Columns(n, 43)) {
+    const double naive = NaiveMaxSum(w.data(), t.data(), n);
+    EXPECT_TRUE(BitEq(simd::FusedMaxSum(w.data(), t.data(), n), naive));
+    EXPECT_TRUE(
+        BitEq(simd::FusedMaxSumPortable(w.data(), t.data(), n), naive));
+    EXPECT_TRUE(BitEq(simd::FusedMaxSum(nullptr, t.data(), n),
+                      *std::max_element(t.begin(), t.end())));
   }
-  EXPECT_TRUE(
-      BitEq(simd::FusedMaxSum(w.data(), fx.data(), fy.data(), n), naive));
-  EXPECT_TRUE(BitEq(
-      simd::FusedMaxSumPortable(w.data(), fx.data(), fy.data(), n), naive));
-  EXPECT_TRUE(BitEq(simd::FusedMaxSum(nullptr, fx.data(), fy.data(), n),
-                    naive_alone));
 }
 
-TEST(SimdKernelTest, FoldFactorsMatchesPortableOnEveryTailLength) {
-  // With and without a level below, over every tail length, with pairs
-  // that sum below the floor and with a +0.0 second factor.  Each element
-  // is below[k] + AddLogFactors(fx[k], fy[k]), or the floored sum alone.
+TEST(SimdKernelTest, FusedMaxSumGroupMatchesOneScanPerColumn) {
+  // Every group size, with and without a window, over every tail length
+  // and alignment: member g's maximum is the two-stream scan of its own
+  // column, bit for bit, on the dispatched and the portable kernel.  The
+  // members' columns alternate between general factor pairs and the
+  // radial +0.0 factor.
   for (size_t n = 0; n <= 40; ++n) {
-    const std::vector<double> below = ColumnData(n, 6000 + n);
-    const std::vector<double> fx = FactorData(n, 7000 + n);
-    for (const std::vector<double>& fy : SecondFactors(n, 8000 + n)) {
-      for (const bool with_below : {true, false}) {
-        const double* b = with_below ? below.data() : nullptr;
-        std::vector<double> got(n), want(n);
-        simd::FoldFactors(got.data(), b, fx.data(), fy.data(), n);
-        simd::FoldFactorsPortable(want.data(), b, fx.data(), fy.data(), n);
-        for (size_t k = 0; k < n; ++k) {
-          const double expect = with_below ? below[k] + Floored(fx, fy, k)
-                                           : Floored(fx, fy, k);
-          EXPECT_TRUE(BitEq(got[k], want[k])) << "n=" << n << " k=" << k;
-          EXPECT_TRUE(BitEq(got[k], expect)) << "n=" << n << " k=" << k;
+    for (size_t at = 0; at < 4; ++at) {
+      const std::vector<double> w = ColumnData(n + at, 5000 + n);
+      std::vector<std::vector<double>> columns;
+      for (size_t g = 0; g < simd::kMaxGroup; g += 2) {
+        for (std::vector<double>& c : Columns(n + at, 6000 + 10 * n + g)) {
+          columns.push_back(std::move(c));
+        }
+      }
+      const double* t[simd::kMaxGroup];
+      for (size_t g = 0; g < simd::kMaxGroup; ++g) t[g] = columns[g].data() + at;
+      for (const bool with_w : {true, false}) {
+        const double* wp = with_w ? w.data() + at : nullptr;
+        for (size_t groups = 1; groups <= simd::kMaxGroup; ++groups) {
+          double got[simd::kMaxGroup], want[simd::kMaxGroup];
+          simd::FusedMaxSumGroup(wp, t, groups, n, got);
+          simd::FusedMaxSumGroupPortable(wp, t, groups, n, want);
+          for (size_t g = 0; g < groups; ++g) {
+            const double single = simd::FusedMaxSum(wp, t[g], n);
+            EXPECT_TRUE(BitEq(got[g], want[g]))
+                << "n=" << n << " at=" << at << " groups=" << groups
+                << " g=" << g << " window=" << with_w;
+            EXPECT_TRUE(BitEq(got[g], single))
+                << "n=" << n << " at=" << at << " groups=" << groups
+                << " g=" << g << " window=" << with_w;
+            EXPECT_TRUE(BitEq(want[g], NaiveMaxSum(wp, t[g], n)))
+                << "n=" << n << " at=" << at << " groups=" << groups;
+          }
         }
       }
     }
   }
 }
 
-TEST(SimdKernelTest, FoldFactorsMatchesPortableOnUnalignedOddLengths) {
+TEST(SimdKernelTest, BuildColumnAndAddToMatchPortableOnEveryTailLength) {
+  // The column alone (no level below) and the add onto a level below,
+  // over every tail length, with factor pairs that sum below the floor
+  // and with a +0.0 second factor.  Each column element is
+  // AddLogFactors(fx[k], fy[k]), and each fold below[k] + column[k].
+  for (size_t n = 0; n <= 40; ++n) {
+    const std::vector<double> below = ColumnData(n, 6000 + n);
+    const std::vector<double> fx = FactorData(n, 7000 + n);
+    for (const std::vector<double>& fy : SecondFactors(n, 8000 + n)) {
+      std::vector<double> column(n), column_want(n);
+      simd::BuildColumn(column.data(), fx.data(), fy.data(), n);
+      simd::BuildColumnPortable(column_want.data(), fx.data(), fy.data(), n);
+      std::vector<double> sum(n), sum_want(n);
+      simd::AddTo(sum.data(), below.data(), column.data(), n);
+      simd::AddToPortable(sum_want.data(), below.data(), column.data(), n);
+      for (size_t k = 0; k < n; ++k) {
+        EXPECT_TRUE(BitEq(column[k], column_want[k])) << "n=" << n << " k=" << k;
+        EXPECT_TRUE(BitEq(column[k], Floored(fx, fy, k)))
+            << "n=" << n << " k=" << k;
+        EXPECT_TRUE(BitEq(sum[k], sum_want[k])) << "n=" << n << " k=" << k;
+        EXPECT_TRUE(BitEq(sum[k], below[k] + Floored(fx, fy, k)))
+            << "n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, BuildColumnAndAddToMatchPortableOnUnalignedOddLengths) {
   // Offsetting each operand by one double puts every vector load and
   // store off a 32-byte boundary, and odd lengths always leave a scalar
   // tail after the 8- and 4-wide loops.
@@ -174,16 +247,20 @@ TEST(SimdKernelTest, FoldFactorsMatchesPortableOnUnalignedOddLengths) {
     const std::vector<double> a = ColumnData(n + 1, 6000 + n);
     const std::vector<double> fx = FactorData(n + 1, 7000 + n);
     const std::vector<double> fy = FactorData(n + 1, 9000 + n);
-    std::vector<double> got(n + 1), want(n + 1);
-    simd::FoldFactors(got.data() + 1, a.data() + 1, fx.data() + 1,
-                      fy.data() + 1, n);
-    simd::FoldFactorsPortable(want.data() + 1, a.data() + 1, fx.data() + 1,
+    std::vector<double> column(n + 1), column_want(n + 1);
+    simd::BuildColumn(column.data() + 1, fx.data() + 1, fy.data() + 1, n);
+    simd::BuildColumnPortable(column_want.data() + 1, fx.data() + 1,
                               fy.data() + 1, n);
+    std::vector<double> got(n + 1), want(n + 1);
+    simd::AddTo(got.data() + 1, a.data() + 1, column.data() + 1, n);
+    simd::AddToPortable(want.data() + 1, a.data() + 1, column.data() + 1, n);
     for (size_t k = 1; k <= n; ++k) {
+      EXPECT_TRUE(BitEq(column[k], column_want[k])) << "n=" << n << " k=" << k;
       EXPECT_TRUE(BitEq(got[k], want[k])) << "n=" << n << " k=" << k;
       EXPECT_TRUE(BitEq(got[k], a[k] + Floored(fx, fy, k)))
           << "n=" << n << " k=" << k;
     }
+    EXPECT_EQ(column[0], 0.0) << "wrote before the column, n=" << n;
     EXPECT_EQ(got[0], 0.0) << "wrote before dst, n=" << n;
   }
 }
@@ -191,20 +268,19 @@ TEST(SimdKernelTest, FoldFactorsMatchesPortableOnUnalignedOddLengths) {
 TEST(SimdKernelTest, PlusZeroSecondFactorLeavesAColumnUnchanged) {
   // The radial model pairs each cell's column with the all-+0.0 vector:
   // AddLogFactors(v, +0.0) must be v, bit for bit, across the whole
-  // column domain [LogFloor(), 0], so both kernels read the column.
+  // column domain [LogFloor(), 0], so the built column is the cell's own.
   std::vector<double> v = {LogFloor(), std::nextafter(LogFloor(), 0.0),
                            -1.0, -1e-300, -5e-324, 0.0};
   const std::vector<double> more = FactorData(64, 11);
   v.insert(v.end(), more.begin(), more.end());
   const std::vector<double> zero(v.size(), 0.0);
-  std::vector<double> folded(v.size());
-  simd::FoldFactors(folded.data(), nullptr, v.data(), zero.data(), v.size());
+  std::vector<double> column(v.size());
+  simd::BuildColumn(column.data(), v.data(), zero.data(), v.size());
   for (size_t k = 0; k < v.size(); ++k) {
     EXPECT_TRUE(BitEq(AddLogFactors(v[k], 0.0), v[k])) << v[k];
-    EXPECT_TRUE(BitEq(folded[k], v[k])) << v[k];
+    EXPECT_TRUE(BitEq(column[k], v[k])) << v[k];
   }
-  EXPECT_TRUE(BitEq(simd::FusedMaxSum(nullptr, v.data(), zero.data(),
-                                      v.size()),
+  EXPECT_TRUE(BitEq(simd::FusedMaxSum(nullptr, column.data(), column.size()),
                     *std::max_element(v.begin(), v.end())));
 }
 

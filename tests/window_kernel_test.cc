@@ -1,7 +1,8 @@
 // Tests of the window scan: the engine's totals (the shared-prefix walk)
 // against the point-at-a-time gather reference of src/testing, bit for
-// bit under both indifference models; all-wildcard rejection; arena
-// warm-up edge cases; and checkpoint v1/v2 compat and v3 refusal.
+// bit under both indifference models; the walk's prefix-level and scan
+// group accounting; all-wildcard rejection; factor warm-up edge cases;
+// and checkpoint v1/v4 compat and v3 refusal.
 
 #include <gtest/gtest.h>
 
@@ -310,27 +311,94 @@ TEST(WindowKernelTest, PrefixLevelCountsAreHandCountedAndThreadInvariant) {
   ASSERT_GE(cells.size(), 4u);
   const CellId a = cells[0], b = cells[1], c = cells[2], e = cells[3];
   const CellId w = kWildcardCell;
-  // Walk order (cells ascending, the wildcard first) and slices:
-  //   a*bc  builds a+*+b                          built 1
+  // A level folds one more specified position into a sum of at least
+  // one; a first specified position's level is its tile column, read in
+  // place, and counts as neither built nor reused.  Neighbors of a slice
+  // with one length, one last specified position and the same cells
+  // before it form a scan group, which takes its prefix levels once:
+  // they count once for the group, built or reused.
+  // Walk order (cells ascending, the wildcard first), slices and groups:
+  //   a*bc  reads a, builds a+*+b                 built 1
   //   abc   keeps a, builds a+b                   built 2
   //   abcd  reuses a+b, builds a+b+c              built 3, reused 1
   //   abd   reuses a+b                            reused 2
-  //   ac    needs only a, read from its column
-  //   bcd   new slice: builds b+c                 built 4
+  //   ac    needs only a, its column
+  //   bca, bcb, bcd   new slice, one group: reads b, builds b+c once
+  //                                               built 4
+  //   bcda  reuses b+c, builds b+c+d              built 5, reused 3
   const std::vector<Pattern> batch = {
       Pattern(std::vector<CellId>{a, b, c}),
       Pattern(std::vector<CellId>{a, b, e}),
+      Pattern(std::vector<CellId>{b, c, b}),
       Pattern(std::vector<CellId>{a, b, c, e}),
       Pattern(std::vector<CellId>{a, c}),
+      Pattern(std::vector<CellId>{b, c, e, a}),
       Pattern(std::vector<CellId>{b, c, e}),
       Pattern(std::vector<CellId>{a, w, b, c}),
+      Pattern(std::vector<CellId>{b, c, a}),
   };
+  ReferenceScorer reference(d, space);
   for (const int threads : {1, 4}) {
     BatchScoreStats stats;
-    engine.NmTotalBatch(batch, threads, &stats);
+    const std::vector<double> nm = engine.NmTotalBatch(batch, threads, &stats);
     EXPECT_EQ(stats.tiles, 1) << threads << " threads";
-    EXPECT_EQ(stats.prefix_levels_built, 4) << threads << " threads";
-    EXPECT_EQ(stats.prefix_levels_reused, 2) << threads << " threads";
+    EXPECT_EQ(stats.prefix_levels_built, 5) << threads << " threads";
+    EXPECT_EQ(stats.prefix_levels_reused, 3) << threads << " threads";
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_TRUE(BitEqual(nm[i], reference.NmTotal(batch[i])))
+          << batch[i].ToString() << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(WindowKernelTest, ScanGroupsSplitAtSliceBoundariesAcrossTiles) {
+  // 68 candidates a-x-y on one first cell (17 x, 4 y each) after the
+  // singular a, and a singular of every touched cell to widen the batch
+  // into several tiles.  A slice holds at most 64 candidates, so the
+  // first cell's run is cut at walk position 64 of it: the group a-x15-*
+  // (positions 61-64) has three members in the first slice and one in
+  // the second.  Each slice builds one level a+x per group it holds, per
+  // tile: x0..x15 and x15..x16, 18 a tile, nothing reused.
+  const MiningSpace space(Grid::UnitSquare(10), 0.1);
+  Rng rng(31);
+  TrajectoryDataset d;
+  for (int i = 0; i < 300; ++i) {
+    Trajectory t("g" + std::to_string(i));
+    const int len = rng.UniformInt(60, 110);
+    for (int s = 0; s < len; ++s) {
+      t.Append(Point2(rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)), 0.05);
+    }
+    d.Add(std::move(t));
+  }
+  NmEngine engine(d, space);
+  const std::vector<CellId> touched = engine.TouchedCells();
+  ASSERT_GE(touched.size(), 40u);
+  const CellId a = touched[0];
+  std::vector<Pattern> batch;
+  for (size_t x = 0; x < 17; ++x) {
+    for (size_t y = 0; y < 4; ++y) {
+      batch.emplace_back(std::vector<CellId>{a, touched[1 + 2 * x],
+                                             touched[35 + y]});
+    }
+  }
+  for (const CellId x : touched) batch.emplace_back(x);
+  ReferenceScorer reference(d, space);
+  for (const int threads : {1, 4}) {
+    BatchScoreStats nm_stats, match_stats;
+    const std::vector<double> nm =
+        engine.NmTotalBatch(batch, threads, &nm_stats);
+    const std::vector<double> match =
+        engine.MatchTotalBatch(batch, threads, &match_stats);
+    EXPECT_GE(nm_stats.tiles, 3) << threads << " threads";
+    EXPECT_EQ(nm_stats.prefix_levels_built, 18 * nm_stats.tiles)
+        << threads << " threads";
+    EXPECT_EQ(nm_stats.prefix_levels_reused, 0) << threads << " threads";
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_TRUE(BitEqual(nm[i], reference.NmTotal(batch[i])))
+          << batch[i].ToString() << ", " << threads << " threads";
+      EXPECT_TRUE(BitEqual(match[i], reference.MatchTotal(batch[i])))
+          << batch[i].ToString() << ", " << threads << " threads";
+    }
   }
 }
 
@@ -534,7 +602,7 @@ TEST(WindowKernelTest, CheckpointV2RoundTripsWorkCounters) {
 
   std::stringstream ss;
   ASSERT_TRUE(WriteMinerCheckpoint(cp, ss).ok());
-  EXPECT_NE(ss.str().find("trajpattern_checkpoint,v2"), std::string::npos);
+  EXPECT_NE(ss.str().find("trajpattern_checkpoint,v4"), std::string::npos);
 
   MinerCheckpoint back;
   ASSERT_TRUE(ReadMinerCheckpoint(ss, &back).ok());
