@@ -77,9 +77,10 @@ class CancellationToken {
 ///  - The last checkpoint the sink received (always an iteration
 ///    boundary) stays the valid resume point; resuming from it
 ///    reproduces the uninterrupted run's answer bit-identically.
-///  - The memory budget bounds the engine's factor-cache bytes: warm-up
-///    first frees least-recently-used factor vectors and the batch API
-///    shrinks its chunk size before giving up with
+///  - The memory budget bounds the engine's factor-cache bytes: the batch
+///    API splits a batch into chunks whose factor vectors fit, each
+///    chunk's warm-up frees the lowest-id vectors the chunk does not
+///    need, and only a pattern whose own vectors do not fit gives up with
 ///    `kMemoryBudgetExceeded`.
 struct RunContext {
   using Clock = std::chrono::steady_clock;

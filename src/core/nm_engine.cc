@@ -61,7 +61,6 @@ NmEngine::NmEngine(const TrajectoryDataset& data, const MiningSpace& space)
           ? static_cast<size_t>(space_.grid.nx() + space_.grid.ny())
           : static_cast<size_t>(space_.grid.num_cells()) + 1;
   factors_.resize(num_factors);
-  last_use_.assign(num_factors, 0);
 }
 
 NmEngine::~NmEngine() = default;
@@ -127,45 +126,13 @@ const double* NmEngine::ResidentFactor(int32_t id) const {
   return v;
 }
 
-size_t NmEngine::EvictLru(size_t count, uint64_t protect_tick) const {
-  if (count == 0 || num_resident_ == 0) return 0;
-  // (stamp, factor id) of every evictable resident vector; sorting gives
-  // LRU-first with a factor-id tiebreak, so the victim set is a pure
-  // function of the request history — independent of thread count.
-  std::vector<std::pair<uint64_t, int32_t>> order;
-  order.reserve(num_resident_);
-  for (size_t f = 0; f < factors_.size(); ++f) {
-    if (factors_[f] == nullptr) continue;        // cold
-    if (last_use_[f] == protect_tick) continue;  // current request
-    order.emplace_back(last_use_[f], static_cast<int32_t>(f));
-  }
-  std::sort(order.begin(), order.end());
-  const size_t n = std::min(count, order.size());
-  for (size_t i = 0; i < n; ++i) {
-    factors_[static_cast<size_t>(order[i].second)].reset();
-  }
-  num_resident_ -= n;
-  cells_evicted_ += n;
-  TP_COUNTER_ADD("nm.cells_evicted", n);
-  return n;
-}
-
-void NmEngine::WarmPattern(const Pattern& p) const {
-  // A pattern with a cell outside the grid is unscorable: no vectors.
-  if (PatternCellOutsideGrid(p.cells(), space_.grid)) return;
-  WarmStats ws;
-  WarmCells(p.cells(), 1, &ws);
-  // Without a run context only a failed allocation can stop it.
-  if (ws.stop != StopReason::kNone) throw std::bad_alloc();
-}
-
 double NmEngine::TotalOne(const Pattern& p, Measure measure) const {
-  // Fill any missing vectors while still serial, then walk the batch of
-  // one with the read-only code the batch path runs.
-  WarmPattern(p);
-  double out = 0.0;
-  Walk(std::span<const Pattern>(&p, 1), measure, nullptr, nullptr,
-       std::span<WalkScratch>(&walk_scratch_, 1), &out, nullptr);
+  BatchScoreStats stats;
+  const double out =
+      ScoreBatch(std::span<const Pattern>(&p, 1), 1, &stats, measure,
+                 nullptr)[0];
+  // Without a run context only a failed allocation can stop the batch.
+  if (stats.stop != StopReason::kNone) throw std::bad_alloc();
   return out;
 }
 
@@ -523,7 +490,7 @@ void NmEngine::Walk(std::span<const Pattern> patterns, Measure measure,
 
 ThreadPool* NmEngine::PoolFor(int threads) const {
   if (threads <= 1) return nullptr;
-  if (pool_ == nullptr || pool_->size() < threads) {
+  if (pool_ == nullptr || pool_->size() != threads) {
     pool_ = std::make_unique<ThreadPool>(threads);
   }
   return pool_.get();
@@ -531,29 +498,30 @@ ThreadPool* NmEngine::PoolFor(int threads) const {
 
 size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
                            WarmStats* stats, const RunContext* run) const {
-  WarmStats ws;
-  // One LRU tick per request, stamped on every vector the request asks
-  // for, so budget eviction can tell "needed by the in-flight request"
-  // apart from "left behind by earlier ones", and a cold vector already
-  // stamped is an in-request duplicate.
-  const uint64_t tick = ++warm_tick_;
-  std::vector<int32_t> missing;  // factor ids, in first-seen order
-  const auto request = [&](int32_t id) {
-    const size_t f = static_cast<size_t>(id);
-    if (factors_[f] != nullptr || last_use_[f] == tick) {
-      ++ws.hits;
-    } else {
-      missing.push_back(id);
-    }
-    last_use_[f] = tick;
-  };
-  for (CellId c : cells) {
+  std::vector<char> seen(factors_.size(), 0);
+  std::vector<int32_t> ids;  // distinct, in first-seen order
+  size_t asks = 0;
+  for (const CellId c : cells) {
     if (!space_.grid.IsValid(c)) continue;  // a wildcard, or no vectors
     const auto [x, y] = FactorIds(c);
-    request(x);
-    request(y);
+    for (const int32_t id : {x, y}) {
+      if (!std::exchange(seen[static_cast<size_t>(id)], 1)) ids.push_back(id);
+    }
+    asks += 2;
+  }
+  return WarmFactors(ids, asks, num_threads, stats, run);
+}
+
+size_t NmEngine::WarmFactors(std::span<const int32_t> ids, size_t asks,
+                             int num_threads, WarmStats* stats,
+                             const RunContext* run) const {
+  WarmStats ws;
+  std::vector<int32_t> missing;  // in request order
+  for (const int32_t id : ids) {
+    if (factors_[static_cast<size_t>(id)] == nullptr) missing.push_back(id);
   }
   ws.misses = missing.size();
+  ws.hits = asks - missing.size();
   const auto finish = [&](StopReason why, size_t published) {
     ws.stop = why;
     if (stats != nullptr) *stats = ws;
@@ -561,18 +529,29 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
   };
   if (missing.empty()) return finish(StopReason::kNone, 0);
 
-  // Memory budget: the resident set after this request must fit.  Shed
-  // LRU vectors first — never ones this request asked for, they carry the
-  // current tick — and give up only if the request alone overflows.
+  // Memory budget: the resident set after this request must fit.  Free
+  // the lowest-id resident vectors the request does not need, no more
+  // than it must; a request that overflows the budget by itself frees
+  // nothing and stops.
   if (run != nullptr && run->memory_budget_bytes > 0 && stride_ > 0) {
     const size_t budget_vectors =
         static_cast<size_t>(run->memory_budget_bytes / column_bytes());
+    if (ids.size() > budget_vectors) {
+      return finish(StopReason::kMemoryBudgetExceeded, 0);
+    }
     if (num_resident_ + missing.size() > budget_vectors) {
-      ws.evicted =
-          EvictLru(num_resident_ + missing.size() - budget_vectors, tick);
-      if (num_resident_ + missing.size() > budget_vectors) {
-        return finish(StopReason::kMemoryBudgetExceeded, 0);
+      const size_t excess = num_resident_ + missing.size() - budget_vectors;
+      std::vector<char> needed(factors_.size(), 0);
+      for (const int32_t id : ids) needed[static_cast<size_t>(id)] = 1;
+      for (size_t f = 0; f < factors_.size() && ws.evicted < excess; ++f) {
+        if (factors_[f] != nullptr && !needed[f]) {
+          factors_[f].reset();
+          ++ws.evicted;
+        }
       }
+      num_resident_ -= ws.evicted;
+      cells_evicted_ += ws.evicted;
+      TP_COUNTER_ADD("nm.cells_evicted", ws.evicted);
     }
   }
   if (run != nullptr) {
@@ -628,7 +607,7 @@ size_t NmEngine::WarmCells(const std::vector<CellId>& cells, int num_threads,
   return finish(stopped ? run->CheckStop() : StopReason::kNone, published);
 }
 
-std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
+std::vector<double> NmEngine::ScoreBatch(std::span<const Pattern> patterns,
                                          int num_threads,
                                          BatchScoreStats* stats,
                                          Measure measure,
@@ -649,106 +628,101 @@ std::vector<double> NmEngine::ScoreBatch(const std::vector<Pattern>& patterns,
     }
   }
 
-  // Chunking: with a memory budget the batch is split so each chunk's
-  // distinct factor vectors fit the budget (boundaries are a pure
-  // function of the pattern list and the budget — deterministic);
-  // without one the whole batch is one chunk, the exact pre-budget
-  // code path.
-  std::vector<std::pair<size_t, size_t>> chunks;
-  if (run != nullptr && run->memory_budget_bytes > 0 && stride_ > 0) {
-    const size_t budget_vectors =
-        static_cast<size_t>(run->memory_budget_bytes / column_bytes());
-    std::vector<char> in_chunk(factors_.size(), 0);
-    std::vector<int32_t> chunk_factors;
-    std::vector<int32_t> pat_factors;
+  // One pass over the batch cuts it into chunks and gives each chunk its
+  // distinct factor ids, in first-seen order, and its count of vector
+  // asks, two per specified position.  Without a budget the whole batch
+  // is one chunk; with one, a chunk closes before the pattern whose
+  // vectors would overflow it, so boundaries are a pure function of the
+  // pattern list and the budget.
+  struct Chunk {
     size_t begin = 0;
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      pat_factors.clear();
-      // Unscorable without vectors; see PlanWalk.
-      if (PatternCellOutsideGrid(patterns[i].cells(), space_.grid)) continue;
-      for (size_t j = 0; j < patterns[i].length(); ++j) {
-        const CellId c = patterns[i][j];
-        if (c == kWildcardCell) continue;
-        const auto [x, y] = FactorIds(c);
-        for (const int32_t f : {x, y}) {
-          if (std::find(pat_factors.begin(), pat_factors.end(), f) ==
-              pat_factors.end()) {
-            pat_factors.push_back(f);
-          }
+    size_t end = 0;
+    std::vector<int32_t> ids;
+    size_t asks = 0;
+  };
+  WallTimer timer;
+  const size_t budget_vectors =
+      run != nullptr && run->memory_budget_bytes > 0 && stride_ > 0
+          ? static_cast<size_t>(run->memory_budget_bytes / column_bytes())
+          : std::numeric_limits<size_t>::max();
+  std::vector<Chunk> chunks(1);
+  // Per factor id: whether the open chunk holds it, and the last pattern
+  // that asked for it.
+  std::vector<char> in_chunk(factors_.size(), 0);
+  std::vector<size_t> asked_by(factors_.size(), patterns.size());
+  std::vector<int32_t> pattern_ids;
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    // Unscorable without vectors; see PlanWalk.
+    if (PatternCellOutsideGrid(patterns[i].cells(), space_.grid)) continue;
+    pattern_ids.clear();
+    size_t asks = 0;
+    size_t newly = 0;
+    for (const CellId c : patterns[i].cells()) {
+      if (c == kWildcardCell) continue;
+      const auto [x, y] = FactorIds(c);
+      for (const int32_t f : {x, y}) {
+        if (std::exchange(asked_by[static_cast<size_t>(f)], i) != i) {
+          pattern_ids.push_back(f);
+          newly += in_chunk[static_cast<size_t>(f)] == 0;
         }
       }
-      if (pat_factors.size() > budget_vectors) {
-        // A single pattern overflows the budget by itself: no chunking
-        // or eviction can ever score it.
-        out_stats.stop = StopReason::kMemoryBudgetExceeded;
-        if (stats != nullptr) *stats = out_stats;
-        return out;
+      asks += 2;
+    }
+    if (pattern_ids.size() > budget_vectors) {
+      // A single pattern overflows the budget by itself: no chunking
+      // or eviction can ever score it.
+      out_stats.stop = StopReason::kMemoryBudgetExceeded;
+      if (stats != nullptr) *stats = out_stats;
+      return out;
+    }
+    if (i > chunks.back().begin &&
+        chunks.back().ids.size() + newly > budget_vectors) {
+      chunks.back().end = i;
+      for (const int32_t f : chunks.back().ids) {
+        in_chunk[static_cast<size_t>(f)] = 0;
       }
-      size_t newly = 0;
-      for (const int32_t f : pat_factors) {
-        newly += in_chunk[static_cast<size_t>(f)] == 0;
-      }
-      if (i > begin && chunk_factors.size() + newly > budget_vectors) {
-        chunks.emplace_back(begin, i);
-        for (const int32_t f : chunk_factors) {
-          in_chunk[static_cast<size_t>(f)] = 0;
-        }
-        chunk_factors.clear();
-        begin = i;
-      }
-      for (const int32_t f : pat_factors) {
-        if (!in_chunk[static_cast<size_t>(f)]) {
-          in_chunk[static_cast<size_t>(f)] = 1;
-          chunk_factors.push_back(f);
-        }
+      chunks.emplace_back().begin = i;
+    }
+    Chunk& chunk = chunks.back();
+    for (const int32_t f : pattern_ids) {
+      if (!std::exchange(in_chunk[static_cast<size_t>(f)], 1)) {
+        chunk.ids.push_back(f);
       }
     }
-    chunks.emplace_back(begin, patterns.size());
-  } else {
-    chunks.emplace_back(0, patterns.size());
+    chunk.asks += asks;
   }
+  chunks.back().end = patterns.size();
   out_stats.chunks = static_cast<int>(chunks.size());
+  out_stats.warmup_seconds += timer.Seconds();
 
   ThreadPool* pool = PoolFor(threads);
-  const size_t lanes = pool == nullptr ? 1 : static_cast<size_t>(pool->size());
-  std::vector<WalkScratch> walk_scratch(lanes);
-  WallTimer timer;
-  for (const auto& chunk : chunks) {
-    const size_t cb = chunk.first;
-    const size_t ce = chunk.second;
+  std::vector<WalkScratch> walk_scratch(static_cast<size_t>(threads));
+  for (const Chunk& chunk : chunks) {
     timer.Reset();
-    bool warm_stopped = false;
+    WarmStats ws;
     {
       // Warm-up: every factor vector any candidate of the chunk needs
       // exists before a worker runs, so the scoring region below only
       // reads the cache.
       TP_TRACE_SPAN("nm/warmup");
-      std::vector<CellId> needed;
-      for (size_t i = cb; i < ce; ++i) {
-        if (PatternCellOutsideGrid(patterns[i].cells(), space_.grid)) continue;
-        for (size_t j = 0; j < patterns[i].length(); ++j) {
-          needed.push_back(patterns[i][j]);
-        }
-      }
-      WarmStats ws;
-      out_stats.cells_warmed += WarmCells(needed, threads, &ws, run);
-      out_stats.cells_hit += ws.hits;
-      out_stats.cells_evicted += ws.evicted;
-      TP_COUNTER_ADD("nm.warmup_hits", ws.hits);
-      TP_COUNTER_ADD("nm.warmup_misses", ws.misses);
-      if (ws.stop != StopReason::kNone) {
-        out_stats.stop = ws.stop;
-        warm_stopped = true;
-      }
+      out_stats.cells_warmed +=
+          WarmFactors(chunk.ids, chunk.asks, threads, &ws, run);
     }
     out_stats.warmup_seconds += timer.Seconds();
-    if (warm_stopped) break;
+    out_stats.cells_hit += ws.hits;
+    out_stats.cells_evicted += ws.evicted;
+    TP_COUNTER_ADD("nm.warmup_hits", ws.hits);
+    TP_COUNTER_ADD("nm.warmup_misses", ws.misses);
+    if (ws.stop != StopReason::kNone) {
+      out_stats.stop = ws.stop;
+      break;
+    }
 
     timer.Reset();
     {
       TP_TRACE_SPAN("nm/scoring");
-      Walk(std::span<const Pattern>(patterns).subspan(cb, ce - cb), measure,
-           pool, run, walk_scratch, out.data() + cb, &out_stats);
+      Walk(patterns.subspan(chunk.begin, chunk.end - chunk.begin), measure,
+           pool, run, walk_scratch, out.data() + chunk.begin, &out_stats);
     }
     out_stats.scoring_seconds += timer.Seconds();
     if (run != nullptr) {
@@ -776,69 +750,6 @@ std::vector<double> NmEngine::MatchTotalBatch(
     const std::vector<Pattern>& patterns, int num_threads,
     BatchScoreStats* stats, const RunContext* run) const {
   return ScoreBatch(patterns, num_threads, stats, Measure::kMatch, run);
-}
-
-double NmEngine::NmTotalWithGaps(const Pattern& p, int max_gap) const {
-  assert(max_gap >= 0);
-  const size_t m = p.length();
-  // Unscorable: see ValidateScorable and PatternCellOutsideGrid.
-  if (p.SpecifiedCount() == 0 ||
-      PatternCellOutsideGrid(p.cells(), space_.grid)) {
-    return kNegInf;
-  }
-  WarmPattern(p);
-  // Every factor vector is resident now, so no base pointer can move.
-  std::vector<const double*> fx, fy;
-  for (const CellId c : p.cells()) {
-    if (c == kWildcardCell) {
-      fx.push_back(nullptr);
-      fy.push_back(nullptr);
-      continue;
-    }
-    const auto [x, y] = FactorIds(c);
-    fx.push_back(ResidentFactor(x));
-    fy.push_back(ResidentFactor(y));
-  }
-  // Position j's log prob at global snapshot g; 0 (log 1) for a wildcard.
-  const auto logp = [&](size_t j, size_t g) {
-    return fx[j] != nullptr ? AddLogFactors(fx[j][g], fy[j][g]) : 0.0;
-  };
-  double total = 0.0;
-  for (size_t i = 0; i < data_->size(); ++i) {
-    const size_t off = offsets_[i];
-    const size_t len = offsets_[i + 1] - off;
-    if (len < m) {
-      total += LogFloor();
-      continue;
-    }
-    // dp[s]: best log-sum of p_0..p_j with p_j matched at snapshot s.
-    std::vector<double> dp(len), prev(len);
-    for (size_t s = 0; s < len; ++s) {
-      prev[s] = logp(0, off + s);
-    }
-    for (size_t j = 1; j < m; ++j) {
-      for (size_t s = 0; s < len; ++s) {
-        double best_prev = kNegInf;
-        // Previous position matched at s-1-gap for gap in [0, max_gap].
-        const size_t lo = s >= static_cast<size_t>(max_gap) + 1
-                              ? s - static_cast<size_t>(max_gap) - 1
-                              : 0;
-        if (s >= 1) {
-          for (size_t sp = lo; sp <= s - 1; ++sp) {
-            best_prev = std::max(best_prev, prev[sp]);
-          }
-        }
-        const double here = logp(j, off + s);
-        dp[s] = best_prev == kNegInf ? kNegInf : best_prev + here;
-      }
-      std::swap(dp, prev);
-    }
-    const double best = *std::max_element(prev.begin(), prev.end());
-    total += best == kNegInf
-                 ? LogFloor()
-                 : best / static_cast<double>(p.SpecifiedCount());
-  }
-  return total;
 }
 
 std::vector<CellId> NmEngine::TouchedCells(double radius_sigmas) const {
@@ -871,16 +782,6 @@ std::vector<CellId> NmEngine::TouchedCells(double radius_sigmas) const {
     if (marked[static_cast<size_t>(c)]) out.push_back(c);
   }
   return out;
-}
-
-std::vector<ScoredPattern> RerankWithGaps(const NmEngine& engine,
-                                          std::vector<ScoredPattern> patterns,
-                                          int max_gap) {
-  for (auto& sp : patterns) {
-    sp.nm = engine.NmTotalWithGaps(sp.pattern, max_gap);
-  }
-  std::sort(patterns.begin(), patterns.end(), BetterScored);
-  return patterns;
 }
 
 std::optional<CellId> PatternCellOutsideGrid(std::span<const CellId> cells,

@@ -36,10 +36,11 @@ struct BatchScoreStats {
   size_t cells_hit = 0;
   /// Worker count the call actually ran with.
   int threads_used = 1;
-  /// Factor vectors shed (LRU) to keep the run under its memory budget.
+  /// Factor vectors shed (lowest factor id first, never one the chunk
+  /// needs) to keep the run under its memory budget.
   size_t cells_evicted = 0;
   /// Sub-batches the call was split into to fit the budget (1 == the
-  /// whole batch ran as one chunk, the no-budget fast path).
+  /// whole batch ran as one chunk, as it always does without a budget).
   int chunks = 1;
   /// Dataset tiles the shared-prefix walk cut its chunks into, summed
   /// over chunks.
@@ -99,16 +100,13 @@ inline void AccumulateBatch(const BatchScoreStats& batch, MiningCounters* c) {
 /// Trajectories shorter than the pattern contribute the log floor to NM
 /// sums and 0 to match sums (they cannot host a window).
 ///
-/// Threading contract: every entry point fills the factor cache through
-/// `WarmCells` before it reads a vector.  The per-pattern entry points
-/// (`NmTotal`, `MatchTotal`, `NmTotalWithGaps`) warm one pattern's cells
-/// serially and therefore must only be called from one thread at a time.
-/// The batch entry points (`NmTotalBatch`, `MatchTotalBatch`) pre-warm
-/// every vector their candidate set needs before any scoring worker
-/// starts — the warm-up allocates the missing buffers on the calling
-/// thread, fans their fills out over the pool and publishes them serially
-/// — then fan the scan out over the same pool; scoring workers only ever
-/// *read* the cache.
+/// Threading contract: every entry point is one batch (`NmTotal` and
+/// `MatchTotal` a serial batch of one) that warms every vector it needs
+/// before any scoring worker starts — the warm-up allocates the missing
+/// buffers on the calling thread, fans their fills out over the pool and
+/// publishes them serially — then fans the scan out over the same pool;
+/// scoring workers only ever *read* the cache.  Warm-up mutates the
+/// engine, so calls on one engine must not overlap.
 ///
 /// Dataset totals (`NmTotal`, `MatchTotal` and the batch entry points;
 /// one pattern is a batch of one) all run the shared-prefix tiled walk:
@@ -157,9 +155,9 @@ class NmEngine {
   /// (Eq. 3 and 4), where the mean is over the *specified* (non-wildcard)
   /// positions — see `Pattern::SpecifiedCount` — and `LogFloor()` for a
   /// trajectory shorter than `P`.  -infinity if `P` fails
-  /// `ValidateScorable`.  Throws `std::bad_alloc` when the pattern's
-  /// missing factor vectors cannot be allocated, as do `MatchTotal` and
-  /// `NmTotalWithGaps`.
+  /// `ValidateScorable`.  A serial batch of one; it has no Status
+  /// channel, so it throws `std::bad_alloc` when the pattern's missing
+  /// factor vectors cannot be allocated, as does `MatchTotal`.
   double NmTotal(const Pattern& p) const;
 
   /// Scores a whole candidate generation at once: out[i] == NmTotal(
@@ -172,14 +170,15 @@ class NmEngine {
   /// scoring workers poll its token/deadline before claiming each
   /// candidate, warm-up polls it before each vector, and a non-zero
   /// `memory_budget_bytes` caps the factor cache — the call splits the
-  /// batch into chunks whose distinct factor vectors fit the budget and
-  /// sheds least-recently-used vectors between chunks.  A pattern whose
-  /// own vectors (at most 2 per specified position under the rectangular
-  /// model, its cells plus one under the radial) exceed the budget stops
-  /// the call with `kMemoryBudgetExceeded`.  Chunk boundaries are a
-  /// pure function of the pattern list and the budget, and every chunk
-  /// uses the serial reduction order, so budgeted results stay
-  /// bit-identical to unbudgeted ones.  On an early stop the call
+  /// batch into chunks whose distinct factor vectors fit the budget, and
+  /// each chunk's warm-up frees the lowest-id resident vectors it does
+  /// not need until its own fit.  A pattern whose own vectors (at most 2
+  /// per specified position under the rectangular model, its cells plus
+  /// one under the radial) exceed the budget stops the call with
+  /// `kMemoryBudgetExceeded`.  Chunk boundaries are a pure function of
+  /// the pattern list and the budget, and every chunk uses the serial
+  /// reduction order, so budgeted results stay bit-identical to
+  /// unbudgeted ones.  On an early stop the call
   /// returns with `stats->stop` set and the output must be discarded.
   std::vector<double> NmTotalBatch(const std::vector<Pattern>& patterns,
                                    int num_threads = 1,
@@ -197,21 +196,16 @@ class NmEngine {
                                       BatchScoreStats* stats = nullptr,
                                       const RunContext* run = nullptr) const;
 
-  /// §5 gap semantics: NM where up to `max_gap` unmatched snapshots may be
-  /// skipped between consecutive pattern positions (a gap behaves like a
-  /// run of wildcards that does not count toward the length
-  /// normalization).  Computed by dynamic programming per trajectory.
-  double NmTotalWithGaps(const Pattern& p, int max_gap) const;
-
   /// Hit/miss split of one `WarmCells` call: each cell of the request
-  /// that is a cell of the grid asks for its two factor vectors, and each
-  /// ask either hit an already-resident vector (or one this request
-  /// already asked for) or missed and was computed.
+  /// that is a cell of the grid asks for its two factor vectors.  Each
+  /// distinct vector that was not resident is a miss, computed once;
+  /// every other ask is a hit (hits = asks - misses).
   struct WarmStats {
     size_t hits = 0;
     size_t misses = 0;
-    /// Factor vectors shed (LRU, excluding ones this request touched) to
-    /// fit the run's memory budget.
+    /// Factor vectors shed to fit the run's memory budget: the lowest
+    /// resident factor ids the request does not need, no more than it
+    /// must.
     size_t evicted = 0;
     /// Why the warm-up stopped early (`kNone` == it completed).  On a
     /// stop nothing half-filled is published: vectors that finished
@@ -222,8 +216,8 @@ class NmEngine {
 
   /// Computes the factor vectors that `cells` need and that are not
   /// cached yet.  Warm-up is parallel and incremental: each cell maps to
-  /// its two factor ids, the missing ids are deduplicated against the
-  /// resident set (so per-batch calls warm only the delta), each missing
+  /// its two factor ids, the distinct ids that are not resident are the
+  /// missing ones (so per-batch calls warm only the delta), each missing
   /// vector gets its own buffer, allocated on the calling thread, the
   /// buffers are filled on `num_threads` workers — one batched
   /// `LogNormalIntervalProbBatch` pass per grid column or row under the
@@ -232,15 +226,16 @@ class NmEngine {
   /// (factor id, dataset, space), so results are bit-identical for any
   /// thread count and any warm order.  Returns the number of factor
   /// vectors added — 0, allocating nothing, when every one is already
-  /// warm.  Wildcards and cells outside the grid are skipped.  This is
-  /// the warm-up step of every scoring entry point, exposed for callers
-  /// that know their working set up front.
+  /// warm.  Wildcards and cells outside the grid are skipped.  Every
+  /// scoring call runs the same warm-up on each chunk's factor ids; this
+  /// entry point is for callers that know their working set up front.
   /// Not itself thread-safe: callers serialize calls (the entry points
   /// do) and workers only read.
   /// `run` (optional) adds run control: the fill fan-out polls the
-  /// context before each vector, a memory budget evicts
-  /// least-recently-used resident vectors (never ones this request
-  /// needs) before allocating, and allocation failure — real
+  /// context before each vector, a memory budget evicts the lowest-id
+  /// resident vectors this request does not need before allocating (a
+  /// request whose own vectors exceed the budget stops with
+  /// `kMemoryBudgetExceeded`), and allocation failure — real
   /// `std::bad_alloc` or an injected fault — reports `kAllocFailed`
   /// instead of throwing.  Vectors are pure functions of (factor id,
   /// dataset, space), so publishing only the completed subset after a
@@ -283,12 +278,13 @@ class NmEngine {
   /// Which dataset aggregate a scan computes.
   enum class Measure { kNm, kMatch };
 
-  /// Per-lane state of the shared-prefix walk, reused across calls: the
-  /// tile-local prefix window-sum buffers (one per computed level, which
-  /// neither position 0 nor the last position ever is), and per position
-  /// the base pointer of that prefix's sums (nullptr while no specified
-  /// position has been folded in; a tile column for the first specified
-  /// one), the cell it was built for, and whether it is a computed level.
+  /// Per-lane state of the shared-prefix walk, reused across the chunks
+  /// of one call: the tile-local prefix window-sum buffers (one per
+  /// computed level, which neither position 0 nor the last position ever
+  /// is), and per position the base pointer of that prefix's sums
+  /// (nullptr while no specified position has been folded in; a tile
+  /// column for the first specified one), the cell it was built for, and
+  /// whether it is a computed level.
   struct WalkScratch {
     std::vector<double> levels;
     std::vector<const double*> sums;
@@ -320,15 +316,19 @@ class NmEngine {
   /// Base pointer of resident factor vector `id`.
   const double* ResidentFactor(int32_t id) const;
 
-  /// Warms `p`'s factor vectors through `WarmCells`, serially and without
-  /// run control, for the per-pattern entry points.  They have no Status
-  /// channel, so a failed allocation (real or injected) throws
-  /// `std::bad_alloc`, with no vector of the failed request published.
-  void WarmPattern(const Pattern& p) const;
-
-  /// `NmTotal`/`MatchTotal`: warms the pattern's factor vectors, then
-  /// scores it as a walk of one.
+  /// `NmTotal`/`MatchTotal`: a serial batch of one, without run control,
+  /// so only a failed allocation (real or injected) can stop it; that
+  /// throws `std::bad_alloc`, with no vector of the failed request
+  /// published.
   double TotalOne(const Pattern& p, Measure measure) const;
+
+  /// The warm-up of `WarmCells` and of every batch chunk: makes the
+  /// distinct factor ids `ids` resident, as `WarmCells` documents, and
+  /// reports `asks` vector requests, `ids.size()` of them distinct, in
+  /// `stats`.  Returns the number of vectors published.
+  size_t WarmFactors(std::span<const int32_t> ids, size_t asks,
+                     int num_threads, WarmStats* stats,
+                     const RunContext* run) const;
 
   /// Shared-prefix tiled walk of `patterns`, whose factor vectors must all
   /// be resident: out[i] gets pattern i's dataset total.  Per tile, the
@@ -354,20 +354,15 @@ class NmEngine {
                  size_t slice, size_t tile, WalkPlan* plan,
                  WalkScratch* scratch) const;
 
-  /// Shared fan-out of the two batch entry points.
-  std::vector<double> ScoreBatch(const std::vector<Pattern>& patterns,
+  /// The one scoring path: every entry point scores through it.
+  std::vector<double> ScoreBatch(std::span<const Pattern> patterns,
                                  int num_threads, BatchScoreStats* stats,
                                  Measure measure,
                                  const RunContext* run) const;
 
-  /// Frees up to `count` resident factor vectors, least-recently-used
-  /// first (ties broken by factor id for determinism), skipping vectors
-  /// stamped with the in-progress request's `protect_tick`.  Returns how
-  /// many were evicted.
-  size_t EvictLru(size_t count, uint64_t protect_tick) const;
-
-  /// The lazily built pool reused by batch calls; grown when a call asks
-  /// for more workers than it has.  nullptr until the first parallel call.
+  /// The pool of exactly `threads` workers (nullptr for one thread),
+  /// built lazily and rebuilt when a call asks for another count, so a
+  /// call never runs on more lanes than it asked for.
   ThreadPool* PoolFor(int threads) const;
 
   const TrajectoryDataset* data_;
@@ -386,17 +381,11 @@ class NmEngine {
   /// one.  Warm-up fills a buffer completely before it publishes it here;
   /// batch workers only read.
   mutable std::vector<std::unique_ptr<double[]>> factors_;
-  /// Per-id LRU stamp: the `warm_tick_` of the last request that asked
-  /// for the vector.  Eviction drops the smallest stamps first, so a
-  /// budgeted run sheds the vectors the frontier left behind.
-  mutable std::vector<uint64_t> last_use_;
   /// Number of resident factor vectors (== num_cached_cells()).  With a
   /// memory budget this can shrink (eviction); without one it only grows.
   mutable size_t num_resident_ = 0;
   /// High-water mark of resident plus in-flight vectors.
   mutable size_t peak_vectors_ = 0;
-  /// Monotone request counter driving `last_use_`.
-  mutable uint64_t warm_tick_ = 0;
   /// Lifetime count of budget evictions (for stats/benches).
   mutable size_t cells_evicted_ = 0;
   /// Test hook simulating allocation failure (see setter).
@@ -405,8 +394,6 @@ class NmEngine {
   size_t stride_ = 0;
 
   mutable std::unique_ptr<ThreadPool> pool_;
-  /// Walk scratch of the serial totals (`NmTotal`, `MatchTotal`).
-  mutable WalkScratch walk_scratch_;
   /// The walk's tile-local columns, one per distinct cell of the chunk,
   /// rebuilt for every tile; grown to the largest walk's need and reused.
   /// Tiles are sized so that this stays within the tile budget unless a
@@ -428,14 +415,6 @@ std::optional<CellId> PatternCellOutsideGrid(std::span<const CellId> cells,
 /// live windows.  Requires begin + |p| <= points.size().
 double WindowLogMatch(const std::vector<TrajectoryPoint>& points, size_t begin,
                       const Pattern& p, const MiningSpace& space);
-
-/// §5 gap post-pass: re-scores `patterns` with `NmTotalWithGaps` (up to
-/// `max_gap` skipped snapshots between consecutive positions) and returns
-/// them re-ranked by the gapped NM.  Gaps relax the contiguity
-/// requirement, so no pattern's score decreases.
-std::vector<ScoredPattern> RerankWithGaps(const NmEngine& engine,
-                                          std::vector<ScoredPattern> patterns,
-                                          int max_gap);
 
 }  // namespace trajpattern
 

@@ -24,7 +24,7 @@ struct MiningCounters {
   /// scanned (`SplitBound` in core/miner.h).  0 for the baselines.
   /// Checkpoint v2 carries it.
   int64_t candidates_pruned = 0;
-  /// Engine factor vectors shed (LRU) to honor a memory budget (0 unless
+  /// Engine factor vectors shed to honor a memory budget (0 unless
   /// the run carried one; see `RunContext::memory_budget_bytes`).
   int64_t cells_evicted = 0;
   /// Time spent computing factor vectors (serial side of the batches).

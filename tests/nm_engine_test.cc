@@ -122,37 +122,6 @@ TEST(NmEngineTest, WildcardPositionScoresLogOne) {
   EXPECT_NEAR(engine.NmTotal(p), expected, 1e-12);
 }
 
-TEST(NmEngineTest, GapZeroMatchesContiguous) {
-  const UniformGeneratorOptions gopt{.num_objects = 5,
-                                     .num_snapshots = 12,
-                                     .seed = 3};
-  const TrajectoryDataset d = GenerateUniformObjects(gopt);
-  const MiningSpace space = TestSpace(4, 0.15);
-  NmEngine engine(d, space);
-  const auto cells = engine.TouchedCells();
-  ASSERT_GE(cells.size(), 2u);
-  const Pattern p({std::vector<CellId>{cells[0], cells[1], cells[0]}});
-  EXPECT_NEAR(engine.NmTotalWithGaps(p, 0), engine.NmTotal(p), 1e-9);
-}
-
-TEST(NmEngineTest, GapsOnlyImproveNm) {
-  const UniformGeneratorOptions gopt{.num_objects = 5,
-                                     .num_snapshots = 12,
-                                     .seed = 4};
-  const TrajectoryDataset d = GenerateUniformObjects(gopt);
-  const MiningSpace space = TestSpace(4, 0.15);
-  NmEngine engine(d, space);
-  const auto cells = engine.TouchedCells();
-  ASSERT_GE(cells.size(), 3u);
-  const Pattern p({std::vector<CellId>{cells[0], cells[2], cells[1]}});
-  double prev = engine.NmTotalWithGaps(p, 0);
-  for (int gap = 1; gap <= 3; ++gap) {
-    const double cur = engine.NmTotalWithGaps(p, gap);
-    EXPECT_GE(cur, prev - 1e-9) << "gap=" << gap;
-    prev = cur;
-  }
-}
-
 TEST(NmEngineTest, TouchedCellsCoverSnapshotMeans) {
   const UniformGeneratorOptions gopt{.num_objects = 10,
                                      .num_snapshots = 10,
@@ -269,9 +238,8 @@ TEST(NmEngineTest, TouchedCellsClampsPointsOutsideTheGridAndHugeSigmas) {
 // Under the rectangular model each entry is AddLogFactors of two floored
 // 1-D log factors, the bits of `LogNormalIntervalProb` that the engine's
 // factor table holds.  The singular scores the engine builds from that
-// table, from a batch warm-up on 2 threads or one pattern at a time (and
-// through the gap DP), are each trajectory's best entry summed in
-// trajectory order, bit for bit.
+// table, from a batch warm-up on 2 threads or one pattern at a time, are
+// each trajectory's best entry summed in trajectory order, bit for bit.
 TEST(NmEngineTest, ColumnEntriesLieInTheFlooredLogDomain) {
   const TrajectoryDataset zebra = ZebraData();
   const TrajectoryDataset velocity = VelocityData();
@@ -323,8 +291,6 @@ TEST(NmEngineTest, ColumnEntriesLieInTheFlooredLogDomain) {
       const size_t i = static_cast<size_t>(cell);
       EXPECT_TRUE(BitEq(batch_nm[i], want)) << "cell " << cell;
       EXPECT_TRUE(BitEq(serial.NmTotal(singulars[i]), want)) << "cell " << cell;
-      EXPECT_TRUE(BitEq(serial.NmTotalWithGaps(singulars[i], 0), want))
-          << "cell " << cell;
     }
     // Both the floored and the unfloored side of the domain are covered
     // (the velocity grid spans only ~11 sigma, so it floors little).
@@ -379,7 +345,6 @@ TEST(NmEngineTest, PatternsWithCellsOutsideTheGridAreUnscorable) {
       NmEngine engine(d, space);
       EXPECT_EQ(engine.NmTotal(p), kNegInf) << p.ToString();
       EXPECT_EQ(engine.MatchTotal(p), 0.0) << p.ToString();
-      EXPECT_EQ(engine.NmTotalWithGaps(p, 2), kNegInf) << p.ToString();
       EXPECT_EQ(engine.num_cached_cells(), 0u) << p.ToString();
     }
     // In a batch, at 1 and 4 threads, and under a budget of the four
@@ -518,11 +483,11 @@ TEST(NmEngineTest, BuffersAStopLeftUnfilledAreNotPublished) {
 // The radial model keeps a column per cell, paired with one shared +0.0
 // vector.  A budget of four vectors holds any pattern of up to three
 // distinct cells (its columns and the +0.0 vector), so a batch over many
-// cells is chunked and the columns are evicted LRU between chunks.  The
-// +0.0 vector is never the victim: every radial request that can evict
-// needs it, and eviction spares the request's own vectors.  The scores
-// stay the point-at-a-time reference's, bit for bit, and a pattern of
-// four distinct cells, whose five vectors exceed the budget, stops the
+// cells is chunked and each chunk's warm-up evicts columns it does not
+// need.  The +0.0 vector is never the victim: every radial request that
+// can evict needs it, and eviction spares the request's own vectors.  The
+// scores stay the point-at-a-time reference's, bit for bit, and a pattern
+// of four distinct cells, whose five vectors exceed the budget, stops the
 // batch with the typed budget reason.
 TEST(NmEngineTest, RadialFactorCacheEvictsUnderABudgetAndKeepsItsBits) {
   const MiningSpace space(Grid::UnitSquare(5), 0.2,
@@ -573,6 +538,62 @@ TEST(NmEngineTest, RadialFactorCacheEvictsUnderABudgetAndKeepsItsBits) {
   BatchScoreStats stats;
   engine.NmTotalBatch({batch[0], four}, 1, &stats, &run);
   EXPECT_EQ(stats.stop, StopReason::kMemoryBudgetExceeded);
+}
+
+// Over a budget, a warm-up frees the lowest resident factor ids that its
+// request does not need, and no more than it must; how recently a vector
+// was used plays no part.  On a 10x10 grid cell (c, c) needs grid column
+// c and grid row c, factor ids {c, 10 + c}.  With cells (7, 7) and then
+// (1, 1) warm, ids {1, 7, 11, 17} fill a budget of four, so a request
+// for cell (3, 3) frees ids 1 and 7, not the older 7 and 17, and warming
+// (1, 1) again misses once, for id 1.  A request whose own vectors exceed
+// the budget frees nothing.
+TEST(NmEngineTest, BudgetEvictsTheLowestIdsTheRequestDoesNotNeed) {
+  const MiningSpace space = TestSpace(10, 0.08);
+  const TrajectoryDataset d =
+      OneTrajectory({{0.15, 0.15}, {0.75, 0.75}, {0.35, 0.35}, {0.7, 0.1}});
+  const auto diagonal = [&](int c) { return space.grid.At(c, c); };
+  NmEngine engine(d, space);
+  RunContext run;
+  run.memory_budget_bytes = 4 * engine.column_bytes();
+  NmEngine::WarmStats ws;
+  EXPECT_EQ(engine.WarmCells({diagonal(7)}, 1, &ws, &run), 2u);
+  EXPECT_EQ(engine.WarmCells({diagonal(1)}, 1, &ws, &run), 2u);
+  EXPECT_EQ(ws.evicted, 0u);
+  EXPECT_EQ(engine.WarmCells({diagonal(3)}, 1, &ws, &run), 2u);
+  EXPECT_EQ(ws.evicted, 2u);
+  EXPECT_EQ(engine.cells_evicted(), 2u);
+  EXPECT_EQ(engine.num_cached_cells(), 4u);
+  EXPECT_LE(engine.arena_peak_bytes(), run.memory_budget_bytes);
+  EXPECT_EQ(engine.WarmCells({diagonal(1)}, 1, &ws, &run), 1u);
+  EXPECT_EQ(ws.misses, 1u);
+  EXPECT_EQ(ws.hits, 1u);
+  EXPECT_EQ(ws.evicted, 1u);
+  EXPECT_EQ(engine.WarmCells({diagonal(2), diagonal(4), diagonal(6)}, 1, &ws,
+                             &run),
+            0u);
+  EXPECT_EQ(ws.stop, StopReason::kMemoryBudgetExceeded);
+  EXPECT_EQ(ws.evicted, 0u);
+  EXPECT_EQ(engine.num_cached_cells(), 4u);
+
+  // Scoring under the budget evicts between chunks and keeps a fresh
+  // engine's bits.
+  const std::vector<Pattern> patterns = {
+      Pattern(diagonal(7)),
+      Pattern(std::vector<CellId>{diagonal(1), diagonal(3)}),
+      Pattern(std::vector<CellId>{diagonal(3), kWildcardCell, diagonal(7)})};
+  NmEngine fresh(d, space);
+  const std::vector<double> want = fresh.NmTotalBatch(patterns);
+  BatchScoreStats stats;
+  const std::vector<double> got =
+      engine.NmTotalBatch(patterns, 1, &stats, &run);
+  EXPECT_EQ(stats.stop, StopReason::kNone);
+  EXPECT_EQ(stats.chunks, 3);
+  EXPECT_GT(stats.cells_evicted, 0u);
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    EXPECT_TRUE(BitEq(got[i], want[i])) << patterns[i].ToString();
+  }
+  EXPECT_LE(engine.arena_peak_bytes(), run.memory_budget_bytes);
 }
 
 // Under the rectangular model a pattern's working set is its distinct

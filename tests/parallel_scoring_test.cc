@@ -19,6 +19,7 @@
 #include "core/nm_engine.h"
 #include "datagen/planted_generator.h"
 #include "datagen/uniform_generator.h"
+#include "obs/metrics.h"
 #include "parallel/thread_pool.h"
 #include "prob/rng.h"
 
@@ -201,6 +202,33 @@ TEST(NmTotalBatchTest, WarmupStatsAndIdempotence) {
             first.cells_warmed + added);
   EXPECT_EQ(engine.WarmCells(cells, 2), 0u);
 }
+
+#if TRAJPATTERN_OBS_ENABLED
+// Every call runs on exactly the thread count it asks for, also after a
+// call that asked for more.  With every vector warm, a batch's one
+// fan-out is the walk's, one pool task per lane.
+TEST(NmTotalBatchTest, RunsOnExactlyTheThreadsItAsksFor) {
+  const TrajectoryDataset d = MixedLengthData();
+  const MiningSpace space(Grid::UnitSquare(8), 0.1);
+  NmEngine engine(d, space);
+  engine.WarmCells(engine.TouchedCells());
+  const std::vector<Pattern> patterns = RandomPatterns(engine, 40);
+  const auto tasks = [] {
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::Global().Snapshot();
+    const auto it = snap.counters.find("pool.tasks_executed");
+    return it == snap.counters.end() ? int64_t{0} : it->second;
+  };
+  for (const int threads : {2, 4, 2, 3, 2}) {
+    const int64_t before = tasks();
+    BatchScoreStats stats;
+    engine.NmTotalBatch(patterns, threads, &stats);
+    EXPECT_EQ(stats.cells_warmed, 0u);
+    EXPECT_EQ(stats.threads_used, threads);
+    EXPECT_EQ(tasks() - before, threads) << threads << " threads asked";
+  }
+}
+#endif
 
 TEST(NmTotalBatchTest, EmptyBatchIsANoOp) {
   const TrajectoryDataset d = MixedLengthData();

@@ -354,7 +354,7 @@ TEST(MinerRunControlTest, PreCancelledResumeHandsBackTheCheckpointUnchanged) {
 }
 
 TEST(MinerRunControlTest, MemoryBudgetHoldsAndStaysBitIdentical) {
-  // A budget of a handful of columns forces chunked scoring and LRU
+  // A budget of a handful of factor vectors forces chunked scoring and
   // eviction, but the answer must not move: chunk boundaries and
   // evictions are pure bookkeeping.
   const TrajectoryDataset data = MakeMiningData();
@@ -412,8 +412,9 @@ TEST(MinerRunControlTest, InjectedAllocFailureStopsWithTypedReason) {
 }
 
 TEST(EngineRunControlTest, FailedSerialWarmUpThrowsAndPublishesNothing) {
-  // The per-pattern entry points have no Status channel: a failed arena
-  // growth surfaces as std::bad_alloc, with no column of it cached.
+  // The per-pattern entry points, serial batches of one, have no Status
+  // channel: a failed allocation surfaces as std::bad_alloc, with no
+  // factor vector of it cached.
   const TrajectoryDataset data = MakeMiningData();
   NmEngine engine(data, MakeSpace());
   const std::vector<CellId> cells = engine.TouchedCells();

@@ -160,30 +160,6 @@ TEST(WildcardMinerTest, NoEdgeWildcardsInResults) {
   }
 }
 
-TEST(GapRerankTest, GapsNeverLowerScoresAndRerankSorts) {
-  const UniformGeneratorOptions gopt{.num_objects = 6,
-                                     .num_snapshots = 12,
-                                     .seed = 41};
-  const TrajectoryDataset d = GenerateUniformObjects(gopt);
-  const MiningSpace space = SmallSpace(4, 0.12);
-  NmEngine engine(d, space);
-  MinerOptions opt;
-  opt.k = 8;
-  opt.min_length = 2;
-  opt.max_pattern_length = 3;
-  const MiningResult mined = MineTrajPatterns(engine, opt);
-  const auto reranked = RerankWithGaps(engine, mined.patterns, 2);
-  ASSERT_EQ(reranked.size(), mined.patterns.size());
-  for (size_t i = 1; i < reranked.size(); ++i) {
-    EXPECT_GE(reranked[i - 1].nm, reranked[i].nm);
-  }
-  // Per pattern: the gapped score dominates the contiguous score.
-  for (const auto& sp : mined.patterns) {
-    const double gapped = engine.NmTotalWithGaps(sp.pattern, 2);
-    EXPECT_GE(gapped, sp.nm - 1e-9) << sp.pattern.ToString();
-  }
-}
-
 TEST(WildcardMinerTest, DisabledByDefault) {
   const TrajectoryDataset d = GappedMotifData(10, 29);
   const MiningSpace space = SmallSpace(4, 0.1);
