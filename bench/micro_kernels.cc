@@ -40,22 +40,76 @@ void BM_ProbWithinDeltaRadial(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbWithinDeltaRadial);
 
-void BM_LogNormalIntervalProbBatch(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(11);
-  std::vector<double> means(n), sigmas(n), out(n);
-  for (size_t i = 0; i < n; ++i) {
-    means[i] = rng.Uniform(0.0, 1.0);
-    sigmas[i] = rng.Uniform(0.001, 0.02);
+/// One factor pass's arguments: every snapshot's mean and sigma on one
+/// axis, and the grid's cell boxes [center - delta, center + delta].
+struct IntervalMix {
+  std::vector<double> means, sigmas, centers;
+  double delta = 0.0;
+};
+
+/// ZebraNet as perfbench's zebra_scan mines it: 240 zebras x 40
+/// snapshots, sigma 0.006, a 10 x 10 unit grid with delta one cell, so
+/// boxes 33 sigma wide; most entries take the floor or +0.0 shortcut.
+IntervalMix ZebraMix() {
+  ZebraNetGeneratorOptions opt;
+  opt.num_zebras = 240;
+  opt.num_groups = 24;
+  opt.num_snapshots = 40;
+  opt.sigma = 0.006;
+  IntervalMix mix;
+  for (const auto& t : GenerateZebraNet(opt)) {
+    for (const auto& p : t) {
+      mix.means.push_back(p.mean.x);
+      mix.sigmas.push_back(p.sigma);
+    }
   }
-  for (auto _ : state) {
-    LogNormalIntervalProbBatch(means.data(), sigmas.data(), 0.30, 0.34,
-                               out.data(), n);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+  for (int c = 0; c < 10; ++c) mix.centers.push_back(0.05 + 0.1 * c);
+  mix.delta = 0.1;
+  return mix;
 }
-BENCHMARK(BM_LogNormalIntervalProbBatch)->Arg(2400)->Arg(19200);
+
+/// Bus velocities as perfbench's bus_pipeline mines them: sigma 0.00707,
+/// means over [-0.094, 0.086], a 24-cell axis with delta half a cell, so
+/// boxes 1.3 sigma wide; most entries need both tails.
+IntervalMix BusMix() {
+  Rng rng(11);
+  IntervalMix mix;
+  for (int i = 0; i < 12000; ++i) {
+    mix.means.push_back(rng.Uniform(-0.094, 0.086));
+    mix.sigmas.push_back(0.00707);
+  }
+  const double width = 0.188 / 24;
+  for (int c = 0; c < 24; ++c) mix.centers.push_back(-0.094 + width * (c + 0.5));
+  mix.delta = 0.5 * width;
+  return mix;
+}
+
+/// One factor pass per grid column over the mix: range(0) picks the mix
+/// (0 ZebraNet, 1 bus), range(1) the kernel (0 dispatched, 1 portable).
+void BM_LogIntervalProbColumn(benchmark::State& state) {
+  const IntervalMix mix = state.range(0) == 0 ? ZebraMix() : BusMix();
+  const auto column = state.range(1) == 0 ? &simd::LogIntervalProbColumn
+                                          : &simd::LogIntervalProbColumnPortable;
+  const size_t n = mix.means.size();
+  std::vector<double> out(n);
+  for (auto _ : state) {
+    for (const double c : mix.centers) {
+      column(mix.means.data(), mix.sigmas.data(), c - mix.delta, c + mix.delta,
+             out.data(), n);
+      benchmark::DoNotOptimize(out.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(n * mix.centers.size()));
+  state.SetLabel(state.range(1) == 0 ? simd::ActiveLevelName() : "portable");
+}
+BENCHMARK(BM_LogIntervalProbColumn)
+    ->ArgNames({"bus", "portable"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
 
 /// A prefix level and `columns` tile columns of n snapshots, in the
 /// walk's value ranges.

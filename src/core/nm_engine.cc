@@ -96,12 +96,12 @@ void NmEngine::ComputeFactorInto(int32_t id, double* out,
     // (row) shares these doubles with `MiningSpace::LogProb` bit for bit.
     if (id < grid.nx()) {
       const double cx = grid.CenterOf(grid.At(id, 0)).x;
-      LogNormalIntervalProbBatch(px_.data(), sigma_.data(), cx - delta,
-                                 cx + delta, out, n);
+      simd::LogIntervalProbColumn(px_.data(), sigma_.data(), cx - delta,
+                                  cx + delta, out, n);
     } else {
       const double cy = grid.CenterOf(grid.At(0, id - grid.nx())).y;
-      LogNormalIntervalProbBatch(py_.data(), sigma_.data(), cy - delta,
-                                 cy + delta, out, n);
+      simd::LogIntervalProbColumn(py_.data(), sigma_.data(), cy - delta,
+                                  cy + delta, out, n);
     }
     return;
   }

@@ -219,8 +219,8 @@ class NmEngine {
   /// its two factor ids, the distinct ids that are not resident are the
   /// missing ones (so per-batch calls warm only the delta), each missing
   /// vector gets its own buffer, allocated on the calling thread, the
-  /// buffers are filled on `num_threads` workers — one batched
-  /// `LogNormalIntervalProbBatch` pass per grid column or row under the
+  /// buffers are filled on `num_threads` workers — one
+  /// `simd::LogIntervalProbColumn` pass per grid column or row under the
   /// rectangular model — and a single serial, ordered publish step
   /// installs them under their factor ids.  Vector contents depend only on
   /// (factor id, dataset, space), so results are bit-identical for any
@@ -304,8 +304,8 @@ class NmEngine {
   std::pair<int32_t, int32_t> FactorIds(CellId cell) const;
 
   /// Writes factor vector `id` into `out[0, TotalPoints())`: under the
-  /// rectangular model one batched `LogNormalIntervalProbBatch` pass over
-  /// the x (or y) means, the floored 1-D log factor `MiningSpace::LogProb`
+  /// rectangular model one `simd::LogIntervalProbColumn` pass over the x
+  /// (or y) means, the floored 1-D log factor `MiningSpace::LogProb`
   /// adds; under the radial model the cell's `SafeLog` column through the
   /// batched `RadialWithinProbBatch`, or the all-+0.0 vector.  `dist` is
   /// the caller-owned scratch for the radial center distances, so

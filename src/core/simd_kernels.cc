@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <limits>
 
+#include "prob/interval_kernel.h"
 #include "prob/log_space.h"
 
 #if TRAJPATTERN_SIMD_AVX2
@@ -140,6 +142,25 @@ __attribute__((target("avx2"))) void AddToAvx2(double* dst, const double* a,
   for (; k < n; ++k) dst[k] = a[k] + b[k];
 }
 
+/// The interval kernel four lanes at a time.  The elements past the last
+/// whole group are computed by redoing the last four: each output depends
+/// on its own inputs only, so a lane written twice gets the same bits.
+__attribute__((target("avx2"))) void LogIntervalProbColumnAvx2(
+    const double* means, const double* sigmas, double a, double b,
+    double* out, size_t n) {
+  using interval_kernel::Vec4;
+  if (n < 4) return LogIntervalProbColumnPortable(means, sigmas, a, b, out, n);
+  for (size_t k = 0;; k += 4) {
+    if (k + 4 > n) k = n - 4;
+    Vec4 mean, sigma;
+    std::memcpy(&mean, means + k, sizeof mean);
+    std::memcpy(&sigma, sigmas + k, sizeof sigma);
+    const Vec4 v = interval_kernel::LogIntervalProb(mean, sigma, a, b);
+    std::memcpy(out + k, &v, sizeof v);
+    if (k + 4 == n) return;
+  }
+}
+
 bool CpuHasAvx2() {
 #if defined(__GNUC__) || defined(__clang__)
   return __builtin_cpu_supports("avx2");
@@ -217,6 +238,14 @@ void FusedMaxSumGroupPortable(const double* w, const double* const* t,
   for (size_t g = 0; g < groups; ++g) out[g] = FusedMaxSumPortable(w, t[g], n);
 }
 
+void LogIntervalProbColumnPortable(const double* means, const double* sigmas,
+                                   double a, double b, double* out, size_t n) {
+  assert(a <= b);
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = interval_kernel::LogIntervalProb(means[i], sigmas[i], a, b);
+  }
+}
+
 void BuildColumn(double* dst, const double* fx, const double* fy, size_t n) {
 #if TRAJPATTERN_SIMD_AVX2
   if (ActiveLevel() == Level::kAvx2) return BuildColumnAvx2(dst, fx, fy, n);
@@ -240,6 +269,17 @@ double FusedMaxSum(const double* w, const double* t, size_t n) {
   }
 #endif
   return FusedMaxSumPortable(w, t, n);
+}
+
+void LogIntervalProbColumn(const double* means, const double* sigmas,
+                           double a, double b, double* out, size_t n) {
+  assert(a <= b);
+#if TRAJPATTERN_SIMD_AVX2
+  if (ActiveLevel() == Level::kAvx2) {
+    return LogIntervalProbColumnAvx2(means, sigmas, a, b, out, n);
+  }
+#endif
+  LogIntervalProbColumnPortable(means, sigmas, a, b, out, n);
 }
 
 void FusedMaxSumGroup(const double* w, const double* const* t, size_t groups,

@@ -5,14 +5,15 @@
 
 namespace trajpattern::simd {
 
-/// Instruction set the dense window-kernel loops run with.  Selected once
-/// per process: `kAvx2` requires the AVX2 paths compiled in (CMake
-/// `TRAJPATTERN_SIMD`, default `auto`) *and* a CPU that reports AVX2;
-/// everything else falls back to `kPortable`, the plain-C++ loops every
-/// platform compiles.  Both levels are bit-identical — the vector code
-/// performs the same IEEE operations per element and only reassociates
-/// `max`, which is exact on the finite, NaN-free log domain these loops
-/// run over — so the choice is invisible to every identity oracle.
+/// Instruction set the dense window-kernel and factor-pass loops run
+/// with.  Selected once per process: `kAvx2` requires the AVX2 paths
+/// compiled in (CMake `TRAJPATTERN_SIMD`, default `auto`) *and* a CPU
+/// that reports AVX2; everything else falls back to `kPortable`, the
+/// plain-C++ loops every platform compiles.  Both levels are
+/// bit-identical — the vector code performs the same IEEE operations per
+/// element and only reassociates `max`, which is exact on the finite,
+/// NaN-free log domain these loops run over — so the choice is invisible
+/// to every identity oracle.
 enum class Level {
   kPortable,
   kAvx2,
@@ -56,6 +57,16 @@ double FusedMaxSum(const double* w, const double* t, size_t n);
 void FusedMaxSumGroup(const double* w, const double* const* t, size_t groups,
                       size_t n, double* out);
 
+/// out[i] = LogNormalIntervalProb(means[i], sigmas[i], a, b) for i in
+/// [0, n): one grid column's or row's log factors, the NmEngine factor
+/// pass.  The AVX2 level runs the interval kernel (prob/interval_kernel.h)
+/// four lanes at a time and writes a group whose lanes all return without
+/// a tail (the floor, +0.0, a point mass) straight from their shortcuts;
+/// the portable level runs the same body per element, so every level
+/// gives the scalar call's bits.  `out` must not overlap the inputs.
+void LogIntervalProbColumn(const double* means, const double* sigmas,
+                           double a, double b, double* out, size_t n);
+
 /// Reference implementations, always compiled, dispatch-independent.
 /// The identity tests (and the portable-only CI leg) compare the
 /// dispatched kernels against these bit for bit.
@@ -65,6 +76,8 @@ void AddToPortable(double* dst, const double* a, const double* b, size_t n);
 double FusedMaxSumPortable(const double* w, const double* t, size_t n);
 void FusedMaxSumGroupPortable(const double* w, const double* const* t,
                               size_t groups, size_t n, double* out);
+void LogIntervalProbColumnPortable(const double* means, const double* sigmas,
+                                   double a, double b, double* out, size_t n);
 
 }  // namespace trajpattern::simd
 

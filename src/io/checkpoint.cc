@@ -24,10 +24,13 @@
 namespace trajpattern {
 namespace {
 
-constexpr const char* kMagicV1 = "trajpattern_checkpoint,v1";
-constexpr const char* kMagicV2 = "trajpattern_checkpoint,v2";
+constexpr const char* kMagic = "trajpattern_checkpoint,v5";
 constexpr const char* kMagicV3 = "trajpattern_checkpoint,v3";
-constexpr const char* kMagicV4 = "trajpattern_checkpoint,v4";
+/// Files written before the outside-tails interval measure: their NM
+/// values come from Phi(hi) - Phi(lo), which cancels above the mean.
+constexpr const char* kOldMeasureMagics[] = {"trajpattern_checkpoint,v1",
+                                             "trajpattern_checkpoint,v2",
+                                             "trajpattern_checkpoint,v4"};
 
 /// The longest spelling `WriteHexDouble` produces,
 /// "-0x1.fffffffffffffp+1023"; of one `int32_t` cell, "-2147483648";
@@ -196,7 +199,7 @@ Status WriteMinerCheckpoint(const MinerCheckpoint& cp, std::ostream& os) {
     line(MaxCellsChars(cells.size()),
          [&](char* p) { return WriteCells(p, cells); });
   };
-  text_line(kMagicV4);
+  text_line(kMagic);
   header("iteration", cp.iteration);
   header("k", cp.k);
   line(std::strlen("omega,") + kMaxDoubleChars, [&](char* p) {
@@ -239,15 +242,22 @@ Status ReadMinerCheckpoint(std::istream& is, MinerCheckpoint* cp) {
     // so rather than report a bad header.
     return Status::FailedPrecondition(
         "checkpoint format v3 (a sharded run) is no longer supported; "
-        "v1, v2 and v4 are");
+        "only v5 is");
   }
-  if (!have_header ||
-      (line != kMagicV1 && line != kMagicV2 && line != kMagicV4)) {
+  for (const char* old_measure : kOldMeasureMagics) {
+    if (have_header && line == old_measure) {
+      // A resumed run would mix these NM values with the new measure's.
+      return Status::FailedPrecondition(
+          "checkpoint format " + line.substr(line.find(',') + 1) +
+          " holds NM values of the old interval measure Phi(hi) - "
+          "Phi(lo), which the outside-tails measure replaced; only v5 "
+          "checkpoints resume: rerun without this checkpoint");
+    }
+  }
+  if (!have_header || line != kMagic) {
     return Status::DataLoss(
         "not a trajpattern checkpoint (bad or missing header)");
   }
-  const bool v4 = line == kMagicV4;
-  const bool v2 = v4 || line == kMagicV2;
   // Fixed "key,count-or-value" headers followed by their payload blocks.
   auto expect_keyed_long = [&](const std::string& key, long* value) {
     if (!reader.Next(&line)) return reader.Error("truncated before " + key);
@@ -283,29 +293,22 @@ Status ReadMinerCheckpoint(std::istream& is, MinerCheckpoint* cp) {
     return reader.Error("expected 'omega,<hexfloat>'");
   }
 
-  // v2 adds cumulative work counters; v1 files leave them default (0).
-  if (v2) {
-    long evaluated, pruned;
-    Status sv = expect_keyed_long("candidates_evaluated", &evaluated);
-    if (!sv.ok()) return sv;
-    sv = expect_keyed_long("candidates_pruned", &pruned);
-    if (!sv.ok()) return sv;
-    if (evaluated < 0 || pruned < 0) {
-      return reader.Error("negative work counter");
-    }
-    out.candidates_evaluated = evaluated;
-    out.candidates_pruned = pruned;
+  long evaluated, pruned, capped;
+  s = expect_keyed_long("candidates_evaluated", &evaluated);
+  if (!s.ok()) return s;
+  s = expect_keyed_long("candidates_pruned", &pruned);
+  if (!s.ok()) return s;
+  if (evaluated < 0 || pruned < 0) {
+    return reader.Error("negative work counter");
   }
-  // v4 adds the beam-cap flag; older files leave it false.
-  if (v4) {
-    long capped;
-    const Status sv = expect_keyed_long("beam_capped", &capped);
-    if (!sv.ok()) return sv;
-    if (capped != 0 && capped != 1) {
-      return reader.Error("beam_capped is not 0 or 1");
-    }
-    out.hit_candidate_cap = capped == 1;
+  out.candidates_evaluated = evaluated;
+  out.candidates_pruned = pruned;
+  s = expect_keyed_long("beam_capped", &capped);
+  if (!s.ok()) return s;
+  if (capped != 0 && capped != 1) {
+    return reader.Error("beam_capped is not 0 or 1");
   }
+  out.hit_candidate_cap = capped == 1;
 
   // Block counts come from the (possibly corrupt) file: reserving them
   // verbatim would turn one flipped digit into an allocation bomb

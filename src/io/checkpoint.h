@@ -11,13 +11,13 @@ namespace trajpattern {
 
 /// Versioned text serialization of a `MinerCheckpoint`:
 ///
-///   trajpattern_checkpoint,v4
+///   trajpattern_checkpoint,v5
 ///   iteration,<int>
 ///   k,<int>
 ///   omega,<hexfloat>
-///   candidates_evaluated,<int64>                            (v2+)
-///   candidates_pruned,<int64>                               (v2+)
-///   beam_capped,<0|1>                                       (v4)
+///   candidates_evaluated,<int64>
+///   candidates_pruned,<int64>
+///   beam_capped,<0|1>
 ///   scores,<count>
 ///   <hexfloat NM>,<;-separated cells, '*' for wildcards>   x count
 ///   prev_high,<count>
@@ -27,15 +27,15 @@ namespace trajpattern {
 ///   end
 ///
 /// In memory, `cp.scores` is a `ScoreMemo` and the frontier blocks are
-/// lists of its ids.  The writer emits v4: one score row per memo entry
-/// in id order, then each frontier id's cells in list order, each line
-/// formatted in place in a chunk buffer; every frontier id must be an id
-/// of `cp.scores`.  The reader accepts v1 files (written before the
-/// cumulative work counters existed; counters load as 0), v2 (written
-/// before the beam-cap flag; it loads as false) and v4.  A v3 file
-/// (written by the removed sharded miner) is refused with
-/// kFailedPrecondition, naming v3.  NM values are written as C99
-/// hexfloats, spelled from their bits exactly as glibc's `%a` spells
+/// lists of its ids.  The writer emits v5 (v4's layout): one score row
+/// per memo entry in id order, then each frontier id's cells in list
+/// order, each line formatted in place in a chunk buffer; every frontier
+/// id must be an id of `cp.scores`.  The reader accepts v5 only.  v1, v2
+/// and v4 files hold NM values of the old interval measure (Phi(hi) -
+/// Phi(lo), DESIGN.md 4g), and a v3 file a run of the removed sharded
+/// miner; each is refused with kFailedPrecondition naming its version and
+/// why, so a rerun never mixes two measures.  NM values are written as
+/// C99 hexfloats, spelled from their bits exactly as glibc's `%a` spells
 /// them; they round-trip IEEE doubles bit-exactly (including -inf) — the
 /// property the resumed-run bit-identity guarantee rests on.  Other
 /// unknown versions, truncated files, an `iteration` or `k` outside

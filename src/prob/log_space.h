@@ -2,7 +2,6 @@
 #define TRAJPATTERN_PROB_LOG_SPACE_H_
 
 #include <algorithm>
-#include <cmath>
 
 namespace trajpattern {
 
@@ -15,13 +14,17 @@ namespace trajpattern {
 /// contribution at ~-690 nats — far below anything competitive.
 inline constexpr double kProbFloor = 1e-300;
 
-/// log(max(p, kProbFloor)); the only way NM code takes logs.
-inline double SafeLog(double p) {
-  return std::log(p < kProbFloor ? kProbFloor : p);
-}
+/// log(kProbFloor), correctly rounded.
+inline constexpr double kLogFloor = -0x1.5963447f87fb5p+9;
 
 /// Lowest representable log-probability, log(kProbFloor).
-inline double LogFloor() { return std::log(kProbFloor); }
+inline constexpr double LogFloor() { return kLogFloor; }
+
+/// log(max(p, kProbFloor)); the only way NM code takes logs.  It is the
+/// in-repo log of the interval kernel (prob/interval_kernel.h), not the
+/// host's libm, so a floored log has the same bits on every host.  An
+/// infinite or NaN p passes through, as log passes it.
+double SafeLog(double p);
 
 /// The floored log of a product of two probabilities, from the floored
 /// logs of its factors: max(log_px + log_py, LogFloor()).  For factors in

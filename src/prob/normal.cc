@@ -3,28 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
+#include "prob/interval_kernel.h"
 #include "prob/log_space.h"
 
 namespace trajpattern {
 namespace {
-
-constexpr double kSqrt2 = 1.4142135623730951;
-
-/// Distance from the mean, in sigmas, beyond which an interval's
-/// probability is certainly below kProbFloor.  Above the mean, 0.5 *
-/// erfc(-z / sqrt 2) is exactly 1.0 for every z > 8.3, so both CDF terms
-/// are 1.0 and the difference is exactly 0.  Below it, the larger term is
-/// 0.5 * erfc(38 / sqrt 2) < 2.9e-316.  At 37 sigma the tail is still
-/// 5.7e-300, above the floor.
-constexpr double kFloorSigmas = 38.0;
-
-/// Distance from the mean, in sigmas, beyond which a CDF term cannot move
-/// the interval probability.  Phi(z) rounds to exactly 1.0 for every
-/// z > 8.5 (1 - Phi(8.5) = 9.5e-18 is below half an ulp of 1.0), and
-/// Phi(-8.5) = 9.5e-18 < 2^-55 is below half an ulp of any value >= 0.5,
-/// so subtracting it from Phi(hi) with hi >= 0 rounds back to Phi(hi).
-constexpr double kTailSigmas = 8.5;
 
 // Integrand of the Rice CDF in the numerically stable scaled form:
 //   f(r) = (r / sigma^2) * exp(-(r - nu)^2 / (2 sigma^2)) * I0e(r nu / s^2)
@@ -36,46 +21,28 @@ double RicePdfScaled(double r, double nu, double sigma) {
   return (r / s2) * std::exp(-0.5 * z * z) * BesselI0Scaled(r * nu / s2);
 }
 
-/// The one per-element body behind `NormalIntervalProb` and its batch
-/// form.  Both public entry points call exactly this, which is what makes
-/// "bit-identical to the scalar calls" a structural guarantee rather than
-/// a hope: there is no second arithmetic sequence to drift.
-inline double NormalIntervalProbImpl(double mean, double sigma, double a,
-                                     double b) {
-  if (sigma <= 0.0) return (mean >= a && mean <= b) ? 1.0 : 0.0;
-  const double lo = (a - mean) / sigma;
-  const double hi = (b - mean) / sigma;
-  const double p = StdNormalCdf(hi) - StdNormalCdf(lo);
-  return std::clamp(p, 0.0, 1.0);
-}
-
-/// The one per-element body behind `LogNormalIntervalProb` and its batch
-/// form, for the same reason as `NormalIntervalProbImpl`.  The early
-/// returns give the bits the full path would (see kFloorSigmas and
-/// kTailSigmas), skipping one or both erfc calls:
-///   lo > 8.5:              both CDF terms are 1.0, so the floor;
-///   hi < -38:              the floor;
-///   lo < -8.5, hi > 8.5:   1.0 - Phi(lo) == 1.0, so log 1 = +0.0;
-///   lo < -8.5, hi >= 0:    Phi(hi) - Phi(lo) == Phi(hi).
-/// A NaN mean fails every test and takes the full path.
-inline double LogNormalIntervalProbImpl(double mean, double sigma, double a,
-                                        double b) {
-  if (sigma > 0.0) {
-    const double lo = (a - mean) / sigma;
-    const double hi = (b - mean) / sigma;
-    if (lo > kTailSigmas || hi < -kFloorSigmas) return LogFloor();
-    if (lo < -kTailSigmas) {
-      if (hi > kTailSigmas) return 0.0;
-      if (hi >= 0.0) return std::log(StdNormalCdf(hi));
-    }
-  }
-  const double p = NormalIntervalProbImpl(mean, sigma, a, b);
-  return p < kProbFloor ? LogFloor() : std::log(p);
+/// `NormalIntervalProb` without its precondition check: the interval
+/// kernel's form without the floor cut or the log.
+double NormalIntervalProbImpl(double mean, double sigma, double a, double b) {
+  namespace ik = interval_kernel;
+  const auto box = ik::Standardize(mean, sigma, a, b);
+  if (box.point_mass) return box.inside ? 1.0 : 0.0;
+  if (box.nan) return box.lo + box.hi;
+  if (!box.one_sided && box.near > ik::kMeanTailSigmas) return 1.0;
+  if (box.near > ik::kZeroTailSigmas) return 0.0;
+  const double p =
+      ik::OutsideTails(box.near, box.far, box.one_sided, box.far_counts);
+  // Q is monotone only to an ulp, so Q(near) - Q(far) of a thin box can
+  // come out an ulp below 0.
+  return std::max(p, 0.0);
 }
 
 }  // namespace
 
-double StdNormalCdf(double z) { return 0.5 * std::erfc(-z / kSqrt2); }
+double StdNormalCdf(double z) {
+  return NormalIntervalProbImpl(0.0, 1.0,
+                                -std::numeric_limits<double>::infinity(), z);
+}
 
 double NormalIntervalProb(double mean, double sigma, double a, double b) {
   assert(a <= b);
@@ -84,18 +51,13 @@ double NormalIntervalProb(double mean, double sigma, double a, double b) {
 
 double LogNormalIntervalProb(double mean, double sigma, double a, double b) {
   assert(a <= b);
-  return LogNormalIntervalProbImpl(mean, sigma, a, b);
+  return interval_kernel::LogIntervalProb(mean, sigma, a, b);
 }
 
-void LogNormalIntervalProbBatch(const double* means, const double* sigmas,
-                                double a, double b, double* out, size_t n) {
-  assert(a <= b);
-  // erfc and log dominate and are scalar libm calls, so the win here is
-  // the hoisted interval, the dropped per-point call overhead, and giving
-  // the compiler one dense loop to schedule — not data-level SIMD.
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = LogNormalIntervalProbImpl(means[i], sigmas[i], a, b);
-  }
+double SafeLog(double p) {
+  if (p < kProbFloor) return LogFloor();
+  if (!(p <= std::numeric_limits<double>::max())) return p;
+  return interval_kernel::Log(p);
 }
 
 double BesselI0Scaled(double x) {
@@ -129,8 +91,8 @@ double BesselI0Scaled(double x) {
 
 namespace {
 
-/// Per-element body shared by `RadialWithinProb` and its batch form;
-/// see `NormalIntervalProbImpl` for why both route through one function.
+/// Per-element body shared by `RadialWithinProb` and its batch form, so
+/// the batch is bit-identical to the scalar calls by construction.
 double RadialWithinProbImpl(double center_distance, double sigma,
                             double delta) {
   if (sigma <= 0.0) return center_distance <= delta ? 1.0 : 0.0;

@@ -7,31 +7,28 @@
 
 namespace trajpattern {
 
-/// CDF of the standard normal distribution.
+/// CDF of the standard normal distribution: NormalIntervalProb(0, 1,
+/// -inf, z), so Q(-z) below 0 and 1 - Q(z) above it (Q(z) = 1 - Phi(z)).
 double StdNormalCdf(double z);
 
-/// P(a <= X <= b) for X ~ N(mean, sigma^2).  Degenerates gracefully for
-/// sigma == 0 (point mass at `mean`).
+/// P(a <= X <= b) for X ~ N(mean, sigma^2), from the tails outside the
+/// box (DESIGN.md 4g): Q(lo) - Q(hi) above the mean, Phi(hi) - Phi(lo)
+/// below it and 1 - (Phi(lo) + Q(hi)) for a box that holds it, with lo
+/// and hi the standardized bounds.  Mirroring the axis (mean, a, b) ->
+/// (-mean, -b, -a) gives the same bits.  In a box that holds the mean, a
+/// tail beyond 8.5 sigma counts as 0.  sigma == 0 is a point mass at
+/// `mean`; a NaN mean or sigma gives NaN.  The result is in [0, 1].
 double NormalIntervalProb(double mean, double sigma, double a, double b);
 
-/// log P(a <= X <= b) for X ~ N(mean, sigma^2), floored: exactly
-/// SafeLog(NormalIntervalProb(mean, sigma, a, b)), but the floor is
-/// returned without evaluating what cannot change it.  An interval more
-/// than 38 sigma from the mean skips erfc: its probability is exactly 0
-/// above the mean and at most 2.9e-316 below it, both under kProbFloor.
-/// A probability under kProbFloor skips the log.  This is the factor of
-/// the rectangular model's log probability (see `AddLogFactors`).
+/// log P(a <= X <= b), floored: exactly SafeLog(NormalIntervalProb(mean,
+/// sigma, a, b)), with the floor returned without evaluating what cannot
+/// change it.  A one-sided box whose near edge lies more than 37.05
+/// sigma from the mean has probability below kProbFloor; a box holding
+/// the mean with both tails beyond 8.5 sigma has log 1 = +0.0.  This is
+/// the factor of the rectangular model's log probability (see
+/// `AddLogFactors`); `simd::LogIntervalProbColumn` evaluates it for a
+/// whole grid column, bit for bit.
 double LogNormalIntervalProb(double mean, double sigma, double a, double b);
-
-/// Batched `LogNormalIntervalProb` over one shared interval: out[i] =
-/// LogNormalIntervalProb(means[i], sigmas[i], a, b) for i in [0, n),
-/// bit-identical to the scalar calls (both run the same per-element
-/// arithmetic).  This is the column-at-a-time entry point the NmEngine
-/// warm-up uses: one call evaluates a whole grid column's or row's
-/// factors, hoisting the interval bounds and the per-call overhead out of
-/// the dataset loop.
-void LogNormalIntervalProbBatch(const double* means, const double* sigmas,
-                                double a, double b, double* out, size_t n);
 
 /// Exponentially scaled modified Bessel function I0(x) * exp(-|x|).
 /// Needed by the radial indifference model; stable for all x >= 0.
@@ -66,7 +63,7 @@ double RadialWithinProb(double center_distance, double sigma, double delta);
 /// Batched `RadialWithinProb` over one shared delta: out[i] =
 /// RadialWithinProb(center_distances[i], sigmas[i], delta), bit-identical
 /// to the scalar calls.  Column-at-a-time counterpart of
-/// `LogNormalIntervalProbBatch` for the radial indifference model.
+/// `simd::LogIntervalProbColumn` for the radial indifference model.
 void RadialWithinProbBatch(const double* center_distances,
                            const double* sigmas, double delta, double* out,
                            size_t n);

@@ -86,32 +86,6 @@ std::vector<Pattern> Patterns(const ScoreMemo& scores,
   return patterns;
 }
 
-/// Renders the v1 wire format (pre-counter checkpoints) so the resume
-/// oracle can exercise the compatibility path without a fixture file.
-std::string RenderCheckpointV1(const MinerCheckpoint& cp) {
-  std::ostringstream current;
-  const Status s = WriteMinerCheckpoint(cp, current);
-  if (!s.ok()) return "";
-  std::istringstream in(current.str());
-  std::ostringstream v1;
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line_no == 1) {
-      v1 << "trajpattern_checkpoint,v1\n";
-      continue;
-    }
-    if (line.rfind("candidates_evaluated,", 0) == 0 ||
-        line.rfind("candidates_pruned,", 0) == 0 ||
-        line.rfind("beam_capped,", 0) == 0) {
-      continue;  // the fields v1 predates
-    }
-    v1 << line << "\n";
-  }
-  return v1.str();
-}
-
 /// Canonical form of a report stream: ascending time, one report per
 /// timestamp (the last one in arrival order wins — it is the freshest
 /// retransmission of that fix).
@@ -466,7 +440,7 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
     }
   }
 
-  // --- Oracle (c), kill-at-iteration checkpoint/resume, v4 and v1.
+  // --- Oracle (c), kill-at-iteration checkpoint/resume.
   {
     MinerCheckpoint captured;
     bool have_checkpoint = false;
@@ -482,7 +456,7 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
     ++report.mining_runs;
     (void)aborted;
     if (have_checkpoint) {
-      // v4 round-trip: top-k and cumulative counters bit-identical.
+      // Round-trip: top-k and cumulative counters bit-identical.
       std::ostringstream os;
       Status s = WriteMinerCheckpoint(captured, os);
       if (!s.ok()) {
@@ -493,7 +467,7 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
       MinerCheckpoint loaded;
       s = ReadMinerCheckpoint(is, &loaded);
       if (!s.ok()) {
-        fail("checkpoint v4 reload failed: " + s.ToString());
+        fail("checkpoint reload failed: " + s.ToString());
         return report;
       }
       NmEngine resume_engine(data, space);
@@ -501,11 +475,11 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
           MineTrajPatterns(resume_engine, base, &loaded);
       ++report.mining_runs;
       std::string diff =
-          DiffTopK("v4 resume vs uninterrupted", resumed.patterns,
+          DiffTopK("resume vs uninterrupted", resumed.patterns,
                    ref.patterns);
       if (diff.empty() && resumed.stats.candidates_evaluated !=
                               ref.stats.candidates_evaluated) {
-        diff = "v4 resume candidates_evaluated " +
+        diff = "resume candidates_evaluated " +
                std::to_string(resumed.stats.candidates_evaluated) +
                " vs uninterrupted " +
                std::to_string(ref.stats.candidates_evaluated) +
@@ -513,41 +487,9 @@ OracleReport MiningOracle::Check(const FuzzInstance& inst) const {
       }
       if (diff.empty() &&
           resumed.stats.candidates_pruned != ref.stats.candidates_pruned) {
-        diff = "v4 resume candidates_pruned " +
+        diff = "resume candidates_pruned " +
                std::to_string(resumed.stats.candidates_pruned) + " vs " +
                std::to_string(ref.stats.candidates_pruned);
-      }
-      if (!diff.empty()) {
-        fail(diff);
-        return report;
-      }
-
-      // v1 round-trip: same answer; the missing counters load as zero,
-      // so post-resume work plus the checkpointed slice must equal the
-      // uninterrupted total (anything else is a double count or a loss).
-      std::istringstream v1(RenderCheckpointV1(captured));
-      MinerCheckpoint loaded_v1;
-      s = ReadMinerCheckpoint(v1, &loaded_v1);
-      if (!s.ok()) {
-        fail("checkpoint v1 reload failed: " + s.ToString());
-        return report;
-      }
-      NmEngine v1_engine(data, space);
-      const MiningResult resumed_v1 =
-          MineTrajPatterns(v1_engine, base, &loaded_v1);
-      ++report.mining_runs;
-      diff = DiffTopK("v1 resume vs uninterrupted", resumed_v1.patterns,
-                      ref.patterns);
-      if (diff.empty() &&
-          resumed_v1.stats.candidates_evaluated +
-                  captured.candidates_evaluated !=
-              ref.stats.candidates_evaluated) {
-        diff = "v1 resume counter accounting: post-resume " +
-               std::to_string(resumed_v1.stats.candidates_evaluated) +
-               " + checkpointed " +
-               std::to_string(captured.candidates_evaluated) +
-               " != uninterrupted " +
-               std::to_string(ref.stats.candidates_evaluated);
       }
       if (!diff.empty()) {
         fail(diff);

@@ -41,7 +41,7 @@ struct OracleReport {
 ///      time `ReferenceScorer`; plus `BruteForceTopK` as ground truth
 ///      when the pattern space is small enough to enumerate (reported
 ///      via `brute_force_checked`).
-///  (c) resume: kill-at-iteration checkpoint (v1 and current wire formats)
+///  (c) resume: kill-at-iteration checkpoint through the wire format,
 ///      then resume vs the uninterrupted run — same top-k, and work
 ///      counters that neither double-count nor vanish.
 ///  (d) threads: 1 worker vs the instance's N workers — same top-k,

@@ -441,7 +441,7 @@ TEST(CheckpointIoTest, WriterGoldenText) {
   std::ostringstream os;
   ASSERT_TRUE(WriteMinerCheckpoint(cp, os).ok());
   EXPECT_EQ(os.str(),
-            "trajpattern_checkpoint,v4\n"
+            "trajpattern_checkpoint,v5\n"
             "iteration,3\n"
             "k,7\n"
             "omega,-inf\n"
@@ -610,40 +610,46 @@ TEST(CheckpointIoTest, FailedReadLeavesOutputUntouched) {
   EXPECT_EQ(cp.scores.pattern(0), Pattern(CellId{9}));
 }
 
-TEST(CheckpointIoTest, V1HeaderLoadsWithZeroWorkCounters) {
-  // v1 files predate the cumulative counters; they must load (resume
-  // correctness is handled by the miner) with the counters at 0, not be
-  // rejected as foreign.
-  MinerCheckpoint sample = MakeSampleCheckpoint();
-  sample.candidates_evaluated = 0;
-  sample.candidates_pruned = 0;
+// v1, v2 and v4 files hold NM values of the old interval measure,
+// Phi(hi) - Phi(lo); resuming one would mix two measures in one run.  The
+// reader refuses each with kFailedPrecondition naming its version and the
+// measure change, and leaves the caller's checkpoint untouched.
+TEST(CheckpointIoTest, OldMeasureFormatsAreRefused) {
   std::stringstream ss;
-  ASSERT_TRUE(WriteMinerCheckpoint(sample, ss).ok());
-  std::string text = ss.str();
-  const size_t v4 = text.find("checkpoint,v4");
-  ASSERT_NE(v4, std::string::npos);
-  text.replace(v4, 13, "checkpoint,v1");
-  // v1 has no counter lines and no beam-cap flag.
-  for (const char* key : {"candidates_evaluated,0\n", "candidates_pruned,0\n",
-                          "beam_capped,0\n"}) {
-    const size_t pos = text.find(key);
-    ASSERT_NE(pos, std::string::npos);
-    text.erase(pos, std::string(key).size());
+  ASSERT_TRUE(WriteMinerCheckpoint(MakeSampleCheckpoint(), ss).ok());
+  const std::string v5 = ss.str();
+  ASSERT_EQ(v5.rfind("trajpattern_checkpoint,v5\n", 0), 0u);
+  for (const std::string version : {"v1", "v2", "v4"}) {
+    std::string text = v5;
+    text.replace(text.find("v5"), 2, version);
+    // v1 predates the work counters, v1 and v2 the beam-cap flag.
+    std::vector<std::string> missing;
+    if (version != "v4") missing.push_back("beam_capped,");
+    if (version == "v1") {
+      missing.push_back("candidates_evaluated,");
+      missing.push_back("candidates_pruned,");
+    }
+    for (const std::string& key : missing) {
+      const size_t pos = text.find(key);
+      ASSERT_NE(pos, std::string::npos) << key;
+      text.erase(pos, text.find('\n', pos) + 1 - pos);
+    }
+    MinerCheckpoint cp;
+    cp.iteration = 99;  // canary: a refused read must not touch *cp
+    std::istringstream in(text);
+    const Status s = ReadMinerCheckpoint(in, &cp);
+    EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << version;
+    EXPECT_NE(s.message().find("format " + version), std::string::npos)
+        << s.ToString();
+    EXPECT_NE(s.message().find("old interval measure"), std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(cp.iteration, 99) << version;
   }
-  MinerCheckpoint loaded;
-  std::istringstream in(text);
-  const Status s = ReadMinerCheckpoint(in, &loaded);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(loaded.iteration, sample.iteration);
-  EXPECT_EQ(loaded.candidates_evaluated, 0);
-  EXPECT_EQ(loaded.candidates_pruned, 0);
-  EXPECT_EQ(loaded.prev_queue, sample.prev_queue);
 }
 
-TEST(CheckpointIoTest, BeamCapFlagRoundTripsAndV2LoadsUncapped) {
-  // v4 writes the beam-cap flag after the work counters and reads it
-  // back; v2 files predate it and load uncapped; a flag other than 0 or
-  // 1 is a typed error naming its line.
+TEST(CheckpointIoTest, BeamCapFlagRoundTripsAndIsValidated) {
+  // The beam-cap flag follows the work counters and reads back; a flag
+  // other than 0 or 1 is a typed error naming its line.
   for (const bool capped : {false, true}) {
     MinerCheckpoint sample = MakeSampleCheckpoint();
     sample.hit_candidate_cap = capped;
@@ -658,98 +664,62 @@ TEST(CheckpointIoTest, BeamCapFlagRoundTripsAndV2LoadsUncapped) {
   }
 
   MinerCheckpoint sample = MakeSampleCheckpoint();
-  sample.candidates_evaluated = 17;
   sample.hit_candidate_cap = true;
   std::stringstream ss;
   ASSERT_TRUE(WriteMinerCheckpoint(sample, ss).ok());
-  const std::string v4_text = ss.str();
-  std::string v2_text = v4_text;
-  v2_text.replace(v2_text.find("checkpoint,v4"), 13, "checkpoint,v2");
-  v2_text.erase(v2_text.find("beam_capped,1\n"), 14);
-  MinerCheckpoint loaded;
-  loaded.hit_candidate_cap = true;
-  std::istringstream v2_in(v2_text);
-  const Status s = ReadMinerCheckpoint(v2_in, &loaded);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_FALSE(loaded.hit_candidate_cap);
-  EXPECT_EQ(loaded.candidates_evaluated, 17);
-  EXPECT_EQ(loaded.scores.size(), sample.scores.size());
-
-  std::string bad = v4_text;
+  std::string bad = ss.str();
   bad.replace(bad.find("beam_capped,1"), 13, "beam_capped,2");
+  MinerCheckpoint loaded;
   std::istringstream bad_in(bad);
   const Status sb = ReadMinerCheckpoint(bad_in, &loaded);
   EXPECT_EQ(sb.code(), StatusCode::kDataLoss);
   EXPECT_NE(sb.message().find("line 7"), std::string::npos) << sb.ToString();
 }
 
-// Renders the sample checkpoint in the v1 format (no work-counter
-// lines, v1 magic), the on-disk shape of pre-counter-era files.
-std::string SampleCheckpointAsV1() {
-  MinerCheckpoint sample = MakeSampleCheckpoint();
-  sample.candidates_evaluated = 0;
-  sample.candidates_pruned = 0;
-  std::stringstream ss;
-  EXPECT_TRUE(WriteMinerCheckpoint(sample, ss).ok());
-  std::string text = ss.str();
-  const size_t v4 = text.find("checkpoint,v4");
-  EXPECT_NE(v4, std::string::npos);
-  text.replace(v4, 13, "checkpoint,v1");
-  for (const char* key : {"candidates_evaluated,0\n", "candidates_pruned,0\n",
-                          "beam_capped,0\n"}) {
-    const size_t pos = text.find(key);
-    EXPECT_NE(pos, std::string::npos);
-    text.erase(pos, std::string(key).size());
-  }
-  return text;
-}
-
-// Corruption corpus over both checkpoint formats: every derived
+// Corruption corpus over the checkpoint format: every derived
 // corruption must come back as a typed Status — kDataLoss with a line
 // diagnostic, never a crash, a bad_alloc, or a half-loaded checkpoint.
 TEST(CheckpointCorpusTest, TruncationAtEveryByteIsTypedDataLoss) {
   std::stringstream ss;
   ASSERT_TRUE(WriteMinerCheckpoint(MakeSampleCheckpoint(), ss).ok());
-  for (const std::string& good : {ss.str(), SampleCheckpointAsV1()}) {
-    ASSERT_FALSE(good.empty());
-    // Up to size()-1: cutting only the trailing newline leaves a file
-    // std::getline still reads completely, which parses fine.
-    for (size_t cut = 0; cut + 1 < good.size(); ++cut) {
-      MinerCheckpoint cp;
-      cp.iteration = 99;  // canary: a failed read must not touch *cp
-      std::istringstream in(good.substr(0, cut));
-      EXPECT_EQ(ReadMinerCheckpoint(in, &cp).code(), StatusCode::kDataLoss)
-          << "cut at byte " << cut;
-      EXPECT_EQ(cp.iteration, 99) << "cut at byte " << cut;
-    }
+  const std::string good = ss.str();
+  ASSERT_FALSE(good.empty());
+  // Up to size()-1: cutting only the trailing newline leaves a file
+  // std::getline still reads completely, which parses fine.
+  for (size_t cut = 0; cut + 1 < good.size(); ++cut) {
+    MinerCheckpoint cp;
+    cp.iteration = 99;  // canary: a failed read must not touch *cp
+    std::istringstream in(good.substr(0, cut));
+    EXPECT_EQ(ReadMinerCheckpoint(in, &cp).code(), StatusCode::kDataLoss)
+        << "cut at byte " << cut;
+    EXPECT_EQ(cp.iteration, 99) << "cut at byte " << cut;
   }
 }
 
 TEST(CheckpointCorpusTest, GarbageLinesAreTypedWithLineDiagnostic) {
   std::stringstream ss;
   ASSERT_TRUE(WriteMinerCheckpoint(MakeSampleCheckpoint(), ss).ok());
-  for (const std::string& good : {ss.str(), SampleCheckpointAsV1()}) {
-    // Count lines, then clobber each in turn with junk.
-    size_t lines = 0;
-    for (char c : good) lines += c == '\n' ? 1 : 0;
-    ASSERT_GT(lines, 5u);
-    for (size_t target = 0; target < lines; ++target) {
-      std::string text;
-      std::istringstream split(good);
-      std::string line;
-      for (size_t i = 0; std::getline(split, line); ++i) {
-        text += i == target ? "\x01garbage\xff,,," : line;
-        text += "\n";
-      }
-      MinerCheckpoint cp;
-      std::istringstream in(text);
-      const Status s = ReadMinerCheckpoint(in, &cp);
-      ASSERT_EQ(s.code(), StatusCode::kDataLoss) << "line " << target;
-      if (target > 0) {
-        // Non-header corruption names the offending line.
-        EXPECT_NE(s.ToString().find("checkpoint line"), std::string::npos)
-            << s.ToString();
-      }
+  const std::string good = ss.str();
+  // Count lines, then clobber each in turn with junk.
+  size_t lines = 0;
+  for (char c : good) lines += c == '\n' ? 1 : 0;
+  ASSERT_GT(lines, 5u);
+  for (size_t target = 0; target < lines; ++target) {
+    std::string text;
+    std::istringstream split(good);
+    std::string line;
+    for (size_t i = 0; std::getline(split, line); ++i) {
+      text += i == target ? "\x01garbage\xff,,," : line;
+      text += "\n";
+    }
+    MinerCheckpoint cp;
+    std::istringstream in(text);
+    const Status s = ReadMinerCheckpoint(in, &cp);
+    ASSERT_EQ(s.code(), StatusCode::kDataLoss) << "line " << target;
+    if (target > 0) {
+      // Non-header corruption names the offending line.
+      EXPECT_NE(s.ToString().find("checkpoint line"), std::string::npos)
+          << s.ToString();
     }
   }
 }
@@ -790,30 +760,29 @@ TEST(CheckpointCorpusTest, NaNHexfloatsAreRejected) {
 TEST(CheckpointCorpusTest, RepeatedScoreRowsAreTypedWithLineDiagnostic) {
   std::stringstream ss;
   ASSERT_TRUE(WriteMinerCheckpoint(MakeSampleCheckpoint(), ss).ok());
-  for (const std::string& good : {ss.str(), SampleCheckpointAsV1()}) {
-    // Double the score block: "scores,4" + rows -> "scores,8" + rows x 2.
-    const size_t header = good.find("scores,4\n");
-    ASSERT_NE(header, std::string::npos);
-    const size_t rows_begin = header + std::string("scores,4\n").size();
-    const size_t rows_end = good.find("prev_high,");
-    ASSERT_NE(rows_end, std::string::npos);
-    const std::string rows = good.substr(rows_begin, rows_end - rows_begin);
-    std::string text = good;
-    text.replace(header, rows_end - header, "scores,8\n" + rows + rows);
-    // The first repeat is the line after the original block.
-    size_t repeat_line = 1;
-    for (size_t i = 0; i < rows_end; ++i) repeat_line += good[i] == '\n';
-    MinerCheckpoint cp;
-    cp.iteration = 99;  // canary: a failed read must not touch *cp
-    std::istringstream in(text);
-    const Status s = ReadMinerCheckpoint(in, &cp);
-    EXPECT_EQ(s.code(), StatusCode::kDataLoss);
-    EXPECT_NE(s.ToString().find("checkpoint line " +
-                                std::to_string(repeat_line) + ":"),
-              std::string::npos)
-        << s.ToString();
-    EXPECT_EQ(cp.iteration, 99);
-  }
+  const std::string good = ss.str();
+  // Double the score block: "scores,4" + rows -> "scores,8" + rows x 2.
+  const size_t header = good.find("scores,4\n");
+  ASSERT_NE(header, std::string::npos);
+  const size_t rows_begin = header + std::string("scores,4\n").size();
+  const size_t rows_end = good.find("prev_high,");
+  ASSERT_NE(rows_end, std::string::npos);
+  const std::string rows = good.substr(rows_begin, rows_end - rows_begin);
+  std::string text = good;
+  text.replace(header, rows_end - header, "scores,8\n" + rows + rows);
+  // The first repeat is the line after the original block.
+  size_t repeat_line = 1;
+  for (size_t i = 0; i < rows_end; ++i) repeat_line += good[i] == '\n';
+  MinerCheckpoint cp;
+  cp.iteration = 99;  // canary: a failed read must not touch *cp
+  std::istringstream in(text);
+  const Status s = ReadMinerCheckpoint(in, &cp);
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss);
+  EXPECT_NE(s.ToString().find("checkpoint line " +
+                              std::to_string(repeat_line) + ":"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(cp.iteration, 99);
 }
 
 // Every frontier row must also be a score row, because the miner's
@@ -822,27 +791,26 @@ TEST(CheckpointCorpusTest, RepeatedScoreRowsAreTypedWithLineDiagnostic) {
 TEST(CheckpointCorpusTest, FrontierRowsThatAreNotScoreRowsAreTyped) {
   std::stringstream ss;
   ASSERT_TRUE(WriteMinerCheckpoint(MakeSampleCheckpoint(), ss).ok());
-  for (const std::string& good : {ss.str(), SampleCheckpointAsV1()}) {
-    for (const std::string block : {"prev_high", "prev_queue"}) {
-      // The block's first row becomes 8;8, which no score row holds.
-      const size_t header = good.find(block + ",");
-      ASSERT_NE(header, std::string::npos);
-      const size_t row = good.find('\n', header) + 1;
-      std::string text = good;
-      text.replace(row, good.find('\n', row) - row, "8;8");
-      size_t row_line = 1;
-      for (size_t i = 0; i < row; ++i) row_line += good[i] == '\n';
-      MinerCheckpoint cp;
-      cp.iteration = 99;  // canary: a failed read must not touch *cp
-      std::istringstream in(text);
-      const Status s = ReadMinerCheckpoint(in, &cp);
-      EXPECT_EQ(s.code(), StatusCode::kDataLoss) << block;
-      EXPECT_NE(s.ToString().find("checkpoint line " +
-                                  std::to_string(row_line) + ": " + block),
-                std::string::npos)
-          << s.ToString();
-      EXPECT_EQ(cp.iteration, 99);
-    }
+  const std::string good = ss.str();
+  for (const std::string block : {"prev_high", "prev_queue"}) {
+    // The block's first row becomes 8;8, which no score row holds.
+    const size_t header = good.find(block + ",");
+    ASSERT_NE(header, std::string::npos);
+    const size_t row = good.find('\n', header) + 1;
+    std::string text = good;
+    text.replace(row, good.find('\n', row) - row, "8;8");
+    size_t row_line = 1;
+    for (size_t i = 0; i < row; ++i) row_line += good[i] == '\n';
+    MinerCheckpoint cp;
+    cp.iteration = 99;  // canary: a failed read must not touch *cp
+    std::istringstream in(text);
+    const Status s = ReadMinerCheckpoint(in, &cp);
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << block;
+    EXPECT_NE(s.ToString().find("checkpoint line " +
+                                std::to_string(row_line) + ": " + block),
+              std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(cp.iteration, 99);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <vector>
 
+#include "core/simd_kernels.h"
 #include "prob/log_space.h"
 #include "prob/normal.h"
 #include "prob/rng.h"
@@ -109,8 +110,8 @@ TEST(NormalIntervalProbBatchTest, BitIdenticalToScalarCalls) {
     sigmas[i] = i % 7 == 0 ? 0.0 : rng.Uniform(0.001, 0.05);
   }
   const double a = 0.30, b = 0.34;
-  LogNormalIntervalProbBatch(means.data(), sigmas.data(), a, b, out.data(),
-                             n);
+  simd::LogIntervalProbColumn(means.data(), sigmas.data(), a, b, out.data(),
+                              n);
   for (size_t i = 0; i < n; ++i) {
     const double scalar = LogNormalIntervalProb(means[i], sigmas[i], a, b);
     EXPECT_EQ(std::memcmp(&out[i], &scalar, sizeof(double)), 0) << "i=" << i;
@@ -118,11 +119,12 @@ TEST(NormalIntervalProbBatchTest, BitIdenticalToScalarCalls) {
 }
 
 TEST(NormalIntervalProbBatchTest, EmptyIsANoOp) {
-  LogNormalIntervalProbBatch(nullptr, nullptr, 0.0, 1.0, nullptr, 0);
+  simd::LogIntervalProbColumn(nullptr, nullptr, 0.0, 1.0, nullptr, 0);
 }
 
-// The log form skips erfc beyond 38 sigma and log below kProbFloor; both
-// early returns must give exactly what SafeLog of the probability gives.
+// The log form skips the tails beyond the 37.05-sigma floor cut and the
+// log below kProbFloor; both early returns must give exactly what SafeLog
+// of the probability gives.
 TEST(LogNormalIntervalProbTest, FloorShortcutsMatchSafeLogOfProb) {
   const auto expect_same = [](double mean, double sigma, double a, double b) {
     const double got = LogNormalIntervalProb(mean, sigma, a, b);
@@ -167,8 +169,14 @@ TEST(LogNormalIntervalProbTest, FloorShortcutsMatchSafeLogOfProb) {
   }
 }
 
-/// `LogNormalIntervalProb` without any shortcut: the log of the clamped
-/// difference of both CDF terms, floored.
+/// Q(z) = P(X > z) for X ~ N(0, 1) and z >= 0: the kernel's tail, which
+/// is 0 beyond 38.5 sigma.
+double UpperTail(double z) { return StdNormalCdf(-z); }
+
+/// `LogNormalIntervalProb` without any shortcut: the outside-tails form
+/// from both tails, Q(near) - Q(far) for a box on one side of the mean and
+/// 1 - (Q(near) + Q(far)) for a box that holds it (where, by the form's
+/// definition, a tail beyond 8.5 sigma counts as 0), then SafeLog.
 double FullPathLogNormalIntervalProb(double mean, double sigma, double a,
                                      double b) {
   double p;
@@ -177,9 +185,18 @@ double FullPathLogNormalIntervalProb(double mean, double sigma, double a,
   } else {
     const double lo = (a - mean) / sigma;
     const double hi = (b - mean) / sigma;
-    p = std::clamp(StdNormalCdf(hi) - StdNormalCdf(lo), 0.0, 1.0);
+    const double near = std::min(std::fabs(lo), std::fabs(hi));
+    const double far = std::max(std::fabs(lo), std::fabs(hi));
+    const auto mean_tail = [](double z) { return z > 8.5 ? 0.0 : UpperTail(z); };
+    if (std::isnan(lo) || std::isnan(hi)) {
+      p = lo + hi;
+    } else if (lo > 0.0 || hi < 0.0) {
+      p = UpperTail(near) - UpperTail(far);
+    } else {
+      p = 1.0 - (mean_tail(near) + mean_tail(far));
+    }
   }
-  return p < kProbFloor ? LogFloor() : std::log(p);
+  return SafeLog(p);
 }
 
 /// `z` and its 64 neighbours on each side, one ulp apart.
@@ -195,12 +212,25 @@ std::vector<double> UlpNeighbourhood(double z) {
   return out;
 }
 
-// The tail shortcuts (lo > 8.5: the floor; lo < -8.5 with hi > 8.5: 0;
-// lo < -8.5 with hi >= 0: one erfc) and the 38-sigma floor return the
-// bits of the full path.  z sweeps across +-8.5 and +-38 in ulp steps
-// with mean 0 and sigma 1, where the standardized bounds are the bounds
-// themselves, then over a grid of (mean, sigma, a, b), with infinite
-// bounds and a NaN mean.
+/// The ulp neighbourhoods of 0 and of each cut of the kernel on both
+/// sides of the mean: the mean-box tail (8.5), the far-tail drop (13), the
+/// floor cut (37.05) and the zero tail (38.5).
+std::vector<double> CutSweep() {
+  std::vector<double> sweep;
+  for (const double t :
+       {0.0, -8.5, 8.5, -13.0, 13.0, -37.05, 37.05, -38.5, 38.5}) {
+    const std::vector<double> z = UlpNeighbourhood(t);
+    sweep.insert(sweep.end(), z.begin(), z.end());
+  }
+  return sweep;
+}
+
+// The shortcuts (a one-sided box beyond the 37.05-sigma floor cut: the
+// floor; a dropped far tail: Q(near) alone; a box holding the mean with
+// both tails beyond 8.5: +0.0) return the bits of the full path.  z
+// sweeps across every cut in ulp steps with mean 0 and sigma 1, where the
+// standardized bounds are the bounds themselves, then over a grid of
+// (mean, sigma, a, b), with infinite bounds and a NaN mean.
 TEST(LogNormalIntervalProbTest, TailShortcutsMatchTheFullPathBitForBit) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   size_t checked = 0;
@@ -217,15 +247,11 @@ TEST(LogNormalIntervalProbTest, TailShortcutsMatchTheFullPathBitForBit) {
         << std::hexfloat << "mean=" << mean << " sigma=" << sigma << " ["
         << a << ", " << b << "]: got " << got << ", want " << want;
   };
-  std::vector<double> partners = {-kInf, -40.0, -38.0, -9.0, -8.5,
-                                  -8.0,  -1.0,  -0.0,  0.0,  0.25,
-                                  1.0,   8.0,   8.5,   9.0,  38.0,
-                                  40.0,  kInf};
-  std::vector<double> sweep;
-  for (const double t : {-38.0, -8.5, 8.5, 38.0}) {
-    const std::vector<double> z = UlpNeighbourhood(t);
-    sweep.insert(sweep.end(), z.begin(), z.end());
-  }
+  std::vector<double> partners = {-kInf, -40.0, -38.0, -17.0, -9.0, -8.0,
+                                  -4.5,  -1.0,  -0.0,  0.0,   0.25, 1.0,
+                                  4.5,   8.0,   9.0,   17.0,  38.0, 40.0,
+                                  kInf};
+  const std::vector<double> sweep = CutSweep();
   partners.insert(partners.end(), sweep.begin(), sweep.end());
   for (const double z : sweep) {
     for (const double other : partners) {
@@ -236,10 +262,11 @@ TEST(LogNormalIntervalProbTest, TailShortcutsMatchTheFullPathBitForBit) {
 
   const double means[] = {-1.5, 0.0, 0.3, 1e3};
   const double sigmas[] = {1e-9, 0.006, 0.05, 1.0, 7.0};
-  const double zs[] = {-kInf, -40.0, -38.000001, -38.0, -37.999999, -20.0,
-                       -9.0, -8.500001, -8.5, -8.499999, -8.3, -8.1, -7.9,
-                       -3.0, 0.0, 0.5, 7.9, 8.1, 8.3, 8.499999, 8.5,
-                       8.500001, 9.0, 20.0, 38.0, 40.0, kInf};
+  const double zs[] = {-kInf, -40.0, -38.5, -37.050001, -37.05, -37.049999,
+                       -20.0, -13.000001, -13.0, -9.0, -8.500001, -8.5,
+                       -8.499999, -8.3, -4.5, -3.0, 0.0, 0.5, 4.5, 7.9, 8.3,
+                       8.499999, 8.5, 8.500001, 9.0, 12.999999, 13.0, 20.0,
+                       37.049999, 37.05, 37.050001, 38.5, 40.0, kInf};
   for (const double mean : means) {
     for (const double sigma : sigmas) {
       for (const double za : zs) {
@@ -254,6 +281,109 @@ TEST(LogNormalIntervalProbTest, TailShortcutsMatchTheFullPathBitForBit) {
     for (const double zb : zs) expect_same(std::nan(""), 0.01, za, zb);
   }
   EXPECT_GT(checked, 100000u);
+}
+
+// Eq. 2's Prob cannot change when an axis is mirrored, and neither may its
+// bits: (mean, a, b) -> (-mean, -b, -a) maps the standardized edges
+// (lo, hi) to (-hi, -lo) exactly, so the form sees the same two tails.
+TEST(LogNormalIntervalProbTest, MirroredBoxGivesTheSameBits) {
+  size_t checked = 0;
+  const auto expect_mirror = [&](double mean, double sigma, double a,
+                                 double b) {
+    if (!(a <= b)) return;
+    const double got = LogNormalIntervalProb(mean, sigma, a, b);
+    const double mirrored = LogNormalIntervalProb(-mean, sigma, -b, -a);
+    const double p = NormalIntervalProb(mean, sigma, a, b);
+    const double p_mirrored = NormalIntervalProb(-mean, sigma, -b, -a);
+    ++checked;
+    EXPECT_EQ(std::memcmp(&got, &mirrored, sizeof(double)), 0)
+        << std::hexfloat << "mean=" << mean << " sigma=" << sigma << " ["
+        << a << ", " << b << "]: " << got << " vs " << mirrored;
+    EXPECT_EQ(std::memcmp(&p, &p_mirrored, sizeof(double)), 0)
+        << std::hexfloat << "mean=" << mean << " sigma=" << sigma << " ["
+        << a << ", " << b << "]: " << p << " vs " << p_mirrored;
+  };
+  Rng rng(40);
+  for (int i = 0; i < 200000; ++i) {
+    const double mean = rng.Uniform(-2.0, 2.0);
+    const double sigma = rng.Uniform(1e-3, 2.0);
+    const double lo = rng.Uniform(-40.0, 40.0);
+    const double width = i % 2 == 0 ? rng.Uniform(0.0, 40.0)
+                                    : rng.Uniform(0.0, 2.0);
+    expect_mirror(mean, sigma, mean + lo * sigma,
+                  mean + (lo + width) * sigma);
+  }
+  const std::vector<double> sweep = CutSweep();
+  for (const double z : sweep) {
+    for (const double other : {-40.0, -17.0, -8.0, -1.0, 0.0, 0.5, 4.0,
+                               12.0, 36.0, 40.0}) {
+      expect_mirror(0.0, 1.0, std::min(z, other), std::max(z, other));
+      expect_mirror(0.3, 0.01, 0.3 + 0.01 * std::min(z, other),
+                    0.3 + 0.01 * std::max(z, other));
+    }
+  }
+  EXPECT_GT(checked, 200000u);
+}
+
+/// The outside-tails form in long double, from the double standardized
+/// edges: Q(z) = erfcl(z / sqrt 2) / 2, then logl, floored at kProbFloor.
+long double ReferenceLogNormalIntervalProb(double mean, double sigma,
+                                           double a, double b) {
+  const double lo = (a - mean) / sigma;
+  const double hi = (b - mean) / sigma;
+  const auto q = [](long double z) {
+    return 0.5L * std::erfc(z / std::sqrt(2.0L));
+  };
+  const long double near = std::min(std::fabs(lo), std::fabs(hi));
+  const long double far = std::max(std::fabs(lo), std::fabs(hi));
+  long double p;
+  if (lo > 0.0 || hi < 0.0) {
+    p = q(near) - q(far);
+  } else {
+    const auto mean_tail = [&](long double z) { return z > 8.5L ? 0.0L : q(z); };
+    p = 1.0L - (mean_tail(near) + mean_tail(far));
+  }
+  return p < kProbFloor ? static_cast<long double>(LogFloor()) : std::log(p);
+}
+
+double Ulp(double x) {
+  x = std::fabs(x);
+  return std::nextafter(x, std::numeric_limits<double>::infinity()) - x;
+}
+
+// DESIGN.md 4g's error bound: for a box at least 1 sigma wide, the kernel
+// is within 2 ulp(log p) + 4 x 2^-53 of the same form evaluated with
+// long double erfcl and logl, on random boxes across +-40 sigma and on
+// the ZebraNet and bus box shapes.
+TEST(LogNormalIntervalProbTest, WithinTheStatedBoundOfALongDoubleReference) {
+  double worst = 0.0;
+  const auto check = [&](double mean, double sigma, double a, double b) {
+    const double got = LogNormalIntervalProb(mean, sigma, a, b);
+    const long double want = ReferenceLogNormalIntervalProb(mean, sigma, a, b);
+    const double err = static_cast<double>(std::fabs(got - want));
+    const double bound = 2.0 * Ulp(got) + 4.0 * 0x1p-53;
+    worst = std::max(worst, err / bound);
+    EXPECT_LE(err, bound) << std::hexfloat << "mean=" << mean
+                          << " sigma=" << sigma << " [" << a << ", " << b
+                          << "]: got " << got << ", want "
+                          << static_cast<double>(want);
+  };
+  Rng rng(41);
+  for (int i = 0; i < 100000; ++i) {
+    const double lo = rng.Uniform(-40.0, 40.0);
+    check(0.0, 1.0, lo, lo + rng.Uniform(1.0, 40.0));
+  }
+  // ZebraNet: sigma 0.006, a 10 x 10 grid on the unit square and delta
+  // 0.1, so boxes 33 sigma wide.  Bus: velocity sigma 0.00707, a 24 x 24
+  // grid with 0.0079-wide cells and delta half a cell, boxes 1.3 sigma
+  // wide.
+  for (int i = 0; i < 50000; ++i) {
+    const double cx = 0.05 + 0.1 * rng.UniformInt(0, 9);
+    check(rng.Uniform(0.0, 1.0), 0.006, cx - 0.1, cx + 0.1);
+    const double bx = -0.0936 + 0.0079 * (rng.UniformInt(0, 23) + 0.5);
+    check(rng.Uniform(-0.094, 0.086), 0.00707, bx - 0.00456, bx + 0.00456);
+  }
+  RecordProperty("worst_fraction_of_bound", std::to_string(worst));
 }
 
 TEST(RadialWithinProbBatchTest, BitIdenticalToScalarCalls) {

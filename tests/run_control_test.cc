@@ -689,6 +689,55 @@ TEST(MiningSupervisorTest, V3CheckpointIsRefusedUntouched) {
   std::remove(path.c_str());
 }
 
+// A v4 checkpoint holds NM values of the old interval measure (Phi(hi) -
+// Phi(lo)); resuming it would mix two measures in one run.  The
+// supervisor refuses it before mining with the reader's typed status,
+// which names v4 and the measure change, and leaves the file
+// byte-identical, so the operator can rerun without it.
+TEST(MiningSupervisorTest, OldMeasureCheckpointIsRefusedUntouched) {
+  const std::string path = TempCheckpointPath("tp_supervisor_v4.ckpt");
+  const std::string v4 =
+      "trajpattern_checkpoint,v4\n"
+      "iteration,1\n"
+      "k,10\n"
+      "omega,-0x1.9p+3\n"
+      "candidates_evaluated,12\n"
+      "candidates_pruned,3\n"
+      "beam_capped,0\n"
+      "scores,1\n"
+      "-0x1.ap+3,7\n"
+      "prev_high,0\n"
+      "prev_queue,0\n"
+      "end\n";
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << v4;
+    ASSERT_TRUE(os.good());
+  }
+
+  const TrajectoryDataset data = MakeMiningData();
+  NmEngine engine(data, MakeSpace());
+  SupervisorOptions sup;
+  sup.checkpoint_path = path;
+  sup.miner = MakeOptions();
+  MiningSupervisor supervisor(&engine, sup);
+  const SupervisorReport report = supervisor.Run();
+  EXPECT_EQ(report.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(report.status.ToString().find("v4"), std::string::npos)
+      << report.status.ToString();
+  EXPECT_NE(report.status.ToString().find("old interval measure"),
+            std::string::npos)
+      << report.status.ToString();
+  EXPECT_FALSE(report.resumed_from_checkpoint);
+  EXPECT_TRUE(report.result.patterns.empty());
+  EXPECT_EQ(report.sink_attempts, 0);
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream after;
+  after << is.rdbuf();
+  EXPECT_EQ(after.str(), v4);
+  std::remove(path.c_str());
+}
+
 // A checkpoint holding a cell the engine's grid lacks (one written with a
 // larger grid) must not be resumed: warm-up would index past the factor
 // table.  Whichever block holds the cell (a frontier row is also a
@@ -702,12 +751,13 @@ TEST(MiningSupervisorTest, CheckpointWithCellOutsideTheGridIsRefusedUntouched) {
   const char* const outside[] = {"7;100", "100;*", "*;100"};
   for (int block = 0; block < 3; ++block) {
     const std::string text =
-        std::string("trajpattern_checkpoint,v2\n"
+        std::string("trajpattern_checkpoint,v5\n"
                     "iteration,1\n"
                     "k,10\n"
                     "omega,-0x1.9p+3\n"
                     "candidates_evaluated,12\n"
                     "candidates_pruned,3\n"
+                    "beam_capped,0\n"
                     "scores,3\n"
                     "-0x1.ap+3,7\n"
                     "-0x1.bp+3,7;8\n"
@@ -752,12 +802,13 @@ TEST(MiningSupervisorTest, CheckpointWithUnscoredFrontierRowIsRefusedUntouched) 
   NmEngine engine(data, MakeSpace());
   for (const std::string block : {"prev_high", "prev_queue"}) {
     const std::string text =
-        "trajpattern_checkpoint,v2\n"
+        "trajpattern_checkpoint,v5\n"
         "iteration,1\n"
         "k,10\n"
         "omega,-0x1.9p+3\n"
         "candidates_evaluated,12\n"
         "candidates_pruned,3\n"
+        "beam_capped,0\n"
         "scores,1\n"
         "-0x1.ap+3,7\n"
         "prev_high,1\n" +
@@ -795,7 +846,7 @@ TEST(MiningSupervisorTest, CorruptCheckpointFileSurfacesTypedError) {
   {
     FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
-    std::fputs("trajpattern_checkpoint,v2\niteration,garbage\n", f);
+    std::fputs("trajpattern_checkpoint,v5\niteration,garbage\n", f);
     std::fclose(f);
   }
   NmEngine engine(data, MakeSpace());

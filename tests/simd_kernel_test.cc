@@ -4,9 +4,11 @@
 // length, unaligned offsets, every scan group size and the degenerate
 // inputs (n = 0, w = nullptr), on columns built from factor pairs whose
 // sum falls below the log floor and from the radial model's +0.0 second
-// factor.  On non-AVX2 hosts — and in the TRAJPATTERN_SIMD=portable CI
-// leg — dispatched == portable trivially; on AVX2 hosts this is the test
-// that the vector reassociation really is exact.
+// factor; and the interval kernel's factor pass against its portable
+// twin and the scalar calls.  On non-AVX2 hosts — and in the
+// TRAJPATTERN_SIMD=portable CI leg — dispatched == portable trivially; on
+// AVX2 hosts this is the test that the vector reassociation really is
+// exact and that the four-lane interval kernel computes the scalar bits.
 
 #include "core/simd_kernels.h"
 
@@ -19,6 +21,7 @@
 
 #include "gtest/gtest.h"
 #include "prob/log_space.h"
+#include "prob/normal.h"
 #include "prob/rng.h"
 
 namespace trajpattern {
@@ -282,6 +285,102 @@ TEST(SimdKernelTest, PlusZeroSecondFactorLeavesAColumnUnchanged) {
   }
   EXPECT_TRUE(BitEq(simd::FusedMaxSum(nullptr, column.data(), column.size()),
                     *std::max_element(v.begin(), v.end())));
+}
+
+
+// ---------------------------------------------------------------------
+// The interval kernel's factor pass: `LogIntervalProbColumn` must give
+// the portable twin's bits and the scalar `LogNormalIntervalProb` call's,
+// on every length and offset, in four-lane groups that are all floor,
+// all +0.0, all computed or any mix, with point masses, NaN means and
+// infinite bounds.
+
+/// What a lane's interval probability takes, against the box [0.3, 0.5]
+/// at sigma 0.005 (40 sigma wide).
+enum class LaneKind {
+  kFloor,        // one-sided, beyond the floor cut
+  kZero,         // holds the mean, both tails beyond 8.5 sigma
+  kComputed,     // needs at least one tail
+  kPointInside,  // sigma == 0, mean in the box
+  kPointOutside, // sigma == 0, mean outside it
+  kNanMean,
+};
+constexpr int kLaneKinds = 6;
+
+void FillLane(LaneKind kind, Rng& rng, double* mean, double* sigma) {
+  constexpr double kSigma = 0.005;
+  const double side = rng.UniformInt(0, 1) == 0 ? -1.0 : 1.0;
+  const double edge = side < 0 ? 0.3 : 0.5;
+  *sigma = kSigma;
+  switch (kind) {
+    case LaneKind::kFloor:
+      *mean = edge + side * kSigma * rng.Uniform(37.1, 60.0);
+      break;
+    case LaneKind::kZero:
+      *mean = rng.Uniform(0.3 + 8.6 * kSigma, 0.5 - 8.6 * kSigma);
+      break;
+    case LaneKind::kComputed:
+      *mean = edge + side * kSigma * rng.Uniform(-8.4, 37.0);
+      break;
+    case LaneKind::kPointInside:
+      *sigma = 0.0;
+      *mean = rng.Uniform(0.3, 0.5);
+      break;
+    case LaneKind::kPointOutside:
+      *sigma = 0.0;
+      *mean = edge + side * rng.Uniform(1e-9, 0.2);
+      break;
+    case LaneKind::kNanMean:
+      *mean = std::nan("");
+      break;
+  }
+}
+
+TEST(IntervalKernelTest, ColumnMatchesPortableTwinAndScalarCalls) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> boxes[] = {
+      {0.3, 0.5}, {-kInf, 0.4}, {0.4, kInf}, {-kInf, kInf}, {0.4, 0.4}};
+  Rng rng(27);
+  size_t checked = 0;
+  // Layout 0 mixes kinds lane by lane; layouts 1.. give every aligned
+  // group of four one kind, so whole groups take a shortcut.
+  for (int layout = 0; layout <= kLaneKinds; ++layout) {
+    for (size_t offset = 0; offset < 4; ++offset) {
+      for (size_t n = 0; n <= 40; ++n) {
+        std::vector<double> means(offset + n + 4), sigmas(offset + n + 4);
+        for (size_t i = 0; i < means.size(); ++i) {
+          const int kind = layout == 0 ? rng.UniformInt(0, kLaneKinds - 1)
+                                       : (layout - 1 + static_cast<int>(i / 4)) %
+                                             kLaneKinds;
+          FillLane(static_cast<LaneKind>(kind), rng, &means[i], &sigmas[i]);
+        }
+        for (const auto& [a, b] : boxes) {
+          std::vector<double> got(n + 1, 1.0), twin(n + 1, 1.0);
+          simd::LogIntervalProbColumn(means.data() + offset,
+                                      sigmas.data() + offset, a, b, got.data(),
+                                      n);
+          simd::LogIntervalProbColumnPortable(means.data() + offset,
+                                              sigmas.data() + offset, a, b,
+                                              twin.data(), n);
+          for (size_t i = 0; i < n; ++i) {
+            const double mean = means[offset + i];
+            const double sigma = sigmas[offset + i];
+            const double scalar = LogNormalIntervalProb(mean, sigma, a, b);
+            EXPECT_TRUE(BitEq(got[i], twin[i]) && BitEq(got[i], scalar))
+                << std::hexfloat << "layout " << layout << " offset " << offset
+                << " n " << n << " i " << i << " mean " << mean << " sigma "
+                << sigma << " [" << a << ", " << b << "]: dispatched "
+                << got[i] << ", portable " << twin[i] << ", scalar " << scalar;
+            ++checked;
+          }
+          // Nothing past n is written.
+          EXPECT_EQ(got[n], 1.0);
+          EXPECT_EQ(twin[n], 1.0);
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 20000u);
 }
 
 }  // namespace

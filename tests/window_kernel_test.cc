@@ -601,7 +601,7 @@ TEST(WindowKernelTest, CheckpointV2RoundTripsWorkCounters) {
 
   std::stringstream ss;
   ASSERT_TRUE(WriteMinerCheckpoint(cp, ss).ok());
-  EXPECT_NE(ss.str().find("trajpattern_checkpoint,v4"), std::string::npos);
+  EXPECT_NE(ss.str().find("trajpattern_checkpoint,v5"), std::string::npos);
 
   MinerCheckpoint back;
   ASSERT_TRUE(ReadMinerCheckpoint(ss, &back).ok());
@@ -616,9 +616,10 @@ TEST(WindowKernelTest, CheckpointV2RoundTripsWorkCounters) {
   EXPECT_EQ(back.prev_queue, cp.prev_queue);
 }
 
-TEST(WindowKernelTest, CheckpointReaderAcceptsV1WithZeroCounters) {
-  // A v1 file as written before the work counters existed: no
-  // candidates_evaluated / candidates_pruned lines.
+TEST(WindowKernelTest, CheckpointReaderRefusesOtherVersions) {
+  // A v1 file as written before the work counters existed, under the old
+  // interval measure: refused with a typed status that names the
+  // measure change, not loaded.
   const std::string v1 =
       "trajpattern_checkpoint,v1\n"
       "iteration,2\n"
@@ -632,17 +633,10 @@ TEST(WindowKernelTest, CheckpointReaderAcceptsV1WithZeroCounters) {
       "end\n";
   std::stringstream ss(v1);
   MinerCheckpoint cp;
-  ASSERT_TRUE(ReadMinerCheckpoint(ss, &cp).ok());
-  EXPECT_EQ(cp.iteration, 2);
-  EXPECT_EQ(cp.k, 4);
-  EXPECT_EQ(cp.omega, -12.5);
-  EXPECT_EQ(cp.candidates_evaluated, 0);
-  EXPECT_EQ(cp.candidates_pruned, 0);
-  ASSERT_EQ(cp.scores.size(), 1u);
-  EXPECT_EQ(cp.scores.pattern(0),
-            Pattern(std::vector<CellId>{7, kWildcardCell, 9}));
-  ASSERT_EQ(cp.prev_high.size(), 1u);
-  EXPECT_EQ(cp.prev_queue.size(), 0u);
+  const Status s1 = ReadMinerCheckpoint(ss, &cp);
+  EXPECT_EQ(s1.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(s1.ToString().find("measure"), std::string::npos) << s1.ToString();
+  EXPECT_EQ(cp.scores.size(), 0u);
 
   // A v3 file (sharded runs) is refused with its own typed status, not
   // the bad-header one; an unknown version is corruption.
