@@ -24,13 +24,8 @@ MatchMiningResult MineMatchPatterns(const NmEngine& engine,
     top_k.Offer(p, match);
   };
 
-  std::vector<CellId> alphabet;
-  if (options.restrict_to_touched_cells) {
-    alphabet = engine.TouchedCells();
-  } else {
-    alphabet.resize(engine.space().grid.num_cells());
-    for (int c = 0; c < engine.space().grid.num_cells(); ++c) alphabet[c] = c;
-  }
+  const std::vector<CellId> alphabet =
+      engine.SingularAlphabet(options.restrict_to_touched_cells);
 
   StopReason level_stop = StopReason::kNone;
   auto score_level = [&](const std::vector<Pattern>& cands) {

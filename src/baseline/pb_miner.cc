@@ -23,13 +23,8 @@ PbMiningResult MinePbPatterns(const NmEngine& engine,
     top_k.Offer(p, nm);
   };
 
-  std::vector<CellId> alphabet;
-  if (options.restrict_to_touched_cells) {
-    alphabet = engine.TouchedCells();
-  } else {
-    alphabet.resize(engine.space().grid.num_cells());
-    for (int c = 0; c < engine.space().grid.num_cells(); ++c) alphabet[c] = c;
-  }
+  const std::vector<CellId> alphabet =
+      engine.SingularAlphabet(options.restrict_to_touched_cells);
 
   // Breadth-first prefix growth; BFS keeps all same-length prefixes live
   // together, matching the projection-based picture ("a large set of

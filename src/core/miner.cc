@@ -386,15 +386,8 @@ MiningResult TrajPatternMiner::Run(const MinerCheckpoint* resume) {
   // serve as the singular patterns").  On resume every singular is
   // normally in the memo already, and the batch holds only those that
   // are not.
-  std::vector<CellId> alphabet;
-  if (options_.restrict_to_touched_cells) {
-    alphabet = engine_->TouchedCells(options_.touched_radius_sigmas);
-  } else {
-    alphabet.resize(engine_->space().grid.num_cells());
-    for (int c = 0; c < engine_->space().grid.num_cells(); ++c) {
-      alphabet[c] = c;
-    }
-  }
+  const std::vector<CellId> alphabet = engine_->SingularAlphabet(
+      options_.restrict_to_touched_cells, options_.touched_radius_sigmas);
   stats_.alphabet_size = alphabet.size();
   // One batch warms every touched cell's column up front and scores the
   // singulars across the workers.

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <new>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -39,23 +40,19 @@ constexpr size_t kSliceCandidates = 64;
 NmEngine::NmEngine(const TrajectoryDataset& data, const MiningSpace& space)
     : data_(&data), space_(space) {
   offsets_.reserve(data.size() + 1);
-  flat_points_.reserve(data.TotalPoints());
-  size_t off = 0;
-  for (const auto& t : data) {
-    offsets_.push_back(off);
-    for (const auto& p : t) flat_points_.push_back(p);
-    off += t.size();
-  }
-  offsets_.push_back(off);
-  stride_ = flat_points_.size();
+  stride_ = data.TotalPoints();
   px_.reserve(stride_);
   py_.reserve(stride_);
   sigma_.reserve(stride_);
-  for (const auto& p : flat_points_) {
-    px_.push_back(p.mean.x);
-    py_.push_back(p.mean.y);
-    sigma_.push_back(p.sigma);
+  for (const auto& t : data) {
+    offsets_.push_back(px_.size());
+    for (const auto& p : t) {
+      px_.push_back(p.mean.x);
+      py_.push_back(p.mean.y);
+      sigma_.push_back(p.sigma);
+    }
   }
+  offsets_.push_back(px_.size());
   const size_t num_factors =
       space_.model == IndifferenceModel::kRectangular
           ? static_cast<size_t>(space_.grid.nx() + space_.grid.ny())
@@ -114,7 +111,7 @@ void NmEngine::ComputeFactorInto(int32_t id, double* out,
   // the log in place.
   if (dist->size() < n) dist->resize(n);
   for (size_t g = 0; g < n; ++g) {
-    (*dist)[g] = Distance(flat_points_[g].mean, center);
+    (*dist)[g] = Distance(Point2(px_[g], py_[g]), center);
   }
   RadialWithinProbBatch(dist->data(), sigma_.data(), delta, out, n);
   for (size_t g = 0; g < n; ++g) out[g] = SafeLog(out[g]);
@@ -418,10 +415,10 @@ void NmEngine::Walk(std::span<const Pattern> patterns, Measure measure,
   }
   // Tile-major: every slice finishes a tile before any starts the next,
   // so the tile's columns serve the whole batch from cache and each
-  // running total grows in ascending trajectory order.  One fan-out runs
-  // the whole walk: per tile, the lanes claim and build its columns,
-  // then claim its slices, and a lane that finds a phase's items all
-  // claimed waits until the others have finished them.  Every claimed
+  // running total grows in ascending trajectory order.  One `Run` of the
+  // pool runs the whole walk: per tile, the lanes claim and build its
+  // columns, then claim its slices, and a lane that finds a phase's items
+  // all claimed waits until the others have finished them.  Every claimed
   // item is running on some lane, so the wait always ends, and no slice
   // reads a column before it is built.  A handover costs two counters
   // instead of putting every worker to sleep and waking it again.
@@ -450,8 +447,7 @@ void NmEngine::Walk(std::span<const Pattern> patterns, Measure measure,
     }
     return true;
   };
-  const size_t lanes = pool == nullptr ? 1 : static_cast<size_t>(pool->size());
-  ParallelFor(pool, lanes, [&](size_t, int worker) {
+  const auto lane = [&](int worker) {
     WalkScratch* ws = &scratch[static_cast<size_t>(worker)];
     for (size_t t = 0; t < num_tiles; ++t) {
       const size_t p0 = offsets_[plan.tiles[t]];
@@ -469,7 +465,12 @@ void NmEngine::Walk(std::span<const Pattern> patterns, Measure measure,
         return;
       }
     }
-  });
+  };
+  if (pool == nullptr) {
+    lane(0);
+  } else {
+    pool->Run(lane);
+  }
   if (stopped.load(std::memory_order_relaxed)) return;
   for (size_t k = 0; k < plan.order.size(); ++k) {
     out[plan.order[k]] = plan.acc[k];
@@ -761,15 +762,16 @@ std::vector<CellId> NmEngine::TouchedCells(double radius_sigmas) const {
   // it, and later points skip it.
   std::vector<char> marked(static_cast<size_t>(grid.num_cells()), 0);
   size_t num_marked = 0;
-  for (const TrajectoryPoint& pt : flat_points_) {
-    const double r = radius_sigmas * pt.sigma + space_.delta + half_cell;
+  for (size_t g = 0; g < stride_; ++g) {
+    const Point2 mean(px_[g], py_[g]);
+    const double r = radius_sigmas * sigma_[g] + space_.delta + half_cell;
     const double r2 = r * r;
-    const Grid::CellRange range = grid.BoundingCells(pt.mean, r);
+    const Grid::CellRange range = grid.BoundingCells(mean, r);
     for (int row = range.row_lo; row <= range.row_hi; ++row) {
       for (int col = range.col_lo; col <= range.col_hi; ++col) {
         const CellId id = grid.At(col, row);
         char& mark = marked[static_cast<size_t>(id)];
-        if (!mark && SquaredDistance(grid.CenterOf(id), pt.mean) <= r2) {
+        if (!mark && SquaredDistance(grid.CenterOf(id), mean) <= r2) {
           mark = 1;
           ++num_marked;
         }
@@ -782,6 +784,14 @@ std::vector<CellId> NmEngine::TouchedCells(double radius_sigmas) const {
     if (marked[static_cast<size_t>(c)]) out.push_back(c);
   }
   return out;
+}
+
+std::vector<CellId> NmEngine::SingularAlphabet(bool touched_only,
+                                               double radius_sigmas) const {
+  if (touched_only) return TouchedCells(radius_sigmas);
+  std::vector<CellId> all(static_cast<size_t>(space_.grid.num_cells()));
+  std::iota(all.begin(), all.end(), CellId{0});
+  return all;
 }
 
 std::optional<CellId> PatternCellOutsideGrid(std::span<const CellId> cells,

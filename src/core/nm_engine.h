@@ -34,7 +34,7 @@ struct BatchScoreStats {
   /// hit side of the incremental warm-up; two requests per non-wildcard
   /// position).
   size_t cells_hit = 0;
-  /// Worker count the call actually ran with.
+  /// Lanes the call actually ran with, the calling thread included.
   int threads_used = 1;
   /// Factor vectors shed (lowest factor id first, never one the chunk
   /// needs) to keep the run under its memory budget.
@@ -250,6 +250,12 @@ class NmEngine {
   /// almost all of G is empty and scoring it would be pure waste.
   std::vector<CellId> TouchedCells(double radius_sigmas = 3.0) const;
 
+  /// The singular alphabet a miner grows its patterns from:
+  /// `TouchedCells(radius_sigmas)` when `touched_only`, else every cell of
+  /// the grid in id order.
+  std::vector<CellId> SingularAlphabet(bool touched_only,
+                                       double radius_sigmas = 3.0) const;
+
   /// Number of resident factor vectors (at most nx + ny under the
   /// rectangular model).
   size_t num_cached_cells() const { return num_resident_; }
@@ -370,10 +376,9 @@ class NmEngine {
   /// offsets_[i] is the global index of trajectory i's first snapshot;
   /// offsets_.back() is the total snapshot count.
   std::vector<size_t> offsets_;
-  /// All snapshots, flattened in trajectory order.
-  std::vector<TrajectoryPoint> flat_points_;
-  /// Structure-of-arrays view of `flat_points_` (means and sigmas), the
-  /// dense inputs the batched prob evaluations stream over.
+  /// All snapshots, flattened in trajectory order, as structure of
+  /// arrays (mean x, mean y, sigma): the dense inputs the batched prob
+  /// evaluations stream over.
   std::vector<double> px_, py_, sigma_;
 
   /// Factor id -> its vector of `stride_` doubles, null while cold: nx +

@@ -1,9 +1,7 @@
 #include "parallel/thread_pool.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <utility>
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -40,74 +38,68 @@ int ResolveThreadCount(int num_threads) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::ThreadPool(int num_threads) {
-  const int n = ResolveThreadCount(num_threads);
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+ThreadPool::ThreadPool(int num_threads)
+    : lanes_(ResolveThreadCount(num_threads)),
+      start_(lanes_),
+      done_(lanes_),
+      failures_(static_cast<size_t>(lanes_)) {
+  workers_.reserve(static_cast<size_t>(lanes_ - 1));
+  try {
+    for (int lane = 1; lane < lanes_; ++lane) {
+      workers_.emplace_back([this, lane] { WorkerLoop(lane); });
+    }
+  } catch (...) {
+    // Lanes that never started never arrive: drop them, so the started
+    // workers can be released and joined before the error propagates.
+    for (size_t lane = workers_.size() + 1; lane < failures_.size(); ++lane) {
+      start_.arrive_and_drop();
+    }
+    Stop();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
+ThreadPool::~ThreadPool() { Stop(); }
+
+void ThreadPool::Stop() {
+  stop_ = true;
+  start_.arrive_and_wait();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push(std::move(task));
-    ++in_flight_;
+void ThreadPool::Run(const std::function<void(int lane)>& fn) {
+  fn_ = &fn;
+  start_.arrive_and_wait();
+  RunLane(0);
+  done_.arrive_and_wait();
+  std::exception_ptr first;
+  for (std::exception_ptr& failure : failures_) {
+    if (first == nullptr) first = failure;
+    failure = nullptr;
   }
-  work_cv_.notify_one();
+  if (first != nullptr) std::rethrow_exception(first);
 }
 
-void ThreadPool::Wait() {
-  std::exception_ptr rethrow;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
-    // Take the round's first failure out under the lock and rethrow it
-    // outside; clearing re-arms the pool for the next round.
-    rethrow = std::exchange(first_exception_, nullptr);
-  }
-  if (rethrow) std::rethrow_exception(rethrow);
-}
-
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(int lane) {
   NameWorkerThread();
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to run
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    {
-      TP_TRACE_SPAN("pool/task");
-      TP_COUNTER_INC("pool.tasks_executed");
-      // A throwing task must not unwind the worker thread
-      // (std::terminate); capture the round's first exception for Wait()
-      // to rethrow on the submitting thread.
-      try {
-        task();
-      } catch (...) {
-        TP_COUNTER_INC("pool.task_exceptions");
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!first_exception_) first_exception_ = std::current_exception();
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) idle_cv_.notify_all();
-    }
+    start_.arrive_and_wait();
+    if (stop_) return;
+    RunLane(lane);
+    done_.arrive_and_wait();
+  }
+}
+
+void ThreadPool::RunLane(int lane) {
+  TP_TRACE_SPAN("pool/task");
+  TP_COUNTER_INC("pool.tasks_executed");
+  // A throwing lane must not unwind a worker thread (std::terminate) or
+  // skip the caller's wait for the others.
+  try {
+    (*fn_)(lane);
+  } catch (...) {
+    TP_COUNTER_INC("pool.task_exceptions");
+    failures_[static_cast<size_t>(lane)] = std::current_exception();
   }
 }
 
@@ -123,45 +115,27 @@ void ParallelFor(ThreadPool* pool, size_t n,
   }
   TP_TRACE_SPAN("pool/parallel_for");
   TP_COUNTER_INC("pool.parallel_for_calls");
-  const int lanes =
-      static_cast<int>(std::min(n, static_cast<size_t>(pool->size())));
   std::atomic<size_t> next{0};
-  // Lane failure: the first exception is kept, and `failed` stops every
-  // lane's claim loop so the batch drains quickly instead of running the
-  // remaining items for a result the caller will discard.
+  // Lane failure: `failed` stops every lane's claim loop so the batch
+  // drains quickly instead of running the remaining items for a result
+  // the caller will discard; `Run` rethrows the exception.
   std::atomic<bool> failed{false};
-  std::exception_ptr first_exception;
-  // Per-call completion latch: ParallelFor must not return while a lane
-  // still holds references to the caller's stack.
-  std::mutex mu;
-  std::condition_variable done_cv;
-  int done = 0;
-  for (int w = 0; w < lanes; ++w) {
-    pool->Submit([&, w] {
-      try {
-        for (size_t i;
-             (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
-          // Cooperative cancellation: poll before claiming, so a cancel
-          // or deadline takes effect mid-batch; the claimed item itself
-          // always runs to completion (all-or-nothing per item).
-          if (failed.load(std::memory_order_relaxed)) break;
-          if (run != nullptr && run->StopRequested()) break;
-          fn(i, w);
-        }
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!first_exception) first_exception = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
+  pool->Run([&](int lane) {
+    try {
+      for (size_t i;
+           (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+        // Cooperative cancellation: poll before claiming, so a cancel or
+        // deadline takes effect mid-batch; the claimed item itself always
+        // runs to completion (all-or-nothing per item).
+        if (failed.load(std::memory_order_relaxed)) break;
+        if (run != nullptr && run->StopRequested()) break;
+        fn(i, lane);
       }
-      std::lock_guard<std::mutex> lock(mu);
-      if (++done == lanes) done_cv.notify_one();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    done_cv.wait(lock, [&] { return done == lanes; });
-  }
-  if (first_exception) std::rethrow_exception(first_exception);
+    } catch (...) {
+      failed.store(true, std::memory_order_relaxed);
+      throw;
+    }
+  });
 }
 
 }  // namespace trajpattern

@@ -1,12 +1,10 @@
 #ifndef TRAJPATTERN_PARALLEL_THREAD_POOL_H_
 #define TRAJPATTERN_PARALLEL_THREAD_POOL_H_
 
-#include <condition_variable>
+#include <barrier>
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -14,64 +12,65 @@
 
 namespace trajpattern {
 
-/// Resolves a `num_threads` knob into an actual worker count: 0 means
+/// Resolves a `num_threads` knob into an actual lane count: 0 means
 /// "use the hardware" (`std::thread::hardware_concurrency`, at least 1),
 /// any positive value is taken literally.
 int ResolveThreadCount(int num_threads);
 
-/// A small fixed-size worker pool.  Tasks are plain `void()` callables
-/// executed FIFO; `Wait` blocks until every submitted task has finished.
+/// A fork-join group of `size()` lanes.  The thread that calls `Run` is
+/// lane 0; lanes 1 .. size() - 1 are worker threads started once by the
+/// constructor and parked between calls, so `NmEngine` keeps one group
+/// alive across batch-scoring calls and mining iterations pay no thread
+/// start-up.  A 1-lane group starts no thread and runs inline.
 ///
-/// Exceptions: a task that throws no longer terminates the process on a
-/// pool thread.  The first exception of a Submit/Wait round is captured
-/// and rethrown by `Wait()` on the submitting thread (later ones are
-/// dropped — one round, one failure); remaining queued tasks still run,
-/// so the pool stays usable afterwards.  `ParallelFor` adds its own
-/// capture so its lanes never feed the pool-level slot.
-///
-/// The pool is reusable across many Submit/Wait rounds — `NmEngine`
-/// keeps one alive across batch-scoring calls so mining iterations do
-/// not pay thread start-up costs.
+/// `Run` is the group's only operation.  Calls must not overlap, and a
+/// lane must not call `Run` on its own group.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (resolved via `ResolveThreadCount`).
+  /// Starts `ResolveThreadCount(num_threads) - 1` worker threads.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of worker threads.
-  int size() const { return static_cast<int>(workers_.size()); }
+  /// Number of lanes, the calling thread included.
+  int size() const { return lanes_; }
 
-  /// Enqueues a task for execution on some worker.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and no task is running, then
-  /// rethrows the first exception any task of this round threw.
-  void Wait();
+  /// Calls `fn(lane)` once for every lane in [0, size()), lane 0 on the
+  /// calling thread, and returns only after every lane has returned.  A
+  /// lane that throws does not stop the others: once all have returned,
+  /// the exception of the lowest failing lane is rethrown here and the
+  /// others are dropped, so the next call starts clean.
+  void Run(const std::function<void(int lane)>& fn);
 
  private:
-  void WorkerLoop();
+  void WorkerLoop(int lane);
+  /// Releases the parked workers to return and joins them.
+  void Stop();
+  /// Runs `fn_` as `lane`, parking an exception in that lane's slot.
+  void RunLane(int lane);
 
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;  // wakes workers
-  std::condition_variable idle_cv_;  // wakes Wait()
-  std::queue<std::function<void()>> queue_;
-  size_t in_flight_ = 0;  // queued + currently running tasks
+  const int lanes_;
+  /// Every lane arrives at `start_` before a call and at `done_` after
+  /// it; a barrier's phase completion orders the writes of `fn_` and
+  /// `stop_` before the workers' reads, and the lanes' writes of
+  /// `failures_` before the caller's.
+  std::barrier<> start_;
+  std::barrier<> done_;
+  const std::function<void(int)>* fn_ = nullptr;
   bool stop_ = false;
-  /// First exception thrown by a task since the last Wait() (guarded by
-  /// mu_); cleared when Wait() takes it to rethrow.
-  std::exception_ptr first_exception_;
+  /// One slot per lane, written only by that lane during a call.
+  std::vector<std::exception_ptr> failures_;
+  std::vector<std::thread> workers_;
 };
 
-/// Runs `fn(item, worker)` for every `item` in [0, n), work-stealing off
-/// a shared counter.  `worker` is a dense id in [0, W) identifying which
-/// of the W parallel lanes executes the item — index per-lane scratch
-/// buffers with it.  With a null pool, a single-thread pool, or n <= 1
-/// the loop runs inline on the calling thread (worker 0), which is the
-/// exact-serial fallback path.  Blocks until all items are done.
+/// Runs `fn(item, worker)` for every `item` in [0, n), the lanes of
+/// `pool` claiming items off a shared counter inside one `Run`.
+/// `worker` is the claiming lane, a dense id in [0, pool->size()): index
+/// per-lane scratch buffers with it.  With a null pool, a 1-lane pool or
+/// n <= 1 the loop runs inline on the calling thread (worker 0), which is
+/// the exact-serial fallback path.  Blocks until all items are done.
 ///
 /// Cancellation: with a non-null `run`, every lane polls the context
 /// before claiming each item (one relaxed atomic load, plus a clock
@@ -81,10 +80,9 @@ class ThreadPool {
 /// usually discards the whole batch).  The serial inline path polls the
 /// same way.
 ///
-/// Exceptions: if `fn` throws on any lane, the first exception is
-/// captured, the remaining items are abandoned (other lanes stop
-/// claiming), every lane is still joined, and the exception is rethrown
-/// here on the calling thread.
+/// Exceptions: if `fn` throws on any lane, the other lanes stop claiming,
+/// every lane is still joined, and the exception is rethrown here on the
+/// calling thread.
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t item, int worker)>& fn,
                  const RunContext* run = nullptr);

@@ -10,7 +10,9 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/match_apriori.h"
@@ -35,48 +37,123 @@ TEST(ThreadPoolTest, ResolveThreadCountSemantics) {
   EXPECT_EQ(ResolveThreadCount(7), 7);
 }
 
-TEST(ThreadPoolTest, RunsEverySubmittedTaskAndIsReusable) {
+TEST(ThreadPoolTest, RunCallsEveryLaneOnceWithLaneZeroOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int lanes : {1, 2, 3, 4}) {
+    ThreadPool pool(lanes);
+    ASSERT_EQ(pool.size(), lanes);
+    for (int round = 0; round < 3; ++round) {
+      // Each lane writes only its own entries.
+      std::vector<int> calls(static_cast<size_t>(lanes), 0);
+      std::vector<std::thread::id> on(static_cast<size_t>(lanes));
+      pool.Run([&](int lane) {
+        ASSERT_GE(lane, 0);
+        ASSERT_LT(lane, lanes);
+        ++calls[static_cast<size_t>(lane)];
+        on[static_cast<size_t>(lane)] = std::this_thread::get_id();
+      });
+      for (int lane = 0; lane < lanes; ++lane) {
+        EXPECT_EQ(calls[static_cast<size_t>(lane)], 1)
+            << lanes << " lanes, lane " << lane;
+        // Lane 0 is the caller (a 1-lane pool runs inline); every other
+        // lane is a worker thread of its own.
+        EXPECT_EQ(on[static_cast<size_t>(lane)] == caller, lane == 0)
+            << lanes << " lanes, lane " << lane;
+        for (int other = 0; other < lane; ++other) {
+          EXPECT_NE(on[static_cast<size_t>(other)],
+                    on[static_cast<size_t>(lane)]);
+        }
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, RunsAllWorkAndIsReusable) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4);
   std::atomic<int> count{0};
   for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(count.load(), 100 * (round + 1));
+    ParallelFor(&pool, 100, [&count](size_t, int) { count.fetch_add(1); });
+    pool.Run([&count](int) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 104 * (round + 1));
   }
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEachItemExactlyOnce) {
   ThreadPool pool(4);
-  constexpr size_t kN = 1000;
-  // Each item is written by exactly one lane, so plain ints suffice; a
-  // double-visit would show up as a count of 2.
-  std::vector<int> visits(kN, 0);
-  std::vector<std::atomic<int>> lane_hits(4);
-  ParallelFor(&pool, kN, [&](size_t item, int worker) {
-    ASSERT_GE(worker, 0);
-    ASSERT_LT(worker, 4);
-    ++visits[item];
-    lane_hits[static_cast<size_t>(worker)].fetch_add(1);
-  });
-  int total = 0;
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(visits[i], 1) << "item " << i;
-    total += visits[i];
+  // Fewer items than lanes too: the idle lanes claim nothing.
+  for (const size_t n : {size_t{2}, size_t{3}, size_t{1000}}) {
+    // Each item is written by exactly one lane, so plain ints suffice; a
+    // double-visit would show up as a count of 2.
+    std::vector<int> visits(n, 0);
+    ParallelFor(&pool, n, [&](size_t item, int worker) {
+      ASSERT_GE(worker, 0);
+      ASSERT_LT(worker, 4);
+      ++visits[item];
+    });
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(visits[i], 1) << "item " << i << " of " << n;
+    }
   }
-  EXPECT_EQ(total, static_cast<int>(kN));
 }
 
 TEST(ThreadPoolTest, ParallelForInlineFallback) {
-  std::vector<int> visits(10, 0);
-  ParallelFor(nullptr, visits.size(), [&](size_t item, int worker) {
-    EXPECT_EQ(worker, 0);  // null pool = inline serial on the caller
-    ++visits[item];
-  });
-  for (int v : visits) EXPECT_EQ(v, 1);
-  ParallelFor(nullptr, 0, [&](size_t, int) { FAIL() << "n = 0 ran a body"; });
+  // A null pool and a 1-lane pool both run inline on the caller as
+  // worker 0.
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool one(1);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one}) {
+    std::vector<int> visits(10, 0);
+    ParallelFor(pool, visits.size(), [&](size_t item, int worker) {
+      EXPECT_EQ(worker, 0);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      ++visits[item];
+    });
+    for (int v : visits) EXPECT_EQ(v, 1);
+    ParallelFor(pool, 0, [&](size_t, int) { FAIL() << "n = 0 ran a body"; });
+  }
+}
+
+// A few hundred fork-joins at 2-4 lanes, some with throwing lanes; run
+// under ThreadSanitizer by CI's TSan leg.
+TEST(ThreadPoolTest, StressRunAndParallelForWithThrowingLanes) {
+  for (const int lanes : {2, 3, 4}) {
+    ThreadPool pool(lanes);
+    std::vector<int64_t> sums(static_cast<size_t>(lanes), 0);
+    for (int round = 0; round < 100; ++round) {
+      // Lane `thrower` throws on every third round; -1 is none.
+      const int thrower = round % 3 == 0 ? round % lanes : -1;
+      std::atomic<int> ran{0};
+      const auto lane_fn = [&](int lane) {
+        sums[static_cast<size_t>(lane)] += lane;  // per-lane, unsynchronized
+        ran.fetch_add(1);
+        if (lane == thrower) throw std::runtime_error("lane failed");
+      };
+      if (thrower >= 0) {
+        EXPECT_THROW(pool.Run(lane_fn), std::runtime_error);
+      } else {
+        pool.Run(lane_fn);
+      }
+      EXPECT_EQ(ran.load(), lanes);
+
+      std::vector<int> visits(37, 0);
+      const auto item_fn = [&](size_t item, int) {
+        ++visits[item];
+        if (thrower >= 0 && item == 5) throw std::runtime_error("item 5");
+      };
+      if (thrower >= 0) {
+        EXPECT_THROW(ParallelFor(&pool, visits.size(), item_fn),
+                     std::runtime_error);
+        for (const int v : visits) EXPECT_LE(v, 1);
+      } else {
+        ParallelFor(&pool, visits.size(), item_fn);
+        for (const int v : visits) EXPECT_EQ(v, 1);
+      }
+    }
+    for (int lane = 0; lane < lanes; ++lane) {
+      EXPECT_EQ(sums[static_cast<size_t>(lane)], int64_t{100} * lane);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -205,8 +282,8 @@ TEST(NmTotalBatchTest, WarmupStatsAndIdempotence) {
 
 #if TRAJPATTERN_OBS_ENABLED
 // Every call runs on exactly the thread count it asks for, also after a
-// call that asked for more.  With every vector warm, a batch's one
-// fan-out is the walk's, one pool task per lane.
+// call that asked for more.  With every vector warm, a batch's one `Run`
+// is the walk's: one lane run per thread, the caller's included.
 TEST(NmTotalBatchTest, RunsOnExactlyTheThreadsItAsksFor) {
   const TrajectoryDataset d = MixedLengthData();
   const MiningSpace space(Grid::UnitSquare(8), 0.1);

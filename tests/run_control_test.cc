@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -14,6 +16,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/match_apriori.h"
@@ -75,58 +78,96 @@ TEST(RunContextTest, StopReasonNamesAreStable) {
 
 // ------------------------------------------- thread pool exception capture
 
-TEST(ThreadPoolExceptionTest, WaitRethrowsFirstTaskException) {
+TEST(ThreadPoolExceptionTest, RunRethrowsALaneExceptionAndStaysUsable) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&ran, i] {
-      ++ran;
-      if (i == 5) throw std::runtime_error("task 5 failed");
-    });
+  EXPECT_THROW(pool.Run([&ran](int lane) {
+                 ++ran;
+                 if (lane == 2) throw std::runtime_error("lane 2 failed");
+               }),
+               std::runtime_error);
+  // The other lanes still ran: one failure does not wedge the call, and
+  // the pool stays usable afterwards.
+  EXPECT_EQ(ran.load(), 4);
+  pool.Run([&ran](int) { ++ran; });
+  EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(ThreadPoolExceptionTest, ExceptionSurfacesOnlyAfterEveryLaneReturned) {
+  constexpr int kLanes = 4;
+  ThreadPool pool(kLanes);
+  // A worker lane and the caller's lane each take a turn at throwing.
+  for (const int thrower : {kLanes - 1, 0}) {
+    std::atomic<bool> thrown{false};
+    std::atomic<int> returned{0};
+    EXPECT_THROW(
+        pool.Run([&](int lane) {
+          if (lane == thrower) {
+            thrown.store(true);
+            throw std::runtime_error("lane failed");
+          }
+          // The other lanes are still busy after the throw.
+          while (!thrown.load()) std::this_thread::yield();
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          returned.fetch_add(1);
+        }),
+        std::runtime_error);
+    EXPECT_EQ(returned.load(), kLanes - 1) << "thrower lane " << thrower;
   }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // Remaining queued tasks still ran: one failure does not wedge the
-  // round, and the pool stays usable afterwards.
-  EXPECT_EQ(ran.load(), 32);
-  pool.Submit([&ran] { ++ran; });
-  EXPECT_NO_THROW(pool.Wait());
-  EXPECT_EQ(ran.load(), 33);
 }
 
 TEST(ThreadPoolExceptionTest, FaultScheduleDrivenWorkerExceptions) {
   // Draw the deterministic fault stream serially (FaultSchedule is not a
-  // concurrent object), then let pool tasks consult the pre-drawn mask.
+  // concurrent object), then let each round's lanes consult the
+  // pre-drawn mask.
   FaultScheduleOptions fo;
   fo.fail_first = 2;
   fo.fail_rate = 0.25;
   fo.seed = 9;
   FaultSchedule schedule(fo);
-  std::vector<char> fail_mask(64);
+  constexpr int kLanes = 4;
+  constexpr int kRounds = 16;
+  std::vector<char> fail_mask(kLanes * kRounds);
   for (auto& f : fail_mask) f = schedule.ShouldFail() ? 1 : 0;
   ASSERT_GE(schedule.failures(), 2);  // the unconditional burst
 
-  ThreadPool pool(4);
-  for (size_t i = 0; i < fail_mask.size(); ++i) {
-    pool.Submit([&fail_mask, i] {
-      if (fail_mask[i]) throw std::runtime_error("injected worker fault");
-    });
+  ThreadPool pool(kLanes);
+  int failed_rounds = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const char* mask = fail_mask.data() + round * kLanes;
+    const bool fails = std::count(mask, mask + kLanes, 1) > 0;
+    failed_rounds += fails;
+    const auto lane_fn = [mask](int lane) {
+      if (mask[lane]) throw std::runtime_error("injected worker fault");
+    };
+    if (fails) {
+      EXPECT_THROW(pool.Run(lane_fn), std::runtime_error) << round;
+    } else {
+      EXPECT_NO_THROW(pool.Run(lane_fn)) << round;
+    }
+    // A consumed exception is not rethrown by the next round.
+    EXPECT_NO_THROW(pool.Run([](int) {})) << round;
   }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  EXPECT_NO_THROW(pool.Wait());  // the slot was consumed by the rethrow
+  EXPECT_GE(failed_rounds, 1);
+  EXPECT_LT(failed_rounds, kRounds);
 }
 
 TEST(ParallelForTest, RethrowsOnCallingThread) {
   ThreadPool pool(4);
+  constexpr size_t kN = 2000;
   std::atomic<size_t> executed{0};
-  EXPECT_THROW(ParallelFor(&pool, 10000,
+  EXPECT_THROW(ParallelFor(&pool, kN,
                            [&executed](size_t i, int) {
                              if (i == 0) throw std::runtime_error("lane died");
+                             std::this_thread::sleep_for(
+                                 std::chrono::microseconds(200));
                              ++executed;
                            }),
                std::runtime_error);
-  // Item 0 never counted, so a full sweep is impossible: the failure was
-  // noticed, not papered over.
-  EXPECT_LT(executed.load(), 10000u);
+  // Item 0 is the first claim.  Once it failed no lane claims another
+  // item, so the other items (0.13 s of work on the other three lanes)
+  // are not all run for a result the caller discards.
+  EXPECT_LT(executed.load(), kN - 1);
   // The pool survives for the next round.
   ParallelFor(&pool, 100, [&executed](size_t, int) { ++executed; });
 }
